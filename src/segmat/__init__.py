@@ -20,6 +20,7 @@ from .geometry import (
     slab_tangent_planes,
 )
 from .mesh_io import (
+    EmptyInput,
     LengthMismatch,
     MedialMesh,
     NegativeRadius,
@@ -34,9 +35,10 @@ from .mesh_io import (
     save_surface,
 )
 from .mat_graph import MatGraph, MatNode, NodeKind, build_graph, node_angle, primitive_angles
-from .mat_simplify import EmptyInput, SimplifyParams, collapse_cost, simplify
+from .mat_simplify import SimplifyParams, collapse_cost, simplify
 from .structure import (
     ComponentKind,
+    DegenerateInput,
     Joint,
     JointKind,
     StructuralComponent,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mat_graph import MatGraph, node_angle, primitive_angles
-from .structure import StructuralComponent, ZeroRadius, thinness
+from .structure import DegenerateInput, StructuralComponent, thinness
 
 
 @dataclass
@@ -41,6 +41,10 @@ class Region:
 def ma_cost(g: MatGraph, i: int, j: int, alpha: float = 0.05) -> float:
     ri = g.nodes[i].mean_radius
     rj = g.nodes[j].mean_radius
+    if min(ri, rj) <= 0.0:
+        raise DegenerateInput(
+            f"component {int(g.component_id[i])}: node {i if ri <= rj else j}"
+            " has radius 0")
     theta = node_angle(g, i, j)
     return abs(ri - rj) / min(ri, rj) + alpha * (math.pi - theta) / math.pi
 
@@ -89,11 +93,13 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
 def _component_thresholds(comps: list[StructuralComponent],
                           p: GrowingParams) -> list[float]:
     out = []
-    for c in comps:
-        try:
-            rho = thinness(c)
-        except ZeroRadius:
-            rho = 1.0
+    for k, c in enumerate(comps):
+        name = f"component {k} ({c.kind.value})"
+        if c.max_radius <= 0.0:
+            raise DegenerateInput(f"{name}: every sphere has radius 0")
+        rho = thinness(c)
+        if rho <= 0.0:
+            raise DegenerateInput(f"{name}: its spheres coincide (zero extent)")
         out.append(adjusted_threshold(p.delta0, rho, p.sigma_knee))
     return out
 

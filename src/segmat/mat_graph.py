@@ -32,11 +32,7 @@ from .geometry import (
     slab_tangent_planes,
     sub,
 )
-from .mesh_io import MedialMesh
-
-
-class EmptyInput(ValueError):
-    """The medial mesh has no face or standalone-edge elements."""
+from .mesh_io import EmptyInput, MedialMesh
 
 
 class NotAdjacent(ValueError):

@@ -24,14 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Sphere
-from .mesh_io import MedialMesh
+from .mesh_io import EmptyInput, MedialMesh
 
 # Interpolation parameters tried when placing a merged sphere.
 _PLACEMENT_SAMPLES = np.linspace(0.0, 1.0, 17)
-
-
-class EmptyInput(ValueError):
-    """The medial mesh has no elements to simplify."""
 
 
 @dataclass

@@ -28,6 +28,10 @@ class NegativeRadius(ParseError):
     """A medial sphere radius is negative."""
 
 
+class EmptyInput(ValueError):
+    """An input with nothing to work on: no medial elements, no points."""
+
+
 class LengthMismatch(ValueError):
     """A label file does not match the mesh face count."""
 
@@ -65,6 +69,8 @@ class SurfaceMesh:
             self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
 
     def validate(self) -> None:
+        if not np.isfinite(self.vertices).all():
+            raise ParseError("non-finite vertex coordinate")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ParseError("face index out of range")
         for f in self.faces:
@@ -173,6 +179,13 @@ class MedialMesh:
             face_set.add(tri)
             edge_set.update(((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])))
         return cls(spheres, sorted(edge_set), sorted(face_set))
+
+    def validate(self) -> None:
+        """Every sphere center and radius must be a finite number."""
+        if not np.isfinite(self.centers()).all():
+            raise ParseError("non-finite sphere center")
+        if not np.isfinite(self.radii()).all():
+            raise ParseError("non-finite sphere radius")
 
     def centers(self) -> np.ndarray:
         if "centers" not in self._cache:
@@ -376,6 +389,8 @@ def load_medial_mesh(path) -> MedialMesh:
                 x, y, z, r = (float(t) for t in parts[1:])
             except ValueError:
                 raise ParseError(f"{p}:{lineno}: bad vertex number") from None
+            if not all(map(math.isfinite, (x, y, z, r))):
+                raise ParseError(f"{p}:{lineno}: non-finite vertex number")
             if r < 0.0:
                 raise NegativeRadius(f"{p}:{lineno}: negative radius {r}")
             spheres.append(Sphere((x, y, z), r))

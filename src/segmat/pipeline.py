@@ -79,8 +79,10 @@ def run_pipeline(mesh: SurfaceMesh, mat: MedialMesh,
 
     mesh.validate()
     if structured is None:
+        mat.validate()
         structured = timed("simplify", lambda: simplify(mat, cfg.simplify))
     else:
+        structured.validate()
         skipped.append("simplify")
     graph = timed("graph", lambda: build_graph(structured))
 

@@ -5,7 +5,11 @@ and a triangle, vertices where two triangle umbrellas meet) cut the mesh.
 What remains splits into connected components that are purely triangles
 (sheets) or purely standalone edges (curves).  Base-graph nodes are then
 mapped onto the components by nearest Euclidean distance, which tolerates
-the geometric drift introduced by simplification.
+the geometric drift introduced by simplification.  That search is pruned,
+not a scan: every element lies inside the ball around its vertex centroid
+that reaches its farthest vertex, so a node's distance to it is at least
+the centroid distance minus that radius, and only elements this bound
+cannot rule out are measured exactly.
 """
 
 from __future__ import annotations
@@ -16,11 +20,17 @@ from enum import Enum
 
 import numpy as np
 
+from .geometry import _bounded_nearest
 from .mat_graph import MatGraph
 from .mesh_io import MedialMesh
 
 
-class ZeroRadius(ValueError):
+class DegenerateInput(ValueError):
+    """A component whose spheres all vanish or all coincide: its growing
+    threshold and costs are undefined."""
+
+
+class ZeroRadius(DegenerateInput):
     """Thinness is undefined for a component whose spheres all vanish."""
 
 
@@ -203,34 +213,34 @@ def thinness(comp: StructuralComponent) -> float:
 
 def _segment_distances(points: np.ndarray, a: np.ndarray,
                        b: np.ndarray) -> np.ndarray:
-    """(n, m) distances from n points to m segments."""
+    """Distance from points[i] to segment a[i]b[i], row by row."""
     d = b - a
     denom = (d * d).sum(axis=1)
     denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.einsum("nmk,mk->nm", points[:, None, :] - a[None, :, :], d) / denom
+    t = np.einsum("nk,nk->n", points - a, d) / denom
     t = np.clip(t, 0.0, 1.0)
-    closest = a[None, :, :] + t[..., None] * d[None, :, :]
-    return np.linalg.norm(points[:, None, :] - closest, axis=2)
+    closest = a + t[:, None] * d
+    return np.linalg.norm(points - closest, axis=1)
 
 
 def _triangle_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray,
                         c: np.ndarray) -> np.ndarray:
-    """(n, m) distances from n points to m triangles."""
+    """Distance from points[i] to triangle a[i]b[i]c[i], row by row."""
     ab = b - a
     ac = c - a
     n = np.cross(ab, ac)
     nn = (n * n).sum(axis=1)
     safe_nn = np.where(nn == 0.0, 1.0, nn)
 
-    ap = points[:, None, :] - a[None, :, :]
-    dist_plane = np.einsum("nmk,mk->nm", ap, n) / np.sqrt(safe_nn)
+    ap = points - a
+    dist_plane = np.einsum("nk,nk->n", ap, n) / np.sqrt(safe_nn)
 
     # barycentric coordinates of the in-plane projection
     d00 = (ab * ab).sum(axis=1)
     d01 = (ab * ac).sum(axis=1)
     d11 = (ac * ac).sum(axis=1)
-    d20 = np.einsum("nmk,mk->nm", ap, ab)
-    d21 = np.einsum("nmk,mk->nm", ap, ac)
+    d20 = np.einsum("nk,nk->n", ap, ab)
+    d21 = np.einsum("nk,nk->n", ap, ac)
     denom = d00 * d11 - d01 * d01
     safe_denom = np.where(denom == 0.0, 1.0, denom)
     v = (d11 * d20 - d01 * d21) / safe_denom
@@ -244,31 +254,49 @@ def _triangle_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.where(inside, np.abs(dist_plane), edge_min)
 
 
-def component_distances(points: np.ndarray,
-                        comps: list[StructuralComponent]) -> np.ndarray:
-    """(n, c) point-to-component distances."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.empty((len(points), len(comps)))
-    for k, comp in enumerate(comps):
-        centers = comp._smat.centers()
-        el = np.array(comp.elements)
-        if comp.kind is ComponentKind.CURVE:
-            d = _segment_distances(points, centers[el[:, 0]], centers[el[:, 1]])
-        else:
-            d = _triangle_distances(points, centers[el[:, 0]],
-                                    centers[el[:, 1]], centers[el[:, 2]])
-        out[:, k] = d.min(axis=1)
-    return out
-
-
 def assign_base_nodes(g: MatGraph, comps: list[StructuralComponent]) -> None:
-    """Label every base node with its nearest component (ties: lowest index)."""
+    """Label every base node with its nearest component (ties: lowest index).
+
+    Elements are searched component by component in order, so the lowest
+    element index among exact ties belongs to the lowest component.  Each
+    element lies in the ball around its vertex centroid whose radius is the
+    farthest vertex, which is the bound the pruned search needs.
+    """
     if not comps:
         raise ValueError("no components to assign nodes to")
-    dist = component_distances(g.centroids(), comps)
-    labels = np.argmin(dist, axis=1)
+    corners, owner, is_tri = [], [], []
+    for k, comp in enumerate(comps):
+        el = np.array(comp.elements)
+        sheet = comp.kind is ComponentKind.SHEET
+        # Curves repeat their end vertex so every element is a triple.
+        corners.append(comp._smat.centers()[el if sheet else el[:, [0, 1, 1]]])
+        owner.append(np.full(len(el), k))
+        is_tri.append(np.full(len(el), sheet))
+    corners = np.concatenate(corners)
+    owner = np.concatenate(owner)
+    is_tri = np.concatenate(is_tri)
+    mid = np.where(is_tri[:, None], corners.mean(axis=1),
+                   corners[:, :2].mean(axis=1))
+    reach = np.linalg.norm(corners - mid[:, None, :], axis=2).max(axis=1)
+    points = g.centroids()
+
+    def score(rows, items):
+        a, b, c = (corners[items, i] for i in range(3))
+        p = points[rows]
+        out = np.empty(len(rows))
+        tri = is_tri[items]
+        out[tri] = _triangle_distances(p[tri], a[tri], b[tri], c[tri])
+        seg = ~tri
+        out[seg] = _segment_distances(p[seg], a[seg], b[seg])
+        return out
+
+    # Simplified sheets mix small and large triangles, so the 8 nearest
+    # centroids often lie within the largest circumradius; 16 clear it for
+    # nearly every node and spare the ball query.
+    _, nearest = _bounded_nearest(points, mid, reach, score, k=16)
+    labels = owner[nearest]
     g.component_id[:] = labels
-    for comp in comps:
-        comp.member_nodes = []
-    for i, k in enumerate(labels):
-        comps[int(k)].member_nodes.append(i)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=len(comps)))[:-1]
+    for comp, members in zip(comps, np.split(order, ends)):
+        comp.member_nodes = members.tolist()

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
+from .geometry import _bounded_nearest
 from .mesh_io import SurfaceMesh
 
 
@@ -282,7 +283,14 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
 
 
 def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
-    """Per-face, per-region data costs as a (faces, regions) array."""
+    """Per-face, per-region data costs as a (faces, regions) array.
+
+    A face's gap to a region is min over its spheres of |p - c| - r.  That
+    score is its own lower bound with slack r, so a tree over the region's
+    sphere centers prunes the search: only spheres whose centers lie within
+    best + max(r) of the face centroid can reach the minimum, and the result
+    equals the full faces x spheres scan exactly.
+    """
     if len(regions) == 0:
         raise NoSegments("no regions to transfer labels from")
     centroids = mesh.face_centroids()
@@ -294,17 +302,12 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
         centers, radii = graph.sphere_arrays(region.nodes)
         if centers.shape[0] == 0:
             raise ValueError(f"region {region.id} has no spheres")
-        # Chunk the face axis so the pairwise distance block stays bounded
-        # even for regions holding thousands of spheres.
-        step = max(1, (1 << 21) // centers.shape[0])
-        best = np.empty(len(centroids))
-        for lo in range(0, len(centroids), step):
-            block = centroids[lo:lo + step]
-            gaps = (
-                np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=2)
-                - radii[None, :]
-            )
-            best[lo:lo + len(block)] = gaps.min(axis=1)
+
+        def gap(rows, items):
+            return (np.linalg.norm(centroids[rows] - centers[items], axis=1)
+                    - radii[items])
+
+        best, _ = _bounded_nearest(centroids, centers, radii, gap, shift=radii)
         columns.append(np.maximum(0.0, best) / diagonal)
     return np.stack(columns, axis=1)
 

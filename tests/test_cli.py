@@ -404,3 +404,46 @@ def test_cloud_malformed_xyz_exits_2(tmp_path):
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["polish"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_segment_non_finite_surface_vertex_exits_2(tmp_path, capsys, value):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    mesh = load_surface(mesh_path)
+    mesh.vertices[3, 1] = value
+    save_surface(mesh, mesh_path)
+    assert main(["segment", "--mesh", mesh_path, "--structured", mat_path,
+                 "--mat", mat_path, "--out", str(tmp_path / "x")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x.labels.txt"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_segment_non_finite_medial_radius_exits_2(tmp_path, capsys, value):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    spheres = [Sphere((float(i), 0.0, 0.0), value if i == 5 else 1.0)
+               for i in range(12)]
+    save_medial_mesh(MedialMesh.build(spheres, [(i, i + 1) for i in range(11)],
+                                      []), mat_path)
+    assert main(["segment", "--mesh", mesh_path, "--structured", mat_path,
+                 "--mat", mat_path, "--out", str(tmp_path / "x")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x.labels.txt"))
+
+
+def test_segment_all_zero_radii_exits_2(tmp_path, capsys):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    save_medial_mesh(chain_mat(radius=0.0), mat_path)
+    assert main(["segment", "--mesh", mesh_path, "--structured", mat_path,
+                 "--mat", mat_path, "--out", str(tmp_path / "x")]) == 2
+    assert "component 0 (curve): every sphere has radius 0" in (
+        capsys.readouterr().err)
+
+
+def test_segment_coincident_spheres_exit_2(tmp_path, capsys):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    save_medial_mesh(chain_mat(spacing=0.0), mat_path)
+    assert main(["segment", "--mesh", mesh_path, "--structured", mat_path,
+                 "--mat", mat_path, "--out", str(tmp_path / "x")]) == 2
+    assert "component 0 (curve): its spheres coincide" in (
+        capsys.readouterr().err)

@@ -18,7 +18,12 @@ from segmat.growing import (
 )
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh
-from segmat.structure import assign_base_nodes, detect_joints, split_components
+from segmat.structure import (
+    DegenerateInput,
+    assign_base_nodes,
+    detect_joints,
+    split_components,
+)
 
 
 def medial(points, radii, edges=(), faces=()):
@@ -249,3 +254,10 @@ def test_swallow_intersection_test_is_strict():
     region = Region(id=0, nodes=[0], seed=0, component_id=0)
     swallow(g, region, [1])
     assert region.nodes == [0, 1]
+
+
+def test_zero_radius_node_is_a_typed_error():
+    # One vanishing sphere pair inside an otherwise thick chain.
+    g, comps = prepared_graph(cone_chain([0, 2, 4, 6], [1, 0, 0, 1]))
+    with pytest.raises(DegenerateInput, match="component 0: node 1 has radius 0"):
+        grow(g, comps)

@@ -198,3 +198,13 @@ def test_adjacency_requires_shared_vertex():
     assert g.adjacency == [[], []]
     with pytest.raises(NotAdjacent):
         primitive_angles(g, 0, 1)
+
+
+def test_one_empty_input_class_across_modules():
+    import segmat
+    from segmat import mat_graph, mat_simplify, mesh_io
+
+    assert mat_graph.EmptyInput is mat_simplify.EmptyInput
+    assert segmat.EmptyInput is mesh_io.EmptyInput is mat_graph.EmptyInput
+    with pytest.raises(segmat.EmptyInput):
+        build_graph(MedialMesh.build([Sphere((0, 0, 0), 1.0)], [], []))

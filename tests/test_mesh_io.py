@@ -192,3 +192,19 @@ def test_face_areas_and_centroids():
     assert mesh.face_areas() == pytest.approx([0.5, 0.5])
     assert mesh.face_centroids()[0] == pytest.approx((2.0 / 3.0, 1.0 / 3.0, 0.0))
     assert mesh.diagonal() == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_are_parse_errors(tmp_path, value):
+    mesh = square_mesh()
+    mesh.vertices[2, 0] = value
+    with pytest.raises(ParseError, match="non-finite"):
+        mesh.validate()
+    path = tmp_path / "m.ma"
+    path.write_text(f"v 0 0 0 1\nv 1 0 0 {value}\ne 0 1\n")
+    with pytest.raises(ParseError, match="m.ma:2: non-finite"):
+        load_medial_mesh(path)
+    mm = MedialMesh.build([Sphere((0, value, 0), 1.0), Sphere((1, 0, 0), 1.0)],
+                          [(0, 1)], [])
+    with pytest.raises(ParseError, match="non-finite sphere center"):
+        mm.validate()
