@@ -21,13 +21,14 @@ from .extensions import SkeletonCloud, abstraction_error, assign_cloud, mobb, se
 from .growing import GrowingParams
 from .mat_simplify import SimplifyParams, simplify
 from .mesh_io import (
-    ParseError,
     load_labels,
     load_medial_mesh,
     load_surface,
+    load_xyz,
     save_colored_mesh,
     save_labels,
     save_medial_mesh,
+    save_point_labels,
 )
 from .metrics import Segmentation, consistency_error, cut_discrepancy, hamming, rand_index
 from .pipeline import PipelineConfig, boundary_length, run_pipeline
@@ -406,37 +407,6 @@ def cmd_abstract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def load_xyz(path: str) -> np.ndarray:
-    """Point list, one `x y z` (or `x y z r`) line per point."""
-    rows: list[list[float]] = []
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (3, 4):
-                raise ParseError(f"{path}:{lineno}: expected 'x y z' "
-                                 f"or 'x y z r'")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(f"{path}:{lineno}: inconsistent column count")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no points")
-    return np.array(rows, dtype=float)
-
-
-def _write_point_labels(path: str, labels) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{int(v)}\n" for v in labels)
-
-
 def cmd_cloud(args: argparse.Namespace) -> int:
     params = resolve_params(args, _CLOUD_KEYS)
     values = _values(params)
@@ -465,10 +435,10 @@ def cmd_cloud(args: argparse.Namespace) -> int:
         if args.assign_cloud else None,
         "report": f"{args.out}.report.json",
     }
-    _write_point_labels(outputs["labels"], labels)
+    save_point_labels(outputs["labels"], labels)
     if args.assign_cloud:
-        _write_point_labels(outputs["cloud_labels"],
-                            assign_cloud(sc, labels, cloud))
+        save_point_labels(outputs["cloud_labels"],
+                          assign_cloud(sc, labels, cloud))
     _write_json(outputs["report"], {
         "command": "cloud",
         "inputs": {"skeleton": args.skeleton, "cloud": args.cloud},

@@ -112,6 +112,8 @@ class SkeletonCloud:
         rad = np.asarray(radii, dtype=float).reshape(-1)
         if len(pts) == 0:
             raise EmptyInput("no skeleton points")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         if rad.shape != (len(pts),):
             raise ValueError("one radius per point required")
         if (rad < 0.0).any():
@@ -367,6 +369,8 @@ def abstraction_error(
     pose-free) so the score does not depend on the shape's orientation.  An
     empty box set scores IoU 0 with infinite chamfer.
     """
+    if resolution < 1 or samples < 1:
+        raise ValueError("resolution and samples must be at least 1")
     boxes = list(boxes)
     corners = [mesh.vertices] + [box.corners() for box in boxes]
     everything = np.vstack(corners)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .growing import Region
+from .growing import Region, region_labels
 from .mat_graph import MatGraph
 
 BIN_COUNT = 32
@@ -68,19 +68,12 @@ def merge_matching(g: MatGraph, regions: list[Region],
 
     nodes = {r.id: list(r.nodes) for r in regions}
     meta = {r.id: (r.seed, r.component_id) for r in regions}
-    label = {}
-    for r in regions:
-        for v in r.nodes:
-            label[v] = r.id
+    label = region_labels(g, regions)
     adjacent: set[tuple[int, int]] = set()
-    for u in range(len(g)):
-        if u not in label:
-            continue
+    for u in np.flatnonzero(label >= 0):
         for v in g.neighbors(u):
-            if v <= u or v not in label:
-                continue
-            a, b = label[u], label[v]
-            if a != b:
+            a, b = int(label[u]), int(label[v])
+            if v > u and b >= 0 and a != b:
                 adjacent.add((min(a, b), max(a, b)))
 
     def hist(rid: int) -> RadiusHistogram:

@@ -2,9 +2,10 @@
 
 Surface meshes travel as OFF or OBJ, medial meshes as the text ``.ma``
 format (``v x y z r`` / ``e i j`` / ``f i j k`` records, zero-based indices,
-``#`` comments).  Per-face labels are one integer per line.  Colored surface
-output is ASCII PLY with per-face red/green/blue taken from a fixed 32-entry
-palette (label k uses entry k mod 32).
+``#`` comments), point clouds and skeletons as ``.xyz`` lines of ``x y z``
+or ``x y z r``.  Per-face and per-point labels are one integer per line.
+Colored surface output is ASCII PLY with per-face red/green/blue taken from
+a fixed 32-entry palette (label k uses entry k mod 32).
 
 All writers emit floats with 9 significant digits, so load(save(x)) is exact
 once coordinates are representable at that precision.
@@ -101,37 +102,37 @@ class SurfaceMesh:
             self._cache["normals"] = c / n[:, None]
         return self._cache["normals"]
 
-    def edge_faces(self) -> dict[tuple[int, int], list[int]]:
-        """Map from undirected mesh edge to the faces containing it."""
-        if "edge_faces" not in self._cache:
-            table: dict[tuple[int, int], list[int]] = {}
-            for fi, (a, b, c) in enumerate(self.faces):
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (u, v) if u < v else (v, u)
-                    table.setdefault(key, []).append(fi)
-            self._cache["edge_faces"] = table
-        return self._cache["edge_faces"]
-
     def dual_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacent face pairs and the mesh edge each pair shares.
 
         Returns (pairs, shared) where pairs is (k, 2) face indices with
-        pairs[:, 0] < pairs[:, 1] and shared is (k, 2) vertex indices.  At a
-        non-manifold edge every face pair along it is adjacent.
+        pairs[:, 0] < pairs[:, 1] and shared is (k, 2) vertex indices with
+        shared[:, 0] <= shared[:, 1], rows sorted by pair, then by edge.  At
+        a non-manifold edge every face pair along it is adjacent.
         """
         if "dual" not in self._cache:
-            pairs = []
-            shared = []
-            for (u, v), flist in sorted(self.edge_faces().items()):
-                for i in range(len(flist)):
-                    for j in range(i + 1, len(flist)):
-                        a, b = flist[i], flist[j]
-                        pairs.append((a, b) if a < b else (b, a))
-                        shared.append((u, v))
-            pairs_a = np.array(pairs, dtype=int).reshape(-1, 2)
-            shared_a = np.array(shared, dtype=int).reshape(-1, 2)
-            order = np.lexsort((pairs_a[:, 1], pairs_a[:, 0])) if len(pairs_a) else []
-            self._cache["dual"] = (pairs_a[order], shared_a[order])
+            # one row per face side, keyed by its sorted vertex pair; a sort
+            # by key groups the faces that share each edge
+            keys = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                           axis=1)
+            owner = np.repeat(np.arange(len(self.faces)), 3)
+            order = np.lexsort((keys[:, 1], keys[:, 0]))
+            keys, owner = keys[order], owner[order]
+            first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+            sizes = np.diff(np.r_[first, len(keys)])
+            rows_i, rows_j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+            for size in np.unique(sizes[sizes > 1]):
+                i, j = np.triu_indices(size, k=1)
+                start = first[sizes == size][:, None]
+                rows_i.append((start + i).ravel())
+                rows_j.append((start + j).ravel())
+            rows_i, rows_j = np.concatenate(rows_i), np.concatenate(rows_j)
+            a, b = owner[rows_i], owner[rows_j]
+            pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+            shared = keys[rows_i]
+            order = np.lexsort((shared[:, 1], shared[:, 0],
+                                pairs[:, 1], pairs[:, 0]))
+            self._cache["dual"] = (pairs[order], shared[order])
         return self._cache["dual"]
 
     def diagonal(self) -> float:
@@ -467,6 +468,34 @@ def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
         raise LengthMismatch(
             f"{p}: {len(labels)} labels for {len(mesh.faces)} faces")
     return labels
+
+
+def load_xyz(path) -> np.ndarray:
+    """Point list, one ``x y z`` (or ``x y z r``) line per point."""
+    p = str(path)
+    rows: list[list[float]] = []
+    for lineno, line in _meaningful_lines(p):
+        fields = line.split()
+        if len(fields) not in (3, 4):
+            raise ParseError(f"{p}:{lineno}: expected 'x y z' or 'x y z r'")
+        if rows and len(fields) != len(rows[0]):
+            raise ParseError(f"{p}:{lineno}: inconsistent column count")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"{p}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{p}:{lineno}: non-finite number")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{p}: no points")
+    return np.array(rows, dtype=float)
+
+
+def save_point_labels(path, labels) -> None:
+    """Write per-point labels, one integer per line (LF endings)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{int(v)}\n" for v in labels)
 
 
 def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:

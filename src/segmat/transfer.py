@@ -10,8 +10,7 @@ exact minimum s-t cut.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,37 +28,6 @@ class NoSegments(ValueError):
 class TransferParams:
     omega: float = 0.3
     max_iterations: int = 10
-
-
-@dataclass
-class FlowNetwork:
-    """Directed flow network with finite non-negative float capacities."""
-
-    num_nodes: int
-    source: int
-    sink: int
-    arcs: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError("network needs at least a source and a sink")
-        for node in (self.source, self.sink):
-            if not 0 <= node < self.num_nodes:
-                raise ValueError(f"terminal {node} out of range")
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-
-    def add_arc(self, tail: int, head: int, capacity: float) -> None:
-        tail, head = int(tail), int(head)
-        capacity = float(capacity)
-        if tail == head:
-            raise ValueError("self arcs are not allowed")
-        for node in (tail, head):
-            if not 0 <= node < self.num_nodes:
-                raise ValueError(f"arc endpoint {node} out of range")
-        if not math.isfinite(capacity) or capacity < 0.0:
-            raise ValueError(f"capacity must be finite and non-negative: {capacity}")
-        self.arcs.append((tail, head, capacity))
 
 
 # Capacities are scaled to this many bits before the integer solver runs.
@@ -98,39 +66,6 @@ def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
     return side
 
 
-def max_flow(network: FlowNetwork) -> tuple[float, set[int]]:
-    """Max-flow value and the source side of a witnessing minimum cut.
-
-    The value is the float capacity across the recovered cut, so it is exact
-    whenever the capacities are.
-    """
-    tails = [a[0] for a in network.arcs]
-    heads = [a[1] for a in network.arcs]
-    caps = [a[2] for a in network.arcs]
-    side = _min_cut_side(
-        network.num_nodes, network.source, network.sink, tails, heads, caps
-    )
-    value = sum(c for t, h, c in network.arcs if side[t] and not side[h])
-    return float(value), {int(v) for v in np.flatnonzero(side)}
-
-
-def data_term(centroid, centers, radii, diagonal) -> float:
-    """Normalized gap between a face centroid and a segment's sphere surfaces.
-
-    Zero whenever the centroid lies inside any sphere of the segment; the
-    sphere-surface distance (not center distance) makes thick parts attract
-    nearby faces.
-    """
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    radii = np.asarray(radii, dtype=float).reshape(-1)
-    if centers.shape[0] == 0:
-        raise ValueError("segment has no spheres")
-    if diagonal <= 0.0:
-        raise ValueError("diagonal must be positive")
-    gaps = np.linalg.norm(centers - np.asarray(centroid, dtype=float), axis=1) - radii
-    return float(max(0.0, float(gaps.min())) / diagonal)
-
-
 def exterior_dihedrals(mesh: SurfaceMesh) -> np.ndarray:
     """Exterior dihedral angle per dual edge, aligned with mesh.dual_edges().
 
@@ -162,31 +97,26 @@ def exterior_dihedrals(mesh: SurfaceMesh) -> np.ndarray:
     return np.pi + np.arctan2(turn, straight)
 
 
-def smooth_term(mesh: SurfaceMesh, face_f, face_g, label_f, label_g) -> float:
-    """Boundary cost between two adjacent faces: 0 if labels agree, else the
-    exterior dihedral over pi clamped at 1."""
-    if label_f == label_g:
-        return 0.0
-    lo, hi = (face_f, face_g) if face_f < face_g else (face_g, face_f)
-    pairs, _ = mesh.dual_edges()
-    hits = np.flatnonzero((pairs[:, 0] == lo) & (pairs[:, 1] == hi))
-    if hits.size == 0:
-        raise ValueError(f"faces {face_f} and {face_g} share no edge")
-    phi = float(exterior_dihedrals(mesh)[hits[0]])
-    return min(phi / math.pi, 1.0)
+def _boundary_costs(mesh: SurfaceMesh) -> np.ndarray:
+    """Per dual edge, the cost of a label change across it: the exterior
+    dihedral over pi clamped at 1."""
+    return np.minimum(exterior_dihedrals(mesh) / np.pi, 1.0)
+
+
+def _energy(labels, costs, pairs, boundary, omega) -> float:
+    total = float(costs[np.arange(len(labels)), labels].sum())
+    if len(pairs):
+        differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
+        total += float(omega) * float(boundary[differ].sum())
+    return total
 
 
 def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
     """Total labeling energy: data costs plus omega-weighted boundary costs."""
     labels = np.asarray(labels, dtype=int)
     costs = np.asarray(costs, dtype=float)
-    total = float(costs[np.arange(len(labels)), labels].sum())
     pairs, _ = mesh.dual_edges()
-    if len(pairs):
-        boundary = np.minimum(exterior_dihedrals(mesh) / np.pi, 1.0)
-        differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
-        total += float(omega) * float(boundary[differ].sum())
-    return total
+    return _energy(labels, costs, pairs, _boundary_costs(mesh), omega)
 
 
 def _expansion_move(labels, alpha, costs, pairs, boundary_weights):
@@ -260,18 +190,17 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
         raise ValueError("cost table does not match the face count")
     labels = np.argmin(costs, axis=1)
     pairs, _ = mesh.dual_edges()
-    if len(pairs):
-        weights = p.omega * np.minimum(exterior_dihedrals(mesh) / np.pi, 1.0)
-    else:
-        weights = np.zeros(0)
-    energy = labeling_energy(mesh, labels, costs, p.omega)
+    boundary = _boundary_costs(mesh)
+    weights = p.omega * boundary
+    energy = _energy(labels, costs, pairs, boundary, p.omega)
     for _ in range(p.max_iterations):
         improved = False
         for alpha in range(num_segments):
             candidate = _expansion_move(labels, alpha, costs, pairs, weights)
             if candidate is None:
                 continue
-            candidate_energy = labeling_energy(mesh, candidate, costs, p.omega)
+            candidate_energy = _energy(candidate, costs, pairs, boundary,
+                                       p.omega)
             if candidate_energy < energy:
                 labels, energy = candidate, candidate_energy
                 improved = True

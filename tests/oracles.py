@@ -1,8 +1,9 @@
-"""Full-scan references for the pruned nearest searches of the package.
+"""Plain references for the package's vectorised and pruned computations.
 
 These are the dense nodes x elements and faces x spheres scans the package
-used before its searches were pruned with k-d trees.  The pruned results
-must equal them exactly, ties included.
+used before its searches were pruned with k-d trees, the scalar data cost
+of one face, and the dict-based dual-graph builder the numpy edge pairing
+replaced.  The package's results must equal them exactly, ties included.
 """
 
 import numpy as np
@@ -91,3 +92,39 @@ def data_table(mesh, graph, regions):
             best[lo:lo + len(block)] = gaps.min(axis=1)
         columns.append(np.maximum(0.0, best) / diagonal)
     return np.stack(columns, axis=1)
+
+
+def data_term(centroid, centers, radii, diagonal):
+    """Normalized gap between a face centroid and a segment's sphere surfaces.
+
+    Zero whenever the centroid lies inside any sphere of the segment.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if centers.shape[0] == 0:
+        raise ValueError("segment has no spheres")
+    if diagonal <= 0.0:
+        raise ValueError("diagonal must be positive")
+    gaps = np.linalg.norm(centers - np.asarray(centroid, dtype=float), axis=1) - radii
+    return float(max(0.0, float(gaps.min())) / diagonal)
+
+
+def dual_edges(mesh):
+    """(pairs, shared) of mesh.dual_edges(), built from an edge -> faces dict."""
+    table = {}
+    for fi, (a, b, c) in enumerate(mesh.faces):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            table.setdefault(key, []).append(fi)
+    pairs = []
+    shared = []
+    for (u, v), flist in sorted(table.items()):
+        for i in range(len(flist)):
+            for j in range(i + 1, len(flist)):
+                a, b = flist[i], flist[j]
+                pairs.append((a, b) if a < b else (b, a))
+                shared.append((u, v))
+    pairs_a = np.array(pairs, dtype=int).reshape(-1, 2)
+    shared_a = np.array(shared, dtype=int).reshape(-1, 2)
+    order = np.lexsort((pairs_a[:, 1], pairs_a[:, 0])) if len(pairs_a) else []
+    return pairs_a[order], shared_a[order]

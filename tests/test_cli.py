@@ -447,3 +447,49 @@ def test_segment_coincident_spheres_exit_2(tmp_path, capsys):
                  "--mat", mat_path, "--out", str(tmp_path / "x")]) == 2
     assert "component 0 (curve): its spheres coincide" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cloud_non_finite_skeleton_exits_2(tmp_path, capsys, value):
+    skeleton = tmp_path / "skel.xyz"
+    skeleton.write_text(f"0 0 0 1\n6 0 0 {value}\n12 0 0 1\n")
+    assert main(["cloud", "--skeleton", str(skeleton),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{skeleton}:2: non-finite number" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x.labels.txt"))
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_cloud_non_finite_cloud_point_exits_2(tmp_path, capsys, value):
+    skeleton = tmp_path / "skel.xyz"
+    skeleton.write_text("0 0 0\n6 0 0\n")
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_text(f"# raw scan\n0 2 0\n0 {value} 0\n")
+    assert main(["cloud", "--skeleton", str(skeleton), "--cloud", str(cloud),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{cloud}:3: non-finite number" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x.labels.txt"))
+
+
+@pytest.mark.parametrize("option", ["--samples", "--resolution"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_abstract_count_below_one_exits_2(tmp_path, capsys, option, value):
+    mesh_path = str(tmp_path / "box.off")
+    save_surface(box_mesh(), mesh_path)
+    labels_path = str(tmp_path / "box.labels.txt")
+    write_labels(labels_path, [0] * 12)
+    out = str(tmp_path / "abstract.json")
+    assert main(["abstract", "--mesh", mesh_path, "--labels", labels_path,
+                 "--out", out, option, value]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cloud_k_below_one_exits_2(tmp_path, capsys, value):
+    skeleton = tmp_path / "skel.xyz"
+    skeleton.write_text("0 0 0 1\n6 0 0 1\n12 0 0 1\n")
+    assert main(["cloud", "--skeleton", str(skeleton),
+                 "--out", str(tmp_path / "x"), "--k", value]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "x.labels.txt"))

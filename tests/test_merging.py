@@ -134,3 +134,12 @@ def test_merging_is_idempotent():
     twice = merge_matching(g, once, tau=0.15)
     assert [r.id for r in twice] == [r.id for r in once]
     assert [sorted(r.nodes) for r in twice] == [sorted(r.nodes) for r in once]
+
+
+def test_unclaimed_nodes_do_not_make_regions_adjacent():
+    # node 3 belongs to no region, so regions 0 and 1 touch only through it
+    g = chain_graph([2.0] * 9)
+    regions = [region(0, range(0, 3)), region(1, range(4, 8))]
+    merged = merge_matching(g, regions, tau=0.15)
+    assert [r.id for r in merged] == [0, 1]
+    assert [r.nodes for r in merged] == [r.nodes for r in regions]

@@ -1,4 +1,4 @@
-"""Tests for surface label transfer: data/smooth terms, max-flow, expansion."""
+"""Tests for surface label transfer: data/smooth terms, min cut, expansion."""
 
 import itertools
 import math
@@ -6,22 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from segmat import transfer
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh, Sphere, SurfaceMesh
 from segmat.transfer import (
-    FlowNetwork,
     NoSegments,
     TransferParams,
+    _min_cut_side,
     data_table,
-    data_term,
     exterior_dihedrals,
     labeling_energy,
-    max_flow,
     optimize_labels,
-    smooth_term,
     transfer_labels,
 )
+
+from oracles import data_term
 
 
 # --- fixtures ---------------------------------------------------------------
@@ -92,7 +92,7 @@ def brute_force_labeling(mesh, costs, omega):
     """Exhaustive search over every labeling; returns the minimum energy."""
     pairs, _ = mesh.dual_edges()
     nf, nk = costs.shape
-    boundary = [smooth_term(mesh, int(f), int(g), 0, 1) for f, g in pairs]
+    boundary = [min(phi / math.pi, 1.0) for phi in exterior_dihedrals(mesh)]
     best = math.inf
     for combo in itertools.product(range(nk), repeat=nf):
         e = sum(costs[f, combo[f]] for f in range(nf))
@@ -107,81 +107,63 @@ def cut_capacity(arcs, side):
     return sum(c for u, v, c in arcs if u in side and v not in side)
 
 
-# --- max flow ---------------------------------------------------------------
+# --- min cut ---------------------------------------------------------------
+
+
+def min_cut(num_nodes, source, sink, arcs):
+    """Cut value and source side that _min_cut_side finds for (u, v, c) arcs."""
+    tails = [u for u, _, _ in arcs]
+    heads = [v for _, v, _ in arcs]
+    caps = [c for _, _, c in arcs]
+    side = _min_cut_side(num_nodes, source, sink, tails, heads, caps)
+    side = {int(v) for v in np.flatnonzero(side)}
+    return cut_capacity(arcs, side), side
 
 
 def test_single_arc_flow():
-    net = FlowNetwork(2, 0, 1)
-    net.add_arc(0, 1, 5.0)
-    value, side = max_flow(net)
+    value, side = min_cut(2, 0, 1, [(0, 1, 5.0)])
     assert value == 5.0
     assert side == {0}
 
 
 def test_diamond_flow():
-    net = FlowNetwork(4, 0, 3)
-    net.add_arc(0, 1, 3.0)
-    net.add_arc(1, 3, 3.0)
-    net.add_arc(0, 2, 2.0)
-    net.add_arc(2, 3, 2.0)
-    value, _ = max_flow(net)
+    arcs = [(0, 1, 3.0), (1, 3, 3.0), (0, 2, 2.0), (2, 3, 2.0)]
+    value, _ = min_cut(4, 0, 3, arcs)
     assert value == 5.0
 
 
 def test_bottleneck_chain():
-    net = FlowNetwork(3, 0, 2)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(1, 2, 7.0)
-    value, side = max_flow(net)
+    value, side = min_cut(3, 0, 2, [(0, 1, 2.0), (1, 2, 7.0)])
     assert value == 2.0
     assert 2 not in side
 
 
 def test_parallel_arcs_accumulate():
-    net = FlowNetwork(2, 0, 1)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(0, 1, 3.0)
-    value, _ = max_flow(net)
+    value, _ = min_cut(2, 0, 1, [(0, 1, 2.0), (0, 1, 3.0)])
     assert value == 5.0
 
 
-def test_arc_validation():
-    net = FlowNetwork(3, 0, 2)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 0, 1.0)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 1, -0.5)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 1, math.inf)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 5, 1.0)
-    with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 0)
-
-
 def test_flow_equals_min_cut_on_random_networks():
-    # Strong duality against subset enumeration.  Capacities are dyadic so
-    # every cut sum is exact in floats.
+    # The recovered cut must be minimum: compare with subset enumeration.
+    # Capacities are dyadic so every cut sum is exact in floats.
     rng = np.random.default_rng(11)
     for _ in range(30):
         n = 6
         source, sink = 0, n - 1
-        net = FlowNetwork(n, source, sink)
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.45:
-                    net.add_arc(u, v, float(rng.integers(1, 30)) / 8.0)
-        value, side = max_flow(net)
-        best_val, _ = brute_force_min_cut(n, source, sink, net.arcs)
+        arcs = [
+            (u, v, float(rng.integers(1, 30)) / 8.0)
+            for u in range(n)
+            for v in range(n)
+            if u != v and rng.random() < 0.45
+        ]
+        value, side = min_cut(n, source, sink, arcs)
+        best_val, _ = brute_force_min_cut(n, source, sink, arcs)
         assert value == pytest.approx(best_val, abs=1e-9)
-        # the returned side must itself witness the value
         assert source in side and sink not in side
-        assert cut_capacity(net.arcs, side) == pytest.approx(value, abs=1e-9)
 
 
 def test_empty_network_flow_is_zero():
-    net = FlowNetwork(3, 0, 2)
-    value, side = max_flow(net)
+    value, side = min_cut(3, 0, 2, [])
     assert value == 0.0
     assert side == {0}
 
@@ -228,27 +210,38 @@ def test_data_term_rejects_empty_segment():
 
 
 # --- smooth term ------------------------------------------------------------
+#
+# The boundary cost of a label change across a dual edge is the exterior
+# dihedral over pi clamped at 1; labeling_energy charges it omega-weighted.
+
+
+def boundary_cost(mesh):
+    """The hinge's cost for labels (0, 1), read through labeling_energy."""
+    return labeling_energy(mesh, [0, 1], np.zeros((2, 2)), 1.0)
 
 
 def test_smooth_term_same_label_is_zero():
     mesh = folded(0.4)
-    assert smooth_term(mesh, 0, 1, 2, 2) == 0.0
+    costs = np.zeros((2, 3))
+    assert labeling_energy(mesh, [2, 2], costs, 1.0) == 0.0
 
 
 def test_smooth_term_coplanar_is_one():
     mesh = folded(0.0)
-    assert smooth_term(mesh, 0, 1, 0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert exterior_dihedrals(mesh)[0] == pytest.approx(math.pi, abs=1e-12)
+    assert boundary_cost(mesh) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_smooth_term_concave_crease_is_cheap():
     # fold by 9pi/10 leaves an exterior wedge of pi/10
     mesh = folded(9.0 * math.pi / 10.0)
-    assert smooth_term(mesh, 0, 1, 0, 1) == pytest.approx(0.1, rel=1e-9)
+    assert boundary_cost(mesh) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_smooth_term_convex_crease_clamps_to_one():
     mesh = folded(-math.pi / 4.0)
-    assert smooth_term(mesh, 0, 1, 0, 1) == 1.0
+    assert exterior_dihedrals(mesh)[0] > math.pi
+    assert boundary_cost(mesh) == 1.0
 
 
 def test_exterior_dihedral_tracks_fold_angle():
@@ -260,26 +253,16 @@ def test_exterior_dihedral_tracks_fold_angle():
 
 
 def test_smooth_term_symmetric_in_face_order():
+    # listing the hinge's faces the other way round keeps the winding, so
+    # the dihedral and the cost of separating the two faces stay the same
     rng = np.random.default_rng(17)
     for _ in range(10):
         mesh = folded(float(rng.uniform(-2.5, 2.5)))
-        a = smooth_term(mesh, 0, 1, 0, 1)
-        b = smooth_term(mesh, 1, 0, 1, 0)
-        assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_smooth_term_requires_adjacent_faces():
-    mesh = octahedron()
-    pairs, _ = mesh.dual_edges()
-    adjacent = {tuple(p) for p in pairs}
-    f, g = next(
-        (f, g)
-        for f in range(8)
-        for g in range(f + 1, 8)
-        if (f, g) not in adjacent
-    )
-    with pytest.raises(ValueError):
-        smooth_term(mesh, f, g, 0, 1)
+        swapped = SurfaceMesh(mesh.vertices, mesh.faces[::-1])
+        assert exterior_dihedrals(swapped)[0] == pytest.approx(
+            exterior_dihedrals(mesh)[0], abs=1e-12)
+        assert labeling_energy(swapped, [1, 0], np.zeros((2, 2)), 1.0) == (
+            pytest.approx(boundary_cost(mesh), abs=1e-12))
 
 
 # --- label optimization -----------------------------------------------------
@@ -354,6 +337,25 @@ def test_energy_never_increases_across_moves():
         assert labeling_energy(mesh, labels, costs, p.omega) == pytest.approx(
             energies[-1]
         )
+
+
+def test_one_dihedral_pass_per_optimization(monkeypatch):
+    # the boundary costs are computed once per call, not once per move
+    calls = []
+    original = transfer.exterior_dihedrals
+
+    def counting(mesh):
+        calls.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(transfer, "exterior_dihedrals", counting)
+    mesh = octahedron()
+    rng = np.random.default_rng(13)
+    trace = []
+    optimize_labels(mesh, rng.uniform(size=(8, 4)), TransferParams(omega=0.5),
+                    trace=trace)
+    assert len(trace) >= 2
+    assert len(calls) == 1
 
 
 def test_labels_stay_inside_segment_range():
