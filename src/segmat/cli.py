@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -131,15 +132,18 @@ def resolve_params(args: argparse.Namespace, keys) -> dict[str, dict]:
             _, dest, typ, default = _VALUE_OPTIONS[key]
             given = getattr(args, dest, None)
             if given is not None:
-                resolved[key] = {"value": typ(given), "source": "cli"}
+                value, source = typ(given), "cli"
             elif key in config:
                 try:
                     value = typ(config[key])
                 except ValueError as exc:
                     raise InputError(f"config {key}: {exc}") from exc
-                resolved[key] = {"value": value, "source": "config"}
+                source = "config"
             else:
-                resolved[key] = {"value": default, "source": "default"}
+                value, source = default, "default"
+            if not math.isfinite(value):
+                raise InputError(f"{key} must be a finite number, got {value}")
+            resolved[key] = {"value": value, "source": source}
         else:
             _, dest, flag_value, default = _FLAG_OPTIONS[key]
             if getattr(args, dest, False):

@@ -20,6 +20,8 @@ import numpy as np
 from .mat_graph import MatGraph, node_angle, primitive_angles
 from .structure import DegenerateInput, StructuralComponent, thinness
 
+SIGMA_KNEE = 3.0  # log-thinness below this leaves delta0 alone
+
 
 @dataclass
 class GrowingParams:
@@ -27,7 +29,6 @@ class GrowingParams:
     lam: float = 1.5        # weight of the primitive term
     delta0: float = 0.015   # base growing threshold
     eta: float = 0.002      # minimal region node ratio
-    sigma_knee: float = 3.0  # log-thinness below this leaves delta0 alone
 
 
 @dataclass
@@ -63,10 +64,10 @@ def growing_cost(g: MatGraph, i: int, j: int,
     return min(ma_cost(g, i, j, p.alpha), p.lam * mp_cost(g, i, j))
 
 
-def adjusted_threshold(delta0: float, rho: float, knee: float = 3.0) -> float:
+def adjusted_threshold(delta0: float, rho: float) -> float:
     """Growing threshold scaled up for thin components; never below delta0."""
     x = math.log(rho)
-    return delta0 * (x if x >= knee else 1.0)
+    return delta0 * (x if x >= SIGMA_KNEE else 1.0)
 
 
 def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
@@ -100,7 +101,7 @@ def _component_thresholds(comps: list[StructuralComponent],
         rho = thinness(c)
         if rho <= 0.0:
             raise DegenerateInput(f"{name}: its spheres coincide (zero extent)")
-        out.append(adjusted_threshold(p.delta0, rho, p.sigma_knee))
+        out.append(adjusted_threshold(p.delta0, rho))
     return out
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .geometry import (
     ConeGeometry,
     DegenerateGeometry,
-    Sphere,
     TangentPlane,
     angle_between,
     any_perpendicular,
@@ -73,9 +72,6 @@ class MatGraph:
 
     def centroids(self) -> np.ndarray:
         return np.array([n.centroid for n in self.nodes], dtype=float).reshape(-1, 3)
-
-    def node_spheres(self, i: int) -> list[Sphere]:
-        return [self.mm.spheres[v] for v in self.nodes[i].element]
 
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""

@@ -178,8 +178,8 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     without improvement or after max_iterations cycles.
     """
     p = params if params is not None else TransferParams()
-    if p.omega < 0.0:
-        raise ValueError("omega must be non-negative")
+    if not 0.0 <= p.omega < float("inf"):
+        raise ValueError("omega must be a finite non-negative number")
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2:
         raise ValueError("costs must be a (faces, segments) table")

@@ -2,8 +2,10 @@
 
 These are the dense nodes x elements and faces x spheres scans the package
 used before its searches were pruned with k-d trees, the scalar data cost
-of one face, and the dict-based dual-graph builder the numpy edge pairing
-replaced.  The package's results must equal them exactly, ties included.
+of one face, the dict-based dual-graph builder the numpy edge pairing
+replaced, and the stacked-array collapse cost the closed-form quadratic
+replaced.  The package's results must equal them exactly, ties included,
+save for the rounding noise of the stacked sum.
 """
 
 import numpy as np
@@ -128,3 +130,24 @@ def dual_edges(mesh):
     shared_a = np.array(shared, dtype=int).reshape(-1, 2)
     order = np.lexsort((pairs_a[:, 1], pairs_a[:, 0])) if len(pairs_a) else []
     return pairs_a[order], shared_a[order]
+
+
+def stacked_collapse_cost(state, a, b):
+    """(cost, t) of collapsing edge (a, b) of a simplification state.
+
+    Stacks one copy of each endpoint sphere per element incident to it and
+    sums the squared deviation of every sampled placement from all copies.
+    """
+    samples_t = np.linspace(0.0, 1.0, 17)
+    incident_spheres = []
+    for v in (a, b):
+        count = len(state.incident_faces(v)) + len(state.incident_edges(v))
+        if count == 0:
+            count = 1
+        incident_spheres.extend([state.spheres[v]] * count)
+    originals = np.array(incident_spheres).reshape(-1, 4)
+    samples = (state.spheres[a][None, :] * (1.0 - samples_t[:, None])
+               + state.spheres[b][None, :] * samples_t[:, None])
+    fresh = ((samples[:, None, :] - originals[None, :, :]) ** 2).sum(axis=2).sum(axis=1)
+    best = int(np.argmin(fresh))
+    return float(fresh[best]), float(samples_t[best])

@@ -493,3 +493,38 @@ def test_cloud_k_below_one_exits_2(tmp_path, capsys, value):
                  "--out", str(tmp_path / "x"), "--k", value]) == 2
     assert "k must be at least 1" in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "x.labels.txt"))
+
+
+FLOAT_OPTIONS = [("segment", key) for key in (
+    "alpha", "lambda", "delta0", "eta", "omega", "merge_tau", "target_error")]
+FLOAT_OPTIONS += [("simplify", "target_error")]
+FLOAT_OPTIONS += [("cloud", key) for key in ("alpha", "delta0", "eta")]
+
+
+@pytest.mark.parametrize("command,key", FLOAT_OPTIONS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_non_finite_float_option_exits_2(tmp_path, capsys, command, key,
+                                         value, given_as):
+    out = str(tmp_path / "x")
+    if command == "segment":
+        mesh_path, mat_path = strip_assets(tmp_path)
+        argv = ["segment", "--mesh", mesh_path, "--mat", mat_path,
+                "--structured", mat_path, "--out", out]
+    elif command == "simplify":
+        _, mat_path = strip_assets(tmp_path)
+        argv = ["simplify", "--mat", mat_path, "--out", out]
+    else:
+        skeleton = tmp_path / "skel.xyz"
+        skeleton.write_text("0 0 0 1\n6 0 0 1\n12 0 0 1\n")
+        argv = ["cloud", "--skeleton", str(skeleton), "--out", out]
+    if given_as == "flag":
+        # The --flag=value form keeps argparse from reading -inf as a flag.
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        config = tmp_path / "params.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert not any(name.startswith("x") for name in os.listdir(tmp_path))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from segmat import mat_simplify
 from segmat.geometry import Sphere
 from segmat.mat_simplify import EmptyInput, SimplifyParams, collapse_cost, simplify
 from segmat.mesh_io import MedialMesh
@@ -206,14 +208,17 @@ def test_face_count_never_increases_and_radii_stay_convex():
         assert r_lo - 1e-12 <= s.radius <= r_hi + 1e-12
 
 
-def test_component_count_is_preserved():
+def two_chains():
     a = chain([0.3, 0.32, 0.3, 0.31], spacing=0.5)
     shift = len(a.spheres)
     spheres = a.spheres + [Sphere((s.center[0] + 50.0, 10.0, 0.0), s.radius)
                            for s in a.spheres]
     edges = a.edges + [(u + shift, v + shift) for u, v in a.edges]
-    mm = MedialMesh.build(spheres, edges, [])
-    out = simplify(mm, SimplifyParams(target_error=0.5))
+    return MedialMesh.build(spheres, edges, [])
+
+
+def test_component_count_is_preserved():
+    out = simplify(two_chains(), SimplifyParams(target_error=0.5))
     assert component_count(out) == 2
     assert len(out.edges) >= 2
 
@@ -235,3 +240,112 @@ def test_average_error_mode_simplifies_at_least_as_much():
     n_per = len(per.faces) + len(per.edges)
     n_avg = len(avg.faces) + len(avg.edges)
     assert n_avg <= n_per
+
+
+def counted_pair(n_a, n_b, sphere_a, sphere_b):
+    """Edge (0, 1) whose endpoints carry n_a and n_b standalone edges."""
+    spheres = [sphere_a, sphere_b]
+    edges = [(0, 1)]
+    for end, count in ((0, n_a), (1, n_b)):
+        for _ in range(count - 1):
+            spheres.append(Sphere((0.0, 0.0, 9.0), 1.0))
+            edges.append((end, len(spheres) - 1))
+    return MedialMesh.build(spheres, edges, [])
+
+
+def test_closed_form_cost_matches_stacked_oracle():
+    rng = np.random.default_rng(23)
+    ties = 0
+    for n_a in range(1, 41):
+        for n_b in range(1, 41):
+            sa, sb = (Sphere(tuple(rng.uniform(-1.0, 1.0, 3)),
+                             float(rng.uniform(0.1, 1.0))) for _ in range(2))
+            state = mat_simplify._State(counted_pair(n_a, n_b, sa, sb))
+            cost, t = state.evaluate(0, 1)
+            ref_cost, ref_t = oracles.stacked_collapse_cost(state, 0, 1)
+            assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+            # Exact weights at t = k / 16, scaled by 256: the cheapest
+            # samples, two of them when n_b / (n_a + n_b) is an odd
+            # multiple of 1/32.
+            weights = [n_a * k * k + n_b * (16 - k) ** 2 for k in range(17)]
+            tied = [k / 16 for k, w in enumerate(weights) if w == min(weights)]
+            ties += len(tied) == 2
+            assert t == tied[0]
+            assert ref_t in tied
+    assert ties > 0
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 31), (4, 9), (17, 15)])
+def test_coincident_spheres_collapse_free_keeping_a(n_a, n_b):
+    s = Sphere((0.5, -1.0, 2.0), 0.7)
+    state = mat_simplify._State(counted_pair(n_a, n_b, s, s))
+    assert state.evaluate(0, 1) == (0.0, 0.0)
+
+
+def jittered(mm, seed, scale=1e-3):
+    """mm with each center and radius moved by up to scale (relative for radii).
+
+    This breaks the mirror symmetry that gives distinct edges bitwise equal
+    costs, so the collapse order does not hinge on how a tie is broken.
+    """
+    rng = np.random.default_rng(seed)
+    spheres = [Sphere(tuple(np.add(s.center, rng.uniform(-scale, scale, 3))),
+                      s.radius * (1.0 + float(rng.uniform(-scale, scale))))
+               for s in mm.spheres]
+    return MedialMesh.build(spheres, mm.edges, mm.faces)
+
+
+def oracle_fixtures():
+    rng = np.random.default_rng(17)
+    radii = rng.uniform(0.3, 0.8, 10)
+    offsets = rng.uniform(-0.3, 0.3, 10)
+    wobbly = MedialMesh.build(
+        [Sphere((2.0 * i + float(o), 0.0, 0.0), float(r))
+         for i, (o, r) in enumerate(zip(offsets, radii))],
+        [(i, i + 1) for i in range(9)], [])
+    return [wobbly, jittered(strip(), 1), jittered(strip(n=12), 2),
+            jittered(plate(), 3), jittered(plate(n=8, radius=2.0), 4),
+            jittered(chain([0.3] * 40, spacing=0.1), 5),
+            jittered(two_chains(), 6)]
+
+
+# At target_error 0.2 every fixture collapses; without topology
+# preservation the two chains shrink to one bare sphere.
+@pytest.mark.parametrize("params", [
+    SimplifyParams(),
+    SimplifyParams(target_error=0.2),
+    SimplifyParams(target_error=0.2, preserve_topology=False),
+    SimplifyParams(target_error=0.2, average_error=True),
+], ids=["default", "coarse", "no-topology", "average-error"])
+def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
+    fixtures = oracle_fixtures()
+    got = []
+    for mm in fixtures:
+        trace = []
+        got.append((simplify(mm, params, trace), trace))
+    monkeypatch.setattr(mat_simplify._State, "evaluate",
+                        oracles.stacked_collapse_cost)
+    collapsed = 0
+    for mm, (out, trace) in zip(fixtures, got):
+        ref_trace = []
+        ref = simplify(mm, params, ref_trace)
+        collapsed += len(ref_trace)
+        assert np.array_equal(out.centers(), ref.centers())
+        assert np.array_equal(out.radii(), ref.radii())
+        assert out.edges == ref.edges
+        assert out.faces == ref.faces
+        assert [(e, t) for e, _, t in trace] == [(e, t) for e, _, t in ref_trace]
+        for (_, cost, _), (_, ref_cost, _) in zip(trace, ref_trace):
+            assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+    assert collapsed > 0
+
+
+def test_equal_collapse_costs_go_to_the_lowest_edge():
+    mm = strip()
+    state = mat_simplify._State(mm)
+    costs = {e: state.evaluate(*e)[0] for e in mm.edges}
+    tied = sorted(e for e, c in costs.items() if c == min(costs.values()))
+    assert len(tied) > 1
+    trace = []
+    simplify(mm, SimplifyParams(), trace)
+    assert trace[0][0] == tied[0]

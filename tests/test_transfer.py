@@ -291,6 +291,13 @@ def test_omega_zero_reduces_to_argmin():
     assert np.array_equal(labels, np.argmin(costs, axis=1))
 
 
+@pytest.mark.parametrize("omega", [-0.5, math.nan, math.inf, -math.inf])
+def test_omega_outside_finite_non_negative_range_raises(omega):
+    mesh = octahedron()
+    with pytest.raises(ValueError, match="omega must be a finite"):
+        optimize_labels(mesh, np.zeros((8, 2)), TransferParams(omega=omega))
+
+
 def test_expansion_matches_exhaustive_search():
     mesh = octahedron()
     rng = np.random.default_rng(3)
