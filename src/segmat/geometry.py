@@ -3,7 +3,7 @@
 A medial mesh vertex is a sphere, an edge spans a cone (the envelope of two
 spheres) and a triangle spans a slab (the envelope of three spheres).  The
 primitive routines work on plain float tuples; the bulk helpers at the end
-(bounding diagonals, pruned nearest-item search) take numpy arrays.
+(bounding diagonals, the pruned nearest sphere-gap search) take numpy arrays.
 """
 
 from __future__ import annotations
@@ -226,72 +226,53 @@ def bounding_diagonal(centers, radii=None) -> float:
     return float(np.linalg.norm(hi - lo))
 
 
-def _row_minima(rows, items, scores):
-    """Per distinct row, its lowest score and the lowest item reaching it."""
-    order = np.lexsort((items, scores, rows))
-    rows, items, scores = rows[order], items[order], scores[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    return rows[first], scores[first], items[first]
+def _sphere_gaps(points, centers, radii):
+    """Lowest gap |p - c_j| - r_j from every point to a set of spheres.
 
+    The 8 spheres with the nearest centers are measured on the tree first,
+    and only those whose tree gap reaches the lowest one are scored
+    exactly.  Every other sphere's center lies at least d_8 (the 8th center
+    distance) away, so its gap is at least d_8 - max(r); a best gap strictly
+    below that is final.  The remaining points score every sphere whose
+    center lies within best + max(r), which holds every sphere that can
+    reach best.  A margin far above float rounding keeps every test
+    conservative, so the result equals a full scan bit for bit.
 
-def _bounded_nearest(points, centers, slack, score, shift=None, k=8):
-    """Lowest exact score over a set of items for every query point.
-
-    Item j sits at centers[j], and its exact score from a point p is proven
-    to lie in [|p - c_j| - slack[j], |p - c_j| - shift[j]]: the distance to a
-    primitive that holds c_j inside the ball of radius slack[j] (shift 0,
-    the default), or the gap to a sphere of radius slack[j] = shift[j].
-    score(rows, items) returns the exact scores of the row-aligned pairs
-    (points[rows], item).
-
-    The k items with the nearest centers are bounded first, and only those
-    whose lower bound reaches the lowest upper bound are scored.  Every
-    other item lies at least d_k (the k-th center distance) away, so its
-    score is at least d_k - max(slack); a best score strictly below that is
-    final.  The remaining points score every item whose center lies within
-    best + max(slack), which holds every item that can reach best.  A margin
-    far above float rounding keeps every test conservative, so the result
-    equals a full scan bit for bit, ties included.
-
-    points and centers are (n, 3) float arrays, slack and shift are per
-    item, and there is at least one item.  Returns (best, index): the lowest
-    score per point and the lowest item index attaining it.
+    points and centers are (n, 3) float arrays, radii is per sphere, and
+    there is at least one sphere.
     """
-    shift = np.zeros_like(slack) if shift is None else shift
+    def gaps(rows, items):
+        return (np.linalg.norm(points[rows] - centers[items], axis=1)
+                - radii[items])
+
     n_points, n_items = len(points), len(centers)
     if n_points == 0:
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    s_max = float(slack.max())
+        return np.empty(0)
+    r_max = float(radii.max())
     margin = 1e-9 * (float(np.abs(points).max()) + float(np.abs(centers).max())
-                     + abs(s_max))
+                     + abs(r_max))
     tree = cKDTree(centers)
-    k = min(k, n_items)
+    k = min(8, n_items)
     dist, near = tree.query(points, k=k)
     dist = dist.reshape(n_points, k)
     near = near.reshape(n_points, k)
-    upper = (dist - shift[near]).min(axis=1, keepdims=True) + margin
-    rows, cols = np.nonzero(dist - slack[near] <= upper)
+    bound = dist - radii[near]
+    rows, cols = np.nonzero(bound <= bound.min(axis=1, keepdims=True) + margin)
     scores = np.full((n_points, k), np.inf)
-    scores[rows, cols] = score(rows, near[rows, cols])
+    scores[rows, cols] = gaps(rows, near[rows, cols])
     best = scores.min(axis=1)
-    index = np.where(scores == best[:, None], near, n_items).min(axis=1)
     if k == n_items:
-        return best, index
+        return best
 
-    open_rows = np.flatnonzero(~(best < dist[:, -1] - s_max - margin))
+    open_rows = np.flatnonzero(~(best < dist[:, -1] - r_max - margin))
     if open_rows.size == 0:
-        return best, index
+        return best
     balls = tree.query_ball_point(points[open_rows],
-                                  best[open_rows] + s_max + margin)
+                                  best[open_rows] + r_max + margin)
     counts = np.fromiter((len(b) for b in balls), dtype=np.intp,
                          count=len(balls))
-    # The k nearest are rescored with the ball so a row never loses them.
-    rows = np.concatenate((np.repeat(open_rows, counts),
-                           np.repeat(open_rows, k)))
-    items = np.concatenate((np.fromiter((j for b in balls for j in b),
-                                        dtype=np.intp, count=int(counts.sum())),
-                            near[open_rows].ravel()))
-    _, best[open_rows], index[open_rows] = _row_minima(
-        rows, items, score(rows, items))
-    return best, index
+    rows = np.repeat(open_rows, counts)
+    items = np.fromiter((j for b in balls for j in b), dtype=np.intp,
+                        count=len(rows))
+    np.minimum.at(best, rows, gaps(rows, items))
+    return best

@@ -117,6 +117,10 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     to fend for themselves (they usually surface as extra regions).
     """
     p = p or GrowingParams()
+    for name in ("alpha", "lam", "delta0", "eta"):
+        value = getattr(p, name)
+        if not value >= 0.0:
+            raise ValueError(f"{name} must not be negative, got {value}")
     n = len(g)
     comp_of = np.asarray(g.component_id)
     deltas = _component_thresholds(comps, p)

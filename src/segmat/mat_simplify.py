@@ -218,6 +218,9 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     one ``(edge, cost, t)`` tuple per accepted collapse.
     """
     params = params or SimplifyParams()
+    if not params.target_error >= 0.0:
+        raise ValueError(
+            f"target_error must not be negative, got {params.target_error}")
     if not mm.faces and not mm.edges:
         raise EmptyInput("medial mesh has no elements")
     state = _State(mm)

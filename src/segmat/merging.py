@@ -61,6 +61,8 @@ def merge_matching(g: MatGraph, regions: list[Region],
     The surviving region keeps the lower id; histograms are recomputed
     after every merge so chains of similar regions coalesce.
     """
+    if not tau >= 0.0:
+        raise ValueError(f"tau must not be negative, got {tau}")
     if len(regions) <= 1:
         return list(regions)
     radii = g.mean_radii()

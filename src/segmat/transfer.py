@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .geometry import _bounded_nearest
+from .geometry import _sphere_gaps
 from .mesh_io import SurfaceMesh
 
 
@@ -180,6 +180,9 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     p = params if params is not None else TransferParams()
     if not 0.0 <= p.omega < float("inf"):
         raise ValueError("omega must be a finite non-negative number")
+    if p.max_iterations < 0:
+        raise ValueError(
+            f"max_iterations must not be negative, got {p.max_iterations}")
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2:
         raise ValueError("costs must be a (faces, segments) table")
@@ -214,11 +217,10 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
 def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
     """Per-face, per-region data costs as a (faces, regions) array.
 
-    A face's gap to a region is min over its spheres of |p - c| - r.  That
-    score is its own lower bound with slack r, so a tree over the region's
-    sphere centers prunes the search: only spheres whose centers lie within
-    best + max(r) of the face centroid can reach the minimum, and the result
-    equals the full faces x spheres scan exactly.
+    A face's gap to a region is min over its spheres of |p - c| - r.  A tree
+    over the region's sphere centers prunes the search: only spheres whose
+    centers lie within best + max(r) of the face centroid can reach the
+    minimum, and the result equals the full faces x spheres scan exactly.
     """
     if len(regions) == 0:
         raise NoSegments("no regions to transfer labels from")
@@ -231,12 +233,7 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
         centers, radii = graph.sphere_arrays(region.nodes)
         if centers.shape[0] == 0:
             raise ValueError(f"region {region.id} has no spheres")
-
-        def gap(rows, items):
-            return (np.linalg.norm(centroids[rows] - centers[items], axis=1)
-                    - radii[items])
-
-        best, _ = _bounded_nearest(centroids, centers, radii, gap, shift=radii)
+        best = _sphere_gaps(centroids, centers, radii)
         columns.append(np.maximum(0.0, best) / diagonal)
     return np.stack(columns, axis=1)
 

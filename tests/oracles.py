@@ -1,77 +1,14 @@
 """Plain references for the package's vectorised and pruned computations.
 
-These are the dense nodes x elements and faces x spheres scans the package
-used before its searches were pruned with k-d trees, the scalar data cost
-of one face, the dict-based dual-graph builder the numpy edge pairing
-replaced, and the stacked-array collapse cost the closed-form quadratic
-replaced.  The package's results must equal them exactly, ties included,
-save for the rounding noise of the stacked sum.
+These are the dense faces x spheres scan the package used before its
+sphere-gap search was pruned with a k-d tree, the scalar data cost of one
+face, the dict-based dual-graph builder the numpy edge pairing replaced,
+and the stacked-array collapse cost the closed-form quadratic replaced.
+The package's results must equal them exactly, save for the rounding
+noise of the stacked sum.
 """
 
 import numpy as np
-
-from segmat.structure import ComponentKind
-
-
-def segment_distances(points, a, b):
-    """(n, m) distances from n points to m segments."""
-    d = b - a
-    denom = (d * d).sum(axis=1)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t = np.einsum("nmk,mk->nm", points[:, None, :] - a[None, :, :], d) / denom
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[None, :, :] + t[..., None] * d[None, :, :]
-    return np.linalg.norm(points[:, None, :] - closest, axis=2)
-
-
-def triangle_distances(points, a, b, c):
-    """(n, m) distances from n points to m triangles."""
-    ab = b - a
-    ac = c - a
-    n = np.cross(ab, ac)
-    nn = (n * n).sum(axis=1)
-    safe_nn = np.where(nn == 0.0, 1.0, nn)
-
-    ap = points[:, None, :] - a[None, :, :]
-    dist_plane = np.einsum("nmk,mk->nm", ap, n) / np.sqrt(safe_nn)
-
-    d00 = (ab * ab).sum(axis=1)
-    d01 = (ab * ac).sum(axis=1)
-    d11 = (ac * ac).sum(axis=1)
-    d20 = np.einsum("nmk,mk->nm", ap, ab)
-    d21 = np.einsum("nmk,mk->nm", ap, ac)
-    denom = d00 * d11 - d01 * d01
-    safe_denom = np.where(denom == 0.0, 1.0, denom)
-    v = (d11 * d20 - d01 * d21) / safe_denom
-    w = (d00 * d21 - d01 * d20) / safe_denom
-    inside = (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0) & (denom != 0.0)
-
-    edge_min = np.minimum(
-        segment_distances(points, a, b),
-        np.minimum(segment_distances(points, b, c),
-                   segment_distances(points, a, c)))
-    return np.where(inside, np.abs(dist_plane), edge_min)
-
-
-def component_distances(points, comps):
-    """(n, c) point-to-component distances."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.empty((len(points), len(comps)))
-    for k, comp in enumerate(comps):
-        centers = comp._smat.centers()
-        el = np.array(comp.elements)
-        if comp.kind is ComponentKind.CURVE:
-            d = segment_distances(points, centers[el[:, 0]], centers[el[:, 1]])
-        else:
-            d = triangle_distances(points, centers[el[:, 0]],
-                                   centers[el[:, 1]], centers[el[:, 2]])
-        out[:, k] = d.min(axis=1)
-    return out
-
-
-def nearest_components(graph, comps):
-    """Per base node, the nearest component (ties: lowest index)."""
-    return np.argmin(component_distances(graph.centroids(), comps), axis=1)
 
 
 def data_table(mesh, graph, regions):

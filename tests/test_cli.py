@@ -500,17 +500,23 @@ FLOAT_OPTIONS = [("segment", key) for key in (
 FLOAT_OPTIONS += [("simplify", "target_error")]
 FLOAT_OPTIONS += [("cloud", key) for key in ("alpha", "delta0", "eta")]
 
+NEGATIVE_OPTIONS = [("segment", key) for key in (
+    "alpha", "lambda", "delta0", "eta", "max_iterations", "merge_tau",
+    "target_error")]
+NEGATIVE_OPTIONS += [("simplify", "target_error")]
+NEGATIVE_OPTIONS += [("cloud", key) for key in ("alpha", "delta0", "eta")]
+# The library parameter a CLI key feeds, as the error message names it.
+LIBRARY_NAMES = {"lambda": "lam", "merge_tau": "tau"}
 
-@pytest.mark.parametrize("command,key", FLOAT_OPTIONS)
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("given_as", ["flag", "config"])
-def test_non_finite_float_option_exits_2(tmp_path, capsys, command, key,
-                                         value, given_as):
+
+def option_argv(tmp_path, command, key, value, given_as):
+    """argv running command on small inputs with key set to value."""
     out = str(tmp_path / "x")
     if command == "segment":
+        # No --structured, so the simplification consumes target_error.
         mesh_path, mat_path = strip_assets(tmp_path)
         argv = ["segment", "--mesh", mesh_path, "--mat", mat_path,
-                "--structured", mat_path, "--out", out]
+                "--out", out]
     elif command == "simplify":
         _, mat_path = strip_assets(tmp_path)
         argv = ["simplify", "--mat", mat_path, "--out", out]
@@ -525,6 +531,24 @@ def test_non_finite_float_option_exits_2(tmp_path, capsys, command, key,
         config = tmp_path / "params.cfg"
         config.write_text(f"{key} = {value}\n")
         argv += ["--config", str(config)]
-    assert main(argv) == 2
+    return argv
+
+
+@pytest.mark.parametrize("command,key", FLOAT_OPTIONS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_non_finite_float_option_exits_2(tmp_path, capsys, command, key,
+                                         value, given_as):
+    assert main(option_argv(tmp_path, command, key, value, given_as)) == 2
     assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert not any(name.startswith("x") for name in os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("command,key", NEGATIVE_OPTIONS)
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_negative_option_exits_2(tmp_path, capsys, command, key, given_as):
+    value = "-3" if key == "max_iterations" else "-1"
+    assert main(option_argv(tmp_path, command, key, value, given_as)) == 2
+    param = LIBRARY_NAMES.get(key, key)
+    assert f"{param} must not be negative" in capsys.readouterr().err
     assert not any(name.startswith("x") for name in os.listdir(tmp_path))

@@ -1,17 +1,19 @@
-"""The k-d tree pruned searches against their full-scan oracles.
+"""Node-to-component lookup and the pruned sphere-gap search.
 
-assign_base_nodes and data_table prune with the bound |p - c| - s; these
-properties check that the labels and the cost tables they produce equal
-the dense scans of tests/oracles.py exactly, ties included.
+assign_base_nodes gives every node the component holding its own element.
+data_table prunes its faces x spheres scan with a k-d tree; these
+properties check that its cost tables equal the dense scan of
+tests/oracles.py exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from segmat import geometry
-from segmat.geometry import Sphere, _bounded_nearest
+from segmat.geometry import Sphere, _sphere_gaps
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh, SurfaceMesh
@@ -57,39 +59,52 @@ def components(smat):
     return split_components(smat, detect_joints(smat))
 
 
-def assert_matches_oracle(graph, comps):
-    expected = oracles.nearest_components(graph, comps)
-    assign_base_nodes(graph, comps)
-    assert np.array_equal(graph.component_id, expected)
-    for k, comp in enumerate(comps):
-        assert comp.member_nodes == np.flatnonzero(expected == k).tolist()
-
-
-@given(medial_meshes(), medial_meshes(min_spheres=2, max_spheres=12))
-def test_foreign_base_nodes_match_the_full_scan(smat, base):
-    comps = components(smat)
-    if comps:
-        assert_matches_oracle(build_graph(base), comps)
-
-
-@given(medial_meshes(mirror=True), st.data())
-def test_equidistant_base_nodes_match_the_full_scan(smat, data):
+@given(medial_meshes(min_spheres=6, max_spheres=14))
+def test_own_nodes_take_their_elements_component(smat):
     comps = components(smat)
     if not comps:
         return
-    # Base elements in the mirror plane are equidistant from an element and
-    # its reflection, so their nodes land on exact ties.
-    pts = [(0.0, y, z) for _, y, z in grid_points(data.draw, 4)]
-    base = MedialMesh.build([Sphere(p, 0.1) for p in pts],
-                            [(0, 1), (1, 2), (2, 3)], [(0, 1, 3)])
-    assert_matches_oracle(build_graph(base), comps)
+    graph = build_graph(smat)
+    assign_base_nodes(graph, comps)
+    for node, k in zip(graph.nodes, graph.component_id):
+        assert node.element in comps[k].elements
+    assert sorted(set(graph.component_id)) == list(range(len(comps)))
 
 
-@given(medial_meshes(min_spheres=6, max_spheres=14))
-def test_own_nodes_match_the_full_scan(smat):
+# Nodes whose centroids lie at distance 0 from an element of a lower
+# component: the edge (3, 4) has its midpoint on the sheet (3, 6, 7), and
+# the edge (0, 2) has its midpoint on the sheet edge (0, 3) because spheres
+# 2 and 3 coincide.  Each node keeps its own element's component.
+ZERO_DISTANCE_TIES = [
+    (MedialMesh.build(
+        [Sphere(c, r) for c, r in zip(
+            [(0.5, 1.5, 0.5), (-1.5, -1.5, -2.0), (-2.0, 2.0, 1.5),
+             (-1.0, -2.0, 1.0), (0.0, 0.0, 0.5), (1.0, 0.0, 1.0),
+             (-0.5, 1.5, -0.5), (1.5, 1.5, 0.5)],
+            [0.0, 2.5, 0.0, 0.25, 0.0, 1.0, 2.5, 0.25])],
+        [(0, 7), (1, 3), (2, 3), (3, 4), (3, 6), (3, 7), (4, 5), (5, 7),
+         (6, 7)],
+        [(3, 6, 7)]),
+     (3, 4), [0, 1, 2, 3, 4, 4, 4]),
+    (MedialMesh.build(
+        [Sphere(c, r) for c, r in zip(
+            [(0.0, 1.0, -1.0), (2.0, -1.5, -0.5), (-1.0, 0.0, -1.5),
+             (-1.0, 0.0, -1.5)],
+            [2.5, 1.0, 0.5, 0.0])],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        [(0, 1, 3), (1, 2, 3)]),
+     (0, 2), [0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("smat,edge,expected", ZERO_DISTANCE_TIES)
+def test_zero_distance_ties_keep_their_own_component(smat, edge, expected):
     comps = components(smat)
-    if comps:
-        assert_matches_oracle(build_graph(smat), comps)
+    graph = build_graph(smat)
+    assign_base_nodes(graph, comps)
+    assert graph.component_id.tolist() == expected
+    node = next(i for i, n in enumerate(graph.nodes) if n.element == edge)
+    assert edge in comps[expected[node]].elements
 
 
 def random_surface(rng, centers, faces):
@@ -160,18 +175,14 @@ def test_regions_smaller_than_k_and_inside_spheres_match():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40))
-def test_bounded_nearest_is_the_lowest_score_with_lowest_index(seed, n, m):
+def test_sphere_gaps_are_the_dense_minimum(seed, n, m):
     rng = np.random.default_rng(seed)
     # Half-integer coordinates and a few radii make exact ties frequent.
     points = rng.integers(-4, 5, size=(n, 3)) / 2.0
     centers = rng.integers(-4, 5, size=(m, 3)) / 2.0
     radii = rng.choice([0.0, 0.5, 1.0, 4.0], size=m)
 
-    def gap(rows, items):
-        return np.linalg.norm(points[rows] - centers[items], axis=1) - radii[items]
-
-    best, index = _bounded_nearest(points, centers, radii, gap, shift=radii)
     dense = (np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
              - radii[None, :])
-    assert np.array_equal(best, dense.min(axis=1))
-    assert np.array_equal(index, dense.argmin(axis=1))
+    assert np.array_equal(_sphere_gaps(points, centers, radii),
+                          dense.min(axis=1))

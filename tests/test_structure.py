@@ -236,23 +236,6 @@ def test_thinness_is_scale_invariant():
         assert thinness(c1) == pytest.approx(thinness(c0), rel=1e-12)
 
 
-def segment_distance(p, a, b):
-    d = b - a
-    denom = float(d @ d)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ d / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * d)))
-
-
-def triangle_distance_sampled(p, a, b, c, n=60):
-    best = math.inf
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            u, v = i / n, j / n
-            q = a + u * (b - a) + v * (c - a)
-            best = min(best, float(np.linalg.norm(p - q)))
-    return best
-
-
 def test_node_on_a_curve_segment_is_assigned_to_it():
     mm = plate_with_tail()
     g = build_graph(mm)
@@ -261,53 +244,23 @@ def test_node_on_a_curve_segment_is_assigned_to_it():
     # node for edge (1,4) sits on the curve component
     tail_node = next(i for i, n in enumerate(g.nodes) if n.element == (1, 4))
     assert g.component_id[tail_node] == 1
-    assert tail_node in comps[1].member_nodes
+    assert (1, 4) in comps[1].elements
 
 
-def test_equidistant_node_prefers_lower_component_index():
+def test_foreign_graph_raises():
     smat = medial([(0, 0, 0), (1, 0, 0), (4, 0, 0), (5, 0, 0)], [0.1] * 4,
                   edges=[(0, 1), (2, 3)])
     comps = split(smat)
     assert len(comps) == 2
+    # Its one edge reuses the vertex ids (0, 1), so only the element count
+    # tells it apart from the mesh the components came from.
     base = medial([(2, 0, 0), (3, 0, 0)], [0.1] * 2, edges=[(0, 1)])
-    g = build_graph(base)
-    assign_base_nodes(g, comps)  # centroid (2.5,0,0) is 1.5 from both
-    assert g.component_id[0] == 0
-
-
-def test_assignment_matches_exhaustive_distance_scan():
-    rng = np.random.default_rng(11)
-    # structured MAT: one sheet of two triangles plus one curve of two edges
-    pts = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0),
-           (4, 1, 1), (6, 1, 1), (8, 1, 1)]
-    smat = medial(pts, [0.5] * 7,
-                  edges=[(4, 5), (5, 6)],
-                  faces=[(0, 1, 2), (0, 2, 3)])
-    comps = split(smat)
-    assert len(comps) == 2
-
-    base_pts = rng.uniform(-1, 9, (50, 3))
-    base = medial(base_pts, rng.uniform(0.1, 0.3, 50),
-                  edges=[(i, i + 1) for i in range(49)])
-    g = build_graph(base)
-    assign_base_nodes(g, comps)
-
-    tri = [np.array(pts[v], dtype=float) for v in (0, 1, 2)]
-    tri2 = [np.array(pts[v], dtype=float) for v in (0, 2, 3)]
-    segs = [(np.array(pts[4], float), np.array(pts[5], float)),
-            (np.array(pts[5], float), np.array(pts[6], float))]
-    checked = 0
-    for i, node in enumerate(g.nodes):
-        p = np.array(node.centroid)
-        d_sheet = min(triangle_distance_sampled(p, *tri),
-                      triangle_distance_sampled(p, *tri2))
-        d_curve = min(segment_distance(p, *s) for s in segs)
-        margin = abs(d_sheet - d_curve)
-        if margin > 0.05:  # outside the sampling oracle's resolution
-            expected = 0 if d_sheet < d_curve else 1
-            assert g.component_id[i] == expected
-            checked += 1
-    assert checked >= 40
+    with pytest.raises(ValueError, match="2 elements"):
+        assign_base_nodes(build_graph(base), comps)
+    other = medial([(2, 0, 0), (3, 0, 0), (4, 0, 0)], [0.1] * 3,
+                   edges=[(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="no component"):
+        assign_base_nodes(build_graph(other), comps)
 
 
 def test_member_nodes_partition_all_nodes():
@@ -315,6 +268,6 @@ def test_member_nodes_partition_all_nodes():
     g = build_graph(mm)
     comps = split(mm)
     assign_base_nodes(g, comps)
-    all_nodes = sorted(n for c in comps for n in c.member_nodes)
-    assert all_nodes == list(range(len(g)))
-    assert np.all(np.asarray(g.component_id) >= 0)
+    members = [np.flatnonzero(g.component_id == k) for k in range(len(comps))]
+    assert sorted(np.concatenate(members).tolist()) == list(range(len(g)))
+    assert all(len(m) == len(c.elements) for m, c in zip(members, comps))
