@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .mat_graph import MatGraph, node_angle, primitive_angles
 from .structure import DegenerateInput, StructuralComponent, thinness
@@ -73,21 +75,44 @@ def adjusted_threshold(delta0: float, rho: float) -> float:
 def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     """Absorb candidate nodes lying inside or touching the region's spheres.
 
-    Only the spheres the region holds on entry are used, so absorbed nodes
-    do not extend the reach of the test.
+    A candidate node is absorbed when one of its spheres (c, r) intersects a
+    region sphere (C, R), d = |c - C| < r + R, or when each of its spheres
+    lies inside some region sphere, d + r <= R.  Only the spheres the region
+    holds on entry are used, so absorbed nodes do not extend the reach of
+    the test; they are appended in candidate order.
+
+    Both tests need d <= |r| + max(R), so one k-d tree ball query per
+    candidate sphere at that radius, plus a margin far above float rounding,
+    finds every pair either test accepts.  The tests then run on those pairs
+    only, with the arithmetic of a full scan, so the result equals it.
     """
+    candidates = np.asarray(unclaimed, dtype=np.intp)
+    if candidates.size == 0:
+        return region
     centers, radii = g.sphere_arrays(region.nodes)
-    all_centers = g.mm.centers()
-    all_radii = g.mm.radii()
-    for v in unclaimed:
-        el = list(g.nodes[v].element)
-        c = all_centers[el]
-        r = all_radii[el]
-        d = np.linalg.norm(c[:, None, :] - centers[None, :, :], axis=2)
-        intersects = bool((d < r[:, None] + radii[None, :]).any())
-        enclosed = bool(((d + r[:, None]) <= radii[None, :]).any(axis=1).all())
-        if intersects or enclosed:
-            region.nodes.append(int(v))
+    elements = [g.nodes[v].element for v in candidates.tolist()]
+    sizes = np.fromiter(map(len, elements), dtype=np.intp, count=len(elements))
+    spheres = np.fromiter(chain.from_iterable(elements), dtype=np.intp,
+                          count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(elements)), sizes)
+    c = g.mm.centers()[spheres]
+    r = g.mm.radii()[spheres]
+    r_max = float(radii.max())
+    margin = 1e-9 * (float(np.abs(c).max()) + float(np.abs(centers).max())
+                     + abs(r_max) + float(np.abs(r).max()))
+    balls = cKDTree(centers).query_ball_point(c, np.abs(r) + r_max + margin)
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    rows = np.repeat(np.arange(len(c)), counts)
+    items = np.fromiter(chain.from_iterable(balls), dtype=np.intp,
+                        count=len(rows))
+    d = np.linalg.norm(c[rows] - centers[items], axis=1)
+    intersects = np.zeros(len(elements), dtype=bool)
+    intersects[owner[rows[d < r[rows] + radii[items]]]] = True
+    inside = np.zeros(len(c), dtype=bool)
+    inside[rows[d + r[rows] <= radii[items]]] = True
+    enclosed = np.bincount(owner, weights=inside,
+                           minlength=len(elements)) == sizes
+    region.nodes.extend(candidates[intersects | enclosed].tolist())
     return region
 
 
@@ -159,11 +184,10 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
             region = Region(len(regions), nodes, seed, comp)
             if swallowing:
                 before = len(region.nodes)
-                candidates = [int(v) for v in np.flatnonzero(~visited | negligible)]
-                swallow(g, region, candidates)
-                for v in region.nodes[before:]:
-                    visited[v] = True
-                    negligible[v] = False
+                swallow(g, region, np.flatnonzero(~visited | negligible))
+                absorbed = region.nodes[before:]
+                visited[absorbed] = True
+                negligible[absorbed] = False
             regions.append(region)
         else:
             negligible[nodes] = True

@@ -66,6 +66,8 @@ class _State:
         self.spheres[:, 3] = mm.radii()
         self.acc = np.zeros(n)
         self.version = np.zeros(n, dtype=int)
+        # n_a * _FROM_A_SQ + n_b * _FROM_B_SQ per endpoint count pair.
+        self.weights: dict[tuple[int, int], np.ndarray] = {}
         # The complex is kept only as per-vertex incidence: the faces and
         # the standalone (face-free) edges at each vertex.
         self.vertex_faces: dict[int, set] = {}
@@ -108,7 +110,11 @@ class _State:
         d = self.spheres[b] - self.spheres[a]
         n_a = len(self.incident_faces(a)) + len(self.incident_edges(a))
         n_b = len(self.incident_faces(b)) + len(self.incident_edges(b))
-        fresh = (d @ d) * (n_a * _FROM_A_SQ + n_b * _FROM_B_SQ)
+        weights = self.weights.get((n_a, n_b))
+        if weights is None:
+            weights = self.weights[n_a, n_b] = (n_a * _FROM_A_SQ
+                                                + n_b * _FROM_B_SQ)
+        fresh = (d @ d) * weights
         best = int(np.argmin(fresh))
         return float(fresh[best]), float(_PLACEMENT_SAMPLES[best])
 

@@ -19,7 +19,7 @@ from .growing import GrowingParams, Region, grow, region_labels
 from .mat_graph import MatGraph, build_graph
 from .mat_simplify import SimplifyParams, simplify
 from .merging import merge_matching
-from .mesh_io import MedialMesh, SurfaceMesh
+from .mesh_io import EmptyInput, MedialMesh, SurfaceMesh
 from .structure import (
     Joint,
     StructuralComponent,
@@ -78,6 +78,8 @@ def run_pipeline(mesh: SurfaceMesh, mat: MedialMesh,
         return out
 
     mesh.validate()
+    if len(mesh.faces) == 0:
+        raise EmptyInput("surface mesh has no faces")
     if structured is None:
         mat.validate()
         structured = timed("simplify", lambda: simplify(mat, cfg.simplify))

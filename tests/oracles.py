@@ -3,7 +3,8 @@
 These are the dense faces x spheres scan the package used before its
 sphere-gap search was pruned with a k-d tree, the scalar data cost of one
 face, the dict-based dual-graph builder the numpy edge pairing replaced,
-and the stacked-array collapse cost the closed-form quadratic replaced.
+the stacked-array collapse cost the closed-form quadratic replaced, and
+the per-node dense swallowing test the ball query replaced.
 The package's results must equal them exactly, save for the rounding
 noise of the stacked sum.
 """
@@ -88,3 +89,20 @@ def stacked_collapse_cost(state, a, b):
     fresh = ((samples[:, None, :] - originals[None, :, :]) ** 2).sum(axis=2).sum(axis=1)
     best = int(np.argmin(fresh))
     return float(fresh[best]), float(samples_t[best])
+
+
+def swallow(g, region, unclaimed):
+    """growing.swallow as a dense (node spheres x region spheres) test per node."""
+    centers, radii = g.sphere_arrays(region.nodes)
+    all_centers = g.mm.centers()
+    all_radii = g.mm.radii()
+    for v in unclaimed:
+        el = list(g.nodes[v].element)
+        c = all_centers[el]
+        r = all_radii[el]
+        d = np.linalg.norm(c[:, None, :] - centers[None, :, :], axis=2)
+        intersects = bool((d < r[:, None] + radii[None, :]).any())
+        enclosed = bool(((d + r[:, None]) <= radii[None, :]).any(axis=1).all())
+        if intersects or enclosed:
+            region.nodes.append(int(v))
+    return region

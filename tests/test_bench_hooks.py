@@ -1,12 +1,19 @@
-"""Every package name the benchmark tracer wraps must exist.
+"""The benchmark tracer must find and count what the package calls.
 
 perfbench/tracer.py replaces public functions at the names their callers
-look them up.  A rename or deletion in the package would otherwise fail
-only the benchmark's own tests, which this suite does not collect.
+look them up, and some of its counters read the wrapped call's arguments.
+A rename, a deletion or a changed call site in the package would otherwise
+fail only the benchmark's own tests, which this suite does not collect.
 """
 
 import importlib.util
 from pathlib import Path
+
+from test_pipeline import bent_l_mat
+
+from segmat import growing
+from segmat.mat_graph import build_graph
+from segmat.structure import assign_base_nodes, detect_joints, split_components
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -29,3 +36,33 @@ def test_every_traced_name_exists():
         tracer.restore()
     assert all(vars(owner)[attr] is original
                for owner, attr, original in saved)
+
+
+def test_swallow_counters_match_what_grow_passes(monkeypatch):
+    mat = bent_l_mat()
+    graph = build_graph(mat)
+    comps = split_components(mat, detect_joints(mat))
+    assign_base_nodes(graph, comps)
+    calls = []
+    original = growing.swallow
+
+    def spy(g, region, unclaimed):
+        before = len(region.nodes)
+        result = original(g, region, unclaimed)
+        calls.append((len(unclaimed), len(result.nodes) - before))
+        return result
+
+    monkeypatch.setattr(growing, "swallow", spy)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        growing.grow(graph, comps)
+    finally:
+        tracer.restore()
+    assert growing.swallow is spy
+    assert sum(absorbed for _, absorbed in calls) > 0
+    counts = tracer.counts
+    assert counts["growing.swallow.calls"] == len(calls)
+    assert counts["growing.swallow_candidates"] == sum(n for n, _ in calls)
+    assert counts["growing.swallowed_nodes"] == sum(a for _, a in calls)

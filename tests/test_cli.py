@@ -449,6 +449,21 @@ def test_segment_coincident_spheres_exit_2(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("structured", [False, True])
+def test_segment_empty_surface_exits_2(tmp_path, capsys, structured):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    with open(mesh_path, "w") as fh:
+        fh.write("OFF\n0 0 0\n")
+    out = str(tmp_path / "x")
+    argv = ["segment", "--mesh", mesh_path, "--mat", mat_path, "--out", out]
+    if structured:
+        argv += ["--structured", mat_path]
+    assert main(argv) == 2
+    assert "surface mesh has no faces" in capsys.readouterr().err
+    for suffix in (".labels.txt", ".ply", ".report.json"):
+        assert not os.path.exists(out + suffix)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cloud_non_finite_skeleton_exits_2(tmp_path, capsys, value):
     skeleton = tmp_path / "skel.xyz"

@@ -256,6 +256,24 @@ def test_swallow_intersection_test_is_strict():
     assert region.nodes == [0, 1]
 
 
+def test_swallow_enclosure_test_is_inclusive():
+    # zero-radius candidate spheres on the region sphere's surface,
+    # d + r == R: absorbed, though the strict intersection test is not met
+    pts = [(0, 0, 0), (6, 0, 0), (0, 4, 0), (-4, 0, 0)]
+    mm = medial(pts, [4, 4, 0, 0], edges=[(0, 1), (2, 3)])
+    g = build_graph(mm)
+    region = Region(id=0, nodes=[0], seed=0, component_id=0)
+    swallow(g, region, [1])
+    assert region.nodes == [0, 1]
+
+    pts = [(0, 0, 0), (6, 0, 0), (0, 4.002, 0), (-4, 0, 0)]
+    mm = medial(pts, [4, 4, 0, 0], edges=[(0, 1), (2, 3)])
+    g = build_graph(mm)
+    region = Region(id=0, nodes=[0], seed=0, component_id=0)
+    swallow(g, region, [1])
+    assert region.nodes == [0]
+
+
 def test_zero_radius_node_is_a_typed_error():
     # One vanishing sphere pair inside an otherwise thick chain.
     g, comps = prepared_graph(cone_chain([0, 2, 4, 6], [1, 0, 0, 1]))

@@ -1,20 +1,20 @@
-"""Node-to-component lookup and the pruned sphere-gap search.
+"""Node-to-component lookup and the pruned sphere searches.
 
 assign_base_nodes gives every node the component holding its own element.
-data_table prunes its faces x spheres scan with a k-d tree; these
-properties check that its cost tables equal the dense scan of
-tests/oracles.py exactly.
+data_table prunes its faces x spheres scan with a k-d tree, and swallow
+tests only the sphere pairs a ball query finds; these properties check
+that both equal the dense scans of tests/oracles.py exactly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from segmat import geometry
 from segmat.geometry import Sphere, _sphere_gaps
-from segmat.growing import Region
+from segmat.growing import Region, swallow
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh, SurfaceMesh
 from segmat.structure import assign_base_nodes, detect_joints, split_components
@@ -186,3 +186,70 @@ def test_sphere_gaps_are_the_dense_minimum(seed, n, m):
              - radii[None, :])
     assert np.array_equal(_sphere_gaps(points, centers, radii),
                           dense.min(axis=1))
+
+
+@st.composite
+def swallow_cases(draw):
+    """A lattice MAT, a region's nodes and candidate nodes in drawn order.
+
+    Centers on a half-unit lattice and radii in half units make exact
+    tangencies (d == r + R) and exact enclosures (d + r == R) common, and
+    zero radii put points exactly on sphere surfaces.
+    """
+    n = draw(st.integers(3, 10))
+    cells = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-2, 2),
+                                    st.integers(-1, 1)),
+                          min_size=n, max_size=n, unique=True))
+    radii = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+                          min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    faces = draw(st.lists(st.tuples(index, index, index).filter(
+        lambda f: len(set(f)) == 3), max_size=3))
+    edges = draw(st.lists(st.tuples(index, index).filter(
+        lambda e: e[0] != e[1]), min_size=2, max_size=8))
+    mat = MedialMesh.build(
+        [Sphere(tuple(0.5 * v for v in cell), r)
+         for cell, r in zip(cells, radii)], edges, faces)
+    graph = build_graph(mat)
+    order = draw(st.permutations(range(len(graph))))
+    split = draw(st.integers(1, len(order)))
+    candidates = order[split:]
+    if draw(st.booleans()):
+        candidates = np.array(candidates, dtype=int)
+    return graph, order[:split], candidates
+
+
+def swallow_both(graph, nodes, candidates):
+    fast = swallow(graph, Region(0, list(nodes), nodes[0], 0), candidates)
+    dense = oracles.swallow(graph, Region(0, list(nodes), nodes[0], 0),
+                            candidates)
+    return fast.nodes, dense.nodes
+
+
+@settings(max_examples=200)
+@given(swallow_cases())
+def test_swallow_equals_the_dense_test(case):
+    graph, nodes, candidates = case
+    fast, dense = swallow_both(graph, nodes, candidates)
+    assert fast == dense
+
+
+# Node 1 lies inside node 0's spheres with d + r == R; node 2 is out of
+# reach.
+INSIDE = build_graph(MedialMesh.build(
+    [Sphere(c, r) for c, r in zip(
+        [(0, 0, 0), (0, 0, 0), (0.5, 0, 0), (-1, 0, 0), (5, 0, 0), (5, 1, 0)],
+        [2.0, 2.0, 1.5, 1.0, 0.5, 0.5])],
+    [(0, 1), (2, 3), (4, 5)], []))
+
+
+@pytest.mark.parametrize("candidates,absorbed", [
+    ([1, 2], [1]),
+    ([2, 1], [1]),
+    (np.array([2, 1]), [1]),
+    ([], []),
+    (np.array([], dtype=int), []),
+])
+def test_swallow_candidate_forms(candidates, absorbed):
+    fast, dense = swallow_both(INSIDE, [0], candidates)
+    assert fast == dense == [0] + absorbed
