@@ -116,6 +116,8 @@ class SkeletonCloud:
             raise ValueError("k must be at least 1")
         if rad.shape != (len(pts),):
             raise ValueError("one radius per point required")
+        if not np.isfinite(rad).all():
+            raise ValueError("radii must be finite")
         if (rad < 0.0).any():
             raise ValueError("radii must be non-negative")
         neighbor_count = min(int(k), len(pts) - 1)

@@ -2,8 +2,8 @@
 
 A medial mesh vertex is a sphere, an edge spans a cone (the envelope of two
 spheres) and a triangle spans a slab (the envelope of three spheres).  The
-primitive routines work on plain float tuples; the bulk helpers at the end
-(bounding diagonals, the pruned nearest sphere-gap search) take numpy arrays.
+primitive routines work on plain float tuples; the pruned nearest sphere-gap
+search at the end takes numpy arrays.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class TangentPlane:
 
     normal: Vec3
     offset: float
-
-    def signed_distance(self, point) -> float:
-        return dot(self.normal, point) + self.offset
 
 
 @dataclass(frozen=True)
@@ -208,22 +205,6 @@ def slab_fallback_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPla
         TangentPlane(normal=mh, offset=r_mean - dot(mh, centroid)),
         TangentPlane(normal=scale(mh, -1.0), offset=r_mean + dot(mh, centroid)),
     )
-
-
-def bounding_diagonal(centers, radii=None) -> float:
-    """Diagonal of the axis-aligned box enclosing spheres (or bare points)."""
-    pts = np.asarray(centers, dtype=float)
-    if pts.size == 0:
-        return 0.0
-    pts = pts.reshape(-1, 3)
-    if radii is None:
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-    else:
-        r = np.asarray(radii, dtype=float).reshape(-1, 1)
-        lo = (pts - r).min(axis=0)
-        hi = (pts + r).max(axis=0)
-    return float(np.linalg.norm(hi - lo))
 
 
 def _sphere_gaps(points, centers, radii):

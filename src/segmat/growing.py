@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mat_graph import MatGraph, node_angle, primitive_angles
+from .mat_graph import MatGraph, linked_groups, node_angle, primitive_angles
 from .structure import DegenerateInput, StructuralComponent, thinness
 
 SIGMA_KNEE = 3.0  # log-thinness below this leaves delta0 alone
@@ -90,13 +90,11 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     if candidates.size == 0:
         return region
     centers, radii = g.sphere_arrays(region.nodes)
-    elements = [g.nodes[v].element for v in candidates.tolist()]
-    sizes = np.fromiter(map(len, elements), dtype=np.intp, count=len(elements))
-    spheres = np.fromiter(chain.from_iterable(elements), dtype=np.intp,
-                          count=int(sizes.sum()))
-    owner = np.repeat(np.arange(len(elements)), sizes)
-    c = g.mm.centers()[spheres]
-    r = g.mm.radii()[spheres]
+    picked = g.incidence[candidates]
+    sizes = np.diff(picked.indptr)
+    owner = np.repeat(np.arange(len(candidates)), sizes)
+    c = g.mm.centers()[picked.indices]
+    r = g.mm.radii()[picked.indices]
     r_max = float(radii.max())
     margin = 1e-9 * (float(np.abs(c).max()) + float(np.abs(centers).max())
                      + abs(r_max) + float(np.abs(r).max()))
@@ -106,12 +104,12 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     items = np.fromiter(chain.from_iterable(balls), dtype=np.intp,
                         count=len(rows))
     d = np.linalg.norm(c[rows] - centers[items], axis=1)
-    intersects = np.zeros(len(elements), dtype=bool)
+    intersects = np.zeros(len(candidates), dtype=bool)
     intersects[owner[rows[d < r[rows] + radii[items]]]] = True
     inside = np.zeros(len(c), dtype=bool)
     inside[rows[d + r[rows] <= radii[items]]] = True
     enclosed = np.bincount(owner, weights=inside,
-                           minlength=len(elements)) == sizes
+                           minlength=len(candidates)) == sizes
     region.nodes.extend(candidates[intersects | enclosed].tolist())
     return region
 
@@ -218,26 +216,15 @@ def region_labels(g: MatGraph, regions: list[Region]) -> np.ndarray:
 def _merge_leftovers(g: MatGraph, regions: list[Region],
                      negligible: np.ndarray) -> None:
     """Attach residual negligible clusters to kept regions."""
-    leftovers = set(int(v) for v in np.flatnonzero(negligible))
-    if not leftovers:
+    leftovers = np.flatnonzero(negligible)
+    if leftovers.size == 0:
         return
     labels = region_labels(g, regions)
-    seen: set[int] = set()
-    clusters: list[list[int]] = []
-    for v in sorted(leftovers):
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        cluster = []
-        while stack:
-            u = stack.pop()
-            cluster.append(u)
-            for w in g.neighbors(u):
-                if w in leftovers and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        clusters.append(sorted(cluster))
+    # each leftover is keyed by its own node and its leftover neighbours
+    pairs = [(k, w) for k, u in enumerate(leftovers.tolist())
+             for w in [u, *g.neighbors(u)] if negligible[w]]
+    clusters = [leftovers[group].tolist()
+                for group in linked_groups(pairs, len(leftovers))]
 
     cents = g.centroids()
     for cluster in clusters:

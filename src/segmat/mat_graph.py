@@ -2,10 +2,12 @@
 
 Every medial triangle becomes a face node (a slab) and every edge that
 belongs to no triangle becomes an edge node (a cone).  Two nodes are
-adjacent iff their elements share at least one medial-mesh vertex.  Each
-node carries the mean radius of its vertex spheres, its centroid, and the
-envelope data (two tangent planes for a slab, axis + slant for a cone) that
-the growing costs consume.
+adjacent iff their elements share at least one medial-mesh vertex, which
+is read off a sparse node x sphere incidence.  Each node carries the mean
+radius of its vertex spheres, its centroid, and the envelope data (two
+tangent planes for a slab, axis + slant for a cone) that the growing costs
+consume.  ``linked_groups`` is the one grouping routine of the package:
+items that share a key, transitively, form a group.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import (
     ConeGeometry,
@@ -73,13 +78,40 @@ class MatGraph:
     def centroids(self) -> np.ndarray:
         return np.array([n.centroid for n in self.nodes], dtype=float).reshape(-1, 3)
 
+    @cached_property
+    def incidence(self) -> csr_matrix:
+        """Node x sphere incidence: row i holds the spheres of node i, ascending."""
+        rows = [i for i, node in enumerate(self.nodes) for _ in node.element]
+        cols = [v for node in self.nodes for v in node.element]
+        return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)),
+                          shape=(len(self.nodes), len(self.mm.spheres)))
+
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""
-        seen: set[int] = set()
-        for i in node_ids:
-            seen.update(self.nodes[i].element)
-        idx = sorted(seen)
+        idx = np.unique(self.incidence[node_ids].indices)
         return self.mm.centers()[idx], self.mm.radii()[idx]
+
+
+def linked_groups(pairs, n_items: int) -> list[list[int]]:
+    """Items 0..n_items-1 grouped by shared keys, transitively.
+
+    pairs holds (item, key) rows with integer keys; an item in no row is a
+    group of its own.  Groups are ordered by their lowest item and list
+    their items in ascending order.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    keys, key_ids = np.unique(pairs[:, 1], return_inverse=True)
+    size = n_items + len(keys)
+    # items and keys are the two sides of one bipartite graph
+    links = csr_matrix(
+        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], n_items + key_ids)),
+        shape=(size, size))
+    _, label = connected_components(links, directed=False)
+    # first come, first listed: scipy's own label order plays no part
+    groups: dict[int, list[int]] = {}
+    for item, group in enumerate(label[:n_items].tolist()):
+        groups.setdefault(group, []).append(item)
+    return list(groups.values())
 
 
 def _edge_cone(mm: MedialMesh, a: int, b: int) -> ConeGeometry:
@@ -98,6 +130,7 @@ def _edge_cone(mm: MedialMesh, a: int, b: int) -> ConeGeometry:
 
 def build_graph(mm: MedialMesh) -> MatGraph:
     """Build the primitive adjacency graph of a canonical medial mesh."""
+    mm.validate()
     standalone = mm.standalone_edges()
     n_nodes = len(mm.faces) + len(standalone)
     if n_nodes == 0:
@@ -106,13 +139,7 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     centers = mm.centers()
     radii = mm.radii()
     nodes: list[MatNode] = []
-    vertex_nodes: dict[int, list[int]] = {}
-
-    def register(node_id: int, verts) -> None:
-        for v in verts:
-            vertex_nodes.setdefault(v, []).append(node_id)
-
-    for fi, tri in enumerate(mm.faces):
+    for tri in mm.faces:
         spheres = [mm.spheres[v] for v in tri]
         try:
             planes = slab_tangent_planes(*spheres)
@@ -125,11 +152,8 @@ def build_graph(mm: MedialMesh) -> MatGraph:
             centroid=tuple(centers[list(tri)].mean(axis=0)),
             tangent=planes,
         ))
-        register(fi, tri)
-
-    for k, ei in enumerate(standalone):
+    for ei in standalone:
         a, b = mm.edges[ei]
-        node_id = len(mm.faces) + k
         nodes.append(MatNode(
             kind=NodeKind.EDGE,
             element=(a, b),
@@ -137,21 +161,15 @@ def build_graph(mm: MedialMesh) -> MatGraph:
             centroid=tuple((centers[a] + centers[b]) / 2.0),
             tangent=_edge_cone(mm, a, b),
         ))
-        register(node_id, (a, b))
 
-    adjacency_sets: list[set[int]] = [set() for _ in range(n_nodes)]
-    for incident in vertex_nodes.values():
-        for i in incident:
-            for j in incident:
-                if i != j:
-                    adjacency_sets[i].add(j)
-    adjacency = [sorted(s) for s in adjacency_sets]
-    return MatGraph(
-        mm=mm,
-        nodes=nodes,
-        adjacency=adjacency,
-        component_id=np.full(n_nodes, -1, dtype=int),
-    )
+    graph = MatGraph(mm=mm, nodes=nodes, adjacency=[],
+                     component_id=np.full(n_nodes, -1, dtype=int))
+    # nodes sharing a sphere: the off-diagonal of incidence x incidence^T
+    shared = graph.incidence @ graph.incidence.T
+    shared.setdiag(False)
+    shared.eliminate_zeros()
+    graph.adjacency = shared.tolil().rows.tolist()
+    return graph
 
 
 def _face_plane_normal(mm: MedialMesh, tri) -> tuple[float, float, float]:

@@ -223,6 +223,7 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     distinct boundary loops are rejected.  ``trace``, when given, receives
     one ``(edge, cost, t)`` tuple per accepted collapse.
     """
+    mm.validate()
     params = params or SimplifyParams()
     if not params.target_error >= 0.0:
         raise ValueError(
@@ -252,9 +253,8 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     accepted = 0
     while heap:
         total, a, b, va, vb, fresh, t = heapq.heappop(heap)
+        # an edge change bumps both end versions, so a current pop is live
         if state.version[a] != va or state.version[b] != vb:
-            continue
-        if (a, b) not in state.candidate_edges(a):
             continue
         if params.average_error:
             if (accepted_sq_sum + total) / (accepted + 1) > bound_sq:

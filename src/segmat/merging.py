@@ -3,7 +3,7 @@
 Each region is summarized by a 32-bin histogram of its node radii over
 the shape-wide radius range, so the bins line up across regions.  The
 1-D Earth Mover's Distance between two histograms has the closed form
-sum |CDF1 - CDF2| and is normalized by bin_count - 1, which maps "all
+sum |CDF1 - CDF2| and is normalized by BIN_COUNT - 1, which maps "all
 mass moved across the full range" to 1.  Adjacent regions are merged
 greedily, cheapest pair first, while their distance stays under tau.
 """
@@ -27,7 +27,6 @@ class RadiusHistogram:
 
 
 def radius_histogram(g: MatGraph, region: Region,
-                     bin_count: int = BIN_COUNT,
                      radius_range: tuple[float, float] | None = None
                      ) -> RadiusHistogram:
     """Normalized node-radius histogram over the shape's global range."""
@@ -37,12 +36,12 @@ def radius_histogram(g: MatGraph, region: Region,
     else:
         lo, hi = radius_range
     vals = radii[list(region.nodes)]
-    bins = np.zeros(bin_count)
+    bins = np.zeros(BIN_COUNT)
     if hi <= lo:
         bins[0] = 1.0
     else:
-        idx = ((vals - lo) / (hi - lo) * bin_count).astype(int)
-        np.add.at(bins, np.clip(idx, 0, bin_count - 1), 1.0)
+        idx = ((vals - lo) / (hi - lo) * BIN_COUNT).astype(int)
+        np.add.at(bins, np.clip(idx, 0, BIN_COUNT - 1), 1.0)
         bins /= bins.sum()
     return RadiusHistogram(bins, (lo, hi))
 
@@ -50,6 +49,8 @@ def radius_histogram(g: MatGraph, region: Region,
 def emd_1d(h1: RadiusHistogram, h2: RadiusHistogram) -> float:
     if len(h1.bins) != len(h2.bins) or h1.radius_range != h2.radius_range:
         raise ValueError("histograms use different binnings")
+    if len(h1.bins) < 2:
+        raise ValueError("an EMD needs at least 2 bins")
     diff = np.cumsum(h1.bins) - np.cumsum(h2.bins)
     return float(np.abs(diff).sum()) / (len(h1.bins) - 1)
 

@@ -74,9 +74,9 @@ class SurfaceMesh:
             raise ParseError("non-finite vertex coordinate")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ParseError("face index out of range")
-        for f in self.faces:
-            if f[0] == f[1] or f[1] == f[2] or f[0] == f[2]:
-                raise ParseError("face with repeated vertices")
+        # each corner against the one before it covers all three pairs
+        if (self.faces == np.roll(self.faces, 1, axis=1)).any():
+            raise ParseError("face with repeated vertices")
         if self.labels is not None and len(self.labels) != len(self.faces):
             raise LengthMismatch(
                 f"{len(self.labels)} labels for {len(self.faces)} faces")

@@ -81,10 +81,8 @@ def run_pipeline(mesh: SurfaceMesh, mat: MedialMesh,
     if len(mesh.faces) == 0:
         raise EmptyInput("surface mesh has no faces")
     if structured is None:
-        mat.validate()
         structured = timed("simplify", lambda: simplify(mat, cfg.simplify))
     else:
-        structured.validate()
         skipped.append("simplify")
     graph = timed("graph", lambda: build_graph(structured))
 

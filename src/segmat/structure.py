@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mat_graph import MatGraph
+from .mat_graph import MatGraph, linked_groups
 from .mesh_io import MedialMesh
 
 
@@ -57,72 +57,47 @@ class StructuralComponent:
     max_radius: float
 
 
+_VERTEX_KINDS = (JointKind.SEAM_VERTEX, JointKind.EDGE_TRIANGLE_VERTEX,
+                 JointKind.TRIANGLE_TRIANGLE_VERTEX)
+
+
+def _face_sides(smat: MedialMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 3) faces and the (F, 3) keys a * n + b of their sides.
+
+    The sides of a sorted face (a, b, c) are (a, b), (b, c), (a, c).
+    """
+    faces = np.array(smat.faces, dtype=np.int64).reshape(-1, 3)
+    sides = faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 3, 2)
+    return faces, sides[..., 0] * len(smat.spheres) + sides[..., 1]
+
+
 def detect_joints(smat: MedialMesh) -> list[Joint]:
     """All junction elements of a canonical medial mesh, sorted by element."""
-    edge_faces: dict[tuple[int, int], int] = {}
-    vertex_faces: dict[int, list[tuple[int, ...]]] = {}
-    for f in smat.faces:
-        a, b, c = f
-        for e in ((a, b), (b, c), (a, c)):
-            edge_faces[e] = edge_faces.get(e, 0) + 1
-        for v in f:
-            vertex_faces.setdefault(v, []).append(f)
+    n = len(smat.spheres)
+    faces, sides = _face_sides(smat)
+    keys, counts = np.unique(sides, return_counts=True)
+    joints = [Joint(JointKind.SEAM_EDGE, (int(k // n), int(k % n)))
+              for k in keys[counts >= 3]]
 
-    standalone = [smat.edges[i] for i in smat.standalone_edges()]
-    vertex_edges: dict[int, int] = {}
-    for e in standalone:
-        for v in e:
-            vertex_edges[v] = vertex_edges.get(v, 0) + 1
+    standalone = np.array([smat.edges[i] for i in smat.standalone_edges()],
+                          dtype=np.int64).reshape(-1, 2)
+    edge_degree = np.bincount(standalone.ravel(), minlength=n)
+    face_degree = np.bincount(faces.ravel(), minlength=n)
+    # Umbrellas: the face corners at a vertex, linked through the sides
+    # they share.  Corner (f, v) is keyed by the two sides of f through v,
+    # each tagged with the end of the side v sits on.
+    corner_sides = sides[:, [[0, 2], [0, 1], [1, 2]]]
+    high_end = np.array([[0, 0], [1, 0], [1, 1]])
+    pairs = np.stack([np.repeat(np.arange(faces.size), 2),
+                      (2 * corner_sides + high_end).ravel()], axis=1)
+    firsts = [group[0] for group in linked_groups(pairs, faces.size)]
+    umbrellas = np.bincount(faces.ravel()[firsts], minlength=n)
 
-    joints = [Joint(JointKind.SEAM_EDGE, e)
-              for e in sorted(edge_faces) if edge_faces[e] >= 3]
-
-    vertex_kinds: dict[int, list[JointKind]] = {}
-    for v, count in vertex_edges.items():
-        if count >= 3:
-            vertex_kinds.setdefault(v, []).append(JointKind.SEAM_VERTEX)
-        if v in vertex_faces:
-            vertex_kinds.setdefault(v, []).append(JointKind.EDGE_TRIANGLE_VERTEX)
-    for v, fs in vertex_faces.items():
-        if len(fs) >= 2 and _umbrella_count(v, fs) >= 2:
-            vertex_kinds.setdefault(v, []).append(JointKind.TRIANGLE_TRIANGLE_VERTEX)
-
-    order = [JointKind.SEAM_VERTEX, JointKind.EDGE_TRIANGLE_VERTEX,
-             JointKind.TRIANGLE_TRIANGLE_VERTEX]
-    for v in sorted(vertex_kinds):
-        for kind in order:
-            if kind in vertex_kinds[v]:
-                joints.append(Joint(kind, v))
-    return joints
-
-
-def _umbrella_count(v: int, fs: list[tuple[int, ...]]) -> int:
-    """Components of the faces at v, linked only through edges containing v."""
-    remaining = list(fs)
-    groups = 0
-    while remaining:
-        groups += 1
-        stack = [remaining.pop()]
-        while stack:
-            f = stack.pop()
-            linked = [g for g in remaining if len(set(f) & set(g)) >= 2]
-            for g in linked:
-                remaining.remove(g)
-                stack.append(g)
-    return groups
-
-
-def _union(parent: dict, a, b) -> None:
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
-
-
-def _find(parent: dict, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+    flags = np.stack([edge_degree >= 3,
+                      (edge_degree > 0) & (face_degree > 0),
+                      umbrellas >= 2], axis=1)
+    return joints + [Joint(_VERTEX_KINDS[k], int(v))
+                     for v, k in zip(*np.nonzero(flags))]
 
 
 def split_components(smat: MedialMesh,
@@ -130,55 +105,32 @@ def split_components(smat: MedialMesh,
     """Connected sheets and curves after cutting at the joints.
 
     Joint elements belong to no component; every face and standalone edge
-    belongs to exactly one.
+    belongs to exactly one.  Sheets come first, then curves; each kind in
+    the order of its first element, each listing its elements in mesh order.
     """
-    seam_edges = {j.element for j in joints if j.kind is JointKind.SEAM_EDGE}
-    cut_vertices = {j.element for j in joints if j.kind is not JointKind.SEAM_EDGE}
-
+    n = len(smat.spheres)
+    seam_edges = [j.element[0] * n + j.element[1] for j in joints
+                  if j.kind is JointKind.SEAM_EDGE]
+    cut_vertices = [j.element for j in joints
+                    if j.kind is not JointKind.SEAM_EDGE]
     centers = smat.centers()
     radii = smat.radii()
 
-    comps: list[StructuralComponent] = []
-
     # Sheets: faces linked through non-seam shared edges.
-    faces = list(smat.faces)
-    if faces:
-        parent = {f: f for f in faces}
-        edge_members: dict[tuple[int, int], list] = {}
-        for f in faces:
-            a, b, c = f
-            for e in ((a, b), (b, c), (a, c)):
-                if e not in seam_edges:
-                    edge_members.setdefault(e, []).append(f)
-        for members in edge_members.values():
-            for g in members[1:]:
-                _union(parent, members[0], g)
-        groups: dict[tuple, list] = {}
-        for f in faces:
-            groups.setdefault(_find(parent, f), []).append(f)
-        for f in faces:  # emit in first-face order
-            if f in groups:
-                comps.append(_make_sheet(groups.pop(f), centers, radii))
+    _, sides = _face_sides(smat)
+    f, k = np.nonzero(~np.isin(sides, seam_edges))
+    sheets = linked_groups(np.stack([f, sides[f, k]], axis=1), len(sides))
 
     # Curves: standalone edges linked through non-joint shared vertices.
     edges = [smat.edges[i] for i in smat.standalone_edges()]
-    if edges:
-        parent = {e: e for e in edges}
-        vertex_members: dict[int, list] = {}
-        for e in edges:
-            for v in e:
-                if v not in cut_vertices:
-                    vertex_members.setdefault(v, []).append(e)
-        for members in vertex_members.values():
-            for g in members[1:]:
-                _union(parent, members[0], g)
-        groups = {}
-        for e in edges:
-            groups.setdefault(_find(parent, e), []).append(e)
-        for e in edges:
-            if e in groups:
-                comps.append(_make_curve(groups.pop(e), centers, radii))
-    return comps
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    e, k = np.nonzero(~np.isin(ends, cut_vertices))
+    curves = linked_groups(np.stack([e, ends[e, k]], axis=1), len(edges))
+
+    return ([_make_sheet([smat.faces[f] for f in group], centers, radii)
+             for group in sheets]
+            + [_make_curve([edges[e] for e in group], centers, radii)
+               for group in curves])
 
 
 def _make_sheet(faces, centers, radii) -> StructuralComponent:

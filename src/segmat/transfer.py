@@ -191,6 +191,8 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
         raise NoSegments("no segments to transfer labels from")
     if num_faces != len(mesh.faces):
         raise ValueError("cost table does not match the face count")
+    if not np.isfinite(costs).all():
+        raise ValueError("costs must be finite")
     labels = np.argmin(costs, axis=1)
     pairs, _ = mesh.dual_edges()
     boundary = _boundary_costs(mesh)

@@ -3,13 +3,234 @@
 These are the dense faces x spheres scan the package used before its
 sphere-gap search was pruned with a k-d tree, the scalar data cost of one
 face, the dict-based dual-graph builder the numpy edge pairing replaced,
-the stacked-array collapse cost the closed-form quadratic replaced, and
-the per-node dense swallowing test the ball query replaced.
-The package's results must equal them exactly, save for the rounding
-noise of the stacked sum.
+the stacked-array collapse cost the closed-form quadratic replaced, the
+per-node dense swallowing test the ball query replaced, and the
+union-finds, depth-first walks and set loops that the node x sphere
+incidence and ``mat_graph.linked_groups`` replaced.  The package's results
+must equal them exactly, save for the rounding noise of the stacked sum.
+Two geometric helpers only the tests use live here as well.
 """
 
+import math
+
 import numpy as np
+
+from segmat.geometry import dot
+from segmat.growing import region_labels
+from segmat.structure import (
+    ComponentKind,
+    Joint,
+    JointKind,
+    StructuralComponent,
+)
+
+
+def signed_distance(plane, point):
+    """Signed distance of a point from a TangentPlane."""
+    return dot(plane.normal, point) + plane.offset
+
+
+def bounding_diagonal(centers, radii=None):
+    """Diagonal of the axis-aligned box enclosing spheres (or bare points)."""
+    pts = np.asarray(centers, dtype=float)
+    if pts.size == 0:
+        return 0.0
+    pts = pts.reshape(-1, 3)
+    if radii is None:
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+    else:
+        r = np.asarray(radii, dtype=float).reshape(-1, 1)
+        lo = (pts - r).min(axis=0)
+        hi = (pts + r).max(axis=0)
+    return float(np.linalg.norm(hi - lo))
+
+
+def sphere_arrays(g, node_ids):
+    """MatGraph.sphere_arrays from a Python set of the nodes' elements."""
+    seen = set()
+    for i in node_ids:
+        seen.update(g.nodes[i].element)
+    idx = sorted(seen)
+    return g.mm.centers()[idx], g.mm.radii()[idx]
+
+
+def adjacency(g):
+    """build_graph's adjacency: nodes sharing a vertex, by a set loop."""
+    vertex_nodes = {}
+    for i, node in enumerate(g.nodes):
+        for v in node.element:
+            vertex_nodes.setdefault(v, []).append(i)
+    adjacency_sets = [set() for _ in g.nodes]
+    for incident in vertex_nodes.values():
+        for i in incident:
+            for j in incident:
+                if i != j:
+                    adjacency_sets[i].add(j)
+    return [sorted(s) for s in adjacency_sets]
+
+
+def _umbrella_count(v, fs):
+    """Components of the faces at v, linked only through edges containing v."""
+    remaining = list(fs)
+    groups = 0
+    while remaining:
+        groups += 1
+        stack = [remaining.pop()]
+        while stack:
+            f = stack.pop()
+            linked = [g for g in remaining if len(set(f) & set(g)) >= 2]
+            for g in linked:
+                remaining.remove(g)
+                stack.append(g)
+    return groups
+
+
+def detect_joints(smat):
+    """structure.detect_joints from incidence dicts and a DFS per vertex."""
+    edge_faces = {}
+    vertex_faces = {}
+    for f in smat.faces:
+        a, b, c = f
+        for e in ((a, b), (b, c), (a, c)):
+            edge_faces[e] = edge_faces.get(e, 0) + 1
+        for v in f:
+            vertex_faces.setdefault(v, []).append(f)
+
+    standalone = [smat.edges[i] for i in smat.standalone_edges()]
+    vertex_edges = {}
+    for e in standalone:
+        for v in e:
+            vertex_edges[v] = vertex_edges.get(v, 0) + 1
+
+    joints = [Joint(JointKind.SEAM_EDGE, e)
+              for e in sorted(edge_faces) if edge_faces[e] >= 3]
+
+    vertex_kinds = {}
+    for v, count in vertex_edges.items():
+        if count >= 3:
+            vertex_kinds.setdefault(v, []).append(JointKind.SEAM_VERTEX)
+        if v in vertex_faces:
+            vertex_kinds.setdefault(v, []).append(JointKind.EDGE_TRIANGLE_VERTEX)
+    for v, fs in vertex_faces.items():
+        if len(fs) >= 2 and _umbrella_count(v, fs) >= 2:
+            vertex_kinds.setdefault(v, []).append(
+                JointKind.TRIANGLE_TRIANGLE_VERTEX)
+
+    order = [JointKind.SEAM_VERTEX, JointKind.EDGE_TRIANGLE_VERTEX,
+             JointKind.TRIANGLE_TRIANGLE_VERTEX]
+    for v in sorted(vertex_kinds):
+        for kind in order:
+            if kind in vertex_kinds[v]:
+                joints.append(Joint(kind, v))
+    return joints
+
+
+def _union(parent, a, b):
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[rb] = ra
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union_find_groups(items, keys_of):
+    """Union-find groups of items sharing a key, members in item order.
+
+    Groups come in the item order of their union-find roots, which is not
+    always the order of their first items.
+    """
+    parent = {x: x for x in items}
+    members = {}
+    for x in items:
+        for key in keys_of(x):
+            members.setdefault(key, []).append(x)
+    for linked in members.values():
+        for y in linked[1:]:
+            _union(parent, linked[0], y)
+    groups = {}
+    for x in items:
+        groups.setdefault(_find(parent, x), []).append(x)
+    return [groups.pop(x) for x in items if x in groups]
+
+
+def split_components(smat, joints):
+    """structure.split_components by union-find over faces, then edges.
+
+    Components of one kind come in the order of their union-find roots.
+    """
+    seam_edges = {j.element for j in joints if j.kind is JointKind.SEAM_EDGE}
+    cut_vertices = {j.element for j in joints
+                    if j.kind is not JointKind.SEAM_EDGE}
+    centers = smat.centers()
+    radii = smat.radii()
+    comps = []
+    for faces in union_find_groups(list(smat.faces), lambda f: [
+            e for e in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))
+            if e not in seam_edges]):
+        tri = np.array(faces)
+        a, b, c = centers[tri[:, 0]], centers[tri[:, 1]], centers[tri[:, 2]]
+        area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()
+        comps.append(StructuralComponent(
+            ComponentKind.SHEET, faces, float(math.sqrt(area)),
+            float(radii[np.unique(tri)].max())))
+    edges = [smat.edges[i] for i in smat.standalone_edges()]
+    for group in union_find_groups(edges, lambda e: [v for v in e
+                                           if v not in cut_vertices]):
+        seg = np.array(group)
+        length = np.linalg.norm(centers[seg[:, 1]] - centers[seg[:, 0]],
+                                axis=1).sum()
+        comps.append(StructuralComponent(
+            ComponentKind.CURVE, group, float(length),
+            float(radii[np.unique(seg)].max())))
+    return comps
+
+
+def merge_leftovers(g, regions, negligible):
+    """growing._merge_leftovers with a depth-first walk per cluster."""
+    leftovers = set(int(v) for v in np.flatnonzero(negligible))
+    if not leftovers:
+        return
+    labels = region_labels(g, regions)
+    seen = set()
+    clusters = []
+    for v in sorted(leftovers):
+        if v in seen:
+            continue
+        stack = [v]
+        seen.add(v)
+        cluster = []
+        while stack:
+            u = stack.pop()
+            cluster.append(u)
+            for w in g.neighbors(u):
+                if w in leftovers and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        clusters.append(sorted(cluster))
+
+    cents = g.centroids()
+    for cluster in clusters:
+        links = np.zeros(len(regions), dtype=int)
+        for u in cluster:
+            for w in g.neighbors(u):
+                if labels[w] >= 0:
+                    links[labels[w]] += 1
+        if links.max() > 0:
+            target = int(np.argmax(links))
+        else:
+            per_region = [np.linalg.norm(cents[cluster][:, None, :]
+                                         - cents[r.nodes][None, :, :],
+                                         axis=2).min()
+                          for r in regions]
+            target = int(np.argmin(per_region))
+        regions[target].nodes.extend(cluster)
+        labels[cluster] = target
 
 
 def data_table(mesh, graph, regions):
@@ -93,7 +314,7 @@ def stacked_collapse_cost(state, a, b):
 
 def swallow(g, region, unclaimed):
     """growing.swallow as a dense (node spheres x region spheres) test per node."""
-    centers, radii = g.sphere_arrays(region.nodes)
+    centers, radii = sphere_arrays(g, region.nodes)
     all_centers = g.mm.centers()
     all_radii = g.mm.radii()
     for v in unclaimed:

@@ -9,9 +9,10 @@ fail only the benchmark's own tests, which this suite does not collect.
 import importlib.util
 from pathlib import Path
 
+from test_cli import bent_l_assets
 from test_pipeline import bent_l_mat
 
-from segmat import growing
+from segmat import cli, growing
 from segmat.mat_graph import build_graph
 from segmat.structure import assign_base_nodes, detect_joints, split_components
 
@@ -66,3 +67,21 @@ def test_swallow_counters_match_what_grow_passes(monkeypatch):
     assert counts["growing.swallow.calls"] == len(calls)
     assert counts["growing.swallow_candidates"] == sum(n for n, _ in calls)
     assert counts["growing.swallowed_nodes"] == sum(a for _, a in calls)
+
+
+def test_one_traced_segment_op_fills_every_layer_metric(tmp_path, monkeypatch):
+    monkeypatch.delenv("SEGMAT_CONFIG", raising=False)
+    mesh_path, mat_path = bent_l_assets(tmp_path)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        with tracer.span("cli.main"):
+            code = cli.main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                             "--out", str(tmp_path / "run")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert set(metrics) == set(tracing.LAYER_METRICS)
+    assert metrics["transfer.data_pairs"]["value"] > 0

@@ -201,6 +201,12 @@ def test_build_rejects_negative_radii():
         SkeletonCloud.build([(0.0, 0.0, 0.0)], [-0.1])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_build_rejects_non_finite_radii(value):
+    with pytest.raises(ValueError, match="radii must be finite"):
+        SkeletonCloud.build(chain_points(3, 1.0), [0.5, value, 0.5])
+
+
 def test_from_cloud_takes_nearest_distance_as_radius():
     cloud = [(0.0, 0.0, 2.0), (0.0, 0.0, -2.0), (10.0, 0.0, 1.0)]
     sc = SkeletonCloud.from_cloud([(0.0, 0.0, 0.0), (10.0, 0.0, 0.0)], cloud)

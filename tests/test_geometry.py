@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bounding_diagonal, signed_distance
 from segmat.geometry import (
     ConeGeometry,
     DegenerateGeometry,
     Sphere,
     angle_between,
-    bounding_diagonal,
     cone_geometry,
     slab_fallback_planes,
     slab_tangent_planes,
@@ -28,7 +28,7 @@ def tangency_residual(planes, spheres):
     for p in planes:
         assert abs(math.sqrt(sum(c * c for c in p.normal)) - 1.0) < 1e-12
         for s in spheres:
-            worst = max(worst, abs(p.signed_distance(s.center) - s.radius))
+            worst = max(worst, abs(signed_distance(p, s.center) - s.radius))
     return worst
 
 
@@ -135,8 +135,8 @@ def test_slab_fallback_uses_center_plane_and_mean_radius():
     assert p_minus.normal == pytest.approx((0.0, 0.0, -1.0))
     r_mean = (5.0 + 0.1 + 0.6) / 3.0
     centroid = (1.0 / 3.0, 1.0 / 3.0, 0.0)
-    assert p_plus.signed_distance(centroid) == pytest.approx(r_mean)
-    assert p_minus.signed_distance(centroid) == pytest.approx(r_mean)
+    assert signed_distance(p_plus, centroid) == pytest.approx(r_mean)
+    assert signed_distance(p_minus, centroid) == pytest.approx(r_mean)
 
 
 def test_cone_slant_matches_two_circle_tangent_oracle():

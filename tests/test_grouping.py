@@ -1,0 +1,185 @@
+"""One incidence and one grouping routine behind the MAT graph's structure.
+
+build_graph's adjacency, sphere_arrays and swallow read the node x sphere
+incidence; detect_joints, split_components and the leftover clusters of
+growing group items with linked_groups.  These properties check each
+against the union-finds, walks and set loops of tests/oracles.py on random
+complexes built from seams, bowties, edge-triangle vertices, isolated
+faces and closed loops.
+"""
+
+import copy
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from segmat.geometry import Sphere
+from segmat.growing import Region, _merge_leftovers
+from segmat.mat_graph import build_graph, linked_groups
+from segmat.mesh_io import MedialMesh
+from segmat.structure import Joint, JointKind, detect_joints, split_components
+
+MOTIFS = ("seam", "bowtie", "tail", "face", "loop")
+
+
+@st.composite
+def complexes(draw):
+    """A medial mesh of junction motifs on shared vertices, plus noise."""
+    n = draw(st.integers(6, 14))
+    cells = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 3),
+                          min_size=n, max_size=n, unique=True))
+    radii = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 2.0]),
+                          min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+
+    def distinct(k):
+        return draw(st.lists(index, min_size=k, max_size=k, unique=True))
+
+    faces, edges = [], []
+    for motif in draw(st.lists(st.sampled_from(MOTIFS), min_size=1,
+                               max_size=5)):
+        if motif == "seam":        # three faces on one edge
+            a, b, c, d, e = distinct(5)
+            faces += [(a, b, c), (a, b, d), (a, b, e)]
+        elif motif == "bowtie":    # two faces on one vertex only
+            a, b, c, d, e = distinct(5)
+            faces += [(a, b, c), (a, d, e)]
+        elif motif == "tail":      # an edge hanging off a face
+            a, b, c, d = distinct(4)
+            faces.append((a, b, c))
+            edges.append((a, d))
+        elif motif == "face":
+            faces.append(tuple(distinct(3)))
+        else:                      # a closed loop of edges
+            loop = distinct(draw(st.integers(3, 6)))
+            edges += list(zip(loop, loop[1:] + loop[:1]))
+    faces += draw(st.lists(st.tuples(index, index, index).filter(
+        lambda f: len(set(f)) == 3), max_size=3))
+    edges += draw(st.lists(st.tuples(index, index).filter(
+        lambda e: e[0] != e[1]), max_size=3))
+    spheres = [Sphere(tuple(0.5 * v for v in cell), r)
+               for cell, r in zip(cells, radii)]
+    return MedialMesh.build(spheres, edges, faces)
+
+
+def exact(comps):
+    return [(c.kind, c.elements, c.extent.hex(), c.max_radius.hex())
+            for c in comps]
+
+
+@given(complexes())
+def test_joints_match_the_walks(smat):
+    joints = detect_joints(smat)
+    assert joints == oracles.detect_joints(smat)
+    for j in joints:
+        if j.kind is JointKind.SEAM_EDGE:
+            assert all(type(v) is int for v in j.element)
+        else:
+            assert type(j.element) is int
+
+
+def first_element_order(smat, comps):
+    """Sheets, then curves, each by the mesh position of its first element."""
+    position = {el: k for k, el in enumerate(
+        smat.faces + [smat.edges[i] for i in smat.standalone_edges()])}
+    return sorted(comps, key=lambda c: position[c.elements[0]])
+
+
+@given(complexes(), st.integers(1, 3))
+def test_components_match_the_union_find(smat, stride):
+    # every stride-th joint only, so cuts the detector never makes occur too
+    joints = detect_joints(smat)[::stride]
+    got = split_components(smat, joints)
+    # The union-find emitted components in the order of their roots, which
+    # can be a later face than the first; linked_groups orders them by their
+    # first element.  Members, extents and radii are the same.
+    assert exact(got) == exact(first_element_order(
+        smat, oracles.split_components(smat, joints)))
+    assert got == first_element_order(smat, got)
+    for comp in got:
+        assert all(type(v) is int for el in comp.elements for v in el)
+
+
+# Cut at the seam edge (0, 1) alone, faces (0, 1, 2), (0, 1, 4), (0, 2, 4)
+# and (0, 4, 5) form one sheet, but its union-find root is (0, 1, 4), a face
+# after the lone (0, 1, 3).
+ROOT_AFTER_FIRST = MedialMesh.build(
+    [Sphere((0.5 * k, 0.25 * k * k, 0.0), 1.0) for k in range(6)], [],
+    [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 4, 5)])
+
+
+def test_components_come_in_first_element_order():
+    joints = [Joint(JointKind.SEAM_EDGE, (0, 1))]
+    got = [c.elements for c in split_components(ROOT_AFTER_FIRST, joints)]
+    assert got == [[(0, 1, 2), (0, 1, 4), (0, 2, 4), (0, 4, 5)], [(0, 1, 3)]]
+    old = oracles.split_components(ROOT_AFTER_FIRST, joints)
+    assert [c.elements for c in old] == got[::-1]
+
+
+@given(complexes())
+def test_adjacency_matches_the_set_loop(smat):
+    graph = build_graph(smat)
+    assert graph.adjacency == oracles.adjacency(graph)
+    assert all(type(j) is int for row in graph.adjacency for j in row)
+
+
+@given(complexes(), st.data())
+def test_sphere_arrays_match_the_set(smat, data):
+    graph = build_graph(smat)
+    ids = data.draw(st.lists(st.integers(0, len(graph) - 1), max_size=8))
+    if data.draw(st.booleans()):
+        ids = np.array(ids, dtype=int)
+    for got, want in zip(graph.sphere_arrays(ids),
+                         oracles.sphere_arrays(graph, ids)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@given(complexes(), st.data())
+def test_leftover_attachments_match_the_walk(smat, data):
+    graph = build_graph(smat)
+    # -1 marks a negligible node; kept regions are renumbered densely
+    owner = np.array(data.draw(st.lists(
+        st.integers(-1, 2), min_size=len(graph), max_size=len(graph))))
+    kept = sorted(set(owner[owner >= 0].tolist()))
+    if not kept:
+        owner[data.draw(st.integers(0, len(graph) - 1))] = 0
+        kept = [0]
+    regions = [Region(k, np.flatnonzero(owner == old).tolist(), 0, 0)
+               for k, old in enumerate(kept)]
+    expected = copy.deepcopy(regions)
+    _merge_leftovers(graph, regions, owner < 0)
+    oracles.merge_leftovers(graph, expected, owner < 0)
+    assert [r.nodes for r in regions] == [r.nodes for r in expected]
+
+
+@given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 11),
+                                              st.integers(-3, 40))))
+def test_linked_groups_match_the_union_find(n, pairs):
+    pairs = [(item, key) for item, key in pairs if item < n]
+    keys = {}
+    for item, key in pairs:
+        keys.setdefault(item, []).append(key)
+    expected = oracles.union_find_groups(list(range(n)),
+                                         lambda x: keys.get(x, []))
+    assert linked_groups(pairs, n) == expected
+
+
+def test_groups_are_ordered_by_lowest_item():
+    # scipy labels the component it reaches first, which here holds item 3
+    pairs = [(3, 0), (0, 1), (2, 1), (1, 2), (4, 2)]
+    assert linked_groups(pairs, 5) == [[0, 2], [1, 4], [3]]
+    assert linked_groups([], 0) == []
+    assert linked_groups([], 2) == [[0], [1]]
+
+
+@given(complexes())
+def test_incidence_rows_are_the_sorted_elements(smat):
+    graph = build_graph(smat)
+    rows = graph.incidence
+    assert rows.shape == (len(graph), len(smat.spheres))
+    for i, node in enumerate(graph.nodes):
+        got = rows.indices[rows.indptr[i]:rows.indptr[i + 1]].tolist()
+        assert got == sorted(node.element)

@@ -50,6 +50,16 @@ def test_vertices_only_mesh_is_empty_input():
         build_graph(mm)
 
 
+@pytest.mark.parametrize("sphere,message", [
+    (((0.0, 0.0, 0.0), math.nan), "radius"),
+    (((math.inf, 0.0, 0.0), 1.0), "center"),
+])
+def test_non_finite_sphere_raises(sphere, message):
+    mm = mm_from([sphere, ((1.0, 0.0, 0.0), 1.0)], edges=[(0, 1)])
+    with pytest.raises(ValueError, match=f"non-finite sphere {message}"):
+        build_graph(mm)
+
+
 def test_mean_radius_is_unweighted_vertex_mean():
     mm = mm_from(
         [((0.0, 0.0, 0.0), 1.0), ((2.0, 0.0, 0.0), 2.0), ((0.0, 2.0, 0.0), 4.0),

@@ -4,7 +4,7 @@ import pytest
 from segmat.geometry import Sphere
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
-from segmat.merging import emd_1d, merge_matching, radius_histogram
+from segmat.merging import RadiusHistogram, emd_1d, merge_matching, radius_histogram
 from segmat.mesh_io import MedialMesh
 
 
@@ -56,6 +56,13 @@ def test_emd_extremes_and_symmetry():
     assert emd_1d(lo, lo) == 0.0
     assert emd_1d(lo, hi) == 1.0
     assert emd_1d(lo, hi) == emd_1d(hi, lo)
+
+
+@pytest.mark.parametrize("bins", [[1.0], []])
+def test_emd_needs_two_bins(bins):
+    h = RadiusHistogram(np.array(bins), (0.0, 1.0))
+    with pytest.raises(ValueError, match="at least 2 bins"):
+        emd_1d(h, h)
 
 
 def test_emd_is_a_metric_on_random_histograms():

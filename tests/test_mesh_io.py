@@ -78,6 +78,13 @@ def test_repeated_vertex_face_rejected(tmp_path):
         load_surface(path)
 
 
+@pytest.mark.parametrize("face", [(0, 0, 1), (0, 1, 1), (1, 0, 1)])
+def test_validate_rejects_each_repeated_pair(face):
+    mesh = SurfaceMesh(np.eye(3), [(0, 1, 2), face])
+    with pytest.raises(ParseError, match="face with repeated vertices"):
+        mesh.validate()
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_surface(tmp_path / "nope.off")

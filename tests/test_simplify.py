@@ -140,6 +140,13 @@ def test_empty_input_raises():
         simplify(mm)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_radius_raises(value):
+    mm = chain([0.4, value, 0.4])
+    with pytest.raises(ValueError, match="non-finite sphere radius"):
+        simplify(mm)
+
+
 def naive_greedy_chain(mm, target_error):
     """Reference collapse order on a pure curve chain, no queue machinery."""
     spheres = {i: np.array([*s.center, s.radius]) for i, s in enumerate(mm.spheres)}

@@ -283,6 +283,14 @@ def test_no_segments_raises():
         optimize_labels(mesh, np.zeros((8, 0)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_cost_raises(value):
+    costs = np.zeros((8, 2))
+    costs[3, 1] = value
+    with pytest.raises(ValueError, match="costs must be finite"):
+        optimize_labels(octahedron(), costs)
+
+
 def test_omega_zero_reduces_to_argmin():
     mesh = octahedron()
     rng = np.random.default_rng(9)
