@@ -291,10 +291,11 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     values = _values(params)
     _require_file(args.mat, "--mat")
     mat = load_medial_mesh(args.mat)
+    trace = []
     out = simplify(mat, SimplifyParams(
         target_error=values["target_error"],
         preserve_topology=values["preserve_topology"],
-        average_error=values["average_error"]))
+        average_error=values["average_error"]), trace)
     save_medial_mesh(out, args.out)
     if args.report:
         _write_json(args.report, {
@@ -305,6 +306,10 @@ def cmd_simplify(args: argparse.Namespace) -> int:
                        "faces": len(mat.faces)},
             "after": {"spheres": len(out.spheres), "edges": len(out.edges),
                       "faces": len(out.faces)},
+            "collapses": len(trace),
+            "largest_collapse_error": math.sqrt(
+                max((total for _, total, _ in trace), default=0.0)),
+            "error_bound": values["target_error"] * mat.diagonal(),
             "outputs": {"mat": args.out},
         })
     return EXIT_OK

@@ -18,10 +18,19 @@ error (Garland and Heckbert, SIGGRAPH 1997).  It is evaluated at 17 evenly
 spaced t and the cheapest sample is kept; of two tied samples the lower t
 wins, so coincident spheres keep sphere a at no cost.
 
+Costs are scored a batch at a time: every edge at start-up, then after
+each collapse the candidate edges of the vertices it touched, as one
+(edges x 17) array with a row-wise argmin.  The squared length |d|^2 of
+each row is ``np.vecdot(d, d)``, which sums in the same order as the 1-D
+``d @ d`` of a single edge (both reach the same BLAS dot), so a batch
+gives bitwise the same costs as scoring its edges one at a time;
+``np.einsum`` and ``(d * d).sum(1)`` do not.
+
 A global min-cost queue with lazy invalidation drives the loop; ties break
-toward the lexicographically smallest edge.  The loop stops when the
-cheapest remaining collapse would exceed ``target_error`` times the
-bounding-box diagonal of the input.
+toward the lexicographically smallest edge.  Pop order depends only on
+the queued tuples, never on the order they were pushed in.  The loop stops
+when the cheapest remaining collapse would exceed ``target_error`` times
+the bounding-box diagonal of the input.
 """
 
 from __future__ import annotations
@@ -66,10 +75,8 @@ class _State:
         self.spheres[:, 3] = mm.radii()
         self.acc = np.zeros(n)
         self.version = np.zeros(n, dtype=int)
-        # n_a * _FROM_A_SQ + n_b * _FROM_B_SQ per endpoint count pair.
-        self.weights: dict[tuple[int, int], np.ndarray] = {}
         # The complex is kept only as per-vertex incidence: the faces and
-        # the standalone (face-free) edges at each vertex.
+        # the standalone (face-free) edges at each vertex, and their count.
         self.vertex_faces: dict[int, set] = {}
         self.vertex_edges: dict[int, set] = {}
         for f in mm.faces:
@@ -79,6 +86,14 @@ class _State:
             e = mm.edges[i]
             for v in e:
                 self.vertex_edges.setdefault(v, set()).add(e)
+        self.count = np.zeros(n, dtype=int)
+        self.recount(self.vertex_faces.keys() | self.vertex_edges.keys())
+
+    def recount(self, vertices) -> None:
+        """Refresh the face-plus-standalone-edge count of each of vertices."""
+        for v in vertices:
+            self.count[v] = (len(self.incident_faces(v))
+                             + len(self.incident_edges(v)))
 
     def incident_faces(self, v: int) -> set:
         return self.vertex_faces.get(v, ())
@@ -86,14 +101,19 @@ class _State:
     def incident_edges(self, v: int) -> set:
         return self.vertex_edges.get(v, ())
 
-    def candidate_edges(self, v: int):
-        """Collapsible 1-skeleton edges at v: face sides plus curve segments."""
-        out = set(self.incident_edges(v))
-        for f in self.incident_faces(v):
-            a, b, c = f
-            for u, w in ((a, b), (b, c), (a, c)):
-                if u == v or w == v:
-                    out.add((u, w))
+    def candidate_edges(self, vertices) -> set:
+        """Collapsible 1-skeleton edges at any of vertices: the two sides of
+        each incident face that meet the vertex, plus curve segments."""
+        out = set()
+        for v in vertices:
+            out.update(self.incident_edges(v))
+            for a, b, c in self.incident_faces(v):
+                if v == a:
+                    out.update(((a, b), (a, c)))
+                elif v == b:
+                    out.update(((a, b), (b, c)))
+                else:
+                    out.update(((b, c), (a, c)))
         return out
 
     def skeleton_neighbors(self, v: int) -> set[int]:
@@ -105,18 +125,13 @@ class _State:
         out.discard(v)
         return out
 
-    def evaluate(self, a: int, b: int) -> tuple[float, float]:
-        """(cost, t) of collapsing edge (a, b), t = 0 keeping sphere a."""
+    def score(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, t) of collapsing each edge (a[i], b[i]), t = 0 keeping sphere a."""
         d = self.spheres[b] - self.spheres[a]
-        n_a = len(self.incident_faces(a)) + len(self.incident_edges(a))
-        n_b = len(self.incident_faces(b)) + len(self.incident_edges(b))
-        weights = self.weights.get((n_a, n_b))
-        if weights is None:
-            weights = self.weights[n_a, n_b] = (n_a * _FROM_A_SQ
-                                                + n_b * _FROM_B_SQ)
-        fresh = (d @ d) * weights
-        best = int(np.argmin(fresh))
-        return float(fresh[best]), float(_PLACEMENT_SAMPLES[best])
+        fresh = np.vecdot(d, d)[:, None] * (self.count[a][:, None] * _FROM_A_SQ
+                                            + self.count[b][:, None] * _FROM_B_SQ)
+        best = fresh.argmin(axis=1)
+        return fresh[np.arange(len(best)), best], _PLACEMENT_SAMPLES[best]
 
 
 def _check_edge(mm: MedialMesh, edge) -> tuple[int, int]:
@@ -134,8 +149,8 @@ def collapse_cost(mm: MedialMesh, edge) -> float:
     squared; the optimal placement on the segment is already folded in.
     """
     a, b = _check_edge(mm, edge)
-    cost, _ = _State(mm).evaluate(a, b)
-    return cost
+    cost, _ = _State(mm).score(np.array([a]), np.array([b]))
+    return float(cost[0])
 
 
 def _violates_topology(state: _State, a: int, b: int) -> bool:
@@ -147,11 +162,9 @@ def _violates_topology(state: _State, a: int, b: int) -> bool:
     if common - opposite:
         return True
     # Never let a component vanish into a bare vertex.
-    remaining = (len(state.incident_faces(a)) + len(state.incident_edges(a))
-                 + len(state.incident_faces(b)) + len(state.incident_edges(b)))
     only_this_edge = (not state.incident_faces(a)
                       and not state.incident_faces(b)
-                      and remaining == 2)
+                      and state.count[a] + state.count[b] == 2)
     return only_this_edge
 
 
@@ -210,6 +223,7 @@ def _apply_collapse(state: _State, a: int, b: int, t: float) -> set[int]:
             drop_edge(e)
 
     state.acc[a] = state.acc[a] + state.acc[b]
+    state.recount(touched)
     for v in touched:
         state.version[v] += 1
     return touched
@@ -234,20 +248,19 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     bound = params.target_error * mm.diagonal()
     bound_sq = bound * bound
 
-    heap: list = []
-
-    def push(a: int, b: int) -> None:
-        fresh, t = state.evaluate(a, b)
+    def scored(vertices) -> list[tuple]:
+        """Queue entries for the candidate edges at vertices, one batch."""
+        ab = np.array(list(state.candidate_edges(vertices)),
+                      dtype=np.intp).reshape(-1, 2)
+        a, b = ab[:, 0], ab[:, 1]
+        fresh, t = state.score(a, b)
         total = fresh if params.average_error else fresh + state.acc[a] + state.acc[b]
-        heapq.heappush(
-            heap, (total, a, b, state.version[a], state.version[b], fresh, t))
+        return list(zip(total.tolist(), a.tolist(), b.tolist(),
+                        state.version[a].tolist(), state.version[b].tolist(),
+                        fresh.tolist(), t.tolist()))
 
-    seen = set()
-    for v in sorted(set(state.vertex_faces) | set(state.vertex_edges)):
-        for e in state.candidate_edges(v):
-            if e not in seen:
-                seen.add(e)
-                push(*e)
+    heap = scored(state.vertex_faces.keys() | state.vertex_edges.keys())
+    heapq.heapify(heap)
 
     accepted_sq_sum = 0.0
     accepted = 0
@@ -271,12 +284,8 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
         accepted += 1
         if trace is not None:
             trace.append(((a, b), total, t))
-        pushed = set()
-        for v in touched:
-            for e in state.candidate_edges(v):
-                if e not in pushed:
-                    pushed.add(e)
-                    push(*e)
+        for entry in scored(touched):
+            heapq.heappush(heap, entry)
 
     faces = set().union(*state.vertex_faces.values())
     edges = set().union(*state.vertex_edges.values())

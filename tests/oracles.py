@@ -4,9 +4,10 @@ These are the dense faces x spheres scan the package used before its
 sphere-gap search was pruned with a k-d tree, the scalar data cost of one
 face, the dict-based dual-graph builder the numpy edge pairing replaced,
 the stacked-array collapse cost the closed-form quadratic replaced, the
-per-node dense swallowing test the ball query replaced, and the
-union-finds, depth-first walks and set loops that the node x sphere
-incidence and ``mat_graph.linked_groups`` replaced.  The package's results
+per-edge collapse cost the batched scoring replaced, the per-node dense
+swallowing test the ball query replaced, and the union-finds, depth-first
+walks and set loops that the node x sphere incidence and
+``mat_graph.linked_groups`` replaced.  The package's results
 must equal them exactly, save for the rounding noise of the stacked sum.
 Two geometric helpers only the tests use live here as well.
 """
@@ -17,6 +18,7 @@ import numpy as np
 
 from segmat.geometry import dot
 from segmat.growing import region_labels
+from segmat.mat_simplify import _FROM_A_SQ, _FROM_B_SQ, _PLACEMENT_SAMPLES
 from segmat.structure import (
     ComponentKind,
     Joint,
@@ -310,6 +312,26 @@ def stacked_collapse_cost(state, a, b):
     fresh = ((samples[:, None, :] - originals[None, :, :]) ** 2).sum(axis=2).sum(axis=1)
     best = int(np.argmin(fresh))
     return float(fresh[best]), float(samples_t[best])
+
+
+def evaluate(state, a, b):
+    """(cost, t) of collapsing edge (a, b), t = 0 keeping sphere a."""
+    d = state.spheres[b] - state.spheres[a]
+    n_a = len(state.incident_faces(a)) + len(state.incident_edges(a))
+    n_b = len(state.incident_faces(b)) + len(state.incident_edges(b))
+    weights = n_a * _FROM_A_SQ + n_b * _FROM_B_SQ
+    fresh = (d @ d) * weights
+    best = int(np.argmin(fresh))
+    return float(fresh[best]), float(_PLACEMENT_SAMPLES[best])
+
+
+def batch_of(per_edge):
+    """A stand-in for ``_State.score`` that calls per_edge edge by edge."""
+    def score(state, a, b):
+        pairs = [per_edge(state, int(u), int(w)) for u, w in zip(a, b)]
+        return (np.array([cost for cost, _ in pairs], dtype=float),
+                np.array([t for _, t in pairs], dtype=float))
+    return score
 
 
 def swallow(g, region, unclaimed):

@@ -9,11 +9,12 @@ fail only the benchmark's own tests, which this suite does not collect.
 import importlib.util
 from pathlib import Path
 
-from test_cli import bent_l_assets
+from test_cli import bent_l_assets, chain_mat
 from test_pipeline import bent_l_mat
 
-from segmat import cli, growing
+from segmat import cli, growing, pipeline
 from segmat.mat_graph import build_graph
+from segmat.mat_simplify import SimplifyParams, simplify
 from segmat.structure import assign_base_nodes, detect_joints, split_components
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -67,6 +68,22 @@ def test_swallow_counters_match_what_grow_passes(monkeypatch):
     assert counts["growing.swallow.calls"] == len(calls)
     assert counts["growing.swallow_candidates"] == sum(n for n, _ in calls)
     assert counts["growing.swallowed_nodes"] == sum(a for _, a in calls)
+
+
+def test_collapse_count_is_the_length_of_the_simplify_trace():
+    mat = chain_mat(count=111, spacing=0.1)
+    params = SimplifyParams()
+    trace = []
+    simplify(mat, params, trace)
+    assert trace
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        pipeline.simplify(mat, params)
+    finally:
+        tracer.restore()
+    assert tracer.counts["mat_simplify.collapses_accepted"] == len(trace)
 
 
 def test_one_traced_segment_op_fills_every_layer_metric(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, outputs, reports, and config precedence."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -267,6 +268,13 @@ def test_simplify_command_shrinks_the_mat(tmp_path):
         report = json.load(fh)
     assert report["before"]["spheres"] == 111
     assert report["after"]["spheres"] == len(out.spheres)
+    # A collapse on a chain removes one sphere.
+    assert report["collapses"] == 111 - len(out.spheres) == 86
+    assert report["largest_collapse_error"] == pytest.approx(
+        0.343693177121688, rel=1e-12)
+    # 0.03 of the diagonal of the spheres' box, 13 x 2 x 2.
+    assert report["error_bound"] == pytest.approx(0.03 * math.sqrt(177), rel=1e-15)
+    assert report["largest_collapse_error"] <= report["error_bound"]
 
 
 def test_eval_identical_labelings_score_zero(tmp_path, capsys):

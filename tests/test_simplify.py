@@ -249,36 +249,57 @@ def test_average_error_mode_simplifies_at_least_as_much():
     assert n_avg <= n_per
 
 
+def counted_pairs(pairs):
+    """Edges (2i, 2i + 1), one per (n_a, n_b, sphere_a, sphere_b) in pairs,
+    whose endpoints carry n_a and n_b standalone edges."""
+    spheres = [s for _, _, sa, sb in pairs for s in (sa, sb)]
+    edges = [(2 * i, 2 * i + 1) for i in range(len(pairs))]
+    for i, (n_a, n_b, _, _) in enumerate(pairs):
+        for end, count in ((2 * i, n_a), (2 * i + 1, n_b)):
+            for _ in range(count - 1):
+                spheres.append(Sphere((0.0, 0.0, 9.0), 1.0))
+                edges.append((end, len(spheres) - 1))
+    return MedialMesh.build(spheres, edges, [])
+
+
 def counted_pair(n_a, n_b, sphere_a, sphere_b):
     """Edge (0, 1) whose endpoints carry n_a and n_b standalone edges."""
-    spheres = [sphere_a, sphere_b]
-    edges = [(0, 1)]
-    for end, count in ((0, n_a), (1, n_b)):
-        for _ in range(count - 1):
-            spheres.append(Sphere((0.0, 0.0, 9.0), 1.0))
-            edges.append((end, len(spheres) - 1))
-    return MedialMesh.build(spheres, edges, [])
+    return counted_pairs([(n_a, n_b, sphere_a, sphere_b)])
+
+
+def score_edges(state, edges):
+    """_State.score over edges as one batch, as lists of costs and of t."""
+    ab = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    cost, t = state.score(ab[:, 0], ab[:, 1])
+    return cost.tolist(), t.tolist()
 
 
 def test_closed_form_cost_matches_stacked_oracle():
     rng = np.random.default_rng(23)
-    ties = 0
+    pairs = []
     for n_a in range(1, 41):
         for n_b in range(1, 41):
             sa, sb = (Sphere(tuple(rng.uniform(-1.0, 1.0, 3)),
                              float(rng.uniform(0.1, 1.0))) for _ in range(2))
-            state = mat_simplify._State(counted_pair(n_a, n_b, sa, sb))
-            cost, t = state.evaluate(0, 1)
-            ref_cost, ref_t = oracles.stacked_collapse_cost(state, 0, 1)
-            assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
-            # Exact weights at t = k / 16, scaled by 256: the cheapest
-            # samples, two of them when n_b / (n_a + n_b) is an odd
-            # multiple of 1/32.
-            weights = [n_a * k * k + n_b * (16 - k) ** 2 for k in range(17)]
-            tied = [k / 16 for k, w in enumerate(weights) if w == min(weights)]
-            ties += len(tied) == 2
-            assert t == tied[0]
-            assert ref_t in tied
+            pairs.append((n_a, n_b, sa, sb))
+    state = mat_simplify._State(counted_pairs(pairs))
+    edges = [(2 * i, 2 * i + 1) for i in range(len(pairs))]
+    costs, ts = score_edges(state, edges)
+    ab = np.array(edges)
+    ref_costs, ref_ts = oracles.batch_of(oracles.stacked_collapse_cost)(
+        state, ab[:, 0], ab[:, 1])
+    ties = 0
+    for (n_a, n_b, _, _), cost, t, ref_cost, ref_t in zip(
+            pairs, costs, ts, ref_costs, ref_ts):
+        assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
+        # Exact weights at t = k / 16, scaled by 256: the cheapest
+        # samples, two of them when n_b / (n_a + n_b) is an odd
+        # multiple of 1/32.
+        weights = [n_a * k * k + n_b * (16 - k) ** 2 for k in range(17)]
+        tied = [k / 16 for k, w in enumerate(weights) if w == min(weights)]
+        ties += len(tied) == 2
+        assert t == tied[0]
+        assert ref_t in tied
     assert ties > 0
 
 
@@ -286,7 +307,7 @@ def test_closed_form_cost_matches_stacked_oracle():
 def test_coincident_spheres_collapse_free_keeping_a(n_a, n_b):
     s = Sphere((0.5, -1.0, 2.0), 0.7)
     state = mat_simplify._State(counted_pair(n_a, n_b, s, s))
-    assert state.evaluate(0, 1) == (0.0, 0.0)
+    assert score_edges(state, [(0, 1)]) == ([0.0], [0.0])
 
 
 def jittered(mm, seed, scale=1e-3):
@@ -330,8 +351,14 @@ def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
     for mm in fixtures:
         trace = []
         got.append((simplify(mm, params, trace), trace))
-    monkeypatch.setattr(mat_simplify._State, "evaluate",
-                        oracles.stacked_collapse_cost)
+    scored = []
+    stacked = oracles.batch_of(oracles.stacked_collapse_cost)
+
+    def score(state, a, b):
+        scored.append(len(a))
+        return stacked(state, a, b)
+
+    monkeypatch.setattr(mat_simplify._State, "score", score)
     collapsed = 0
     for mm, (out, trace) in zip(fixtures, got):
         ref_trace = []
@@ -345,12 +372,14 @@ def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
         for (_, cost, _), (_, ref_cost, _) in zip(trace, ref_trace):
             assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
     assert collapsed > 0
+    # Every queued edge was scored by the oracle, the initial ones included.
+    assert sum(scored) >= sum(len(mm.edges) for mm in fixtures)
 
 
 def test_equal_collapse_costs_go_to_the_lowest_edge():
     mm = strip()
-    state = mat_simplify._State(mm)
-    costs = {e: state.evaluate(*e)[0] for e in mm.edges}
+    costs = dict(zip(mm.edges,
+                     score_edges(mat_simplify._State(mm), mm.edges)[0]))
     tied = sorted(e for e, c in costs.items() if c == min(costs.values()))
     assert len(tied) > 1
     trace = []

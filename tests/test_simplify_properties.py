@@ -1,0 +1,163 @@
+"""Property tests: batched collapse scoring equals scoring one edge at a time.
+
+``_State.score`` scores a whole batch of edges with one array expression.
+It must give bitwise the costs and placements of the per-edge reference
+``oracles.evaluate``, at exact placement ties, for coincident spheres and
+where the squared lengths go subnormal or overflow; and a whole
+``simplify`` run must not change when the reference scores its edges.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_simplify import counted_pairs, score_edges
+
+import oracles
+from segmat import mat_simplify
+from segmat.geometry import Sphere
+from segmat.mat_simplify import SimplifyParams, simplify
+from segmat.mesh_io import MedialMesh
+
+# n_b / (n_a + n_b) an odd multiple of 1/32: two placements cost the same.
+TIED_COUNTS = [(1, 31), (31, 1), (15, 17), (17, 15)]
+# 1e-160 squares to subnormals or 0; 1e160 squares to inf; near 1e154
+# |d|^2 is finite but some weighted samples overflow.
+SCALES = [1.0, 1e-160, 1e154, 1e160]
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+pairs = st.tuples(
+    st.one_of(st.sampled_from(TIED_COUNTS),
+              st.tuples(st.integers(1, 40), st.integers(1, 40))),
+    st.sampled_from(SCALES),
+    st.tuples(*[unit] * 8),
+    st.booleans())
+
+
+def pair_spheres(scale, u, coincident):
+    sa = Sphere(tuple(scale * x for x in u[:3]), scale * abs(u[3]))
+    sb = sa if coincident else Sphere(tuple(scale * x for x in u[4:7]),
+                                      scale * abs(u[7]))
+    return sa, sb
+
+
+U = (0.5, -0.25, 1.0, 0.75, -1.0, 0.5, 0.125, 0.25)
+
+
+@given(st.lists(pairs, min_size=1, max_size=12))
+@example([((1, 31), 1.0, U, False), ((15, 17), 1.0, U, False)])
+@example([((4, 9), 1.0, U, True), ((40, 40), 1e-160, U, True)])
+@example([((3, 5), 1e-160, U, False), ((1, 1), 1e-160, (1e-4,) * 8, False)])
+@example([((3, 5), 1e160, U, False), ((40, 1), 1e154, U, False)])
+def test_batch_score_equals_per_edge_score_bitwise(drawn):
+    mm = counted_pairs([(n_a, n_b, *pair_spheres(scale, u, coincident))
+                        for (n_a, n_b), scale, u, coincident in drawn])
+    state = mat_simplify._State(mm)
+    edges = [(2 * i, 2 * i + 1) for i in range(len(drawn))]
+    ab = np.array(edges)
+    d = state.spheres[ab[:, 1]] - state.spheres[ab[:, 0]]
+    # The 1e154 and 1e160 scales overflow on purpose.
+    with np.errstate(over="ignore"):
+        costs, ts = score_edges(state, edges)
+        ref = [oracles.evaluate(state, a, b) for a, b in edges]
+        squared = np.vecdot(d, d).tolist()
+        ref_squared = [float(row @ row) for row in d]
+    assert costs == [c for c, _ in ref]
+    assert ts == [t for _, t in ref]
+    # The batch's squared lengths sum in the order of a 1-D d @ d.
+    assert squared == ref_squared
+
+
+def chain_piece(n):
+    return [(float(i), 0.0, 0.0) for i in range(n)], [(i, i + 1) for i in range(n - 1)], []
+
+
+def strip_piece(n):
+    points = [(float(i), y, 0.0) for i in range(n) for y in (0.0, 0.4)]
+    faces = [f for i in range(n - 1)
+             for f in ((2 * i, 2 * i + 1, 2 * i + 2), (2 * i + 1, 2 * i + 2, 2 * i + 3))]
+    return points, [], faces
+
+
+def fan_piece(n, closed):
+    k = n + 2
+    points = [(0.0, 0.0, 0.0)] + [
+        (0.0, math.cos(2 * math.pi * j / k), math.sin(2 * math.pi * j / k))
+        for j in range(k)]
+    faces = [(0, j, j + 1) for j in range(1, k)] + ([(0, k, 1)] if closed else [])
+    return points, [], faces
+
+
+def bowtie_piece(_):
+    points = [(0.0, 0.0, 0.0), (1.0, -0.5, 0.0), (1.0, 0.5, 0.0),
+              (-1.0, -0.5, 0.0), (-1.0, 0.5, 0.0)]
+    return points, [], [(0, 1, 2), (0, 3, 4)]
+
+
+PIECES = {
+    "chain": chain_piece,
+    "strip": strip_piece,
+    "open-fan": lambda n: fan_piece(n, False),
+    "closed-fan": lambda n: fan_piece(n, True),
+    "bowtie": bowtie_piece,
+}
+
+
+@st.composite
+def complexes(draw):
+    """Strips, fans, bowties and chains; attached pieces share a vertex,
+    so sheets and curves mix in one component."""
+    kinds = draw(st.lists(st.sampled_from(sorted(PIECES)), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # 0 keeps the pieces exactly symmetric, so distinct edges tie exactly.
+    jitter = draw(st.sampled_from([0.0, 1e-3, 0.1]))
+    radius = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    centers, edges, faces = [], [], []
+    for kind in kinds:
+        points, piece_edges, piece_faces = PIECES[kind](draw(st.integers(2, 8)))
+        attach = bool(centers) and draw(st.booleans())
+        origin = centers[-1] if attach else (4.0 * len(centers), 0.0, 0.0)
+        index = [len(centers) - 1] if attach else []
+        for p in points[len(index):]:
+            index.append(len(centers))
+            centers.append(tuple(o + x for o, x in zip(origin, p)))
+        edges += [tuple(index[v] for v in e) for e in piece_edges]
+        faces += [tuple(index[v] for v in f) for f in piece_faces]
+    c = np.array(centers) + rng.uniform(-jitter, jitter, (len(centers), 3))
+    r = radius * (1.0 + rng.uniform(-jitter, jitter, len(centers)))
+    return MedialMesh.build([Sphere(tuple(p), float(q)) for p, q in zip(c, r)],
+                            edges, faces)
+
+
+GATE_PARAMS = [
+    SimplifyParams(),
+    SimplifyParams(target_error=0.2),
+    SimplifyParams(target_error=0.2, preserve_topology=False),
+    SimplifyParams(target_error=0.2, average_error=True),
+]
+
+
+@given(complexes())
+def test_simplify_equals_per_edge_scored_simplify(mm):
+    scored = []
+
+    def per_edge(state, a, b):
+        scored.append((a, b))
+        return oracles.evaluate(state, a, b)
+
+    for params in GATE_PARAMS:
+        trace = []
+        out = simplify(mm, params, trace)
+        ref_trace = []
+        scored.clear()
+        with mock.patch.object(mat_simplify._State, "score",
+                               oracles.batch_of(per_edge)):
+            ref = simplify(mm, params, ref_trace)
+        assert len(scored) >= len(mm.edges)
+        assert np.array_equal(out.centers(), ref.centers())
+        assert np.array_equal(out.radii(), ref.radii())
+        assert out.edges == ref.edges
+        assert out.faces == ref.faces
+        assert trace == ref_trace
