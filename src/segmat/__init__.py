@@ -34,7 +34,7 @@ from .mesh_io import (
     save_medial_mesh,
     save_surface,
 )
-from .mat_graph import MatGraph, MatNode, NodeKind, build_graph, node_angle, primitive_angles
+from .mat_graph import MatGraph, build_graph, node_angle, primitive_angles
 from .mat_simplify import SimplifyParams, collapse_cost, simplify
 from .structure import (
     ComponentKind,

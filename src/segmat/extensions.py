@@ -20,7 +20,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
 from .growing import GrowingParams, grow, region_labels
-from .mat_graph import EmptyInput, MatGraph, MatNode, NodeKind
+from .mat_graph import EmptyInput, MatGraph
 from .mesh_io import MedialMesh, Sphere, SurfaceMesh
 
 
@@ -120,6 +120,10 @@ class SkeletonCloud:
             raise ValueError("radii must be finite")
         if (rad < 0.0).any():
             raise ValueError("radii must be non-negative")
+        with np.errstate(over="ignore", invalid="ignore"):
+            extent = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+        if not np.isfinite(extent):
+            raise ValueError("skeleton points span a non-finite extent")
         neighbor_count = min(int(k), len(pts) - 1)
         links: list[set[int]] = [set() for _ in pts]
         if neighbor_count > 0:
@@ -155,18 +159,6 @@ def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
     mm = MedialMesh.build(
         [Sphere(tuple(p), float(r)) for p, r in zip(sc.points, sc.radii)], [], []
     )
-    nodes = [
-        # tangent geometry is never consulted: skeleton growing supplies its
-        # own cost from the estimated directions
-        MatNode(
-            kind=NodeKind.EDGE,
-            element=(i,),
-            mean_radius=float(sc.radii[i]),
-            centroid=tuple(sc.points[i]),
-            tangent=None,
-        )
-        for i in range(len(sc.points))
-    ]
     n = len(sc.points)
     rows = [i for i, nbrs in enumerate(sc.adjacency) for _ in nbrs]
     cols = [j for nbrs in sc.adjacency for j in nbrs]
@@ -174,7 +166,12 @@ def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
     _, comp = connected_components(graph, directed=False)
     return MatGraph(
         mm=mm,
-        nodes=nodes,
+        elements=[(i,) for i in range(n)],
+        mean_radii=sc.radii,
+        centroids=sc.points,
+        # no tangent geometry: skeleton growing supplies its own cost from
+        # the estimated directions
+        tangents=[],
         adjacency=[list(nbrs) for nbrs in sc.adjacency],
         component_id=comp.astype(int),
     )

@@ -237,6 +237,9 @@ def _sphere_gaps(points, centers, radii):
     dist, near = tree.query(points, k=k)
     dist = dist.reshape(n_points, k)
     near = near.reshape(n_points, k)
+    # the tree reports a neighbour whose distance overflowed as index n_items
+    if (near == n_items).any():
+        raise ValueError("distances between points and sphere centers overflow")
     bound = dist - radii[near]
     rows, cols = np.nonzero(bound <= bound.min(axis=1, keepdims=True) + margin)
     scores = np.full((n_points, k), np.inf)

@@ -42,8 +42,8 @@ class Region:
 
 
 def ma_cost(g: MatGraph, i: int, j: int, alpha: float = 0.05) -> float:
-    ri = g.nodes[i].mean_radius
-    rj = g.nodes[j].mean_radius
+    ri = float(g.mean_radii[i])
+    rj = float(g.mean_radii[j])
     if min(ri, rj) <= 0.0:
         raise DegenerateInput(
             f"component {int(g.component_id[i])}: node {i if ri <= rj else j}"
@@ -147,7 +147,7 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     n = len(g)
     comp_of = np.asarray(g.component_id)
     deltas = _component_thresholds(comps, p)
-    radii = g.mean_radii()
+    radii = g.mean_radii
     visited = np.zeros(n, dtype=bool)
     negligible = np.zeros(n, dtype=bool)
     cache: dict[tuple[int, int], float] = {}
@@ -174,7 +174,7 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
         while queue:
             i = queue.popleft()
             nodes.append(i)
-            for j in g.neighbors(i):
+            for j in g.adjacency[i]:
                 if not visited[j] and comp_of[j] == comp and cost(i, j) < delta:
                     visited[j] = True
                     queue.append(j)
@@ -222,15 +222,15 @@ def _merge_leftovers(g: MatGraph, regions: list[Region],
     labels = region_labels(g, regions)
     # each leftover is keyed by its own node and its leftover neighbours
     pairs = [(k, w) for k, u in enumerate(leftovers.tolist())
-             for w in [u, *g.neighbors(u)] if negligible[w]]
+             for w in [u, *g.adjacency[u]] if negligible[w]]
     clusters = [leftovers[group].tolist()
                 for group in linked_groups(pairs, len(leftovers))]
 
-    cents = g.centroids()
+    cents = g.centroids
     for cluster in clusters:
         links = np.zeros(len(regions), dtype=int)
         for u in cluster:
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 if labels[w] >= 0:
                     links[labels[w]] += 1
         if links.max() > 0:

@@ -3,9 +3,11 @@
 Every medial triangle becomes a face node (a slab) and every edge that
 belongs to no triangle becomes an edge node (a cone).  Two nodes are
 adjacent iff their elements share at least one medial-mesh vertex, which
-is read off a sparse node x sphere incidence.  Each node carries the mean
-radius of its vertex spheres, its centroid, and the envelope data (two
-tangent planes for a slab, axis + slant for a cone) that the growing costs
+is read off a sparse node x sphere incidence.  ``MatGraph`` is one node
+table built once: the element of every node (its length is the node's
+kind, 3 for a face and 2 for an edge), the mean radius of its vertex
+spheres and its centroid as arrays, and the envelope data (two tangent
+planes for a slab, axis + slant for a cone) that the growing costs
 consume.  ``linked_groups`` is the one grouping routine of the package:
 items that share a key, transitively, form a group.
 """
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,48 +45,32 @@ class NotAdjacent(ValueError):
     """An angle was requested for a node pair that shares no vertex."""
 
 
-class NodeKind(Enum):
-    FACE = "face"
-    EDGE = "edge"
-
-
-@dataclass
-class MatNode:
-    kind: NodeKind
-    element: tuple[int, ...]
-    mean_radius: float
-    centroid: tuple[float, float, float]
-    # (TangentPlane, TangentPlane) for a face node, ConeGeometry for an edge node.
-    tangent: tuple[TangentPlane, TangentPlane] | ConeGeometry
-
-
 @dataclass
 class MatGraph:
+    """One row per node: faces of mm first, then its standalone edges."""
+
     mm: MedialMesh
-    nodes: list[MatNode]
+    # sphere indices of each node: a face triple or a standalone edge pair
+    elements: list[tuple[int, ...]]
+    mean_radii: np.ndarray  # (n,) mean radius of each node's spheres
+    centroids: np.ndarray   # (n, 3) mean center of each node's spheres
+    # (TangentPlane, TangentPlane) for a face node, ConeGeometry for an edge node.
+    tangents: list[tuple[TangentPlane, TangentPlane] | ConeGeometry]
     adjacency: list[list[int]]
     # Structural component per node, -1 until assigned.
     component_id: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def neighbors(self, i: int) -> list[int]:
-        return self.adjacency[i]
-
-    def mean_radii(self) -> np.ndarray:
-        return np.array([n.mean_radius for n in self.nodes], dtype=float)
-
-    def centroids(self) -> np.ndarray:
-        return np.array([n.centroid for n in self.nodes], dtype=float).reshape(-1, 3)
+        return len(self.elements)
 
     @cached_property
     def incidence(self) -> csr_matrix:
         """Node x sphere incidence: row i holds the spheres of node i, ascending."""
-        rows = [i for i, node in enumerate(self.nodes) for _ in node.element]
-        cols = [v for node in self.nodes for v in node.element]
+        rows = np.repeat(np.arange(len(self)), [len(el) for el in self.elements])
+        cols = np.fromiter(chain.from_iterable(self.elements), dtype=np.intp,
+                           count=len(rows))
         return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)),
-                          shape=(len(self.nodes), len(self.mm.spheres)))
+                          shape=(len(self), len(self.mm.spheres)))
 
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""
@@ -131,39 +117,36 @@ def _edge_cone(mm: MedialMesh, a: int, b: int) -> ConeGeometry:
 def build_graph(mm: MedialMesh) -> MatGraph:
     """Build the primitive adjacency graph of a canonical medial mesh."""
     mm.validate()
-    standalone = mm.standalone_edges()
-    n_nodes = len(mm.faces) + len(standalone)
-    if n_nodes == 0:
+    edges = [tuple(mm.edges[ei]) for ei in mm.standalone_edges()]
+    elements = [tuple(tri) for tri in mm.faces] + edges
+    if not elements:
         raise EmptyInput("medial mesh has no faces and no standalone edges")
 
+    faces = np.array(mm.faces, dtype=np.intp).reshape(-1, 3)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     centers = mm.centers()
     radii = mm.radii()
-    nodes: list[MatNode] = []
+    tangents = []
     for tri in mm.faces:
         spheres = [mm.spheres[v] for v in tri]
         try:
-            planes = slab_tangent_planes(*spheres)
+            tangents.append(slab_tangent_planes(*spheres))
         except DegenerateGeometry:
-            planes = slab_fallback_planes(*spheres)
-        nodes.append(MatNode(
-            kind=NodeKind.FACE,
-            element=tuple(tri),
-            mean_radius=float(radii[list(tri)].mean()),
-            centroid=tuple(centers[list(tri)].mean(axis=0)),
-            tangent=planes,
-        ))
-    for ei in standalone:
-        a, b = mm.edges[ei]
-        nodes.append(MatNode(
-            kind=NodeKind.EDGE,
-            element=(a, b),
-            mean_radius=float((radii[a] + radii[b]) / 2.0),
-            centroid=tuple((centers[a] + centers[b]) / 2.0),
-            tangent=_edge_cone(mm, a, b),
-        ))
+            tangents.append(slab_fallback_planes(*spheres))
+    tangents += [_edge_cone(mm, a, b) for a, b in ends.tolist()]
 
-    graph = MatGraph(mm=mm, nodes=nodes, adjacency=[],
-                     component_id=np.full(n_nodes, -1, dtype=int))
+    graph = MatGraph(
+        mm=mm,
+        elements=elements,
+        mean_radii=np.concatenate([
+            radii[faces].mean(axis=1),
+            (radii[ends[:, 0]] + radii[ends[:, 1]]) / 2.0]),
+        centroids=np.concatenate([
+            centers[faces].mean(axis=1),
+            (centers[ends[:, 0]] + centers[ends[:, 1]]) / 2.0]),
+        tangents=tangents,
+        adjacency=[],
+        component_id=np.full(len(elements), -1, dtype=int))
     # nodes sharing a sphere: the off-diagonal of incidence x incidence^T
     shared = graph.incidence @ graph.incidence.T
     shared.setdiag(False)
@@ -239,12 +222,12 @@ def node_angle(g: MatGraph, i: int, j: int) -> float:
     lo, hi = (i, j) if i <= j else (j, i)
     if hi not in g.adjacency[lo]:
         raise NotAdjacent(f"nodes {i} and {j} are not adjacent")
-    a, b = g.nodes[lo], g.nodes[hi]
-    if a.kind != b.kind:
+    a, b = g.elements[lo], g.elements[hi]
+    if len(a) != len(b):
         return 0.0
-    if a.kind is NodeKind.FACE:
-        return _face_face_angle(g.mm, a.element, b.element)
-    return _edge_edge_angle(g.mm, a.element, b.element)
+    if len(a) == 3:
+        return _face_face_angle(g.mm, a, b)
+    return _edge_edge_angle(g.mm, a, b)
 
 
 def _cone_side_normals_for_slab(cone: ConeGeometry, slab_normals):
@@ -263,8 +246,8 @@ def _cone_side_normals_for_slab(cone: ConeGeometry, slab_normals):
 def _edge_pair_normals(g: MatGraph, lo: int, hi: int):
     """Matched envelope-normal pairs for two adjacent cones."""
     mm = g.mm
-    e_i = g.nodes[lo].element
-    e_j = g.nodes[hi].element
+    e_i = g.elements[lo]
+    e_j = g.elements[hi]
     shared = set(e_i) & set(e_j)
     if not shared:
         raise NotAdjacent(f"edges {e_i} and {e_j} share no vertex")
@@ -278,8 +261,8 @@ def _edge_pair_normals(g: MatGraph, lo: int, hi: int):
         s = cone.slant_sine if dot(d, cone.axis) >= 0.0 else -cone.slant_sine
         return d, s
 
-    di, si = away_data(e_i, g.nodes[lo].tangent)
-    dj, sj = away_data(e_j, g.nodes[hi].tangent)
+    di, si = away_data(e_i, g.tangents[lo])
+    dj, sj = away_data(e_j, g.tangents[hi])
     w = cross(di, dj)
     if norm(w) > 1e-12 * max(norm(di) * norm(dj), 1e-300):
         wh = normalize(w)
@@ -312,19 +295,20 @@ def primitive_angles(g: MatGraph, i: int, j: int) -> tuple[float, float]:
     lo, hi = (i, j) if i <= j else (j, i)
     if hi not in g.adjacency[lo]:
         raise NotAdjacent(f"nodes {i} and {j} are not adjacent")
-    a, b = g.nodes[lo], g.nodes[hi]
-    if a.kind is NodeKind.FACE and b.kind is NodeKind.FACE:
-        a1, a2 = (p.normal for p in a.tangent)
-        b1, b2 = (p.normal for p in b.tangent)
+    a, b = g.tangents[lo], g.tangents[hi]
+    a_face, b_face = len(g.elements[lo]) == 3, len(g.elements[hi]) == 3
+    if a_face and b_face:
+        a1, a2 = (p.normal for p in a)
+        b1, b2 = (p.normal for p in b)
         if dot(a1, b1) + dot(a2, b2) >= dot(a1, b2) + dot(a2, b1):
             return (angle_between(a1, b1), angle_between(a2, b2))
         return (angle_between(a1, b2), angle_between(a2, b1))
-    if a.kind is NodeKind.EDGE and b.kind is NodeKind.EDGE:
+    if not (a_face or b_face):
         (p1, q1), (p2, q2) = _edge_pair_normals(g, lo, hi)
         return (angle_between(p1, q1), angle_between(p2, q2))
-    face, edge = (a, b) if a.kind is NodeKind.FACE else (b, a)
-    slab_normals = [p.normal for p in face.tangent]
-    cone_normals = _cone_side_normals_for_slab(edge.tangent, slab_normals)
+    slab, cone = (a, b) if a_face else (b, a)
+    slab_normals = [p.normal for p in slab]
+    cone_normals = _cone_side_normals_for_slab(cone, slab_normals)
     return (
         angle_between(slab_normals[0], cone_normals[0]),
         angle_between(slab_normals[1], cone_normals[1]),

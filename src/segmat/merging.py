@@ -30,7 +30,7 @@ def radius_histogram(g: MatGraph, region: Region,
                      radius_range: tuple[float, float] | None = None
                      ) -> RadiusHistogram:
     """Normalized node-radius histogram over the shape's global range."""
-    radii = g.mean_radii()
+    radii = g.mean_radii
     if radius_range is None:
         lo, hi = float(radii.min()), float(radii.max())
     else:
@@ -66,15 +66,14 @@ def merge_matching(g: MatGraph, regions: list[Region],
         raise ValueError(f"tau must not be negative, got {tau}")
     if len(regions) <= 1:
         return list(regions)
-    radii = g.mean_radii()
-    rng = (float(radii.min()), float(radii.max()))
+    rng = (float(g.mean_radii.min()), float(g.mean_radii.max()))
 
     nodes = {r.id: list(r.nodes) for r in regions}
     meta = {r.id: (r.seed, r.component_id) for r in regions}
     label = region_labels(g, regions)
     adjacent: set[tuple[int, int]] = set()
     for u in np.flatnonzero(label >= 0):
-        for v in g.neighbors(u):
+        for v in g.adjacency[u]:
             a, b = int(label[u]), int(label[v])
             if v > u and b >= 0 and a != b:
                 adjacent.add((min(a, b), max(a, b)))

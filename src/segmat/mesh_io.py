@@ -72,6 +72,9 @@ class SurfaceMesh:
     def validate(self) -> None:
         if not np.isfinite(self.vertices).all():
             raise ParseError("non-finite vertex coordinate")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.diagonal()):
+                raise ParseError("vertex coordinates span a non-finite diagonal")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ParseError("face index out of range")
         # each corner against the one before it covers all three pairs
@@ -182,11 +185,14 @@ class MedialMesh:
         return cls(spheres, sorted(edge_set), sorted(face_set))
 
     def validate(self) -> None:
-        """Every sphere center and radius must be a finite number."""
+        """Every sphere center and radius, and the diagonal, must be finite."""
         if not np.isfinite(self.centers()).all():
             raise ParseError("non-finite sphere center")
         if not np.isfinite(self.radii()).all():
             raise ParseError("non-finite sphere radius")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.diagonal()):
+                raise ParseError("spheres span a non-finite diagonal")
 
     def centers(self) -> np.ndarray:
         if "centers" not in self._cache:
@@ -454,6 +460,7 @@ def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
     """Read per-face labels; validates the count when a mesh is given."""
     p = str(path)
     values = []
+    bound = np.iinfo(int)
     with open(p, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -463,6 +470,8 @@ def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
                 values.append(int(line))
             except ValueError:
                 raise ParseError(f"{p}:{lineno}: bad label {line!r}") from None
+            if not bound.min <= values[-1] <= bound.max:
+                raise ParseError(f"{p}:{lineno}: label {line!r} out of range")
     labels = np.array(values, dtype=int)
     if mesh is not None and len(labels) != len(mesh.faces):
         raise LengthMismatch(

@@ -170,6 +170,6 @@ def assign_base_nodes(g: MatGraph, comps: list[StructuralComponent]) -> None:
         raise ValueError(f"components hold {len(owner)} elements, "
                          f"the graph has {len(g)} nodes")
     try:
-        g.component_id[:] = [owner[node.element] for node in g.nodes]
+        g.component_id[:] = [owner[el] for el in g.elements]
     except KeyError as exc:
         raise ValueError(f"element {exc.args[0]} lies in no component") from None

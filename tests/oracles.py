@@ -1,18 +1,20 @@
 """Plain references for the package's vectorised and pruned computations.
 
-These are the dense faces x spheres scan the package used before its
-sphere-gap search was pruned with a k-d tree, the scalar data cost of one
-face, the dict-based dual-graph builder the numpy edge pairing replaced,
-the stacked-array collapse cost the closed-form quadratic replaced, the
-per-edge collapse cost the batched scoring replaced, the per-node dense
-swallowing test the ball query replaced, and the union-finds, depth-first
-walks and set loops that the node x sphere incidence and
-``mat_graph.linked_groups`` replaced.  The package's results
-must equal them exactly, save for the rounding noise of the stacked sum.
-Two geometric helpers only the tests use live here as well.
+These are the per-node construction of the MAT graph's node table that
+the arrays built once replaced, the dense faces x spheres scan the
+package used before its sphere-gap search was pruned with a k-d tree, the
+scalar data cost of one face, the dict-based dual-graph builder the numpy
+edge pairing replaced, the stacked-array collapse cost the closed-form
+quadratic replaced, the per-edge collapse cost the batched scoring
+replaced, the per-node dense swallowing test the ball query replaced, and
+the union-finds, depth-first walks and set loops that the node x sphere
+incidence and ``mat_graph.linked_groups`` replaced.  The package's
+results must equal them exactly, save for the rounding noise of the
+stacked sum.  Two geometric helpers only the tests use live here as well.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,18 +54,46 @@ def sphere_arrays(g, node_ids):
     """MatGraph.sphere_arrays from a Python set of the nodes' elements."""
     seen = set()
     for i in node_ids:
-        seen.update(g.nodes[i].element)
+        seen.update(g.elements[i])
     idx = sorted(seen)
     return g.mm.centers()[idx], g.mm.radii()[idx]
+
+
+def node_table(mm):
+    """build_graph's node table, built one node at a time.
+
+    Returns a namespace with the elements, mean radii, centroids and a
+    dense node x sphere incidence; ``adjacency`` accepts it as a graph.
+    """
+    centers = mm.centers()
+    radii = mm.radii()
+    elements, mean_radii, centroids = [], [], []
+    for tri in mm.faces:
+        elements.append(tuple(tri))
+        mean_radii.append(float(radii[list(tri)].mean()))
+        centroids.append(tuple(centers[list(tri)].mean(axis=0)))
+    for ei in mm.standalone_edges():
+        a, b = mm.edges[ei]
+        elements.append((a, b))
+        mean_radii.append(float((radii[a] + radii[b]) / 2.0))
+        centroids.append(tuple((centers[a] + centers[b]) / 2.0))
+    incidence = np.zeros((len(elements), len(mm.spheres)), dtype=bool)
+    for i, element in enumerate(elements):
+        incidence[i, list(element)] = True
+    return SimpleNamespace(
+        elements=elements,
+        mean_radii=np.array(mean_radii, dtype=float),
+        centroids=np.array(centroids, dtype=float).reshape(-1, 3),
+        incidence=incidence)
 
 
 def adjacency(g):
     """build_graph's adjacency: nodes sharing a vertex, by a set loop."""
     vertex_nodes = {}
-    for i, node in enumerate(g.nodes):
-        for v in node.element:
+    for i, element in enumerate(g.elements):
+        for v in element:
             vertex_nodes.setdefault(v, []).append(i)
-    adjacency_sets = [set() for _ in g.nodes]
+    adjacency_sets = [set() for _ in g.elements]
     for incident in vertex_nodes.values():
         for i in incident:
             for j in incident:
@@ -210,17 +240,17 @@ def merge_leftovers(g, regions, negligible):
         while stack:
             u = stack.pop()
             cluster.append(u)
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 if w in leftovers and w not in seen:
                     seen.add(w)
                     stack.append(w)
         clusters.append(sorted(cluster))
 
-    cents = g.centroids()
+    cents = g.centroids
     for cluster in clusters:
         links = np.zeros(len(regions), dtype=int)
         for u in cluster:
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 if labels[w] >= 0:
                     links[labels[w]] += 1
         if links.max() > 0:
@@ -340,7 +370,7 @@ def swallow(g, region, unclaimed):
     all_centers = g.mm.centers()
     all_radii = g.mm.radii()
     for v in unclaimed:
-        el = list(g.nodes[v].element)
+        el = list(g.elements[v])
         c = all_centers[el]
         r = all_radii[el]
         d = np.linalg.norm(c[:, None, :] - centers[None, :, :], axis=2)

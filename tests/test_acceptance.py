@@ -259,7 +259,7 @@ def test_02_cost_formula_golden_values_and_defaults():
     p = GrowingParams()
     for graph in (g, gb, gh, gf):
         for i in range(len(graph)):
-            for j in graph.neighbors(i):
+            for j in graph.adjacency[i]:
                 expected = min(ma_cost(graph, i, j, p.alpha),
                                p.lam * mp_cost(graph, i, j))
                 assert growing_cost(graph, i, j, p) == pytest.approx(
@@ -302,8 +302,8 @@ def chain_cone_labels(result, sphere_count):
     """Labels of the original chain cones keyed by sphere pair, so the two
     runs compare the same cone even though extra edges shift node ids."""
     by_low = {}
-    for v, node in enumerate(result.graph.nodes):
-        el = sorted(node.element)
+    for v, element in enumerate(result.graph.elements):
+        el = sorted(element)
         if len(el) == 2 and el[1] == el[0] + 1 and el[1] < sphere_count:
             by_low[el[0]] = int(result.node_labels[v])
     return canonical([by_low[i] for i in range(sphere_count - 1)])

@@ -70,6 +70,22 @@ def test_swallow_counters_match_what_grow_passes(monkeypatch):
     assert counts["growing.swallowed_nodes"] == sum(a for _, a in calls)
 
 
+def test_graph_counters_read_the_node_table():
+    mat = bent_l_mat()
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        graph = pipeline.build_graph(mat)
+    finally:
+        tracer.restore()
+    pairs = {(min(i, j), max(i, j))
+             for i, row in enumerate(graph.adjacency) for j in row}
+    assert len(pairs) > 0
+    assert tracer.counts["mat_graph.nodes"] == len(graph) == len(graph.elements)
+    assert tracer.counts["mat_graph.adjacency"] == len(pairs)
+
+
 def test_collapse_count_is_the_length_of_the_simplify_trace():
     mat = chain_mat(count=111, spacing=0.1)
     params = SimplifyParams()

@@ -575,3 +575,88 @@ def test_negative_option_exits_2(tmp_path, capsys, command, key, given_as):
     param = LIBRARY_NAMES.get(key, key)
     assert f"{param} must not be negative" in capsys.readouterr().err
     assert not any(name.startswith("x") for name in os.listdir(tmp_path))
+
+
+OVERFLOWING_MA = ("v 0 0 0 1e300\nv 1e300 0 0 1e300\nv 0 1e300 0 1e300\n"
+                  "f 0 1 2\n")
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_segment_overflowing_medial_diagonal_exits_2(tmp_path, capsys,
+                                                     structured):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    with open(mat_path, "w") as fh:
+        fh.write(OVERFLOWING_MA)
+    out = str(tmp_path / "x")
+    argv = ["segment", "--mesh", mesh_path, "--mat", mat_path, "--out", out]
+    if structured:
+        argv += ["--structured", mat_path]
+    assert main(argv) == 2
+    assert "spheres span a non-finite diagonal" in capsys.readouterr().err
+    for suffix in (".labels.txt", ".ply", ".report.json"):
+        assert not os.path.exists(out + suffix)
+
+
+def test_simplify_overflowing_medial_diagonal_exits_2(tmp_path, capsys):
+    mat_path = str(tmp_path / "big.ma")
+    with open(mat_path, "w") as fh:
+        fh.write(OVERFLOWING_MA)
+    out = str(tmp_path / "coarse.ma")
+    assert main(["simplify", "--mat", mat_path, "--out", out]) == 2
+    assert "spheres span a non-finite diagonal" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_eval_overflowing_surface_diagonal_exits_2(tmp_path, capsys):
+    mesh_path = str(tmp_path / "cube.off")
+    mesh = box_mesh((0.5, 0.5, 0.5))
+    save_surface(SurfaceMesh((mesh.vertices + 0.5) * 1e308, mesh.faces),
+                 mesh_path)
+    labels = str(tmp_path / "labels.txt")
+    write_labels(labels, [i // 6 for i in range(12)])
+    out = str(tmp_path / "scores.json")
+    assert main(["eval", "--pred", labels, "--gt", labels, "--mesh", mesh_path,
+                 "--out", out]) == 2
+    assert "vertex coordinates span a non-finite diagonal" in (
+        capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def test_segment_inputs_far_apart_exit_2(tmp_path, capsys):
+    # each input's own diagonal is finite; the distances between them are not
+    mesh_path = str(tmp_path / "cube.off")
+    mat_path = str(tmp_path / "far.ma")
+    mesh = box_mesh((1e153, 1e153, 1e153))
+    save_surface(SurfaceMesh(mesh.vertices + 1e154, mesh.faces), mesh_path)
+    with open(mat_path, "w") as fh:
+        fh.write("v -1e154 0 0 1e152\nv -1.1e154 0 0 1e152\n"
+                 "v -1.2e154 0 0 1e152\ne 0 1\ne 1 2\n")
+    out = str(tmp_path / "x")
+    assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                 "--structured", mat_path, "--out", out]) == 2
+    assert "distances between points and sphere centers overflow" in (
+        capsys.readouterr().err)
+    assert not os.path.exists(out + ".labels.txt")
+
+
+def test_cloud_overflowing_skeleton_extent_exits_2(tmp_path, capsys):
+    skeleton = tmp_path / "skel.xyz"
+    skeleton.write_text("0 0 0 1\n1e308 0 0 1\n-1e308 0 0 1\n")
+    out = str(tmp_path / "x")
+    assert main(["cloud", "--skeleton", str(skeleton), "--out", out]) == 2
+    assert "skeleton points span a non-finite extent" in (
+        capsys.readouterr().err)
+    assert not os.path.exists(out + ".labels.txt")
+
+
+def test_eval_label_beyond_int64_exits_2(tmp_path, capsys):
+    mesh_path, _ = strip_assets(tmp_path)
+    faces = len(load_surface(mesh_path).faces)
+    pred = str(tmp_path / "pred.txt")
+    write_labels(pred, [0] * faces)
+    gt = tmp_path / "gt.txt"
+    gt.write_text("0\n" * 2 + "99999999999999999999999\n" + "0\n" * (faces - 3))
+    assert main(["eval", "--pred", pred, "--gt", str(gt),
+                 "--mesh", mesh_path]) == 2
+    assert f"{gt}:3: label '99999999999999999999999' out of range" in (
+        capsys.readouterr().err)

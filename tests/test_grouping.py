@@ -5,16 +5,19 @@ incidence; detect_joints, split_components and the leftover clusters of
 growing group items with linked_groups.  These properties check each
 against the union-finds, walks and set loops of tests/oracles.py on random
 complexes built from seams, bowties, edge-triangle vertices, isolated
-faces and closed loops.
+faces and closed loops.  The node table build_graph fills as arrays is
+checked against the per-node build there too.
 """
 
 import copy
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from test_mesh_io_properties import medial_meshes
+
 from segmat.geometry import Sphere
 from segmat.growing import Region, _merge_leftovers
 from segmat.mat_graph import build_graph, linked_groups
@@ -180,6 +183,37 @@ def test_incidence_rows_are_the_sorted_elements(smat):
     graph = build_graph(smat)
     rows = graph.incidence
     assert rows.shape == (len(graph), len(smat.spheres))
-    for i, node in enumerate(graph.nodes):
+    for i, element in enumerate(graph.elements):
         got = rows.indices[rows.indptr[i]:rows.indptr[i + 1]].tolist()
-        assert got == sorted(node.element)
+        assert got == sorted(element)
+
+
+def scaled(smat, factor):
+    return MedialMesh.build(
+        [Sphere(tuple(c * factor for c in s.center), s.radius * factor)
+         for s in smat.spheres], smat.edges, smat.faces)
+
+
+# 1 + 1e-16 + 1e-16 rounds to 1 summed left to right, but not right to
+# left; halving the smallest subnormal before the sum gives 0, after it not
+ROUNDING = MedialMesh.build(
+    [Sphere((1.0, 0.0, 0.0), 1.0), Sphere((1e-16, 1.0, 0.0), 1e-16),
+     Sphere((1e-16, 0.0, 1.0), 1e-16), Sphere((5.0, 0.0, 0.0), 1.0),
+     Sphere((5e-324, 7.0, 0.0), 5e-324), Sphere((5e-324, 8.0, 0.0), 5e-324)],
+    [(0, 3), (4, 5)], [(0, 1, 2)])
+
+
+# the largest factor keeps the squared diagonal of medial_meshes() finite
+@given(st.one_of(medial_meshes(), complexes()),
+       st.sampled_from([1.0, 1e-300, 1e-5, 1e5, 1e140]))
+@example(ROUNDING, 1.0)
+def test_node_table_matches_the_per_node_build(smat, factor):
+    smat = scaled(smat, factor)
+    graph = build_graph(smat)
+    want = oracles.node_table(smat)
+    assert graph.elements == want.elements
+    assert all(type(v) is int for el in graph.elements for v in el)
+    assert np.array_equal(graph.mean_radii, want.mean_radii)
+    assert np.array_equal(graph.centroids, want.centroids)
+    assert np.array_equal(graph.incidence.toarray(), want.incidence)
+    assert graph.adjacency == oracles.adjacency(want)

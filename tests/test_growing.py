@@ -86,7 +86,7 @@ def test_ma_cost_right_angle_bend():
 def test_ma_cost_is_symmetric_and_non_negative():
     g, _ = prepared_graph(dumbbell())
     for i in range(len(g)):
-        for j in g.neighbors(i):
+        for j in g.adjacency[i]:
             assert ma_cost(g, i, j) >= 0.0
             assert ma_cost(g, i, j) == ma_cost(g, j, i)
 
@@ -112,7 +112,7 @@ def test_growing_cost_takes_the_cheaper_route():
 
     g, _ = prepared_graph(dumbbell())
     for i in range(len(g)):
-        for j in g.neighbors(i):
+        for j in g.adjacency[i]:
             expected = min(ma_cost(g, i, j, p.alpha), p.lam * mp_cost(g, i, j))
             assert growing_cost(g, i, j, p) == expected
 

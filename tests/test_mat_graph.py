@@ -7,7 +7,6 @@ from segmat.geometry import Sphere
 from segmat.mat_graph import (
     EmptyInput,
     MatGraph,
-    NodeKind,
     NotAdjacent,
     build_graph,
     node_angle,
@@ -29,8 +28,8 @@ def test_triangle_plus_edge_two_nodes_one_adjacency():
     )
     g = build_graph(mm)
     assert len(g) == 2
-    assert g.nodes[0].kind is NodeKind.FACE
-    assert g.nodes[1].kind is NodeKind.EDGE
+    assert len(g.elements[0]) == 3
+    assert len(g.elements[1]) == 2
     assert g.adjacency == [[1], [0]]
 
 
@@ -68,8 +67,8 @@ def test_mean_radius_is_unweighted_vertex_mean():
         faces=[(0, 1, 2)],
     )
     g = build_graph(mm)
-    assert g.nodes[0].mean_radius == pytest.approx((1.0 + 2.0 + 4.0) / 3.0)
-    assert g.nodes[1].mean_radius == pytest.approx((1.0 + 8.0) / 2.0)
+    assert g.mean_radii[0] == pytest.approx((1.0 + 2.0 + 4.0) / 3.0)
+    assert g.mean_radii[1] == pytest.approx((1.0 + 8.0) / 2.0)
 
 
 def test_vertex_incidence_count_invariant():
@@ -80,7 +79,7 @@ def test_vertex_incidence_count_invariant():
         faces=[(0, 1, 2), (1, 2, 3)],
     )
     g = build_graph(mm)
-    incidences = sum(len(n.element) for n in g.nodes)
+    incidences = sum(len(el) for el in g.elements)
     assert incidences == 3 * len(mm.faces) + 2 * len(mm.standalone_edges())
 
 

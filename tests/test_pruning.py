@@ -66,8 +66,8 @@ def test_own_nodes_take_their_elements_component(smat):
         return
     graph = build_graph(smat)
     assign_base_nodes(graph, comps)
-    for node, k in zip(graph.nodes, graph.component_id):
-        assert node.element in comps[k].elements
+    for element, k in zip(graph.elements, graph.component_id):
+        assert element in comps[k].elements
     assert sorted(set(graph.component_id)) == list(range(len(comps)))
 
 
@@ -103,7 +103,7 @@ def test_zero_distance_ties_keep_their_own_component(smat, edge, expected):
     graph = build_graph(smat)
     assign_base_nodes(graph, comps)
     assert graph.component_id.tolist() == expected
-    node = next(i for i, n in enumerate(graph.nodes) if n.element == edge)
+    node = graph.elements.index(edge)
     assert edge in comps[expected[node]].elements
 
 

@@ -242,7 +242,7 @@ def test_node_on_a_curve_segment_is_assigned_to_it():
     comps = split(mm)
     assign_base_nodes(g, comps)
     # node for edge (1,4) sits on the curve component
-    tail_node = next(i for i, n in enumerate(g.nodes) if n.element == (1, 4))
+    tail_node = g.elements.index((1, 4))
     assert g.component_id[tail_node] == 1
     assert (1, 4) in comps[1].elements
 
