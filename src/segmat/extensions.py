@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .growing import GrowingParams, grow, region_labels
 from .mat_graph import EmptyInput, MatGraph
-from .mesh_io import MedialMesh, Sphere, SurfaceMesh
+from .mesh_io import MedialMesh, SurfaceMesh
 
 
 @dataclass
@@ -156,9 +156,7 @@ class SkeletonCloud:
 
 
 def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
-    mm = MedialMesh.build(
-        [Sphere(tuple(p), float(r)) for p, r in zip(sc.points, sc.radii)], [], []
-    )
+    mm = MedialMesh.build(np.column_stack([sc.points, sc.radii]), [], [])
     n = len(sc.points)
     rows = [i for i, nbrs in enumerate(sc.adjacency) for _ in nbrs]
     cols = [j for nbrs in sc.adjacency for j in nbrs]

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import (
     ConeGeometry,
     DegenerateGeometry,
+    Sphere,
     TangentPlane,
     angle_between,
     any_perpendicular,
@@ -100,8 +101,7 @@ def linked_groups(pairs, n_items: int) -> list[list[int]]:
     return list(groups.values())
 
 
-def _edge_cone(mm: MedialMesh, a: int, b: int) -> ConeGeometry:
-    sa, sb = mm.spheres[a], mm.spheres[b]
+def _edge_cone(sa: Sphere, sb: Sphere) -> ConeGeometry:
     try:
         return cone_geometry(sa, sb)
     except DegenerateGeometry:
@@ -117,23 +117,22 @@ def _edge_cone(mm: MedialMesh, a: int, b: int) -> ConeGeometry:
 def build_graph(mm: MedialMesh) -> MatGraph:
     """Build the primitive adjacency graph of a canonical medial mesh."""
     mm.validate()
-    edges = [tuple(mm.edges[ei]) for ei in mm.standalone_edges()]
-    elements = [tuple(tri) for tri in mm.faces] + edges
+    faces, ends = mm.faces, mm.edges[mm.standalone]
+    elements = list(map(tuple, faces.tolist() + ends.tolist()))
     if not elements:
         raise EmptyInput("medial mesh has no faces and no standalone edges")
 
-    faces = np.array(mm.faces, dtype=np.intp).reshape(-1, 3)
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    spheres = [Sphere((x, y, z), r) for x, y, z, r in mm.spheres.tolist()]
     centers = mm.centers()
     radii = mm.radii()
     tangents = []
-    for tri in mm.faces:
-        spheres = [mm.spheres[v] for v in tri]
+    for tri in faces.tolist():
+        slab = [spheres[v] for v in tri]
         try:
-            tangents.append(slab_tangent_planes(*spheres))
+            tangents.append(slab_tangent_planes(*slab))
         except DegenerateGeometry:
-            tangents.append(slab_fallback_planes(*spheres))
-    tangents += [_edge_cone(mm, a, b) for a, b in ends.tolist()]
+            tangents.append(slab_fallback_planes(*slab))
+    tangents += [_edge_cone(spheres[a], spheres[b]) for a, b in ends.tolist()]
 
     graph = MatGraph(
         mm=mm,
@@ -156,7 +155,7 @@ def build_graph(mm: MedialMesh) -> MatGraph:
 
 
 def _face_plane_normal(mm: MedialMesh, tri) -> tuple[float, float, float]:
-    c = [mm.spheres[v].center for v in tri]
+    c = [mm.spheres[v, :3].tolist() for v in tri]
     m = cross(sub(c[1], c[0]), sub(c[2], c[0]))
     if norm(m) == 0.0:
         e = sub(c[1], c[0])
@@ -174,7 +173,7 @@ def _face_face_angle(mm: MedialMesh, tri_i, tri_j) -> float:
     if len(shared) == 2:
         # Interior dihedral at the hinge: pi for coplanar continuation,
         # 0 for a fold back onto itself.
-        a, b = (mm.spheres[shared[0]].center, mm.spheres[shared[1]].center)
+        a, b = [mm.spheres[v, :3].tolist() for v in shared]
         hinge = sub(b, a)
         hl = norm(hinge)
         if hl > 0.0:
@@ -182,7 +181,7 @@ def _face_face_angle(mm: MedialMesh, tri_i, tri_j) -> float:
             perps = []
             for tri in (tri_i, tri_j):
                 (w,) = [v for v in tri if v not in shared]
-                d = sub(mm.spheres[w].center, a)
+                d = sub(mm.spheres[w, :3].tolist(), a)
                 p = sub(d, tuple(x * dot(d, h) for x in h))
                 if norm(p) == 0.0:
                     perps = None
@@ -204,9 +203,9 @@ def _edge_edge_angle(mm: MedialMesh, e_i, e_j) -> float:
     v = min(shared)
     (oi,) = [w for w in e_i if w != v] or [v]
     (oj,) = [w for w in e_j if w != v] or [v]
-    c = mm.spheres[v].center
-    di = sub(mm.spheres[oi].center, c)
-    dj = sub(mm.spheres[oj].center, c)
+    c, ci, cj = (mm.spheres[w, :3].tolist() for w in (v, oi, oj))
+    di = sub(ci, c)
+    dj = sub(cj, c)
     if norm(di) == 0.0 or norm(dj) == 0.0:
         return math.pi
     return angle_between(di, dj)
@@ -252,11 +251,11 @@ def _edge_pair_normals(g: MatGraph, lo: int, hi: int):
     if not shared:
         raise NotAdjacent(f"edges {e_i} and {e_j} share no vertex")
     v = min(shared)
-    cv = mm.spheres[v].center
+    cv = mm.spheres[v, :3].tolist()
 
     def away_data(element, cone):
         (other,) = [w for w in element if w != v] or [v]
-        d = sub(mm.spheres[other].center, cv)
+        d = sub(mm.spheres[other, :3].tolist(), cv)
         d = normalize(d) if norm(d) > 0.0 else (1.0, 0.0, 0.0)
         s = cone.slant_sine if dot(d, cone.axis) >= 0.0 else -cone.slant_sine
         return d, s

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Sphere
 from .mesh_io import EmptyInput, MedialMesh
 
 # Interpolation parameters tried when placing a merged sphere, and the
@@ -70,20 +69,17 @@ class _State:
 
     def __init__(self, mm: MedialMesh):
         n = len(mm.spheres)
-        self.spheres = np.zeros((n, 4))
-        self.spheres[:, :3] = mm.centers()
-        self.spheres[:, 3] = mm.radii()
+        self.spheres = mm.spheres.copy()
         self.acc = np.zeros(n)
         self.version = np.zeros(n, dtype=int)
         # The complex is kept only as per-vertex incidence: the faces and
         # the standalone (face-free) edges at each vertex, and their count.
         self.vertex_faces: dict[int, set] = {}
         self.vertex_edges: dict[int, set] = {}
-        for f in mm.faces:
+        for f in map(tuple, mm.faces.tolist()):
             for v in f:
                 self.vertex_faces.setdefault(v, set()).add(f)
-        for i in mm.standalone_edges():
-            e = mm.edges[i]
+        for e in map(tuple, mm.edges[mm.standalone].tolist()):
             for v in e:
                 self.vertex_edges.setdefault(v, set()).add(e)
         self.count = np.zeros(n, dtype=int)
@@ -137,7 +133,7 @@ class _State:
 def _check_edge(mm: MedialMesh, edge) -> tuple[int, int]:
     a, b = int(edge[0]), int(edge[1])
     key = (a, b) if a < b else (b, a)
-    if key not in set(mm.edges):
+    if not (mm.edges == key).all(axis=1).any():
         raise ValueError(f"{edge} is not an edge of the medial mesh")
     return key
 
@@ -242,7 +238,8 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     if not params.target_error >= 0.0:
         raise ValueError(
             f"target_error must not be negative, got {params.target_error}")
-    if not mm.faces and not mm.edges:
+    # every side of a face is an edge, so no edges means no elements
+    if len(mm.edges) == 0:
         raise EmptyInput("medial mesh has no elements")
     state = _State(mm)
     bound = params.target_error * mm.diagonal()
@@ -287,14 +284,13 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
         for entry in scored(touched):
             heapq.heappush(heap, entry)
 
-    faces = set().union(*state.vertex_faces.values())
-    edges = set().union(*state.vertex_edges.values())
-    used = sorted({v for f in faces for v in f} | {v for e in edges for v in e})
-    if not used:
+    faces = np.array(list(set().union(*state.vertex_faces.values())),
+                     dtype=np.intp).reshape(-1, 3)
+    edges = np.array(list(set().union(*state.vertex_edges.values())),
+                     dtype=np.intp).reshape(-1, 2)
+    used = np.union1d(faces, edges)
+    if not len(used):
         # Fully collapsed (only possible without topology preservation).
-        used = [int(np.argmax(state.spheres[:, 3]))]
-    remap = {v: i for i, v in enumerate(used)}
-    spheres = [Sphere(tuple(state.spheres[v][:3]), float(state.spheres[v][3])) for v in used]
-    return MedialMesh.build(spheres,
-                            [(remap[a], remap[b]) for a, b in edges],
-                            [tuple(remap[v] for v in f) for f in faces])
+        used = np.argmax(state.spheres[:, 3], keepdims=True)
+    return MedialMesh.build(state.spheres[used], np.searchsorted(used, edges),
+                            np.searchsorted(used, faces))

@@ -3,7 +3,9 @@
 Surface meshes travel as OFF or OBJ, medial meshes as the text ``.ma``
 format (``v x y z r`` / ``e i j`` / ``f i j k`` records, zero-based indices,
 ``#`` comments), point clouds and skeletons as ``.xyz`` lines of ``x y z``
-or ``x y z r``.  Per-face and per-point labels are one integer per line.
+or ``x y z r``.  In memory a medial mesh is one table in the ``.ma``
+layout: an (n, 4) array of sphere rows x y z r and sorted (E, 2) edge and
+(F, 3) face index arrays.  Per-face and per-point labels are one integer per line.
 Colored surface output is ASCII PLY with per-face red/green/blue taken from
 a fixed 32-entry palette (label k uses entry k mod 32).
 
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .geometry import Sphere
 
 
 class ParseError(ValueError):
@@ -144,45 +144,73 @@ class SurfaceMesh:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
 
-@dataclass
+def _rows(records, width: int, what: str) -> np.ndarray:
+    """records as a (k, width) float array."""
+    try:
+        rows = np.array(records, dtype=float)
+    except OverflowError:
+        raise ParseError(f"{what} number beyond the float range") from None
+    if rows.size and rows.shape[1:] != (width,):
+        raise ParseError(f"{what} rows need {width} numbers each")
+    return rows.reshape(-1, width)
+
+
+def _index_rows(records, width: int, n: int, what: str, repeat: str) -> np.ndarray:
+    """Index records over n spheres as a (k, width) int array, rows sorted.
+
+    The first record that is non-integral, out of range or repeats an
+    index raises ParseError, checked in that order.
+    """
+    rows = _rows(records, width, what)
+    whole = (np.isfinite(rows) & (rows == np.floor(rows))).all(axis=1)
+    outside = ((rows < 0) | (rows >= n)).any(axis=1)
+    ordered = np.sort(rows, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    bad = ~whole | outside | repeated
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not whole[i]:
+            raise ParseError(f"non-integral {what} index: {tuple(rows[i].tolist())}")
+        record = tuple(int(v) for v in rows[i])
+        if outside[i]:
+            raise ParseError(f"{what} index out of range: {record}")
+        raise ParseError(f"{repeat}: {record}")
+    return ordered.astype(np.intp)
+
+
+@dataclass(eq=False)
 class MedialMesh:
     """Medial mesh: spheres plus edge (cone) and triangle (slab) elements.
 
-    Canonical form stores every edge of every face in ``edges``, deduplicated
-    as sorted index pairs, and faces as sorted index triples; both lists are
-    sorted.  Use :meth:`build` to canonicalize raw records.
+    One table, built once by :meth:`build`: ``spheres`` is (n, 4) float with
+    rows x y z r, ``edges`` (E, 2) and ``faces`` (F, 3) int with every row
+    sorted and the rows in lexicographic order.  ``edges`` holds every side
+    of every face; ``standalone`` indexes the edges that belong to no face.
     """
 
-    spheres: list[Sphere]
-    edges: list[tuple[int, int]]
-    faces: list[tuple[int, int, int]]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    spheres: np.ndarray
+    edges: np.ndarray
+    faces: np.ndarray
+    standalone: np.ndarray
 
     @classmethod
     def build(cls, spheres, edges, faces) -> "MedialMesh":
-        spheres = [s if isinstance(s, Sphere) else Sphere(tuple(s[0]), s[1]) for s in spheres]
+        """Canonical mesh from sphere rows x y z r and index records."""
+        spheres = _rows(spheres, 4, "sphere")
+        negative = spheres[:, 3] < 0.0
+        if negative.any():
+            raise NegativeRadius(
+                f"negative sphere radius {float(spheres[np.argmax(negative), 3])}")
         n = len(spheres)
-        for s in spheres:
-            if s.radius < 0.0:
-                raise NegativeRadius(f"negative sphere radius {s.radius}")
-        edge_set = set()
-        for e in edges:
-            a, b = int(e[0]), int(e[1])
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParseError(f"edge index out of range: {e}")
-            if a == b:
-                raise ParseError(f"degenerate edge: {e}")
-            edge_set.add((a, b) if a < b else (b, a))
-        face_set = set()
-        for f in faces:
-            tri = tuple(sorted(int(v) for v in f))
-            if not (0 <= tri[0] and tri[2] < n):
-                raise ParseError(f"face index out of range: {f}")
-            if tri[0] == tri[1] or tri[1] == tri[2]:
-                raise ParseError(f"face with repeated vertices: {f}")
-            face_set.add(tri)
-            edge_set.update(((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])))
-        return cls(spheres, sorted(edge_set), sorted(face_set))
+        given = _index_rows(edges, 2, n, "edge", "degenerate edge")
+        faces = np.unique(
+            _index_rows(faces, 3, n, "face", "face with repeated vertices"), axis=0)
+        sides = faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
+        edges, inverse = np.unique(np.concatenate([sides, given]), axis=0,
+                                   return_inverse=True)
+        in_face = np.zeros(len(edges), dtype=bool)
+        in_face[inverse.reshape(-1)[:len(sides)]] = True
+        return cls(spheres, edges, faces, np.flatnonzero(~in_face))
 
     def validate(self) -> None:
         """Every sphere center and radius, and the diagonal, must be finite."""
@@ -195,26 +223,10 @@ class MedialMesh:
                 raise ParseError("spheres span a non-finite diagonal")
 
     def centers(self) -> np.ndarray:
-        if "centers" not in self._cache:
-            self._cache["centers"] = np.array(
-                [s.center for s in self.spheres], dtype=float).reshape(-1, 3)
-        return self._cache["centers"]
+        return self.spheres[:, :3]
 
     def radii(self) -> np.ndarray:
-        if "radii" not in self._cache:
-            self._cache["radii"] = np.array(
-                [s.radius for s in self.spheres], dtype=float)
-        return self._cache["radii"]
-
-    def standalone_edges(self) -> list[int]:
-        """Indices into edges of the edges that belong to no face."""
-        if "standalone" not in self._cache:
-            in_face = set()
-            for a, b, c in self.faces:
-                in_face.update(((a, b), (b, c), (a, c)))
-            self._cache["standalone"] = [
-                i for i, e in enumerate(self.edges) if e not in in_face]
-        return self._cache["standalone"]
+        return self.spheres[:, 3]
 
     def diagonal(self) -> float:
         """Diagonal of the bounding box of the spheres (centers +/- radii)."""
@@ -288,7 +300,9 @@ def _load_off(path) -> SurfaceMesh:
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: malformed element counts") from None
+        nv = nf = -1
+    if nv < 0 or nf < 0:
+        raise ParseError(f"{path}:{lineno}: malformed element counts")
     vertices = []
     for _ in range(nv):
         lineno, line = next(lines, (lineno, None))
@@ -400,7 +414,7 @@ def load_medial_mesh(path) -> MedialMesh:
                 raise ParseError(f"{p}:{lineno}: non-finite vertex number")
             if r < 0.0:
                 raise NegativeRadius(f"{p}:{lineno}: negative radius {r}")
-            spheres.append(Sphere((x, y, z), r))
+            spheres.append((x, y, z, r))
         elif kind == "e":
             if len(parts) != 3:
                 raise ParseError(f"{p}:{lineno}: edge record needs 2 indices")
@@ -435,12 +449,11 @@ def load_medial_mesh(path) -> MedialMesh:
 
 def save_medial_mesh(mm: MedialMesh, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in mm.spheres:
-            x, y, z = s.center
-            fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(s.radius)}\n")
-        for a, b in mm.edges:
+        for x, y, z, r in mm.spheres.tolist():
+            fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(r)}\n")
+        for a, b in mm.edges.tolist():
             fh.write(f"e {a} {b}\n")
-        for a, b, c in mm.faces:
+        for a, b, c in mm.faces.tolist():
             fh.write(f"f {a} {b} {c}\n")
 
 

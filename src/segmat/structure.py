@@ -66,9 +66,8 @@ def _face_sides(smat: MedialMesh) -> tuple[np.ndarray, np.ndarray]:
 
     The sides of a sorted face (a, b, c) are (a, b), (b, c), (a, c).
     """
-    faces = np.array(smat.faces, dtype=np.int64).reshape(-1, 3)
-    sides = faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 3, 2)
-    return faces, sides[..., 0] * len(smat.spheres) + sides[..., 1]
+    sides = smat.faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 3, 2)
+    return smat.faces, sides[..., 0] * len(smat.spheres) + sides[..., 1]
 
 
 def detect_joints(smat: MedialMesh) -> list[Joint]:
@@ -79,9 +78,7 @@ def detect_joints(smat: MedialMesh) -> list[Joint]:
     joints = [Joint(JointKind.SEAM_EDGE, (int(k // n), int(k % n)))
               for k in keys[counts >= 3]]
 
-    standalone = np.array([smat.edges[i] for i in smat.standalone_edges()],
-                          dtype=np.int64).reshape(-1, 2)
-    edge_degree = np.bincount(standalone.ravel(), minlength=n)
+    edge_degree = np.bincount(smat.edges[smat.standalone].ravel(), minlength=n)
     face_degree = np.bincount(faces.ravel(), minlength=n)
     # Umbrellas: the face corners at a vertex, linked through the sides
     # they share.  Corner (f, v) is keyed by the two sides of f through v,
@@ -122,31 +119,26 @@ def split_components(smat: MedialMesh,
     sheets = linked_groups(np.stack([f, sides[f, k]], axis=1), len(sides))
 
     # Curves: standalone edges linked through non-joint shared vertices.
-    edges = [smat.edges[i] for i in smat.standalone_edges()]
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    ends = smat.edges[smat.standalone]
     e, k = np.nonzero(~np.isin(ends, cut_vertices))
-    curves = linked_groups(np.stack([e, ends[e, k]], axis=1), len(edges))
+    curves = linked_groups(np.stack([e, ends[e, k]], axis=1), len(ends))
 
-    return ([_make_sheet([smat.faces[f] for f in group], centers, radii)
-             for group in sheets]
-            + [_make_curve([edges[e] for e in group], centers, radii)
-               for group in curves])
+    return ([_make_sheet(smat.faces[group], centers, radii) for group in sheets]
+            + [_make_curve(ends[group], centers, radii) for group in curves])
 
 
-def _make_sheet(faces, centers, radii) -> StructuralComponent:
-    tri = np.array(faces)
+def _make_sheet(tri, centers, radii) -> StructuralComponent:
     a, b, c = centers[tri[:, 0]], centers[tri[:, 1]], centers[tri[:, 2]]
     area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()
     r_max = float(radii[np.unique(tri)].max())
-    return StructuralComponent(ComponentKind.SHEET, faces,
+    return StructuralComponent(ComponentKind.SHEET, list(map(tuple, tri.tolist())),
                                float(math.sqrt(area)), r_max)
 
 
-def _make_curve(edges, centers, radii) -> StructuralComponent:
-    seg = np.array(edges)
+def _make_curve(seg, centers, radii) -> StructuralComponent:
     length = np.linalg.norm(centers[seg[:, 1]] - centers[seg[:, 0]], axis=1).sum()
     r_max = float(radii[np.unique(seg)].max())
-    return StructuralComponent(ComponentKind.CURVE, edges,
+    return StructuralComponent(ComponentKind.CURVE, list(map(tuple, seg.tolist())),
                                float(length), r_max)
 
 

@@ -1,7 +1,8 @@
 """Plain references for the package's vectorised and pruned computations.
 
-These are the per-node construction of the MAT graph's node table that
-the arrays built once replaced, the dense faces x spheres scan the
+These are the Sphere-list and set build of a medial mesh that its
+sphere, edge and face arrays replaced, the per-node construction of the
+MAT graph's node table that the arrays built once replaced, the dense faces x spheres scan the
 package used before its sphere-gap search was pruned with a k-d tree, the
 scalar data cost of one face, the dict-based dual-graph builder the numpy
 edge pairing replaced, the stacked-array collapse cost the closed-form
@@ -18,9 +19,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from segmat.geometry import dot
+from segmat.geometry import Sphere, dot
 from segmat.growing import region_labels
 from segmat.mat_simplify import _FROM_A_SQ, _FROM_B_SQ, _PLACEMENT_SAMPLES
+from segmat.mesh_io import NegativeRadius, ParseError
 from segmat.structure import (
     ComponentKind,
     Joint,
@@ -59,6 +61,54 @@ def sphere_arrays(g, node_ids):
     return g.mm.centers()[idx], g.mm.radii()[idx]
 
 
+def build_medial_mesh(spheres, edges, faces):
+    """MedialMesh.build as a list of Sphere objects and Python sets.
+
+    Spheres are Sphere objects or (center, radius) pairs.  Returns a
+    namespace with the Sphere list, the sorted edge and face tuples and the
+    indices into the edges of those that belong to no face.
+    """
+    spheres = [s if isinstance(s, Sphere) else Sphere(tuple(s[0]), s[1]) for s in spheres]
+    n = len(spheres)
+    for s in spheres:
+        if s.radius < 0.0:
+            raise NegativeRadius(f"negative sphere radius {s.radius}")
+    edge_set = set()
+    for e in edges:
+        a, b = int(e[0]), int(e[1])
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"edge index out of range: {e}")
+        if a == b:
+            raise ParseError(f"degenerate edge: {e}")
+        edge_set.add((a, b) if a < b else (b, a))
+    face_set = set()
+    for f in faces:
+        tri = tuple(sorted(int(v) for v in f))
+        if not (0 <= tri[0] and tri[2] < n):
+            raise ParseError(f"face index out of range: {f}")
+        if tri[0] == tri[1] or tri[1] == tri[2]:
+            raise ParseError(f"face with repeated vertices: {f}")
+        face_set.add(tri)
+        edge_set.update(((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])))
+    edges, faces = sorted(edge_set), sorted(face_set)
+    in_face = set()
+    for a, b, c in faces:
+        in_face.update(((a, b), (b, c), (a, c)))
+    return SimpleNamespace(
+        spheres=spheres, edges=edges, faces=faces,
+        standalone=[i for i, e in enumerate(edges) if e not in in_face])
+
+
+def faces_of(mm):
+    """The faces of a MedialMesh as tuples of Python ints."""
+    return list(map(tuple, mm.faces.tolist()))
+
+
+def standalone_of(mm):
+    """The standalone edges of a MedialMesh as tuples of Python ints."""
+    return list(map(tuple, mm.edges[mm.standalone].tolist()))
+
+
 def node_table(mm):
     """build_graph's node table, built one node at a time.
 
@@ -68,12 +118,11 @@ def node_table(mm):
     centers = mm.centers()
     radii = mm.radii()
     elements, mean_radii, centroids = [], [], []
-    for tri in mm.faces:
-        elements.append(tuple(tri))
+    for tri in faces_of(mm):
+        elements.append(tri)
         mean_radii.append(float(radii[list(tri)].mean()))
         centroids.append(tuple(centers[list(tri)].mean(axis=0)))
-    for ei in mm.standalone_edges():
-        a, b = mm.edges[ei]
+    for a, b in standalone_of(mm):
         elements.append((a, b))
         mean_radii.append(float((radii[a] + radii[b]) / 2.0))
         centroids.append(tuple((centers[a] + centers[b]) / 2.0))
@@ -122,16 +171,15 @@ def detect_joints(smat):
     """structure.detect_joints from incidence dicts and a DFS per vertex."""
     edge_faces = {}
     vertex_faces = {}
-    for f in smat.faces:
+    for f in faces_of(smat):
         a, b, c = f
         for e in ((a, b), (b, c), (a, c)):
             edge_faces[e] = edge_faces.get(e, 0) + 1
         for v in f:
             vertex_faces.setdefault(v, []).append(f)
 
-    standalone = [smat.edges[i] for i in smat.standalone_edges()]
     vertex_edges = {}
-    for e in standalone:
+    for e in standalone_of(smat):
         for v in e:
             vertex_edges[v] = vertex_edges.get(v, 0) + 1
 
@@ -202,7 +250,7 @@ def split_components(smat, joints):
     centers = smat.centers()
     radii = smat.radii()
     comps = []
-    for faces in union_find_groups(list(smat.faces), lambda f: [
+    for faces in union_find_groups(faces_of(smat), lambda f: [
             e for e in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))
             if e not in seam_edges]):
         tri = np.array(faces)
@@ -211,9 +259,8 @@ def split_components(smat, joints):
         comps.append(StructuralComponent(
             ComponentKind.SHEET, faces, float(math.sqrt(area)),
             float(radii[np.unique(tri)].max())))
-    edges = [smat.edges[i] for i in smat.standalone_edges()]
-    for group in union_find_groups(edges, lambda e: [v for v in e
-                                           if v not in cut_vertices]):
+    for group in union_find_groups(standalone_of(smat), lambda e: [
+            v for v in e if v not in cut_vertices]):
         seg = np.array(group)
         length = np.linalg.norm(centers[seg[:, 1]] - centers[seg[:, 0]],
                                 axis=1).sum()

@@ -47,8 +47,7 @@ from segmat.transfer import (
 
 
 def medial(points, radii, edges=(), faces=()):
-    spheres = [Sphere(tuple(map(float, p)), float(r))
-               for p, r in zip(points, radii)]
+    spheres = [(*map(float, p), float(r)) for p, r in zip(points, radii)]
     return MedialMesh.build(spheres, list(edges), list(faces))
 
 
@@ -186,8 +185,7 @@ def canonical(labels):
 
 
 def sphere_gaps(centroids, spheres):
-    centers = np.array([s.center for s in spheres])
-    radii = np.array([s.radius for s in spheres])
+    centers, radii = spheres[:, :3], spheres[:, 3]
     d = np.linalg.norm(centroids[:, None, :] - centers[None, :, :], axis=2)
     return (d - radii[None, :]).min(axis=1)
 
@@ -514,11 +512,7 @@ def test_09_uniform_scaling_by_10x_keeps_labelings_identical():
                                 (bent_l_mat, bent_l_mesh)):
         mat = make_mat()
         mesh = make_mesh()
-        scaled_mat = MedialMesh.build(
-            [Sphere(tuple(10.0 * np.asarray(s.center)), 10.0 * s.radius)
-             for s in mat.spheres],
-            [tuple(e) for e in mat.edges],
-            [tuple(f) for f in mat.faces])
+        scaled_mat = MedialMesh.build(10.0 * mat.spheres, mat.edges, mat.faces)
         scaled_mesh = SurfaceMesh(mesh.vertices * 10.0, mesh.faces)
 
         base = run_pipeline(mesh, mat, structured=mat)
@@ -567,8 +561,8 @@ def test_11_parameter_sweeps_move_rand_index_by_at_most_0_02():
     default run's, on both fixtures."""
     mat_l = bent_l_mat()
     mesh_l = bent_l_mesh()
-    thin = [s for s in mat_l.spheres if s.radius == 1.0]
-    thick = [s for s in mat_l.spheres if s.radius == 4.0]
+    thin = mat_l.spheres[mat_l.radii() == 1.0]
+    thick = mat_l.spheres[mat_l.radii() == 4.0]
     cl = mesh_l.face_centroids()
     gt_l = (sphere_gaps(cl, thick) < sphere_gaps(cl, thin)).astype(int)
 

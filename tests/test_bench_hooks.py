@@ -9,12 +9,15 @@ fail only the benchmark's own tests, which this suite does not collect.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 from test_cli import bent_l_assets, chain_mat
 from test_pipeline import bent_l_mat
+from test_simplify import chain, plate
 
 from segmat import cli, growing, pipeline
 from segmat.mat_graph import build_graph
 from segmat.mat_simplify import SimplifyParams, simplify
+from segmat.mesh_io import MedialMesh
 from segmat.structure import assign_base_nodes, detect_joints, split_components
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -100,6 +103,28 @@ def test_collapse_count_is_the_length_of_the_simplify_trace():
     finally:
         tracer.restore()
     assert tracer.counts["mat_simplify.collapses_accepted"] == len(trace)
+
+
+def test_element_counters_read_the_sphere_edge_and_face_rows():
+    # a 6 x 6 plate with a 12-sphere tail hung off its corner (5)
+    sheet, tail = plate(), chain([0.3] * 12, spacing=0.5)
+    mat = MedialMesh.build(
+        np.concatenate([sheet.spheres, tail.spheres + (5.5, 0.0, 0.0, 0.0)]),
+        np.concatenate([sheet.edges, tail.edges + 36, [(5, 36)]]), sheet.faces)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        out = pipeline.simplify(mat, SimplifyParams(target_error=0.1))
+    finally:
+        tracer.restore()
+    sizes = [(len(m.spheres), len(m.edges), len(m.faces)) for m in (mat, out)]
+    # 48 spheres, 85 plate edges + 12 tail edges, 50 triangles
+    assert sizes[0] == (48, 97, 50)
+    assert all(len(m.faces) > 0 and len(m.standalone) > 0 for m in (mat, out))
+    assert tracer.counts["mat_simplify.elements_in"] == sum(sizes[0]) == 195
+    assert tracer.counts["mat_simplify.elements_out"] == sum(sizes[1])
+    assert sum(sizes[1]) < sum(sizes[0])
 
 
 def test_one_traced_segment_op_fills_every_layer_metric(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from segmat.cli import main
-from segmat.geometry import Sphere
 from segmat.mesh_io import (
     MedialMesh,
     SurfaceMesh,
@@ -53,7 +52,7 @@ def box_mesh(half=(1.0, 0.75, 0.5)):
 
 
 def chain_mat(count=12, radius=1.0, spacing=1.0):
-    spheres = [Sphere((spacing * i, 0.0, 0.0), radius) for i in range(count)]
+    spheres = [(spacing * i, 0.0, 0.0, radius) for i in range(count)]
     edges = [(i, i + 1) for i in range(count - 1)]
     return MedialMesh.build(spheres, edges, [])
 
@@ -73,7 +72,7 @@ def bent_l_assets(tmp_path):
     edges = []
 
     def add(center, radius):
-        spheres.append(Sphere(center, radius))
+        spheres.append((*center, radius))
         return len(spheres) - 1
 
     prev = add((0.0, 0.0, 0.0), 1.0)
@@ -429,7 +428,7 @@ def test_segment_non_finite_surface_vertex_exits_2(tmp_path, capsys, value):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_segment_non_finite_medial_radius_exits_2(tmp_path, capsys, value):
     mesh_path, mat_path = strip_assets(tmp_path)
-    spheres = [Sphere((float(i), 0.0, 0.0), value if i == 5 else 1.0)
+    spheres = [(float(i), 0.0, 0.0, value if i == 5 else 1.0)
                for i in range(12)]
     save_medial_mesh(MedialMesh.build(spheres, [(i, i + 1) for i in range(11)],
                                       []), mat_path)

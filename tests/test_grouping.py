@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import oracles
 from test_mesh_io_properties import medial_meshes
 
-from segmat.geometry import Sphere
 from segmat.growing import Region, _merge_leftovers
 from segmat.mat_graph import build_graph, linked_groups
 from segmat.mesh_io import MedialMesh
@@ -62,8 +61,7 @@ def complexes(draw):
         lambda f: len(set(f)) == 3), max_size=3))
     edges += draw(st.lists(st.tuples(index, index).filter(
         lambda e: e[0] != e[1]), max_size=3))
-    spheres = [Sphere(tuple(0.5 * v for v in cell), r)
-               for cell, r in zip(cells, radii)]
+    spheres = [(*(0.5 * v for v in cell), r) for cell, r in zip(cells, radii)]
     return MedialMesh.build(spheres, edges, faces)
 
 
@@ -85,8 +83,8 @@ def test_joints_match_the_walks(smat):
 
 def first_element_order(smat, comps):
     """Sheets, then curves, each by the mesh position of its first element."""
-    position = {el: k for k, el in enumerate(
-        smat.faces + [smat.edges[i] for i in smat.standalone_edges()])}
+    position = {el: k for k, el in enumerate(map(tuple, (
+        smat.faces.tolist() + smat.edges[smat.standalone].tolist())))}
     return sorted(comps, key=lambda c: position[c.elements[0]])
 
 
@@ -109,7 +107,7 @@ def test_components_match_the_union_find(smat, stride):
 # and (0, 4, 5) form one sheet, but its union-find root is (0, 1, 4), a face
 # after the lone (0, 1, 3).
 ROOT_AFTER_FIRST = MedialMesh.build(
-    [Sphere((0.5 * k, 0.25 * k * k, 0.0), 1.0) for k in range(6)], [],
+    [(0.5 * k, 0.25 * k * k, 0.0, 1.0) for k in range(6)], [],
     [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 4), (0, 4, 5)])
 
 
@@ -189,17 +187,15 @@ def test_incidence_rows_are_the_sorted_elements(smat):
 
 
 def scaled(smat, factor):
-    return MedialMesh.build(
-        [Sphere(tuple(c * factor for c in s.center), s.radius * factor)
-         for s in smat.spheres], smat.edges, smat.faces)
+    return MedialMesh.build(smat.spheres * factor, smat.edges, smat.faces)
 
 
 # 1 + 1e-16 + 1e-16 rounds to 1 summed left to right, but not right to
 # left; halving the smallest subnormal before the sum gives 0, after it not
 ROUNDING = MedialMesh.build(
-    [Sphere((1.0, 0.0, 0.0), 1.0), Sphere((1e-16, 1.0, 0.0), 1e-16),
-     Sphere((1e-16, 0.0, 1.0), 1e-16), Sphere((5.0, 0.0, 0.0), 1.0),
-     Sphere((5e-324, 7.0, 0.0), 5e-324), Sphere((5e-324, 8.0, 0.0), 5e-324)],
+    [(1.0, 0.0, 0.0, 1.0), (1e-16, 1.0, 0.0, 1e-16),
+     (1e-16, 0.0, 1.0, 1e-16), (5.0, 0.0, 0.0, 1.0),
+     (5e-324, 7.0, 0.0, 5e-324), (5e-324, 8.0, 0.0, 5e-324)],
     [(0, 3), (4, 5)], [(0, 1, 2)])
 
 

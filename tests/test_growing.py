@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from segmat.geometry import Sphere
 from segmat.growing import (
     GrowingParams,
     Region,
@@ -27,7 +26,7 @@ from segmat.structure import (
 
 
 def medial(points, radii, edges=(), faces=()):
-    spheres = [Sphere(tuple(map(float, p)), float(r)) for p, r in zip(points, radii)]
+    spheres = [(*map(float, p), float(r)) for p, r in zip(points, radii)]
     return MedialMesh.build(spheres, list(edges), list(faces))
 
 
@@ -164,8 +163,7 @@ def test_growing_is_deterministic():
 
 def test_growing_is_scale_invariant():
     mm = dumbbell()
-    big = medial([tuple(7.3 * c for c in s.center) for s in mm.spheres],
-                 [7.3 * s.radius for s in mm.spheres], edges=mm.edges)
+    big = medial(7.3 * mm.centers(), 7.3 * mm.radii(), edges=mm.edges)
     r1 = grow(*prepared_graph(mm))
     r2 = grow(*prepared_graph(big))
     assert [sorted(r.nodes) for r in r1] == [sorted(r.nodes) for r in r2]

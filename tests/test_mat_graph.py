@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from segmat.geometry import Sphere
 from segmat.mat_graph import (
     EmptyInput,
     MatGraph,
@@ -16,7 +15,7 @@ from segmat.mesh_io import MedialMesh
 
 
 def mm_from(spheres, edges=(), faces=()):
-    return MedialMesh.build([Sphere(c, r) for c, r in spheres], list(edges), list(faces))
+    return MedialMesh.build([(*c, r) for c, r in spheres], list(edges), list(faces))
 
 
 def test_triangle_plus_edge_two_nodes_one_adjacency():
@@ -80,7 +79,7 @@ def test_vertex_incidence_count_invariant():
     )
     g = build_graph(mm)
     incidences = sum(len(el) for el in g.elements)
-    assert incidences == 3 * len(mm.faces) + 2 * len(mm.standalone_edges())
+    assert incidences == 3 * len(mm.faces) + 2 * len(mm.standalone)
 
 
 def test_coplanar_faces_sharing_an_edge_have_angle_pi():
@@ -216,4 +215,4 @@ def test_one_empty_input_class_across_modules():
     assert mat_graph.EmptyInput is mat_simplify.EmptyInput
     assert segmat.EmptyInput is mesh_io.EmptyInput is mat_graph.EmptyInput
     with pytest.raises(segmat.EmptyInput):
-        build_graph(MedialMesh.build([Sphere((0, 0, 0), 1.0)], [], []))
+        build_graph(MedialMesh.build([(0, 0, 0, 1.0)], [], []))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from segmat.geometry import Sphere
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
 from segmat.merging import RadiusHistogram, emd_1d, merge_matching, radius_histogram
@@ -9,7 +8,7 @@ from segmat.mesh_io import MedialMesh
 
 
 def chain_graph(sphere_radii, spacing=2.0):
-    spheres = [Sphere((i * spacing, 0.0, 0.0), float(r))
+    spheres = [(i * spacing, 0.0, 0.0, float(r))
                for i, r in enumerate(sphere_radii)]
     mm = MedialMesh.build(spheres, [(i, i + 1) for i in range(len(spheres) - 1)], [])
     return build_graph(mm)
@@ -32,8 +31,8 @@ def test_uniform_radii_spread_evenly():
     edges = []
     for k in range(32):
         r = 1.0 + k * 0.1
-        spheres.append(Sphere((3.0 * k, 0.0, 0.0), r))
-        spheres.append(Sphere((3.0 * k + 1.0, 0.0, 0.0), r))
+        spheres.append((3.0 * k, 0.0, 0.0, r))
+        spheres.append((3.0 * k + 1.0, 0.0, 0.0, r))
         edges.append((2 * k, 2 * k + 1))
     g = build_graph(MedialMesh.build(spheres, edges, []))
     h = radius_histogram(g, region(0, range(32)))
@@ -126,8 +125,8 @@ def test_identical_adjacent_regions_merge():
 
 def test_non_adjacent_regions_never_merge():
     # two disconnected chains with identical radii
-    spheres = [Sphere((float(i), 0, 0), 1.0) for i in range(4)]
-    spheres += [Sphere((float(i), 50, 0), 1.0) for i in range(4)]
+    spheres = [(float(i), 0, 0, 1.0) for i in range(4)]
+    spheres += [(float(i), 50, 0, 1.0) for i in range(4)]
     edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
     g = build_graph(MedialMesh.build(spheres, edges, []))
     regions = [region(0, [0, 1, 2]), region(1, [3, 4, 5])]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from segmat.geometry import Sphere
 from segmat.mesh_io import (
     PALETTE,
     LengthMismatch,
@@ -71,6 +70,19 @@ def test_off_out_of_range_index_rejected(tmp_path):
         load_surface(path)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("OFF\n-1 0 0\n", 2),
+    ("OFF -1 0 0\n", 1),
+    ("OFF\n3 -2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 2),
+], ids=["negative-vertices", "negative-vertices-in-header", "negative-faces"])
+def test_off_negative_counts_rejected(tmp_path, text, lineno):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ParseError,
+                       match=f"bad.off:{lineno}: malformed element counts"):
+        load_surface(path)
+
+
 def test_repeated_vertex_face_rejected(tmp_path):
     path = tmp_path / "degen.off"
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n")
@@ -92,39 +104,54 @@ def test_missing_file_raises_oserror(tmp_path):
 
 def test_medial_mesh_round_trip(tmp_path):
     mm = MedialMesh.build(
-        spheres=[Sphere((0.0, 0.0, 0.0), 1.0),
-                 Sphere((2.5, 0.0, 0.0), 0.5),
-                 Sphere((0.0, 2.0, 0.0), 0.25),
-                 Sphere((-1.0, -1.0, 0.5), 0.125)],
+        spheres=[(0.0, 0.0, 0.0, 1.0),
+                 (2.5, 0.0, 0.0, 0.5),
+                 (0.0, 2.0, 0.0, 0.25),
+                 (-1.0, -1.0, 0.5, 0.125)],
         edges=[(0, 3)],
         faces=[(0, 1, 2)],
     )
     path = tmp_path / "mat.ma"
     save_medial_mesh(mm, path)
     back = load_medial_mesh(path)
-    assert back.spheres == mm.spheres
-    assert back.edges == mm.edges
-    assert back.faces == mm.faces
+    assert np.array_equal(back.spheres, mm.spheres)
+    assert np.array_equal(back.edges, mm.edges)
+    assert np.array_equal(back.faces, mm.faces)
 
 
 def test_medial_mesh_canonical_form_adds_face_edges():
     mm = MedialMesh.build(
-        spheres=[Sphere((0.0, 0.0, 0.0), 1.0),
-                 Sphere((1.0, 0.0, 0.0), 1.0),
-                 Sphere((0.0, 1.0, 0.0), 1.0)],
+        spheres=[(0.0, 0.0, 0.0, 1.0),
+                 (1.0, 0.0, 0.0, 1.0),
+                 (0.0, 1.0, 0.0, 1.0)],
         edges=[],
         faces=[(2, 1, 0)],
     )
-    assert mm.faces == [(0, 1, 2)]
-    assert mm.edges == [(0, 1), (0, 2), (1, 2)]
-    assert mm.standalone_edges() == []
+    assert np.array_equal(mm.faces, [(0, 1, 2)])
+    assert np.array_equal(mm.edges, [(0, 1), (0, 2), (1, 2)])
+    assert np.array_equal(mm.standalone, [])
+
+
+@pytest.mark.parametrize("edges, faces, message", [
+    ([(0, 1.5)], [], r"non-integral edge index: \(0.0, 1.5\)"),
+    ([(0, float("nan"))], [], "non-integral edge index"),
+    ([(0, float("inf"))], [], "non-integral edge index"),
+    ([], [(0, 1, 2.5)], r"non-integral face index: \(0.0, 1.0, 2.5\)"),
+    # the first bad record in input order decides the message
+    ([(0, 9), (0, 1.5)], [], r"edge index out of range: \(0, 9\)"),
+    ([(0, 10**400)], [], "edge number beyond the float range"),
+], ids=["edge", "nan", "inf", "face", "first-record-wins", "beyond-float"])
+def test_build_rejects_bad_index_records(edges, faces, message):
+    spheres = [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0)]
+    with pytest.raises(ParseError, match=message):
+        MedialMesh.build(spheres, edges, faces)
 
 
 def test_medial_mesh_comments_and_negative_radius(tmp_path):
     ok = tmp_path / "ok.ma"
     ok.write_text("# medial mesh\nv 0 0 0 1.0\nv 1 0 0 2.0  # fat end\ne 0 1\n")
     mm = load_medial_mesh(ok)
-    assert len(mm.spheres) == 2 and mm.edges == [(0, 1)]
+    assert len(mm.spheres) == 2 and np.array_equal(mm.edges, [(0, 1)])
     bad = tmp_path / "bad.ma"
     bad.write_text("v 0 0 0 -0.5\n")
     with pytest.raises(NegativeRadius):
@@ -211,7 +238,7 @@ def test_non_finite_numbers_are_parse_errors(tmp_path, value):
     path.write_text(f"v 0 0 0 1\nv 1 0 0 {value}\ne 0 1\n")
     with pytest.raises(ParseError, match="m.ma:2: non-finite"):
         load_medial_mesh(path)
-    mm = MedialMesh.build([Sphere((0, value, 0), 1.0), Sphere((1, 0, 0), 1.0)],
+    mm = MedialMesh.build([(0, value, 0, 1.0), (1, 0, 0, 1.0)],
                           [(0, 1)], [])
     with pytest.raises(ParseError, match="non-finite sphere center"):
         mm.validate()

@@ -1,4 +1,5 @@
-"""Property tests for the file formats and the dual graph of mesh_io.
+"""Property tests for the file formats, the medial mesh table and the dual
+graph of mesh_io.
 
 Writers emit 9 significant digits, so values that already have at most 9
 round-trip exactly.  OFF carries element counts, so any cut of an OFF file
@@ -8,11 +9,10 @@ leaves a valid smaller file and only a cut inside a record is an error.
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from segmat.geometry import Sphere
 from segmat.mesh_io import (
     MedialMesh,
     ParseError,
@@ -56,8 +56,79 @@ def medial_meshes(draw):
     edges = draw(st.lists(st.tuples(index, index).filter(
         lambda e: e[0] != e[1]), min_size=1, max_size=6))
     faces = draw(triangles(n, max_size=4))
-    return MedialMesh.build([Sphere(c, r) for c, r in zip(centers, radii)],
+    return MedialMesh.build([(*c, r) for c, r in zip(centers, radii)],
                             edges, faces)
+
+
+# every double: signed zeros, subnormals, infinities and NaNs
+any_float = st.floats(width=64)
+SQUARE = [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0)]
+
+
+@st.composite
+def build_records(draw):
+    """Sphere rows, edge and face records as MedialMesh.build takes them.
+
+    Edges come with reversed and repeated copies and with sides of the
+    faces; corrupt records draw indices that may be negative, out of range
+    or repeated, and radii that may be negative.
+    """
+    corrupt = draw(st.booleans())
+    n = draw(st.integers(0, 7) if corrupt else st.integers(3, 7))
+    radius = any_float if corrupt and draw(st.booleans()) else any_float.map(abs)
+    spheres = draw(st.lists(st.tuples(any_float, any_float, any_float, radius),
+                            min_size=n, max_size=n))
+    if corrupt:
+        index = st.integers(-2, n + 1)
+        edge, face = st.tuples(index, index), st.tuples(index, index, index)
+    else:
+        index = st.integers(0, max(n - 1, 0))
+        edge = st.tuples(index, index).filter(lambda e: e[0] != e[1])
+        face = st.tuples(index, index, index).filter(lambda f: len(set(f)) == 3)
+    faces = draw(st.lists(face, max_size=5))
+    edges = draw(st.lists(edge, max_size=6))
+    if edges:
+        copies = draw(st.lists(st.sampled_from(edges), max_size=3))
+        edges += copies + [e[::-1] for e in copies]
+    if faces:
+        edges += [f[:2] for f in draw(st.lists(st.sampled_from(faces), max_size=3))]
+    return spheres, draw(st.permutations(edges)), faces
+
+
+@settings(max_examples=300)
+@given(build_records())
+@example(([], [], []))
+@example((SQUARE, [(1, 0), (0, 1), (0, 1), (2, 1), (0, 2)], [(2, 1, 0)]))
+@example((SQUARE + [(0.0, 0.0, 1.0, -0.0)], [(3, 0), (0, 3)], [(0, 2, 1)]))
+@example((SQUARE[:2] + [(0.0, 0.0, 0.0, -0.5)], [], []))
+@example((SQUARE, [(0, 1), (2, 3)], []))
+@example((SQUARE, [(-1, 2)], []))
+@example((SQUARE, [(0, 1), (2, 2)], []))
+@example((SQUARE, [], [(0, 1, 3)]))
+@example((SQUARE, [], [(-1, 0, 1)]))
+@example((SQUARE, [], [(2, 0, 2)]))
+def test_build_matches_the_set_build(records):
+    spheres, edges, faces = records
+    pairs = [(s[:3], s[3]) for s in spheres]
+    try:
+        want = oracles.build_medial_mesh(pairs, edges, faces)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            MedialMesh.build(spheres, edges, faces)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    mm = MedialMesh.build(spheres, edges, faces)
+    centers = np.array([s.center for s in want.spheres], dtype=float)
+    radii = np.array([s.radius for s in want.spheres], dtype=float)
+    assert mm.centers().tobytes() == centers.reshape(-1, 3).tobytes()
+    assert mm.radii().tobytes() == radii.tobytes()
+    assert mm.edges.dtype == mm.faces.dtype == mm.standalone.dtype == np.intp
+    assert mm.edges.shape == (len(want.edges), 2)
+    assert mm.faces.shape == (len(want.faces), 3)
+    assert mm.edges.tolist() == [list(e) for e in want.edges]
+    assert mm.faces.tolist() == [list(f) for f in want.faces]
+    assert mm.standalone.tolist() == want.standalone
 
 
 def cut(text, line, keep):
@@ -83,9 +154,9 @@ def test_medial_round_trip_is_exact(tmp_path_factory, mm):
     path = tmp_path_factory.mktemp("rt") / "m.ma"
     save_medial_mesh(mm, path)
     back = load_medial_mesh(path)
-    assert back.spheres == mm.spheres
-    assert back.edges == mm.edges
-    assert back.faces == mm.faces
+    assert np.array_equal(back.spheres, mm.spheres)
+    assert np.array_equal(back.edges, mm.edges)
+    assert np.array_equal(back.faces, mm.faces)
 
 
 @given(labels=st.lists(st.integers(-2**40, 2**40), max_size=30))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from segmat.geometry import Sphere
 from segmat.mesh_io import MedialMesh, SurfaceMesh
 from segmat.pipeline import (
     PipelineConfig,
@@ -40,7 +39,7 @@ def bent_l_mat():
     edges = []
 
     def add(center, radius):
-        spheres.append(Sphere(center, radius))
+        spheres.append((*center, radius))
         return len(spheres) - 1
 
     prev = add((0.0, 0.0, 0.0), 1.0)
@@ -70,15 +69,13 @@ def l_mesh():
 
 
 def uniform_chain_mat(count=12):
-    spheres = [Sphere((float(i), 0.0, 0.0), 1.0) for i in range(count)]
+    spheres = [(float(i), 0.0, 0.0, 1.0) for i in range(count)]
     edges = [(i, i + 1) for i in range(count - 1)]
     return MedialMesh.build(spheres, edges, [])
 
 
 def scaled_medial(mm, s):
-    spheres = [Sphere(tuple(s * c for c in sp.center), s * sp.radius)
-               for sp in mm.spheres]
-    return MedialMesh.build(spheres, mm.edges, mm.faces)
+    return MedialMesh.build(s * mm.spheres, mm.edges, mm.faces)
 
 
 def test_uniform_chain_gives_one_region_and_one_label():
@@ -158,7 +155,7 @@ def test_pipeline_is_scale_invariant():
 def test_simplify_stage_runs_when_no_structured_mat_is_given():
     # A dense chain collapses to a short one before decomposition.
     mesh = grid_mesh(-2.0, 13.0, -2.0, 2.0)
-    spheres = [Sphere((0.1 * i, 0.0, 0.0), 1.0) for i in range(111)]
+    spheres = [(0.1 * i, 0.0, 0.0, 1.0) for i in range(111)]
     edges = [(i, i + 1) for i in range(110)]
     raw = MedialMesh.build(spheres, edges, [])
     res = run_pipeline(mesh, raw)

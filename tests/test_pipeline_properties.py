@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from segmat.geometry import Sphere
 from segmat.mesh_io import MedialMesh, SurfaceMesh
 from segmat.pipeline import run_pipeline
 
@@ -62,7 +61,7 @@ def small_mats(draw):
         lambda e: e[0] != e[1]), max_size=8))
     faces = draw(st.lists(st.tuples(index, index, index).filter(
         lambda f: len(set(f)) == 3), max_size=5))
-    spheres = [Sphere(c, r) for c, r in zip(centers, radii)]
+    spheres = [(*c, r) for c, r in zip(centers, radii)]
     return MedialMesh.build(spheres, edges, faces)
 
 
@@ -75,8 +74,8 @@ def outcome(mat, structured):
 
 
 def two_spheres(radius, offset, edges):
-    return MedialMesh.build([Sphere((0.0, 0.0, 0.0), radius),
-                             Sphere((offset, 0.0, 0.0), radius)], edges, [])
+    return MedialMesh.build([(0.0, 0.0, 0.0, radius),
+                             (offset, 0.0, 0.0, radius)], edges, [])
 
 
 @given(small_mats(), st.booleans())

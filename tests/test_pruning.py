@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from segmat import geometry
-from segmat.geometry import Sphere, _sphere_gaps
+from segmat.geometry import _sphere_gaps
 from segmat.growing import Region, swallow
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh, SurfaceMesh
@@ -51,7 +51,7 @@ def medial_meshes(draw, min_spheres=3, max_spheres=9, mirror=False):
         radii = radii + radii
         faces = faces + [tuple(v + n for v in f) for f in faces]
         edges = edges + [tuple(v + n for v in e) for e in edges]
-    spheres = [Sphere(p, r) for p, r in zip(pts, radii)]
+    spheres = [(*p, r) for p, r in zip(pts, radii)]
     return MedialMesh.build(spheres, edges, faces)
 
 
@@ -77,7 +77,7 @@ def test_own_nodes_take_their_elements_component(smat):
 # 2 and 3 coincide.  Each node keeps its own element's component.
 ZERO_DISTANCE_TIES = [
     (MedialMesh.build(
-        [Sphere(c, r) for c, r in zip(
+        [(*c, r) for c, r in zip(
             [(0.5, 1.5, 0.5), (-1.5, -1.5, -2.0), (-2.0, 2.0, 1.5),
              (-1.0, -2.0, 1.0), (0.0, 0.0, 0.5), (1.0, 0.0, 1.0),
              (-0.5, 1.5, -0.5), (1.5, 1.5, 0.5)],
@@ -87,7 +87,7 @@ ZERO_DISTANCE_TIES = [
         [(3, 6, 7)]),
      (3, 4), [0, 1, 2, 3, 4, 4, 4]),
     (MedialMesh.build(
-        [Sphere(c, r) for c, r in zip(
+        [(*c, r) for c, r in zip(
             [(0.0, 1.0, -1.0), (2.0, -1.5, -0.5), (-1.0, 0.0, -1.5),
              (-1.0, 0.0, -1.5)],
             [2.5, 1.0, 0.5, 0.0])],
@@ -129,7 +129,7 @@ def test_data_table_matches_the_full_scan(mat, seed, faces):
 
 
 def chain(radii, spacing=1.0):
-    spheres = [Sphere((spacing * i, 0.0, 0.0), r) for i, r in enumerate(radii)]
+    spheres = [(spacing * i, 0.0, 0.0, r) for i, r in enumerate(radii)]
     return MedialMesh.build(spheres, [(i, i + 1) for i in range(len(radii) - 1)],
                             [])
 
@@ -208,8 +208,8 @@ def swallow_cases(draw):
     edges = draw(st.lists(st.tuples(index, index).filter(
         lambda e: e[0] != e[1]), min_size=2, max_size=8))
     mat = MedialMesh.build(
-        [Sphere(tuple(0.5 * v for v in cell), r)
-         for cell, r in zip(cells, radii)], edges, faces)
+        [(*(0.5 * v for v in cell), r) for cell, r in zip(cells, radii)],
+        edges, faces)
     graph = build_graph(mat)
     order = draw(st.permutations(range(len(graph))))
     split = draw(st.integers(1, len(order)))
@@ -237,7 +237,7 @@ def test_swallow_equals_the_dense_test(case):
 # Node 1 lies inside node 0's spheres with d + r == R; node 2 is out of
 # reach.
 INSIDE = build_graph(MedialMesh.build(
-    [Sphere(c, r) for c, r in zip(
+    [(*c, r) for c, r in zip(
         [(0, 0, 0), (0, 0, 0), (0.5, 0, 0), (-1, 0, 0), (5, 0, 0), (5, 1, 0)],
         [2.0, 2.0, 1.5, 1.0, 0.5, 0.5])],
     [(0, 1), (2, 3), (4, 5)], []))

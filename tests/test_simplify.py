@@ -5,13 +5,12 @@ import pytest
 
 import oracles
 from segmat import mat_simplify
-from segmat.geometry import Sphere
 from segmat.mat_simplify import EmptyInput, SimplifyParams, collapse_cost, simplify
 from segmat.mesh_io import MedialMesh
 
 
 def chain(radii, spacing=2.0):
-    spheres = [Sphere((i * spacing, 0.0, 0.0), r) for i, r in enumerate(radii)]
+    spheres = [(i * spacing, 0.0, 0.0, r) for i, r in enumerate(radii)]
     edges = [(i, i + 1) for i in range(len(radii) - 1)]
     return MedialMesh.build(spheres, edges, [])
 
@@ -20,8 +19,8 @@ def strip(n=30, width=0.2, radius=0.3):
     """Two parallel rails of spheres triangulated into a thin sheet."""
     spheres = []
     for i in range(n):
-        spheres.append(Sphere((float(i), 0.0, 0.0), radius))
-        spheres.append(Sphere((float(i), width, 0.0), radius))
+        spheres.append((float(i), 0.0, 0.0, radius))
+        spheres.append((float(i), width, 0.0, radius))
     faces = []
     for i in range(n - 1):
         a, b = 2 * i, 2 * i + 1
@@ -32,7 +31,7 @@ def strip(n=30, width=0.2, radius=0.3):
 
 
 def plate(n=6, spacing=1.0, radius=0.5):
-    spheres = [Sphere((x * spacing, y * spacing, 0.0), radius)
+    spheres = [(x * spacing, y * spacing, 0.0, radius)
                for y in range(n) for x in range(n)]
     faces = []
     for y in range(n - 1):
@@ -94,8 +93,7 @@ def component_count(mm):
 
 def test_collapse_of_identical_spheres_costs_zero():
     mm = MedialMesh.build(
-        [Sphere((1.0, 2.0, 3.0), 0.7), Sphere((1.0, 2.0, 3.0), 0.7),
-         Sphere((5.0, 2.0, 3.0), 0.7)],
+        [(1.0, 2.0, 3.0, 0.7), (1.0, 2.0, 3.0, 0.7), (5.0, 2.0, 3.0, 0.7)],
         [(0, 1), (1, 2)], [])
     assert collapse_cost(mm, (0, 1)) == 0.0
 
@@ -129,13 +127,13 @@ def test_wide_plate_keeps_at_least_one_face():
 def test_coarse_chain_is_returned_unchanged():
     mm = chain([0.4, 0.45, 0.4, 0.35, 0.4, 0.45, 0.4, 0.35, 0.4, 0.45])
     out = simplify(mm, SimplifyParams(target_error=0.03))
-    assert out.spheres == mm.spheres
-    assert out.edges == mm.edges
-    assert out.faces == mm.faces
+    assert np.array_equal(out.spheres, mm.spheres)
+    assert np.array_equal(out.edges, mm.edges)
+    assert np.array_equal(out.faces, mm.faces)
 
 
 def test_empty_input_raises():
-    mm = MedialMesh.build([Sphere((0.0, 0.0, 0.0), 1.0)], [], [])
+    mm = MedialMesh.build([(0.0, 0.0, 0.0, 1.0)], [], [])
     with pytest.raises(EmptyInput):
         simplify(mm)
 
@@ -149,8 +147,8 @@ def test_non_finite_radius_raises(value):
 
 def naive_greedy_chain(mm, target_error):
     """Reference collapse order on a pure curve chain, no queue machinery."""
-    spheres = {i: np.array([*s.center, s.radius]) for i, s in enumerate(mm.spheres)}
-    edges = set(mm.edges)
+    spheres = dict(enumerate(mm.spheres))
+    edges = set(map(tuple, mm.edges.tolist()))
     acc = {i: 0.0 for i in spheres}
     bound_sq = (target_error * mm.diagonal()) ** 2
     ts = np.linspace(0.0, 1.0, 17)
@@ -190,7 +188,7 @@ def test_chain_collapse_order_matches_naive_greedy():
     rng = np.random.default_rng(17)
     radii = rng.uniform(0.3, 0.8, 10)
     offsets = rng.uniform(-0.3, 0.3, 10)
-    spheres = [Sphere((2.0 * i + float(o), 0.0, 0.0), float(r))
+    spheres = [(2.0 * i + float(o), 0.0, 0.0, float(r))
                for i, (o, r) in enumerate(zip(offsets, radii))]
     mm = MedialMesh.build(spheres, [(i, i + 1) for i in range(9)], [])
     expected = naive_greedy_chain(mm, target_error=0.25)
@@ -206,22 +204,21 @@ def test_chain_collapse_order_matches_naive_greedy():
 
 def test_face_count_never_increases_and_radii_stay_convex():
     mm = strip(n=12)
-    r_lo = min(s.radius for s in mm.spheres)
-    r_hi = max(s.radius for s in mm.spheres)
+    r_lo = min(mm.radii())
+    r_hi = max(mm.radii())
     out = simplify(mm, SimplifyParams(target_error=0.05))
     assert len(out.faces) <= len(mm.faces)
     assert len(out.faces) + len(out.edges) <= len(mm.faces) + len(mm.edges)
-    for s in out.spheres:
-        assert r_lo - 1e-12 <= s.radius <= r_hi + 1e-12
+    for radius in out.radii():
+        assert r_lo - 1e-12 <= radius <= r_hi + 1e-12
 
 
 def two_chains():
     a = chain([0.3, 0.32, 0.3, 0.31], spacing=0.5)
     shift = len(a.spheres)
-    spheres = a.spheres + [Sphere((s.center[0] + 50.0, 10.0, 0.0), s.radius)
-                           for s in a.spheres]
-    edges = a.edges + [(u + shift, v + shift) for u, v in a.edges]
-    return MedialMesh.build(spheres, edges, [])
+    moved = [(x + 50.0, 10.0, 0.0, r) for x, _, _, r in a.spheres.tolist()]
+    edges = np.concatenate([a.edges, a.edges + shift])
+    return MedialMesh.build(np.concatenate([a.spheres, moved]), edges, [])
 
 
 def test_component_count_is_preserved():
@@ -235,9 +232,9 @@ def test_simplify_is_deterministic():
     p = SimplifyParams(target_error=0.03)
     out1 = simplify(mm, p)
     out2 = simplify(mm, p)
-    assert out1.spheres == out2.spheres
-    assert out1.edges == out2.edges
-    assert out1.faces == out2.faces
+    assert np.array_equal(out1.spheres, out2.spheres)
+    assert np.array_equal(out1.edges, out2.edges)
+    assert np.array_equal(out1.faces, out2.faces)
 
 
 def test_average_error_mode_simplifies_at_least_as_much():
@@ -257,7 +254,7 @@ def counted_pairs(pairs):
     for i, (n_a, n_b, _, _) in enumerate(pairs):
         for end, count in ((2 * i, n_a), (2 * i + 1, n_b)):
             for _ in range(count - 1):
-                spheres.append(Sphere((0.0, 0.0, 9.0), 1.0))
+                spheres.append((0.0, 0.0, 9.0, 1.0))
                 edges.append((end, len(spheres) - 1))
     return MedialMesh.build(spheres, edges, [])
 
@@ -279,8 +276,8 @@ def test_closed_form_cost_matches_stacked_oracle():
     pairs = []
     for n_a in range(1, 41):
         for n_b in range(1, 41):
-            sa, sb = (Sphere(tuple(rng.uniform(-1.0, 1.0, 3)),
-                             float(rng.uniform(0.1, 1.0))) for _ in range(2))
+            sa, sb = ((*rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.1, 1.0)))
+                      for _ in range(2))
             pairs.append((n_a, n_b, sa, sb))
     state = mat_simplify._State(counted_pairs(pairs))
     edges = [(2 * i, 2 * i + 1) for i in range(len(pairs))]
@@ -305,7 +302,7 @@ def test_closed_form_cost_matches_stacked_oracle():
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 31), (4, 9), (17, 15)])
 def test_coincident_spheres_collapse_free_keeping_a(n_a, n_b):
-    s = Sphere((0.5, -1.0, 2.0), 0.7)
+    s = (0.5, -1.0, 2.0, 0.7)
     state = mat_simplify._State(counted_pair(n_a, n_b, s, s))
     assert score_edges(state, [(0, 1)]) == ([0.0], [0.0])
 
@@ -317,8 +314,8 @@ def jittered(mm, seed, scale=1e-3):
     costs, so the collapse order does not hinge on how a tie is broken.
     """
     rng = np.random.default_rng(seed)
-    spheres = [Sphere(tuple(np.add(s.center, rng.uniform(-scale, scale, 3))),
-                      s.radius * (1.0 + float(rng.uniform(-scale, scale))))
+    spheres = [(*np.add(s[:3], rng.uniform(-scale, scale, 3)),
+                s[3] * (1.0 + float(rng.uniform(-scale, scale))))
                for s in mm.spheres]
     return MedialMesh.build(spheres, mm.edges, mm.faces)
 
@@ -328,7 +325,7 @@ def oracle_fixtures():
     radii = rng.uniform(0.3, 0.8, 10)
     offsets = rng.uniform(-0.3, 0.3, 10)
     wobbly = MedialMesh.build(
-        [Sphere((2.0 * i + float(o), 0.0, 0.0), float(r))
+        [(2.0 * i + float(o), 0.0, 0.0, float(r))
          for i, (o, r) in enumerate(zip(offsets, radii))],
         [(i, i + 1) for i in range(9)], [])
     return [wobbly, jittered(strip(), 1), jittered(strip(n=12), 2),
@@ -366,8 +363,8 @@ def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
         collapsed += len(ref_trace)
         assert np.array_equal(out.centers(), ref.centers())
         assert np.array_equal(out.radii(), ref.radii())
-        assert out.edges == ref.edges
-        assert out.faces == ref.faces
+        assert np.array_equal(out.edges, ref.edges)
+        assert np.array_equal(out.faces, ref.faces)
         assert [(e, t) for e, _, t in trace] == [(e, t) for e, _, t in ref_trace]
         for (_, cost, _), (_, ref_cost, _) in zip(trace, ref_trace):
             assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0.0)
@@ -378,7 +375,7 @@ def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
 
 def test_equal_collapse_costs_go_to_the_lowest_edge():
     mm = strip()
-    costs = dict(zip(mm.edges,
+    costs = dict(zip(map(tuple, mm.edges.tolist()),
                      score_edges(mat_simplify._State(mm), mm.edges)[0]))
     tied = sorted(e for e, c in costs.items() if c == min(costs.values()))
     assert len(tied) > 1

@@ -17,7 +17,6 @@ from test_simplify import counted_pairs, score_edges
 
 import oracles
 from segmat import mat_simplify
-from segmat.geometry import Sphere
 from segmat.mat_simplify import SimplifyParams, simplify
 from segmat.mesh_io import MedialMesh
 
@@ -37,9 +36,8 @@ pairs = st.tuples(
 
 
 def pair_spheres(scale, u, coincident):
-    sa = Sphere(tuple(scale * x for x in u[:3]), scale * abs(u[3]))
-    sb = sa if coincident else Sphere(tuple(scale * x for x in u[4:7]),
-                                      scale * abs(u[7]))
+    sa = (*(scale * x for x in u[:3]), scale * abs(u[3]))
+    sb = sa if coincident else (*(scale * x for x in u[4:7]), scale * abs(u[7]))
     return sa, sb
 
 
@@ -127,8 +125,7 @@ def complexes(draw):
         faces += [tuple(index[v] for v in f) for f in piece_faces]
     c = np.array(centers) + rng.uniform(-jitter, jitter, (len(centers), 3))
     r = radius * (1.0 + rng.uniform(-jitter, jitter, len(centers)))
-    return MedialMesh.build([Sphere(tuple(p), float(q)) for p, q in zip(c, r)],
-                            edges, faces)
+    return MedialMesh.build(np.column_stack([c, r]), edges, faces)
 
 
 GATE_PARAMS = [
@@ -158,6 +155,6 @@ def test_simplify_equals_per_edge_scored_simplify(mm):
         assert len(scored) >= len(mm.edges)
         assert np.array_equal(out.centers(), ref.centers())
         assert np.array_equal(out.radii(), ref.radii())
-        assert out.edges == ref.edges
-        assert out.faces == ref.faces
+        assert np.array_equal(out.edges, ref.edges)
+        assert np.array_equal(out.faces, ref.faces)
         assert trace == ref_trace

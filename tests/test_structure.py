@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from segmat.geometry import Sphere
+from oracles import faces_of, standalone_of
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh
 from segmat.structure import (
@@ -18,7 +18,7 @@ from segmat.structure import (
 
 
 def medial(points, radii, edges=(), faces=()):
-    spheres = [Sphere(tuple(map(float, p)), float(r)) for p, r in zip(points, radii)]
+    spheres = [(*map(float, p), float(r)) for p, r in zip(points, radii)]
     return MedialMesh.build(spheres, list(edges), list(faces))
 
 
@@ -97,17 +97,16 @@ def test_bowtie_gives_triangle_triangle_vertex():
 def brute_force_joints(mm):
     """Incidence-counter re-derivation of all four joint definitions."""
     edge_faces = {}
-    for f in mm.faces:
+    for f in faces_of(mm):
         a, b, c = f
         for e in ((a, b), (b, c), (a, c)):
             edge_faces.setdefault(e, []).append(f)
-    standalone = [mm.edges[i] for i in mm.standalone_edges()]
     vertex_edges = {}
-    for e in standalone:
+    for e in standalone_of(mm):
         for v in e:
             vertex_edges.setdefault(v, []).append(e)
     vertex_faces = {}
-    for f in mm.faces:
+    for f in faces_of(mm):
         for v in f:
             vertex_faces.setdefault(v, []).append(f)
 
@@ -154,7 +153,7 @@ def test_detected_joints_match_incidence_counter_on_random_complexes():
             e = tuple(sorted(rng.choice(n, 2, replace=False)))
             edges.add(e)
         mm = medial(pts, radii, edges=sorted(edges), faces=sorted(faces))
-        if not mm.faces and not mm.standalone_edges():
+        if not len(mm.faces) and not len(mm.standalone):
             continue
         got = detect_joints(mm)
         se, sv, et, tt = brute_force_joints(mm)

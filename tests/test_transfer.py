@@ -9,7 +9,7 @@ import pytest
 from segmat import transfer
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
-from segmat.mesh_io import MedialMesh, Sphere, SurfaceMesh
+from segmat.mesh_io import MedialMesh, SurfaceMesh
 from segmat.transfer import (
     NoSegments,
     TransferParams,
@@ -397,10 +397,10 @@ def two_plates_setup():
     mesh = SurfaceMesh(np.array(va + vb), np.array(fa + fb))
     mm = MedialMesh.build(
         [
-            Sphere((0.0, 0.5, 0.5), 0.3),
-            Sphere((0.5, 0.5, 0.5), 0.3),
-            Sphere((10.0, 0.5, 0.5), 0.3),
-            Sphere((10.5, 0.5, 0.5), 0.3),
+            (0.0, 0.5, 0.5, 0.3),
+            (0.5, 0.5, 0.5, 0.3),
+            (10.0, 0.5, 0.5, 0.3),
+            (10.5, 0.5, 0.5, 0.3),
         ],
         [(0, 1), (2, 3)],
         [],
