@@ -332,6 +332,10 @@ def _load_off(path) -> SurfaceMesh:
             if not 0 <= v < nv:
                 raise ParseError(f"{path}:{lineno}: face index {v} out of range")
         faces.extend(_fan(idx, path, lineno))
+    lineno, line = next(lines, (lineno, None))
+    if line is not None:
+        raise ParseError(f"{path}:{lineno}: record past the {nv} vertices and "
+                         f"{nf} faces of the header")
     mesh = SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3),
                        np.array(faces, dtype=int).reshape(-1, 3))
     mesh.validate()

@@ -5,7 +5,10 @@ segment's nearest sphere surface) plus a smoothness cost on every adjacent
 face pair with differing labels (the exterior dihedral angle, clamped so
 concave valleys are cheap to cut along and convex ridges are not).  The
 labeling is minimized by iterated alpha-expansion where every move is an
-exact minimum s-t cut.
+exact minimum s-t cut.  Each cut is read off a maximum flow solved from the
+sink side; the source side it gives, the nodes the residual still reaches
+from the source, is the same for every maximum flow, so the labels do not
+depend on the direction of the solve.
 """
 
 from __future__ import annotations
@@ -37,7 +40,16 @@ _SCALE_BITS = 30
 
 
 def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
-    """Source side of a minimum cut, as a boolean mask over all nodes."""
+    """Source side of a minimum cut, as a boolean mask over all nodes.
+
+    The side is the set of nodes reachable from the source in the residual
+    of a maximum flow.  That set is the same for every maximum flow of one
+    graph (Picard and Queyranne, 1980): it is the intersection of the
+    source sides of all minimum cuts.  So the flow may come from any
+    solve, and it is solved from the sink side: a maximum flow from sink
+    to source on the reversed graph, transposed, is a maximum flow of the
+    graph itself.  On expansion moves that solve is several times faster.
+    """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     caps = np.asarray(caps, dtype=float)
@@ -50,15 +62,12 @@ def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
     flow_bound = min(caps[tails == source].sum(), caps[heads == sink].sum())
     scale = float(2**_SCALE_BITS) / max(float(caps.max()), float(flow_bound))
     weights = np.round(caps * scale).astype(np.int64)
-    graph = csr_matrix(
-        (weights, (tails, heads)), shape=(num_nodes, num_nodes), dtype=np.int64
+    reverse = csr_matrix(
+        (weights, (heads, tails)), shape=(num_nodes, num_nodes), dtype=np.int64
     )
-    result = maximum_flow(graph, int(source), int(sink))
-    residual = graph - result.flow
+    result = maximum_flow(reverse, int(sink), int(source))
+    residual = (reverse - result.flow).T
     residual.eliminate_zeros()
-    if residual.nnz == 0:
-        side[source] = True
-        return side
     reached = breadth_first_order(
         residual, int(source), directed=True, return_predecessors=False
     )

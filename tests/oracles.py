@@ -9,7 +9,8 @@ edge pairing replaced, the stacked-array collapse cost the closed-form
 quadratic replaced, the per-edge collapse cost the batched scoring
 replaced, the per-node dense swallowing test the ball query replaced, and
 the union-finds, depth-first walks and set loops that the node x sphere
-incidence and ``mat_graph.linked_groups`` replaced.  The package's
+incidence and ``mat_graph.linked_groups`` replaced, and the minimum cut
+solved from the source side that the sink-side solve replaced.  The package's
 results must equal them exactly, save for the rounding noise of the
 stacked sum.  Two geometric helpers only the tests use live here as well.
 """
@@ -18,6 +19,8 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from segmat.geometry import Sphere, dot
 from segmat.growing import region_labels
@@ -29,6 +32,7 @@ from segmat.structure import (
     JointKind,
     StructuralComponent,
 )
+from segmat.transfer import _SCALE_BITS
 
 
 def signed_distance(plane, point):
@@ -347,6 +351,40 @@ def data_term(centroid, centers, radii, diagonal):
         raise ValueError("diagonal must be positive")
     gaps = np.linalg.norm(centers - np.asarray(centroid, dtype=float), axis=1) - radii
     return float(max(0.0, float(gaps.min())) / diagonal)
+
+
+def min_cut_side(num_nodes, source, sink, tails, heads, caps):
+    """transfer._min_cut_side with the maximum flow solved from the source.
+
+    Same integer scaling, same residual search; only the direction of the
+    solve differs.
+    """
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    caps = np.asarray(caps, dtype=float)
+    side = np.zeros(num_nodes, dtype=bool)
+    positive = caps > 0.0
+    if not positive.any():
+        side[source] = True
+        return side
+    tails, heads, caps = tails[positive], heads[positive], caps[positive]
+    flow_bound = min(caps[tails == source].sum(), caps[heads == sink].sum())
+    scale = float(2**_SCALE_BITS) / max(float(caps.max()), float(flow_bound))
+    weights = np.round(caps * scale).astype(np.int64)
+    graph = csr_matrix(
+        (weights, (tails, heads)), shape=(num_nodes, num_nodes), dtype=np.int64
+    )
+    result = maximum_flow(graph, int(source), int(sink))
+    residual = graph - result.flow
+    residual.eliminate_zeros()
+    if residual.nnz == 0:
+        side[source] = True
+        return side
+    reached = breadth_first_order(
+        residual, int(source), directed=True, return_predecessors=False
+    )
+    side[reached] = True
+    return side
 
 
 def dual_edges(mesh):

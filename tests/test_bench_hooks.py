@@ -13,12 +13,14 @@ import numpy as np
 from test_cli import bent_l_assets, chain_mat
 from test_pipeline import bent_l_mat
 from test_simplify import chain, plate
+from test_transfer import octahedron
 
-from segmat import cli, growing, pipeline
+from segmat import cli, growing, pipeline, transfer
 from segmat.mat_graph import build_graph
 from segmat.mat_simplify import SimplifyParams, simplify
 from segmat.mesh_io import MedialMesh
 from segmat.structure import assign_base_nodes, detect_joints, split_components
+from segmat.transfer import TransferParams
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -125,6 +127,46 @@ def test_element_counters_read_the_sphere_edge_and_face_rows():
     assert tracer.counts["mat_simplify.elements_in"] == sum(sizes[0]) == 195
     assert tracer.counts["mat_simplify.elements_out"] == sum(sizes[1])
     assert sum(sizes[1]) < sum(sizes[0])
+
+
+def test_cut_counters_read_one_graph_per_move_with_a_positive_arc(
+        monkeypatch):
+    # transfer.cuts counts maximum_flow calls and transfer.cut_arcs the
+    # entries of the graph each one gets: one call per expansion move that
+    # has a positive arc, on a graph with one entry per positive arc
+    positive, entries = [], []
+    min_cut_side, maximum_flow = transfer._min_cut_side, transfer.maximum_flow
+
+    def arcs_spy(num_nodes, source, sink, tails, heads, caps):
+        positive.append(int((np.asarray(caps) > 0.0).sum()))
+        return min_cut_side(num_nodes, source, sink, tails, heads, caps)
+
+    def flow_spy(graph, source, sink):
+        entries.append(graph.nnz)
+        return maximum_flow(graph, source, sink)
+
+    monkeypatch.setattr(transfer, "_min_cut_side", arcs_spy)
+    monkeypatch.setattr(transfer, "maximum_flow", flow_spy)
+    mesh = octahedron()
+    costs = np.random.default_rng(13).uniform(size=(8, 4))
+    # in the second run label 3 ties every face's cheapest cost, so with
+    # omega 0 its move has no positive arc and makes no cut
+    tied = costs.copy()
+    tied[:, 3] = costs[:, :3].min(axis=1)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        labels = [transfer.optimize_labels(mesh, table, TransferParams(omega))
+                  for table, omega in ((costs, 0.2), (tied, 0.0))]
+    finally:
+        tracer.restore()
+    assert transfer.maximum_flow is flow_spy
+    assert all(len(set(run.tolist())) > 1 for run in labels)
+    assert 0 in positive and len(entries) > 1
+    assert entries == [k for k in positive if k > 0]
+    assert tracer.counts["transfer.maximum_flow.calls"] == len(entries)
+    assert tracer.counts["transfer.cut_arcs"] == sum(entries)
 
 
 def test_one_traced_segment_op_fills_every_layer_metric(tmp_path, monkeypatch):

@@ -456,6 +456,21 @@ def test_segment_coincident_spheres_exit_2(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_segment_off_with_a_record_past_its_counts_exits_2(tmp_path, capsys):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    with open(mesh_path) as fh:
+        lines = fh.read().splitlines()
+    with open(mesh_path, "a") as fh:
+        fh.write(lines[-1] + "\n")
+    out = str(tmp_path / "x")
+    assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                 "--out", out]) == 2
+    assert f"shape.off:{len(lines) + 1}: record past the" in (
+        capsys.readouterr().err)
+    for suffix in (".labels.txt", ".ply", ".report.json"):
+        assert not os.path.exists(out + suffix)
+
+
 @pytest.mark.parametrize("structured", [False, True])
 def test_segment_empty_surface_exits_2(tmp_path, capsys, structured):
     mesh_path, mat_path = strip_assets(tmp_path)

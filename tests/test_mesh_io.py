@@ -83,6 +83,25 @@ def test_off_negative_counts_rejected(tmp_path, text, lineno):
         load_surface(path)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n", 7),
+    ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n# a comment\n\n1 1 1\n", 8),
+    ("OFF 0 0 0\n3 0 1 2\n", 2),
+], ids=["extra-face", "extra-vertex-after-comment", "records-past-zero-counts"])
+def test_off_records_past_the_counts_rejected(tmp_path, text, lineno):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"bad.off:{lineno}: record past the"):
+        load_surface(path)
+
+
+def test_off_comments_after_the_last_record_are_allowed(tmp_path):
+    path = tmp_path / "ok.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+                    "# end\n\n")
+    assert load_surface(path).faces.tolist() == [[0, 1, 2]]
+
+
 def test_repeated_vertex_face_rejected(tmp_path):
     path = tmp_path / "degen.off"
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n")

@@ -179,6 +179,19 @@ def test_truncated_off_is_a_parse_error(tmp_path_factory, mesh, data):
         load_surface(path)
 
 
+@given(mesh=surface_meshes(min_faces=0), data=st.data())
+def test_off_record_past_the_counts_is_a_parse_error(tmp_path_factory, mesh,
+                                                     data):
+    path = tmp_path_factory.mktemp("extra") / "m.off"
+    save_surface(mesh, path)
+    lines = path.read_text().splitlines()
+    extra = data.draw(st.sampled_from(lines[2:] or ["3 0 1 2"]))
+    path.write_text("\n".join([*lines, extra]) + "\n")
+    with pytest.raises(ParseError,
+                       match=f"m.off:{len(lines) + 1}: record past the"):
+        load_surface(path)
+
+
 @pytest.mark.parametrize("suffix, meshes, save, load", [
     (".obj", surface_meshes(), save_surface, load_surface),
     (".ma", medial_meshes(), save_medial_mesh, load_medial_mesh),

@@ -2,10 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from segmat import transfer
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
@@ -13,6 +17,8 @@ from segmat.mesh_io import MedialMesh, SurfaceMesh
 from segmat.transfer import (
     NoSegments,
     TransferParams,
+    _boundary_costs,
+    _expansion_move,
     _min_cut_side,
     data_table,
     exterior_dihedrals,
@@ -110,12 +116,15 @@ def cut_capacity(arcs, side):
 # --- min cut ---------------------------------------------------------------
 
 
+def columns(arcs):
+    """(tails, heads, caps) of (u, v, c) arcs."""
+    return ([u for u, _, _ in arcs], [v for _, v, _ in arcs],
+            [c for _, _, c in arcs])
+
+
 def min_cut(num_nodes, source, sink, arcs):
     """Cut value and source side that _min_cut_side finds for (u, v, c) arcs."""
-    tails = [u for u, _, _ in arcs]
-    heads = [v for _, v, _ in arcs]
-    caps = [c for _, _, c in arcs]
-    side = _min_cut_side(num_nodes, source, sink, tails, heads, caps)
+    side = _min_cut_side(num_nodes, source, sink, *columns(arcs))
     side = {int(v) for v in np.flatnonzero(side)}
     return cut_capacity(arcs, side), side
 
@@ -166,6 +175,106 @@ def test_empty_network_flow_is_zero():
     value, side = min_cut(3, 0, 2, [])
     assert value == 0.0
     assert side == {0}
+
+
+# zero, negative and tied capacities, and positive ones from 1e-12 to 1e3
+capacities = st.one_of(
+    st.sampled_from([0.0, -0.5, 1.0]),
+    st.floats(-1e3, -1e-12),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99),
+              st.integers(-12, 2)),
+)
+
+
+@st.composite
+def flow_networks(draw):
+    """(nodes, source, sink, arcs) with isolated nodes and parallel arcs.
+
+    A parallel pair splits one drawn capacity in two, so no pair of arcs
+    sums past the largest one and the scaled graph stays in int32.
+    """
+    n = draw(st.integers(2, 9))
+    source, sink = draw(st.permutations(range(n)))[:2]
+    node = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                         unique=True, max_size=20))
+    bare = draw(st.sampled_from([None, source, sink]))
+    arcs = []
+    for u, v in ends:
+        if bare in (u, v):
+            continue
+        c = draw(capacities)
+        if draw(st.booleans()):
+            share = c * draw(st.sampled_from([0.0, 0.25, 0.5]))
+            arcs += [(u, v, share), (u, v, c - share)]
+        else:
+            arcs.append((u, v, c))
+    order = draw(st.permutations(range(len(arcs))))
+    return n, source, sink, [arcs[i] for i in order]
+
+
+@settings(max_examples=300)
+@given(network=flow_networks())
+@example(network=(3, 0, 2, []))
+@example(network=(4, 1, 3, [(0, 2, 1.0)]))
+@example(network=(3, 0, 2, [(0, 1, 1.0), (1, 2, 1.0)]))
+@example(network=(4, 0, 3, [(0, 1, 1e-12), (0, 2, 1e3), (1, 3, 1e3),
+                            (2, 3, 1e-12), (1, 2, 0.0), (2, 1, -1.0)]))
+def test_min_cut_side_equals_the_forward_solve(network):
+    n, source, sink, arcs = network
+    got = _min_cut_side(n, source, sink, *columns(arcs))
+    want = oracles.min_cut_side(n, source, sink, *columns(arcs))
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def exact_networks(draw):
+    """(nodes, source, sink, arcs) on up to 7 nodes, exact after scaling.
+
+    Integer capacities; the arcs out of the source sum to 16, the arcs
+    into the sink to at least 16, and every other arc is at most 8.  The
+    solver's scale is then 2**26 and every scaled capacity an integer, so
+    its cut values equal the sums below exactly.
+    """
+    n = draw(st.integers(3, 7))
+    source, sink = draw(st.permutations(range(n)))[:2]
+    inner = [v for v in range(n) if v not in (source, sink)]
+
+    def sixteen(ends):
+        cuts = sorted(draw(st.lists(st.integers(1, 15), unique=True,
+                                    max_size=len(ends) - 1)))
+        parts = np.diff([0, *cuts, 16]).tolist()
+        return [(u, v, c) for (u, v), c in zip(ends, parts)]
+
+    heads = draw(st.lists(st.sampled_from(inner + [sink]), min_size=5,
+                          max_size=5))
+    tails = draw(st.lists(st.sampled_from(inner), min_size=5, max_size=5))
+    arcs = sixteen([(source, v) for v in heads])
+    arcs += sixteen([(u, sink) for u in tails])
+    node = st.integers(0, n - 1)
+    arcs += draw(st.lists(st.tuples(node, node, st.integers(-1, 8)).filter(
+        lambda a: a[0] != a[1] and a[0] != source and a[1] != sink),
+        max_size=12))
+    return n, source, sink, arcs
+
+
+@settings(max_examples=200)
+@given(network=exact_networks())
+def test_min_cut_side_is_the_smallest_minimum_cut_side(network):
+    # the intersection of the source sides of every minimum cut
+    n, source, sink, arcs = network
+    rest = [v for v in range(n) if v not in (source, sink)]
+    best, smallest = math.inf, None
+    for mask in range(1 << len(rest)):
+        side = {source} | {v for k, v in enumerate(rest) if mask >> k & 1}
+        value = sum(c for u, v, c in arcs
+                    if c > 0 and u in side and v not in side)
+        if value < best:
+            best, smallest = value, side
+        elif value == best:
+            smallest &= side
+    got = _min_cut_side(n, source, sink, *columns(arcs))
+    assert set(np.flatnonzero(got).tolist()) == smallest
 
 
 # --- data term --------------------------------------------------------------
@@ -386,6 +495,56 @@ def test_tied_costs_take_smallest_label():
     costs = np.full((8, 3), 0.25)
     labels = optimize_labels(mesh, costs, TransferParams(omega=0.3))
     assert list(labels) == [0] * 8
+
+
+def terrain(heights, cols):
+    """Triangulated height field: vertex (i, j) at (j, i, heights[i*cols+j])."""
+    rows = len(heights) // cols
+    verts = [(float(j), float(i), heights[i * cols + j])
+             for i in range(rows) for j in range(cols)]
+    faces = []
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            v = i * cols + j
+            faces += [(v, v + 1, v + cols + 1), (v, v + cols + 1, v + cols)]
+    return SurfaceMesh(np.array(verts), np.array(faces))
+
+
+@st.composite
+def expansion_cases(draw):
+    """(labels, alpha, costs, pairs, weights) of one move on a small terrain.
+
+    Heights, costs and omega come from small pools as well as ranges, so
+    coplanar faces, tied costs and tied boundary weights are common.
+    """
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    heights = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, -1.0]),
+                                      st.floats(-2.0, 2.0)),
+                            min_size=rows * cols, max_size=rows * cols))
+    mesh = terrain(heights, cols)
+    k = draw(st.integers(1, 4))
+    num_faces = len(mesh.faces)
+    cost = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 2.0))
+    costs = np.array(draw(st.lists(st.lists(cost, min_size=k, max_size=k),
+                                   min_size=num_faces, max_size=num_faces)))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=num_faces,
+                                    max_size=num_faces)))
+    omega = draw(st.one_of(st.sampled_from([0.0, 0.3, 1.0]),
+                           st.floats(0.0, 5.0)))
+    pairs, _ = mesh.dual_edges()
+    return (labels, draw(st.integers(0, k - 1)), costs, pairs,
+            omega * _boundary_costs(mesh))
+
+
+@settings(max_examples=200)
+@given(case=expansion_cases())
+def test_expansion_move_equals_the_forward_solve(case):
+    got = _expansion_move(*case)
+    with mock.patch.object(transfer, "_min_cut_side", oracles.min_cut_side):
+        want = _expansion_move(*case)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got, want)
 
 
 # --- transfer from regions --------------------------------------------------
