@@ -200,7 +200,11 @@ def _segment_one(mesh_path, mat_path, structured_path, out_prefix,
 
     mesh = load_surface(mesh_path)
     mat = load_medial_mesh(mat_path)
-    structured = load_medial_mesh(structured_path) if structured_path else None
+    structured = None
+    if structured_path:
+        # one file named twice is parsed once
+        same = os.path.samefile(structured_path, mat_path)
+        structured = mat if same else load_medial_mesh(structured_path)
     result = run_pipeline(mesh, mat, structured, _pipeline_config(_values(params)))
 
     outputs = {

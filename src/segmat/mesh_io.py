@@ -10,13 +10,16 @@ Colored surface output is ASCII PLY with per-face red/green/blue taken from
 a fixed 32-entry palette (label k uses entry k mod 32).
 
 All writers emit floats with 9 significant digits, so load(save(x)) is exact
-once coordinates are representable at that precision.
+once coordinates are representable at that precision.  Readers convert a
+block of records at a time; a parse error names the first bad ``file:line``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import islice, starmap
 
 import numpy as np
 
@@ -50,8 +53,11 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+# lines read and rows written at a time, an x y z row with 9 digits, and
+# the palette as PLY text
+_BLOCK = 1024
+_XYZ = "{:.9g} {:.9g} {:.9g}\n"
+_COLORS = np.array([f"{r} {g} {b}" for r, g, b in PALETTE], dtype=object)
 
 
 @dataclass
@@ -70,16 +76,20 @@ class SurfaceMesh:
             self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
 
     def validate(self) -> None:
-        if not np.isfinite(self.vertices).all():
-            raise ParseError("non-finite vertex coordinate")
-        with np.errstate(over="ignore"):
-            if not math.isfinite(self.diagonal()):
-                raise ParseError("vertex coordinates span a non-finite diagonal")
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
-            raise ParseError("face index out of range")
-        # each corner against the one before it covers all three pairs
-        if (self.faces == np.roll(self.faces, 1, axis=1)).any():
-            raise ParseError("face with repeated vertices")
+        """Array checks run once and are cached, as the derived arrays are;
+        the label count is checked on every call."""
+        if "valid" not in self._cache:
+            if not np.isfinite(self.vertices).all():
+                raise ParseError("non-finite vertex coordinate")
+            with np.errstate(over="ignore"):
+                if not math.isfinite(self.diagonal()):
+                    raise ParseError("vertex coordinates span a non-finite diagonal")
+            if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
+                raise ParseError("face index out of range")
+            # each corner against the one before it covers all three pairs
+            if (self.faces == np.roll(self.faces, 1, axis=1)).any():
+                raise ParseError("face with repeated vertices")
+            self._cache["valid"] = True
         if self.labels is not None and len(self.labels) != len(self.faces):
             raise LengthMismatch(
                 f"{len(self.labels)} labels for {len(self.faces)} faces")
@@ -163,19 +173,32 @@ def _index_rows(records, width: int, n: int, what: str, repeat: str) -> np.ndarr
     """
     rows = _rows(records, width, what)
     whole = (np.isfinite(rows) & (rows == np.floor(rows))).all(axis=1)
-    outside = ((rows < 0) | (rows >= n)).any(axis=1)
+    outside, repeated = _index_faults(rows, n)
+    _raise_first(None, None, [
+        (~whole, lambda i: f"non-integral {what} index: {tuple(rows[i].tolist())}"),
+        (outside, lambda i: f"{what} index out of range: {tuple(map(int, rows[i].tolist()))}"),
+        (repeated, lambda i: f"{repeat}: {tuple(map(int, rows[i].tolist()))}")])
+    return np.sort(rows, axis=1).astype(np.intp)
+
+
+def _index_faults(rows, n) -> tuple[np.ndarray, np.ndarray]:
+    """Index rows over n items: those with an index outside 0..n-1, and
+    those that repeat an index."""
     ordered = np.sort(rows, axis=1)
-    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    bad = ~whole | outside | repeated
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not whole[i]:
-            raise ParseError(f"non-integral {what} index: {tuple(rows[i].tolist())}")
-        record = tuple(int(v) for v in rows[i])
-        if outside[i]:
-            raise ParseError(f"{what} index out of range: {record}")
-        raise ParseError(f"{repeat}: {record}")
-    return ordered.astype(np.intp)
+    return (((rows < 0) | (rows >= n)).any(axis=1),
+            (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+
+
+def _unique_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) of a 2-D array, by one
+    lexsort: the distinct rows in lexicographic order and the inverse."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 @dataclass(eq=False)
@@ -203,13 +226,12 @@ class MedialMesh:
                 f"negative sphere radius {float(spheres[np.argmax(negative), 3])}")
         n = len(spheres)
         given = _index_rows(edges, 2, n, "edge", "degenerate edge")
-        faces = np.unique(
-            _index_rows(faces, 3, n, "face", "face with repeated vertices"), axis=0)
+        faces = _unique_rows(
+            _index_rows(faces, 3, n, "face", "face with repeated vertices"))[0]
         sides = faces[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2)
-        edges, inverse = np.unique(np.concatenate([sides, given]), axis=0,
-                                   return_inverse=True)
+        edges, inverse = _unique_rows(np.concatenate([sides, given]))
         in_face = np.zeros(len(edges), dtype=bool)
-        in_face[inverse.reshape(-1)[:len(sides)]] = True
+        in_face[inverse[:len(sides)]] = True
         return cls(spheres, edges, faces, np.flatnonzero(~in_face))
 
     def validate(self) -> None:
@@ -237,228 +259,263 @@ class MedialMesh:
         return float(np.linalg.norm((c + r).max(axis=0) - (c - r).min(axis=0)))
 
 
-def _meaningful_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+class _Text:
+    """A text file split at line feeds after text mode's newline translation,
+    as file iteration splits it, less "#" comments if asked.  For each line
+    with a token: ``number`` (1-based), ``count`` of tokens, ``begin`` offset."""
+
+    def __init__(self, path, comments=True):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if comments and "#" in text:
+            text = re.sub("#[^\n]*", "", text)
+        lines = text.split("\n")
+        count = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+        ends = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines)) + 1)
+        self.text, self.number = text, np.flatnonzero(count) + 1
+        self.count = count[self.number - 1]
+        self.begin = np.append(np.r_[0, ends][self.number - 1], len(text))
+
+    def line(self, row) -> str:
+        return self.text[self.begin[row]:self.begin[row + 1]].strip()
+
+    def blocks(self, first=0, stop=None):
+        """(first line, tokens, first token of each line, token counts) for
+        lines first..stop-1, _BLOCK at a time, or one empty block."""
+        stop = len(self.count) if stop is None else stop
+        for a in range(first, max(stop, first + 1), _BLOCK):
+            count = self.count[a:max(min(a + _BLOCK, stop), a)]
+            yield (a, self.text[self.begin[a]:self.begin[a + len(count)]].split(),
+                   np.cumsum(count) - count, count)
+
+
+def _numbers(tokens, kind):
+    """tokens read with kind (float or int), and a code per token: 1 where
+    kind rejects it (value 0), 2 for an int beyond int64 (value clipped)."""
+    values = np.zeros(len(tokens), np.int64 if kind is int else float)
+    code = np.zeros(len(tokens), np.int8)
+    try:
+        return np.fromiter(map(kind, tokens), values.dtype, len(tokens)), code
+    except (ValueError, OverflowError):
+        pass
+    for i, token in enumerate(tokens):
+        try:
+            value = values[i] = kind(token)
+        except ValueError:
+            code[i] = 1
+        except OverflowError:
+            code[i], values[i] = 2, -2**63 if value < 0 else 2**63 - 1
+    return values, code
+
+
+def _pick(tokens, at) -> list:
+    if len(at) and at[-1] - at[0] == len(at) - 1:  # contiguous
+        return tokens[at[0]:at[-1] + 1]
+    return list(map(tokens.__getitem__, at.tolist()))
+
+
+def _spans(length):
+    """Each item's run, and its place in it, for runs of these lengths."""
+    run = np.repeat(np.arange(len(length)), length)
+    return run, np.arange(len(run)) - (np.cumsum(length) - length)[run]
+
+
+def _table(tokens, start, whole, first, width, kind):
+    """Tokens first..first+width-1 of the lines in whole, read by kind, as
+    rows (0 on other lines), and the lines with a token kind rejects."""
+    at = (start[whole][:, None] + np.arange(first, first + width)).reshape(-1)
+    read, code = _numbers(_pick(tokens, at), kind)
+    values = np.zeros((len(whole), width), read.dtype)
+    values[whole] = read.reshape(-1, width)
+    bad = np.zeros(len(whole), dtype=bool)
+    bad[whole] = (code.reshape(-1, width) == 1).any(axis=1)
+    return values, bad
+
+
+def _raise_first(path, number, checks) -> None:
+    """Raise for the earliest row failing a check (mask, message[, class]);
+    on it the first check listed wins.  message is text or a function of the
+    row, led by path and the row's line number when path is given."""
+    found = min(((int(np.argmax(c[0])), i) for i, c in enumerate(checks)
+                 if c[0].any()), default=None)
+    if found is not None:
+        row, (_, message, *error) = found[0], checks[found[1]]
+        where = "" if path is None else f"{path}:{number[row]}: "
+        raise (error or [ParseError])[0](
+            where + (message(row) if callable(message) else message))
+
+
+def _polygons(path, number, index, arity, outside, shown, checks=()):
+    """Fan triangles (v0, vj, vj+1) of polygons (v0, .., vk) whose arity[i]
+    corners follow in turn in index, after the checks and then those for an
+    index outside (shown(i) writes index i), too few and repeated corners."""
+    poly, j = _spans(np.maximum(arity - 2, 0))
+    first = (np.cumsum(arity) - arity)[poly]
+    triangles = np.stack([index[first], index[first + j + 1], index[first + j + 2]], axis=1)
+    repeated = (triangles == np.roll(triangles, 1, axis=1)).any(axis=1)
+    line = _spans(arity)[0]
+    _raise_first(path, number, [*checks, (
+        np.bincount(line[outside], minlength=len(arity)) > 0, lambda row: "face index "
+        f"{shown(np.flatnonzero(outside & (line == row))[0])} out of range"),
+        (arity < 3, "face with fewer than 3 vertices"),
+        (np.bincount(poly[repeated], minlength=len(arity)) > 0,
+         "face with repeated vertices")])
+    return triangles
+
+
+def _by_suffix(path, off, obj):
+    for suffix, handler in ((".off", off), (".obj", obj)):
+        if str(path).lower().endswith(suffix):
+            return handler
+    raise ParseError(f"{path}: unsupported surface format (expected .off or .obj)")
 
 
 def load_surface(path) -> SurfaceMesh:
     """Load an OFF or OBJ triangle mesh (quads and fans are split)."""
-    p = str(path)
-    lower = p.lower()
-    if lower.endswith(".off"):
-        return _load_off(p)
-    if lower.endswith(".obj"):
-        return _load_obj(p)
-    raise ParseError(f"{p}: unsupported surface format (expected .off or .obj)")
+    mesh = _by_suffix(path, _load_off, _load_obj)(str(path))
+    mesh.validate()
+    return mesh
 
 
 def save_surface(mesh: SurfaceMesh, path) -> None:
     """Write OFF or OBJ depending on the file extension."""
-    p = str(path)
-    lower = p.lower()
-    if lower.endswith(".off"):
-        _save_off(mesh, p)
-    elif lower.endswith(".obj"):
-        _save_obj(mesh, p)
-    else:
-        raise ParseError(f"{p}: unsupported surface format (expected .off or .obj)")
-
-
-def _fan(indices, path, lineno):
-    if len(indices) < 3:
-        raise ParseError(f"{path}:{lineno}: face with fewer than 3 vertices")
-    tris = []
-    for i in range(1, len(indices) - 1):
-        tri = (indices[0], indices[i], indices[i + 1])
-        if tri[0] == tri[1] or tri[1] == tri[2] or tri[0] == tri[2]:
-            raise ParseError(f"{path}:{lineno}: face with repeated vertices")
-        tris.append(tri)
-    return tris
+    _by_suffix(path, _save_off, _save_obj)(mesh, path)
 
 
 def _load_off(path) -> SurfaceMesh:
-    lines = _meaningful_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty OFF file") from None
-    tokens = header.split()
-    if tokens[0] != "OFF":
-        raise ParseError(f"{path}:{lineno}: missing OFF header")
-    counts = tokens[1:]
+    text = _Text(path)
+    if not len(text.number):
+        raise ParseError(f"{path}: empty OFF file")
+    counts, body = text.line(0).split(), 1
+    if counts.pop(0) != "OFF":
+        raise ParseError(f"{path}:{text.number[0]}: missing OFF header")
+    if not counts and len(text.number) < 2:
+        raise ParseError(f"{path}:{text.number[0]}: missing element counts")
     if not counts:
-        lineno, line = next(lines, (lineno, None))
-        if line is None:
-            raise ParseError(f"{path}:{lineno}: missing element counts")
-        counts = line.split()
-    if len(counts) < 2:
-        raise ParseError(f"{path}:{lineno}: malformed element counts")
+        counts, body = text.line(1).split(), 2
     try:
         nv, nf = int(counts[0]), int(counts[1])
-    except ValueError:
+    except (ValueError, IndexError):
         nv = nf = -1
     if nv < 0 or nf < 0:
-        raise ParseError(f"{path}:{lineno}: malformed element counts")
-    vertices = []
-    for _ in range(nv):
-        lineno, line = next(lines, (lineno, None))
-        if line is None:
-            raise ParseError(f"{path}: truncated vertex list")
-        parts = line.split()
-        if len(parts) < 3:
-            raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-        try:
-            vertices.append((float(parts[0]), float(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
-    faces = []
-    for _ in range(nf):
-        lineno, line = next(lines, (lineno, None))
-        if line is None:
-            raise ParseError(f"{path}: truncated face list")
-        parts = line.split()
-        try:
-            k = int(parts[0])
-            idx = [int(t) for t in parts[1:1 + k]]
-        except (ValueError, IndexError):
-            raise ParseError(f"{path}:{lineno}: malformed face record") from None
-        if len(idx) != k:
-            raise ParseError(f"{path}:{lineno}: face arity mismatch")
-        for v in idx:
-            if not 0 <= v < nv:
-                raise ParseError(f"{path}:{lineno}: face index {v} out of range")
-        faces.extend(_fan(idx, path, lineno))
-    lineno, line = next(lines, (lineno, None))
-    if line is not None:
-        raise ParseError(f"{path}:{lineno}: record past the {nv} vertices and "
-                         f"{nf} faces of the header")
-    mesh = SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                       np.array(faces, dtype=int).reshape(-1, 3))
-    mesh.validate()
-    return mesh
+        raise ParseError(f"{path}:{text.number[body - 1]}: malformed element counts")
+    rows, vertices, faces = len(text.number) - body, [], []
+    for a, tokens, start, count in text.blocks(body, body + min(nv, rows)):
+        values, bad = _table(tokens, start, count >= 3, 0, 3, float)
+        _raise_first(path, text.number[a:], [
+            (count < 3, "vertex needs 3 coordinates"), (bad, "bad vertex coordinate")])
+        vertices.append(values)
+    if rows < nv:
+        raise ParseError(f"{path}: truncated vertex list")
+    for a, tokens, start, count in text.blocks(body + nv, body + min(nv + nf, rows)):
+        # a line "k i1 .. ik" reads the Python slice tokens[1:1 + k]
+        k, k_code = _numbers(_pick(tokens, start), int)
+        length = np.where(k >= 0, np.minimum(k, count - 1),
+                          np.where(k == -1, 0, np.maximum(count + k, 0)))
+        line, j = _spans(length)
+        index, code = _numbers(_pick(tokens, start[line] + 1 + j), int)
+        malformed = (k_code == 1) | (np.bincount(line[code == 1], minlength=len(k)) > 0)
+        faces.append(_polygons(
+            path, text.number[a:], index, length, (index < 0) | (index >= nv),
+            lambda i: int(tokens[start[line[i]] + 1 + j[i]]),
+            [(malformed, "malformed face record"), (length != k, "face arity mismatch")]))
+    if rows < nv + nf:
+        raise ParseError(f"{path}: truncated face list")
+    if rows > nv + nf:
+        raise ParseError(f"{path}:{text.number[body + nv + nf]}: record past "
+                         f"the {nv} vertices and {nf} faces of the header")
+    return SurfaceMesh(np.concatenate(vertices), np.concatenate(faces))
 
 
 def _load_obj(path) -> SurfaceMesh:
-    vertices = []
-    raw_faces = []
-    for lineno, line in _meaningful_lines(path):
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-            try:
-                vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
-        elif parts[0] == "f":
-            idx = []
-            for tok in parts[1:]:
-                head = tok.split("/", 1)[0]
-                try:
-                    v = int(head)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
-                if v < 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: face index {v} (OBJ indices are 1-based)")
-                idx.append(v - 1)
-            raw_faces.append((lineno, idx))
+    text = _Text(path)
+    slash, parts, beyond = "/" in text.text, [], {}
+    for a, tokens, start, count in text.blocks():
+        keyword = np.array(_pick(tokens, start), dtype=object)
         # all other record types (vn, vt, g, o, s, usemtl...) are ignored
-    faces = []
-    for lineno, idx in raw_faces:
-        for v in idx:
-            if v >= len(vertices):
-                raise ParseError(f"{path}:{lineno}: face index {v + 1} out of range")
-        faces.extend(_fan(idx, path, lineno))
-    mesh = SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3),
-                       np.array(faces, dtype=int).reshape(-1, 3))
-    mesh.validate()
-    return mesh
+        f = np.flatnonzero(keyword == "f")
+        vertices, bad = _table(tokens, start, (keyword == "v") & (count >= 4), 1, 3, float)
+        line, j = _spans(count[f] - 1)
+        given = _pick(tokens, start[f][line] + 1 + j)
+        heads = [token.split("/", 1)[0] for token in given] if slash else given
+        index, code = _numbers(heads, int)
+        faulty = np.flatnonzero((code == 1) | (index < 1))
+        at = f[line[faulty]]  # the line of each, in order
+
+        def bad_index(row):
+            i = faulty[np.searchsorted(at, row)]
+            if code[i] == 1:
+                return f"bad face index {given[i]!r}"
+            return f"face index {int(heads[i])} (OBJ indices are 1-based)"
+
+        _raise_first(path, text.number[a:], [
+            ((keyword == "v") & (count < 4), "vertex needs 3 coordinates"),
+            (bad, "bad vertex coordinate"),
+            (np.bincount(at, minlength=len(count)) > 0, bad_index)])
+        done = sum(len(part[1]) for part in parts)
+        beyond.update((done + i, int(heads[i])) for i in np.flatnonzero(code == 2).tolist())
+        parts.append((vertices[keyword == "v"], index - 1, count[f] - 1, f + a))
+    vertices, index, arity, rows = map(np.concatenate, zip(*parts))
+    return SurfaceMesh(vertices, _polygons(
+        path, text.number[rows], index, arity, index >= len(vertices),
+        lambda i: beyond.get(i, int(index[i]) + 1)))
+
+
+def _write(path, head: str, *parts) -> None:
+    """head, then template.format(*row) for the rows of each (template,
+    *arrays) part, its arrays side by side, a block of rows at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for template, *arrays in parts:
+            for i in range(0, len(arrays[0]), _BLOCK):
+                rows = np.concatenate([a[i:i + _BLOCK] for a in arrays], axis=1)
+                fh.write("".join(starmap(template.format, rows.tolist())))
 
 
 def _save_off(mesh: SurfaceMesh, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {len(mesh.faces)} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+    _write(path, f"OFF\n{len(mesh.vertices)} {len(mesh.faces)} 0\n",
+           (_XYZ, mesh.vertices), ("3 {} {} {}\n", mesh.faces))
 
 
 def _save_obj(mesh: SurfaceMesh, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+    _write(path, "", ("v " + _XYZ, mesh.vertices), ("f {} {} {}\n", mesh.faces + 1))
 
 
 def load_medial_mesh(path) -> MedialMesh:
     """Load a ``.ma`` medial mesh and return it in canonical form."""
     p = str(path)
-    spheres = []
-    edges = []
-    faces = []
-    for lineno, line in _meaningful_lines(p):
-        parts = line.split()
-        kind = parts[0]
-        if kind == "v":
-            if len(parts) != 5:
-                raise ParseError(f"{p}:{lineno}: vertex record needs 4 numbers")
-            try:
-                x, y, z, r = (float(t) for t in parts[1:])
-            except ValueError:
-                raise ParseError(f"{p}:{lineno}: bad vertex number") from None
-            if not all(map(math.isfinite, (x, y, z, r))):
-                raise ParseError(f"{p}:{lineno}: non-finite vertex number")
-            if r < 0.0:
-                raise NegativeRadius(f"{p}:{lineno}: negative radius {r}")
-            spheres.append((x, y, z, r))
-        elif kind == "e":
-            if len(parts) != 3:
-                raise ParseError(f"{p}:{lineno}: edge record needs 2 indices")
-            try:
-                edges.append((lineno, int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise ParseError(f"{p}:{lineno}: bad edge index") from None
-        elif kind == "f":
-            if len(parts) != 4:
-                raise ParseError(f"{p}:{lineno}: face record needs 3 indices")
-            try:
-                faces.append((lineno, int(parts[1]), int(parts[2]), int(parts[3])))
-            except ValueError:
-                raise ParseError(f"{p}:{lineno}: bad face index") from None
-        else:
-            raise ParseError(f"{p}:{lineno}: unknown record {kind!r}")
-    n = len(spheres)
-    for lineno, a, b in edges:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"{p}:{lineno}: edge index out of range")
-        if a == b:
-            raise ParseError(f"{p}:{lineno}: degenerate edge ({a}, {b})")
-    for lineno, a, b, c in faces:
-        for v in (a, b, c):
-            if not 0 <= v < n:
-                raise ParseError(f"{p}:{lineno}: face index out of range")
-        if a == b or b == c or a == c:
-            raise ParseError(f"{p}:{lineno}: face with repeated vertices")
-    return MedialMesh.build(
-        spheres, [(a, b) for _, a, b in edges], [(a, b, c) for _, a, b, c in faces])
+    text, parts = _Text(p), []
+    for a, tokens, start, count in text.blocks():
+        keyword, checks, part = np.array(_pick(tokens, start), dtype=object), [], []
+        for kind, width, read, short, unread in (
+                ("v", 4, float, "vertex record needs 4 numbers", "bad vertex number"),
+                ("e", 2, int, "edge record needs 2 indices", "bad edge index"),
+                ("f", 3, int, "face record needs 3 indices", "bad face index")):
+            whole = (keyword == kind) & (count == width + 1)
+            values, bad = _table(tokens, start, whole, 1, width, read)
+            checks += [((keyword == kind) & ~whole, short), (bad, unread)]
+            part += [values[whole], np.flatnonzero(whole) + a]
+            if kind == "v":
+                spheres = values
+        _raise_first(p, text.number[a:], [
+            (~np.isin(keyword, ["v", "e", "f"]), lambda row: f"unknown record {keyword[row]!r}"),
+            *checks[:2], (~np.isfinite(spheres).all(axis=1), "non-finite vertex number"),
+            (spheres[:, 3] < 0.0, lambda row: f"negative radius {float(spheres[row, 3])}",
+             NegativeRadius), *checks[2:]])
+        parts.append(part)
+    spheres, _, edges, edge_rows, faces, face_rows = map(np.concatenate, zip(*parts))
+    _raise_first(p, text.number[edge_rows], list(zip(
+        _index_faults(edges, len(spheres)), ("edge index out of range", lambda row:
+        f"degenerate edge ({int(edges[row, 0])}, {int(edges[row, 1])})"))))
+    _raise_first(p, text.number[face_rows], list(zip(
+        _index_faults(faces, len(spheres)),
+        ("face index out of range", "face with repeated vertices"))))
+    return MedialMesh.build(spheres, edges, faces)
 
 
 def save_medial_mesh(mm: MedialMesh, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, z, r in mm.spheres.tolist():
-            fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(r)}\n")
-        for a, b in mm.edges.tolist():
-            fh.write(f"e {a} {b}\n")
-        for a, b, c in mm.faces.tolist():
-            fh.write(f"f {a} {b} {c}\n")
+    _write(path, "", ("v {:.9g} " + _XYZ, mm.spheres), ("e {} {}\n", mm.edges),
+           ("f {} {} {}\n", mm.faces))
 
 
 def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
@@ -468,28 +525,21 @@ def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
         raise LengthMismatch("mesh has no labels to save")
     if len(lab) != len(mesh.faces):
         raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in lab:
-            fh.write(f"{int(v)}\n")
+    save_point_labels(path, lab.tolist())
 
 
 def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
     """Read per-face labels; validates the count when a mesh is given."""
     p = str(path)
-    values = []
-    bound = np.iinfo(int)
-    with open(p, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ParseError(f"{p}:{lineno}: bad label {line!r}") from None
-            if not bound.min <= values[-1] <= bound.max:
-                raise ParseError(f"{p}:{lineno}: label {line!r} out of range")
-    labels = np.array(values, dtype=int)
+    text, labels = _Text(p, comments=False), []
+    for a, tokens, start, count in text.blocks():
+        # int() rejects a line of more than one token
+        values, code = _numbers(_pick(tokens, start), int)
+        _raise_first(p, text.number[a:], [
+            ((count > 1) | (code == 1), lambda row: f"bad label {text.line(a + row)!r}"),
+            (code == 2, lambda row: f"label {text.line(a + row)!r} out of range")])
+        labels.append(values)
+    labels = np.concatenate(labels)
     if mesh is not None and len(labels) != len(mesh.faces):
         raise LengthMismatch(
             f"{p}: {len(labels)} labels for {len(mesh.faces)} faces")
@@ -499,29 +549,29 @@ def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
 def load_xyz(path) -> np.ndarray:
     """Point list, one ``x y z`` (or ``x y z r``) line per point."""
     p = str(path)
-    rows: list[list[float]] = []
-    for lineno, line in _meaningful_lines(p):
-        fields = line.split()
-        if len(fields) not in (3, 4):
-            raise ParseError(f"{p}:{lineno}: expected 'x y z' or 'x y z r'")
-        if rows and len(fields) != len(rows[0]):
-            raise ParseError(f"{p}:{lineno}: inconsistent column count")
-        try:
-            row = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"{p}:{lineno}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise ParseError(f"{p}:{lineno}: non-finite number")
-        rows.append(row)
-    if not rows:
+    text, points = _Text(p), []
+    if not len(text.count):
         raise ParseError(f"{p}: no points")
-    return np.array(rows, dtype=float)
+    for a, tokens, start, count in text.blocks():
+        values, code = _numbers(tokens, float)
+        line, bad = _spans(count)[0], np.flatnonzero(code)
+        _raise_first(p, text.number[a:], [
+            ((count != 3) & (count != 4), "expected 'x y z' or 'x y z r'"),
+            (count != text.count[0], "inconsistent column count"),
+            (np.bincount(line[bad], minlength=len(count)) > 0, lambda row: "could not "
+             f"convert string to float: {tokens[bad[np.searchsorted(line[bad], row)]]!r}"),
+            (np.bincount(line[~np.isfinite(values)], minlength=len(count)) > 0,
+             "non-finite number")])
+        points.append(values)
+    return np.concatenate(points).reshape(len(text.count), -1)
 
 
 def save_point_labels(path, labels) -> None:
     """Write per-point labels, one integer per line (LF endings)."""
+    values = map(str, map(int, labels))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{int(v)}\n" for v in labels)
+        while block := list(islice(values, _BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
@@ -529,16 +579,11 @@ def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
     lab = np.asarray(labels, dtype=int).reshape(-1)
     if len(lab) != len(mesh.faces):
         raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(mesh.vertices)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write(f"element face {len(mesh.faces)}\n")
-        fh.write("property list uchar int vertex_indices\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for v in mesh.vertices:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for f, k in zip(mesh.faces, lab):
-            r, g, b = PALETTE[int(k) % len(PALETTE)]
-            fh.write(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}\n")
+    _write(path, "ply\nformat ascii 1.0\n"
+           f"element vertex {len(mesh.vertices)}\n"
+           "property float x\nproperty float y\nproperty float z\n"
+           f"element face {len(mesh.faces)}\n"
+           "property list uchar int vertex_indices\n"
+           "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+           "end_header\n", (_XYZ, mesh.vertices),
+           ("3 {} {} {} {}\n", mesh.faces, _COLORS[lab % len(PALETTE)][:, None]))

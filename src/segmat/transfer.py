@@ -60,11 +60,12 @@ def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
         return side
     tails, heads, caps = tails[positive], heads[positive], caps[positive]
     flow_bound = min(caps[tails == source].sum(), caps[heads == sink].sum())
-    scale = float(2**_SCALE_BITS) / max(float(caps.max()), float(flow_bound))
-    weights = np.round(caps * scale).astype(np.int64)
+    # parallel arcs are summed before scaling, so no arc passes 2**30
     reverse = csr_matrix(
-        (weights, (heads, tails)), shape=(num_nodes, num_nodes), dtype=np.int64
+        (caps, (heads, tails)), shape=(num_nodes, num_nodes), dtype=float
     )
+    scale = float(2**_SCALE_BITS) / max(float(reverse.data.max()), float(flow_bound))
+    reverse.data = np.round(reverse.data * scale).astype(np.int64)
     result = maximum_flow(reverse, int(sink), int(source))
     residual = (reverse - result.flow).T
     residual.eliminate_zeros()

@@ -9,9 +9,11 @@ edge pairing replaced, the stacked-array collapse cost the closed-form
 quadratic replaced, the per-edge collapse cost the batched scoring
 replaced, the per-node dense swallowing test the ball query replaced, and
 the union-finds, depth-first walks and set loops that the node x sphere
-incidence and ``mat_graph.linked_groups`` replaced, and the minimum cut
-solved from the source side that the sink-side solve replaced.  The package's
-results must equal them exactly, save for the rounding noise of the
+incidence and ``mat_graph.linked_groups`` replaced, the minimum cut
+solved from the source side that the sink-side solve replaced, and the
+per-line file readers and writers that the bulk ones replaced.  The
+package's results must equal them exactly (readers: the same arrays, or the
+same exception class and message), save for the rounding noise of the
 stacked sum.  Two geometric helpers only the tests use live here as well.
 """
 
@@ -25,7 +27,14 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from segmat.geometry import Sphere, dot
 from segmat.growing import region_labels
 from segmat.mat_simplify import _FROM_A_SQ, _FROM_B_SQ, _PLACEMENT_SAMPLES
-from segmat.mesh_io import NegativeRadius, ParseError
+from segmat.mesh_io import (
+    PALETTE,
+    LengthMismatch,
+    MedialMesh,
+    NegativeRadius,
+    ParseError,
+    SurfaceMesh,
+)
 from segmat.structure import (
     ComponentKind,
     Joint,
@@ -369,11 +378,11 @@ def min_cut_side(num_nodes, source, sink, tails, heads, caps):
         return side
     tails, heads, caps = tails[positive], heads[positive], caps[positive]
     flow_bound = min(caps[tails == source].sum(), caps[heads == sink].sum())
-    scale = float(2**_SCALE_BITS) / max(float(caps.max()), float(flow_bound))
-    weights = np.round(caps * scale).astype(np.int64)
     graph = csr_matrix(
-        (weights, (tails, heads)), shape=(num_nodes, num_nodes), dtype=np.int64
+        (caps, (tails, heads)), shape=(num_nodes, num_nodes), dtype=float
     )
+    scale = float(2**_SCALE_BITS) / max(float(graph.data.max()), float(flow_bound))
+    graph.data = np.round(graph.data * scale).astype(np.int64)
     result = maximum_flow(graph, int(source), int(sink))
     residual = graph - result.flow
     residual.eliminate_zeros()
@@ -464,3 +473,317 @@ def swallow(g, region, unclaimed):
         if intersects or enclosed:
             region.nodes.append(int(v))
     return region
+
+
+# mesh_io's readers and writers as they were, one line at a time.
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".9g")
+
+
+def _meaningful_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+
+
+def load_surface(path) -> SurfaceMesh:
+    """Load an OFF or OBJ triangle mesh (quads and fans are split)."""
+    p = str(path)
+    lower = p.lower()
+    if lower.endswith(".off"):
+        return _load_off(p)
+    if lower.endswith(".obj"):
+        return _load_obj(p)
+    raise ParseError(f"{p}: unsupported surface format (expected .off or .obj)")
+
+
+def save_surface(mesh: SurfaceMesh, path) -> None:
+    """Write OFF or OBJ depending on the file extension."""
+    p = str(path)
+    lower = p.lower()
+    if lower.endswith(".off"):
+        _save_off(mesh, p)
+    elif lower.endswith(".obj"):
+        _save_obj(mesh, p)
+    else:
+        raise ParseError(f"{p}: unsupported surface format (expected .off or .obj)")
+
+
+def _fan(indices, path, lineno):
+    if len(indices) < 3:
+        raise ParseError(f"{path}:{lineno}: face with fewer than 3 vertices")
+    tris = []
+    for i in range(1, len(indices) - 1):
+        tri = (indices[0], indices[i], indices[i + 1])
+        if tri[0] == tri[1] or tri[1] == tri[2] or tri[0] == tri[2]:
+            raise ParseError(f"{path}:{lineno}: face with repeated vertices")
+        tris.append(tri)
+    return tris
+
+
+def _load_off(path) -> SurfaceMesh:
+    lines = _meaningful_lines(path)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ParseError(f"{path}: empty OFF file") from None
+    tokens = header.split()
+    if tokens[0] != "OFF":
+        raise ParseError(f"{path}:{lineno}: missing OFF header")
+    counts = tokens[1:]
+    if not counts:
+        lineno, line = next(lines, (lineno, None))
+        if line is None:
+            raise ParseError(f"{path}:{lineno}: missing element counts")
+        counts = line.split()
+    if len(counts) < 2:
+        raise ParseError(f"{path}:{lineno}: malformed element counts")
+    try:
+        nv, nf = int(counts[0]), int(counts[1])
+    except ValueError:
+        nv = nf = -1
+    if nv < 0 or nf < 0:
+        raise ParseError(f"{path}:{lineno}: malformed element counts")
+    vertices = []
+    for _ in range(nv):
+        lineno, line = next(lines, (lineno, None))
+        if line is None:
+            raise ParseError(f"{path}: truncated vertex list")
+        parts = line.split()
+        if len(parts) < 3:
+            raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
+        try:
+            vertices.append((float(parts[0]), float(parts[1]), float(parts[2])))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
+    faces = []
+    for _ in range(nf):
+        lineno, line = next(lines, (lineno, None))
+        if line is None:
+            raise ParseError(f"{path}: truncated face list")
+        parts = line.split()
+        try:
+            k = int(parts[0])
+            idx = [int(t) for t in parts[1:1 + k]]
+        except (ValueError, IndexError):
+            raise ParseError(f"{path}:{lineno}: malformed face record") from None
+        if len(idx) != k:
+            raise ParseError(f"{path}:{lineno}: face arity mismatch")
+        for v in idx:
+            if not 0 <= v < nv:
+                raise ParseError(f"{path}:{lineno}: face index {v} out of range")
+        faces.extend(_fan(idx, path, lineno))
+    lineno, line = next(lines, (lineno, None))
+    if line is not None:
+        raise ParseError(f"{path}:{lineno}: record past the {nv} vertices and "
+                         f"{nf} faces of the header")
+    mesh = SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3),
+                       np.array(faces, dtype=int).reshape(-1, 3))
+    mesh.validate()
+    return mesh
+
+
+def _load_obj(path) -> SurfaceMesh:
+    vertices = []
+    raw_faces = []
+    for lineno, line in _meaningful_lines(path):
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            try:
+                vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from None
+        elif parts[0] == "f":
+            idx = []
+            for tok in parts[1:]:
+                head = tok.split("/", 1)[0]
+                try:
+                    v = int(head)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from None
+                if v < 1:
+                    raise ParseError(
+                        f"{path}:{lineno}: face index {v} (OBJ indices are 1-based)")
+                idx.append(v - 1)
+            raw_faces.append((lineno, idx))
+        # all other record types (vn, vt, g, o, s, usemtl...) are ignored
+    faces = []
+    for lineno, idx in raw_faces:
+        for v in idx:
+            if v >= len(vertices):
+                raise ParseError(f"{path}:{lineno}: face index {v + 1} out of range")
+        faces.extend(_fan(idx, path, lineno))
+    mesh = SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3),
+                       np.array(faces, dtype=int).reshape(-1, 3))
+    mesh.validate()
+    return mesh
+
+
+def _save_off(mesh: SurfaceMesh, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(mesh.vertices)} {len(mesh.faces)} 0\n")
+        for v in mesh.vertices:
+            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+        for f in mesh.faces:
+            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+
+
+def _save_obj(mesh: SurfaceMesh, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def load_medial_mesh(path) -> MedialMesh:
+    """Load a ``.ma`` medial mesh and return it in canonical form."""
+    p = str(path)
+    spheres = []
+    edges = []
+    faces = []
+    for lineno, line in _meaningful_lines(p):
+        parts = line.split()
+        kind = parts[0]
+        if kind == "v":
+            if len(parts) != 5:
+                raise ParseError(f"{p}:{lineno}: vertex record needs 4 numbers")
+            try:
+                x, y, z, r = (float(t) for t in parts[1:])
+            except ValueError:
+                raise ParseError(f"{p}:{lineno}: bad vertex number") from None
+            if not all(map(math.isfinite, (x, y, z, r))):
+                raise ParseError(f"{p}:{lineno}: non-finite vertex number")
+            if r < 0.0:
+                raise NegativeRadius(f"{p}:{lineno}: negative radius {r}")
+            spheres.append((x, y, z, r))
+        elif kind == "e":
+            if len(parts) != 3:
+                raise ParseError(f"{p}:{lineno}: edge record needs 2 indices")
+            try:
+                edges.append((lineno, int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise ParseError(f"{p}:{lineno}: bad edge index") from None
+        elif kind == "f":
+            if len(parts) != 4:
+                raise ParseError(f"{p}:{lineno}: face record needs 3 indices")
+            try:
+                faces.append((lineno, int(parts[1]), int(parts[2]), int(parts[3])))
+            except ValueError:
+                raise ParseError(f"{p}:{lineno}: bad face index") from None
+        else:
+            raise ParseError(f"{p}:{lineno}: unknown record {kind!r}")
+    n = len(spheres)
+    for lineno, a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"{p}:{lineno}: edge index out of range")
+        if a == b:
+            raise ParseError(f"{p}:{lineno}: degenerate edge ({a}, {b})")
+    for lineno, a, b, c in faces:
+        for v in (a, b, c):
+            if not 0 <= v < n:
+                raise ParseError(f"{p}:{lineno}: face index out of range")
+        if a == b or b == c or a == c:
+            raise ParseError(f"{p}:{lineno}: face with repeated vertices")
+    return MedialMesh.build(
+        spheres, [(a, b) for _, a, b in edges], [(a, b, c) for _, a, b, c in faces])
+
+
+def save_medial_mesh(mm: MedialMesh, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for x, y, z, r in mm.spheres.tolist():
+            fh.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(r)}\n")
+        for a, b in mm.edges.tolist():
+            fh.write(f"e {a} {b}\n")
+        for a, b, c in mm.faces.tolist():
+            fh.write(f"f {a} {b} {c}\n")
+
+
+def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
+    """Write per-face labels, one integer per line (LF endings)."""
+    lab = mesh.labels if labels is None else np.asarray(labels, dtype=int).reshape(-1)
+    if lab is None:
+        raise LengthMismatch("mesh has no labels to save")
+    if len(lab) != len(mesh.faces):
+        raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for v in lab:
+            fh.write(f"{int(v)}\n")
+
+
+def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
+    """Read per-face labels; validates the count when a mesh is given."""
+    p = str(path)
+    values = []
+    bound = np.iinfo(int)
+    with open(p, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise ParseError(f"{p}:{lineno}: bad label {line!r}") from None
+            if not bound.min <= values[-1] <= bound.max:
+                raise ParseError(f"{p}:{lineno}: label {line!r} out of range")
+    labels = np.array(values, dtype=int)
+    if mesh is not None and len(labels) != len(mesh.faces):
+        raise LengthMismatch(
+            f"{p}: {len(labels)} labels for {len(mesh.faces)} faces")
+    return labels
+
+
+def load_xyz(path) -> np.ndarray:
+    """Point list, one ``x y z`` (or ``x y z r``) line per point."""
+    p = str(path)
+    rows: list[list[float]] = []
+    for lineno, line in _meaningful_lines(p):
+        fields = line.split()
+        if len(fields) not in (3, 4):
+            raise ParseError(f"{p}:{lineno}: expected 'x y z' or 'x y z r'")
+        if rows and len(fields) != len(rows[0]):
+            raise ParseError(f"{p}:{lineno}: inconsistent column count")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"{p}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{p}:{lineno}: non-finite number")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{p}: no points")
+    return np.array(rows, dtype=float)
+
+
+def save_point_labels(path, labels) -> None:
+    """Write per-point labels, one integer per line (LF endings)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{int(v)}\n" for v in labels)
+
+
+def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
+    """Write an ASCII PLY with per-face palette colors for the labels."""
+    lab = np.asarray(labels, dtype=int).reshape(-1)
+    if len(lab) != len(mesh.faces):
+        raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        fh.write(f"element vertex {len(mesh.vertices)}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write(f"element face {len(mesh.faces)}\n")
+        fh.write("property list uchar int vertex_indices\n")
+        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+        fh.write("end_header\n")
+        for v in mesh.vertices:
+            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+        for f, k in zip(mesh.faces, lab):
+            r, g, b = PALETTE[int(k) % len(PALETTE)]
+            fh.write(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}\n")

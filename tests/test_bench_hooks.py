@@ -185,3 +185,28 @@ def test_one_traced_segment_op_fills_every_layer_metric(tmp_path, monkeypatch):
     metrics = tracing.layer_metrics(tracer)
     assert set(metrics) == set(tracing.LAYER_METRICS)
     assert metrics["transfer.data_pairs"]["value"] > 0
+
+
+def test_one_segment_op_reads_and_writes_each_file_once(tmp_path, monkeypatch):
+    # the tracer's mesh_io.*_s metrics time these calls, one each per op,
+    # and one medial mesh load per distinct path
+    monkeypatch.delenv("SEGMAT_CONFIG", raising=False)
+    mesh_path, mat_path = bent_l_assets(tmp_path)
+    other = tmp_path / "other.ma"
+    other.write_bytes(Path(mat_path).read_bytes())
+    for structured, loads in ((mat_path, 1), (str(other), 2)):
+        tracing = load_tracer()
+        tracer = tracing.Tracer()
+        tracing.instrument(tracer)
+        try:
+            with tracer.span("cli.main"):
+                code = cli.main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                                 "--structured", structured,
+                                 "--out", str(tmp_path / "run")])
+        finally:
+            tracer.restore()
+        assert code == 0
+        calls = {name: tracer.counts.get(f"mesh_io.{name}.calls") for name in (
+            "load_surface", "load_medial_mesh", "save_labels", "save_colored_mesh")}
+        assert calls == {"load_surface": 1, "load_medial_mesh": loads,
+                         "save_labels": 1, "save_colored_mesh": 1}

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from segmat import cli
 from segmat.cli import main
 from segmat.mesh_io import (
     MedialMesh,
@@ -469,6 +470,49 @@ def test_segment_off_with_a_record_past_its_counts_exits_2(tmp_path, capsys):
         capsys.readouterr().err)
     for suffix in (".labels.txt", ".ply", ".report.json"):
         assert not os.path.exists(out + suffix)
+
+
+def spy_on_medial_loads(monkeypatch):
+    """The paths cli.load_medial_mesh is called with."""
+    paths, load = [], cli.load_medial_mesh
+
+    def spy(path):
+        paths.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_medial_mesh", spy)
+    return paths
+
+
+def test_structured_naming_the_mat_file_is_parsed_once(tmp_path, monkeypatch):
+    mesh_path, mat_path = bent_l_assets(tmp_path)
+    paths = spy_on_medial_loads(monkeypatch)
+    spelled = os.path.join(os.path.dirname(mat_path), ".", os.path.basename(mat_path))
+    out = str(tmp_path / "once")
+    assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                 "--structured", spelled, "--out", out,
+                 "--emit-structured-mat"]) == 0
+    assert paths == [mat_path]
+    assert read_report(out)["skipped"] == ["simplify"]
+    with open(mat_path, "rb") as given, open(f"{out}.structured.ma", "rb") as back:
+        assert back.read() == given.read()
+
+
+def test_structured_from_another_file_parses_both(tmp_path, monkeypatch, capsys):
+    mesh_path, mat_path = bent_l_assets(tmp_path)
+    other = str(tmp_path / "other.ma")
+    with open(mat_path, "rb") as src, open(other, "wb") as dst:
+        dst.write(src.read())
+    paths = spy_on_medial_loads(monkeypatch)
+    assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                 "--structured", other, "--out", str(tmp_path / "two")]) == 0
+    assert paths == [mat_path, other]
+    # a malformed --mat is still an input error when --structured is fine
+    bad = tmp_path / "bad.ma"
+    bad.write_text("v 0 0 0 1\ne 0 7\n")
+    assert main(["segment", "--mesh", mesh_path, "--mat", str(bad),
+                 "--structured", other, "--out", str(tmp_path / "bad")]) == 2
+    assert "bad.ma:2: edge index out of range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("structured", [False, True])

@@ -116,6 +116,21 @@ def test_validate_rejects_each_repeated_pair(face):
         mesh.validate()
 
 
+def test_validate_checks_the_arrays_once_and_the_labels_always(tmp_path):
+    path = tmp_path / "square.off"
+    save_surface(square_mesh(), path)
+    mesh = load_surface(path)
+    # the loader validated it: the array checks have passed and are not
+    # run again, as the derived arrays are not computed again
+    mesh.vertices[0, 0] = np.nan
+    mesh.validate()
+    mesh.labels = np.array([1])
+    with pytest.raises(LengthMismatch, match="1 labels for 2 faces"):
+        mesh.validate()
+    with pytest.raises(ParseError, match="non-finite vertex coordinate"):
+        SurfaceMesh(mesh.vertices, mesh.faces).validate()
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_surface(tmp_path / "nope.off")

@@ -17,6 +17,7 @@ from segmat.mesh_io import (
     MedialMesh,
     ParseError,
     SurfaceMesh,
+    _unique_rows,
     load_labels,
     load_medial_mesh,
     load_surface,
@@ -129,6 +130,19 @@ def test_build_matches_the_set_build(records):
     assert mm.edges.tolist() == [list(e) for e in want.edges]
     assert mm.faces.tolist() == [list(f) for f in want.faces]
     assert mm.standalone.tolist() == want.standalone
+
+
+@given(rows=st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=30),
+       width=st.sampled_from([2, 3]))
+@example(rows=[], width=2)
+@example(rows=[], width=3)
+def test_unique_rows_matches_numpy_unique(rows, width):
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 3)[:, :width]
+    unique, inverse = _unique_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert unique.dtype == want.dtype and unique.shape == want.shape
+    assert np.array_equal(unique, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 def cut(text, line, keep):

@@ -277,6 +277,30 @@ def test_min_cut_side_is_the_smallest_minimum_cut_side(network):
     assert set(np.flatnonzero(got).tolist()) == smallest
 
 
+@pytest.mark.parametrize("solve", [_min_cut_side, oracles.min_cut_side],
+                         ids=["sink-side", "forward"])
+def test_parallel_arcs_are_summed_before_scaling(solve):
+    # each 0 -> 1 arc alone scales to 2**30, so summed after scaling the
+    # pair passes int32 in the solver and the cut put the sink on the
+    # source side
+    side = solve(3, 0, 2, [0, 0, 1], [1, 1, 2], [5.0, 5.0, 1.0])
+    assert side.tolist() == [True, True, False]
+
+
+def test_a_duplicated_face_reaches_the_exhaustive_minimum():
+    # face 1 repeats face 0, so the two share all three sides and every
+    # expansion move has three parallel arcs between them
+    mesh = SurfaceMesh(np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], float),
+                       [(0, 1, 2), (0, 1, 2), (1, 3, 2)])
+    mesh.validate()
+    assert mesh.dual_edges()[0].tolist().count([0, 1]) == 3
+    costs = np.array([[0.83, 0.26], [0.15, 0.2], [0.43, 0.51]])
+    labels = optimize_labels(mesh, costs, TransferParams(omega=0.3))
+    best = min(itertools.product(range(2), repeat=3),
+               key=lambda lab: labeling_energy(mesh, lab, costs, 0.3))
+    assert labels.tolist() == list(best) == [1, 1, 1]
+
+
 # --- data term --------------------------------------------------------------
 
 
