@@ -291,11 +291,12 @@ class _Text:
 
 def _numbers(tokens, kind):
     """tokens read with kind (float or int), and a code per token: 1 where
-    kind rejects it (value 0), 2 for an int beyond int64 (value clipped)."""
+    kind rejects it (value 0), 2 for an int beyond int64 (value clipped).
+    NumPy reads each str as kind does, bit for bit (the gate tests check)."""
     values = np.zeros(len(tokens), np.int64 if kind is int else float)
     code = np.zeros(len(tokens), np.int8)
     try:
-        return np.fromiter(map(kind, tokens), values.dtype, len(tokens)), code
+        return np.array(tokens, values.dtype), code
     except (ValueError, OverflowError):
         pass
     for i, token in enumerate(tokens):
