@@ -15,7 +15,6 @@ from .geometry import (
     DegenerateGeometry,
     Sphere,
     TangentPlane,
-    angle_between,
     cone_geometry,
     slab_tangent_planes,
 )
@@ -34,7 +33,7 @@ from .mesh_io import (
     save_medial_mesh,
     save_surface,
 )
-from .mat_graph import MatGraph, build_graph, node_angle, primitive_angles
+from .mat_graph import MatGraph, build_graph, pair_angles
 from .mat_simplify import SimplifyParams, collapse_cost, simplify
 from .structure import (
     ComponentKind,
@@ -52,11 +51,8 @@ from .growing import (
     GrowingParams,
     Region,
     adjusted_threshold,
+    cost_terms,
     grow,
-    growing_cost,
-    ma_cost,
-    mp_cost,
-    primitive_cost,
     region_labels,
     swallow,
 )

@@ -167,30 +167,29 @@ def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
         elements=[(i,) for i in range(n)],
         mean_radii=sc.radii,
         centroids=sc.points,
-        # no tangent geometry: skeleton growing supplies its own cost from
+        # no envelope data: skeleton growing supplies its own costs from
         # the estimated directions
-        tangents=[],
+        normals=np.empty((0, 2, 3)),
+        axes=np.empty((0, 3)),
+        slants=np.empty(0),
         adjacency=[list(nbrs) for nbrs in sc.adjacency],
         component_id=comp.astype(int),
     )
 
 
-def _skeleton_cost(sc: SkeletonCloud, alpha: float):
-    radii = sc.radii
-    directions = sc.directions
-
-    def cost(i: int, j: int) -> float:
-        ri, rj = float(radii[i]), float(radii[j])
-        if ri == rj:
-            spread = 0.0
-        else:
-            low = min(ri, rj)
-            spread = abs(ri - rj) / low if low > 0.0 else math.inf
-        # undirected lines: a parallel continuation bends by zero
-        cosine = min(1.0, abs(float(directions[i] @ directions[j])))
-        return spread + alpha * math.acos(cosine) / math.pi
-
-    return cost
+def _skeleton_costs(sc: SkeletonCloud, pairs, alpha: float) -> np.ndarray:
+    """Radius spread plus alpha times the bend of every pair of points."""
+    lo, hi = pairs.T
+    ri, rj = sc.radii[lo], sc.radii[hi]
+    low = np.where(rj < ri, rj, ri)
+    # undirected lines: a parallel continuation bends by zero
+    cosine = np.abs(np.vecdot(sc.directions[lo], sc.directions[hi]))
+    cosine = np.where(cosine < 1.0, cosine, 1.0)
+    bend = np.array(list(map(math.acos, cosine.tolist())), dtype=float)
+    with np.errstate(all="ignore"):  # inf as the scalar code gives
+        spread = np.where(ri == rj, 0.0, np.where(
+            low > 0.0, np.abs(ri - rj) / low, math.inf))
+        return spread + alpha * bend / math.pi
 
 
 def segment_skeleton(sc: SkeletonCloud, p: GrowingParams | None = None) -> np.ndarray:
@@ -202,7 +201,8 @@ def segment_skeleton(sc: SkeletonCloud, p: GrowingParams | None = None) -> np.nd
     """
     p = p or GrowingParams()
     graph = _skeleton_graph(sc)
-    regions = grow(graph, [], p, cost_fn=_skeleton_cost(sc, p.alpha))
+    costs = _skeleton_costs(sc, graph.pair_index[0], p.alpha)
+    regions = grow(graph, [], p, costs=costs)
     return region_labels(graph, regions)
 
 

@@ -115,16 +115,6 @@ class ConeGeometry:
     slant_sine: float
 
 
-def angle_between(u, v) -> float:
-    """Angle between two nonzero vectors, in [0, pi]."""
-    nu = norm(u)
-    nv = norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateGeometry("angle with a zero vector")
-    c = dot(u, v) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, c)))
-
-
 def cone_geometry(s1: Sphere, s2: Sphere) -> ConeGeometry:
     """Axis and slant of the cone spanned by two spheres.
 
@@ -169,6 +159,9 @@ def slab_tangent_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPlan
     g12 = dot(e1, e2)
     g22 = dot(e2, e2)
     det = g11 * g22 - g12 * g12
+    if not det > 0.0:
+        # a thin slab can pass the test above yet cancel (or overflow) here
+        raise DegenerateGeometry("slab centers are collinear")
     x = (b1 * g22 - b2 * g12) / det
     y = (b2 * g11 - b1 * g12) / det
     p = add(scale(e1, x), scale(e2, y))

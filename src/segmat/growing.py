@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mat_graph import MatGraph, linked_groups, node_angle, primitive_angles
+from .geometry import DegenerateGeometry
+from .mat_graph import MatGraph, linked_groups, pair_angles
 from .structure import DegenerateInput, StructuralComponent, thinness
 
 SIGMA_KNEE = 3.0  # log-thinness below this leaves delta0 alone
@@ -41,29 +42,27 @@ class Region:
     component_id: int
 
 
-def ma_cost(g: MatGraph, i: int, j: int, alpha: float = 0.05) -> float:
-    ri = float(g.mean_radii[i])
-    rj = float(g.mean_radii[j])
-    if min(ri, rj) <= 0.0:
-        raise DegenerateInput(
-            f"component {int(g.component_id[i])}: node {i if ri <= rj else j}"
-            " has radius 0")
-    theta = node_angle(g, i, j)
-    return abs(ri - rj) / min(ri, rj) + alpha * (math.pi - theta) / math.pi
+def cost_terms(g: MatGraph, alpha: float = 0.05):
+    """Medial-axis and primitive cost terms of every pair in g.pair_index.
 
-
-def primitive_cost(angle_plus: float, angle_minus: float) -> float:
-    return (angle_plus + angle_minus) / (2.0 * math.pi)
-
-
-def mp_cost(g: MatGraph, i: int, j: int) -> float:
-    return primitive_cost(*primitive_angles(g, i, j))
-
-
-def growing_cost(g: MatGraph, i: int, j: int,
-                 p: GrowingParams | None = None) -> float:
-    p = p or GrowingParams()
-    return min(ma_cost(g, i, j, p.alpha), p.lam * mp_cost(g, i, j))
+    ma = |r_i - r_j| / min(r_i, r_j) + alpha (pi - theta) / pi and
+    mp = (angle+ + angle-) / (2 pi).  faults maps each pair without a cost
+    to the error reading it raises: a zero radius, else a zero vector.
+    """
+    bend, plus, minus = pair_angles(g)
+    lo, hi = g.pair_index[0].T
+    ri, rj = g.mean_radii[lo], g.mean_radii[hi]
+    low = np.where(rj < ri, rj, ri)
+    with np.errstate(all="ignore"):  # inf and NaN as the scalar code gives
+        ma = np.abs(ri - rj) / low + alpha * (math.pi - bend) / math.pi
+    mp = (plus + minus) / (2.0 * math.pi)
+    faults = {k: DegenerateGeometry("angle with a zero vector")
+              for k in np.flatnonzero(np.isnan(ma + mp)).tolist()}
+    for k in np.flatnonzero(low <= 0.0).tolist():  # radii are checked first
+        i, j = int(lo[k]), int(hi[k])
+        faults[k] = DegenerateInput(f"component {int(g.component_id[i])}: node "
+                                    f"{i if ri[k] <= rj[k] else j} has radius 0")
+    return ma, mp, faults
 
 
 def adjusted_threshold(delta0: float, rho: float) -> float:
@@ -129,12 +128,13 @@ def _component_thresholds(comps: list[StructuralComponent],
 
 
 def grow(g: MatGraph, comps: list[StructuralComponent],
-         p: GrowingParams | None = None, cost_fn=None,
+         p: GrowingParams | None = None, costs=None,
          swallowing: bool = True) -> list[Region]:
     """Partition all graph nodes into regions (requires component_id set).
 
-    cost_fn overrides the pairwise growing cost; the default combines the
-    medial-axis and primitive terms.  Point-based pipelines pass a cost of
+    costs overrides the growing cost with one value per pair of
+    g.pair_index; the default is the cheaper of the medial-axis term and
+    lam times the primitive term.  Point-based pipelines pass a cost of
     their own while keeping the growth, swallowing and leftover rules.
     swallowing=False disables spike absorption, leaving unstable branches
     to fend for themselves (they usually surface as extra regions).
@@ -142,7 +142,9 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     p = p or GrowingParams()
     for name in ("alpha", "lam", "delta0", "eta"):
         value = getattr(p, name)
-        if not value >= 0.0:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+        if value < 0.0:
             raise ValueError(f"{name} must not be negative, got {value}")
     n = len(g)
     comp_of = np.asarray(g.component_id)
@@ -150,16 +152,16 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     radii = g.mean_radii
     visited = np.zeros(n, dtype=bool)
     negligible = np.zeros(n, dtype=bool)
-    cache: dict[tuple[int, int], float] = {}
-
-    def cost(i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            if cost_fn is None:
-                cache[key] = growing_cost(g, key[0], key[1], p)
-            else:
-                cache[key] = float(cost_fn(key[0], key[1]))
-        return cache[key]
+    faults = {}
+    if costs is None:
+        ma, mp, faults = cost_terms(g, p.alpha)
+        costs = np.where(p.lam * mp < ma, p.lam * mp, ma)
+    # adjacency entry k of node i is entry_cost[start[i] + its position]
+    entry_pair = g.pair_index[1]
+    entry_cost = np.asarray(costs, dtype=float)[entry_pair].tolist()
+    start = list(accumulate(map(len, g.adjacency), initial=0))
+    at = np.flatnonzero(np.isin(entry_pair, list(faults))).tolist()
+    entry_fault = {k: faults[int(entry_pair[k])] for k in at}
 
     regions: list[Region] = []
     failed: list[list[int]] = []
@@ -174,10 +176,13 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
         while queue:
             i = queue.popleft()
             nodes.append(i)
-            for j in g.adjacency[i]:
-                if not visited[j] and comp_of[j] == comp and cost(i, j) < delta:
-                    visited[j] = True
-                    queue.append(j)
+            for k, j in enumerate(g.adjacency[i], start[i]):
+                if not visited[j] and comp_of[j] == comp:
+                    if k in entry_fault:
+                        raise entry_fault[k]
+                    if entry_cost[k] < delta:
+                        visited[j] = True
+                        queue.append(j)
         if len(nodes) / n >= p.eta:
             region = Region(len(regions), nodes, seed, comp)
             if swallowing:

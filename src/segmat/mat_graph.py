@@ -7,9 +7,10 @@ is read off a sparse node x sphere incidence.  ``MatGraph`` is one node
 table built once: the element of every node (its length is the node's
 kind, 3 for a face and 2 for an edge), the mean radius of its vertex
 spheres and its centroid as arrays, and the envelope data (two tangent
-planes for a slab, axis + slant for a cone) that the growing costs
-consume.  ``linked_groups`` is the one grouping routine of the package:
-items that share a key, transitively, form a group.
+plane normals per slab, axis + slant per cone) from which ``pair_angles``
+takes the angles of every adjacent pair at once.  ``linked_groups`` is the
+one grouping routine of the package: items that share a key, transitively,
+form a group.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from .geometry import (
     ConeGeometry,
     DegenerateGeometry,
     Sphere,
-    TangentPlane,
-    angle_between,
-    any_perpendicular,
     cone_geometry,
-    cross,
-    dot,
     norm,
     normalize,
     slab_fallback_planes,
@@ -40,11 +36,6 @@ from .geometry import (
     sub,
 )
 from .mesh_io import EmptyInput, MedialMesh
-
-
-class NotAdjacent(ValueError):
-    """An angle was requested for a node pair that shares no vertex."""
-
 
 @dataclass
 class MatGraph:
@@ -55,8 +46,9 @@ class MatGraph:
     elements: list[tuple[int, ...]]
     mean_radii: np.ndarray  # (n,) mean radius of each node's spheres
     centroids: np.ndarray   # (n, 3) mean center of each node's spheres
-    # (TangentPlane, TangentPlane) for a face node, ConeGeometry for an edge node.
-    tangents: list[tuple[TangentPlane, TangentPlane] | ConeGeometry]
+    normals: np.ndarray     # (F, 2, 3) tangent plane normals of each face node
+    axes: np.ndarray        # (C, 3) axis of each edge node, after the faces
+    slants: np.ndarray      # (C,) slant sine of each edge node
     adjacency: list[list[int]]
     # Structural component per node, -1 until assigned.
     component_id: np.ndarray
@@ -72,6 +64,17 @@ class MatGraph:
                            count=len(rows))
         return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)),
                           shape=(len(self), len(self.mm.spheres)))
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, 2) ascending adjacent pairs i < j, and each adjacency entry's pair."""
+        n = len(self.adjacency)
+        rows = np.repeat(np.arange(n), [len(a) for a in self.adjacency])
+        cols = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp,
+                           count=len(rows))
+        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        keys, entry_pair = np.unique(keys, return_inverse=True)
+        return np.column_stack([keys // n, keys % n]), entry_pair
 
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""
@@ -125,14 +128,15 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     spheres = [Sphere((x, y, z), r) for x, y, z, r in mm.spheres.tolist()]
     centers = mm.centers()
     radii = mm.radii()
-    tangents = []
+    normals = []
     for tri in faces.tolist():
         slab = [spheres[v] for v in tri]
         try:
-            tangents.append(slab_tangent_planes(*slab))
+            planes = slab_tangent_planes(*slab)
         except DegenerateGeometry:
-            tangents.append(slab_fallback_planes(*slab))
-    tangents += [_edge_cone(spheres[a], spheres[b]) for a, b in ends.tolist()]
+            planes = slab_fallback_planes(*slab)
+        normals.append([plane.normal for plane in planes])
+    cones = [_edge_cone(spheres[a], spheres[b]) for a, b in ends.tolist()]
 
     graph = MatGraph(
         mm=mm,
@@ -143,7 +147,9 @@ def build_graph(mm: MedialMesh) -> MatGraph:
         centroids=np.concatenate([
             centers[faces].mean(axis=1),
             (centers[ends[:, 0]] + centers[ends[:, 1]]) / 2.0]),
-        tangents=tangents,
+        normals=np.array(normals, dtype=float).reshape(-1, 2, 3),
+        axes=np.array([c.axis for c in cones], dtype=float).reshape(-1, 3),
+        slants=np.array([c.slant_sine for c in cones], dtype=float),
         adjacency=[],
         component_id=np.full(len(elements), -1, dtype=int))
     # nodes sharing a sphere: the off-diagonal of incidence x incidence^T
@@ -154,161 +160,155 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     return graph
 
 
-def _face_plane_normal(mm: MedialMesh, tri) -> tuple[float, float, float]:
-    c = [mm.spheres[v, :3].tolist() for v in tri]
-    m = cross(sub(c[1], c[0]), sub(c[2], c[0]))
-    if norm(m) == 0.0:
-        e = sub(c[1], c[0])
-        return any_perpendicular(e) if norm(e) > 0.0 else (0.0, 0.0, 1.0)
-    return normalize(m)
+# Row-wise vector algebra in the operand order of the geometry helpers, so
+# every value is bit for bit the one they give on a single pair.
+
+def _dot(a, b):
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def _acute(u, v) -> float:
-    a = angle_between(u, v)
-    return min(a, math.pi - a)
+def _cross(a, b):
+    return np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
 
 
-def _face_face_angle(mm: MedialMesh, tri_i, tri_j) -> float:
-    shared = sorted(set(tri_i) & set(tri_j))
-    if len(shared) == 2:
-        # Interior dihedral at the hinge: pi for coplanar continuation,
-        # 0 for a fold back onto itself.
-        a, b = [mm.spheres[v, :3].tolist() for v in shared]
-        hinge = sub(b, a)
-        hl = norm(hinge)
-        if hl > 0.0:
-            h = normalize(hinge)
-            perps = []
-            for tri in (tri_i, tri_j):
-                (w,) = [v for v in tri if v not in shared]
-                d = sub(mm.spheres[w, :3].tolist(), a)
-                p = sub(d, tuple(x * dot(d, h) for x in h))
-                if norm(p) == 0.0:
-                    perps = None
-                    break
-                perps.append(normalize(p))
-            if perps is not None:
-                return angle_between(perps[0], perps[1])
-    # Vertex-only contact (or a degenerate hinge): treat the bend as the
-    # angle between the face planes, mapped so coplanar gives pi.
-    ni = _face_plane_normal(mm, tri_i)
-    nj = _face_plane_normal(mm, tri_j)
-    return math.pi - _acute(ni, nj)
+def _norm(a):
+    return np.sqrt(_dot(a, a))
 
 
-def _edge_edge_angle(mm: MedialMesh, e_i, e_j) -> float:
-    shared = set(e_i) & set(e_j)
-    if not shared:
-        raise NotAdjacent(f"edges {e_i} and {e_j} share no vertex")
-    v = min(shared)
-    (oi,) = [w for w in e_i if w != v] or [v]
-    (oj,) = [w for w in e_j if w != v] or [v]
-    c, ci, cj = (mm.spheres[w, :3].tolist() for w in (v, oi, oj))
-    di = sub(ci, c)
-    dj = sub(cj, c)
-    if norm(di) == 0.0 or norm(dj) == 0.0:
-        return math.pi
-    return angle_between(di, dj)
+def _unit(a):
+    return a / _norm(a)[:, None]
 
 
-def node_angle(g: MatGraph, i: int, j: int) -> float:
-    """Bend angle theta between two adjacent nodes, in [0, pi].
-
-    Face/face pairs use the interior dihedral at their hinge, edge/edge
-    pairs the angle between the edge directions oriented away from the
-    shared vertex, and mixed pairs 0 by convention.
-    """
-    lo, hi = (i, j) if i <= j else (j, i)
-    if hi not in g.adjacency[lo]:
-        raise NotAdjacent(f"nodes {i} and {j} are not adjacent")
-    a, b = g.elements[lo], g.elements[hi]
-    if len(a) != len(b):
-        return 0.0
-    if len(a) == 3:
-        return _face_face_angle(g.mm, a, b)
-    return _edge_edge_angle(g.mm, a, b)
+def _rows(mask, values, other):
+    return np.where(mask[:, None], values, other)
 
 
-def _cone_side_normals_for_slab(cone: ConeGeometry, slab_normals):
-    """Cone envelope normals in the planes spanned by the axis and each slab side."""
-    ax = cone.axis
-    s = cone.slant_sine
-    c = math.sqrt(max(0.0, 1.0 - s * s))
-    out = []
-    for ns in slab_normals:
-        u = sub(ns, tuple(x * dot(ns, ax) for x in ax))
-        u = normalize(u) if norm(u) > 1e-12 else any_perpendicular(ax)
-        out.append(tuple(-s * ax[k] + c * u[k] for k in range(3)))
+def _perpendicular(a):
+    """any_perpendicular per row."""
+    x, y, z = np.abs(a).T
+    basis = np.where((x <= y) & (x <= z), 0, np.where(y <= z, 1, 2))
+    return _unit(_cross(a, np.eye(3)[basis]))
+
+
+def _angle(u, v):
+    """Angle in [0, pi] per row; NaN where a vector is zero."""
+    nu, nv = _norm(u), _norm(v)
+    c = _dot(u, v) / (nu * nv)
+    # min(1, c) before max(-1, .), as the scalar clamp: NaN becomes 1
+    c = np.where(c < 1.0, c, 1.0)
+    c = np.where(c > -1.0, c, -1.0)
+    # math.acos, not np.arccos: the two differ in the last bit
+    out = np.fromiter(map(math.acos, c.tolist()), dtype=float, count=len(c))
+    out[(nu == 0.0) | (nv == 0.0)] = np.nan
     return out
 
 
-def _edge_pair_normals(g: MatGraph, lo: int, hi: int):
-    """Matched envelope-normal pairs for two adjacent cones."""
-    mm = g.mm
-    e_i = g.elements[lo]
-    e_j = g.elements[hi]
-    shared = set(e_i) & set(e_j)
-    if not shared:
-        raise NotAdjacent(f"edges {e_i} and {e_j} share no vertex")
-    v = min(shared)
-    cv = mm.spheres[v, :3].tolist()
-
-    def away_data(element, cone):
-        (other,) = [w for w in element if w != v] or [v]
-        d = sub(mm.spheres[other, :3].tolist(), cv)
-        d = normalize(d) if norm(d) > 0.0 else (1.0, 0.0, 0.0)
-        s = cone.slant_sine if dot(d, cone.axis) >= 0.0 else -cone.slant_sine
-        return d, s
-
-    di, si = away_data(e_i, g.tangents[lo])
-    dj, sj = away_data(e_j, g.tangents[hi])
-    w = cross(di, dj)
-    if norm(w) > 1e-12 * max(norm(di) * norm(dj), 1e-300):
-        wh = normalize(w)
-        ui = normalize(cross(wh, di))
-        uj = normalize(cross(wh, dj))
-    else:
-        ui = any_perpendicular(di)
-        uj = ui if dot(di, dj) >= 0.0 else tuple(-x for x in ui)
-
-    def envelope_normal(d, s, u, side):
-        c = math.sqrt(max(0.0, 1.0 - s * s))
-        return tuple(-s * d[k] + side * c * u[k] for k in range(3))
-
-    side_j = 1.0 if dot(ui, uj) >= 0.0 else -1.0
-    return (
-        (envelope_normal(di, si, ui, 1.0), envelope_normal(dj, sj, uj, side_j)),
-        (envelope_normal(di, si, ui, -1.0), envelope_normal(dj, sj, uj, -side_j)),
-    )
+def _plane_normals(xyz, tri):
+    """Unit normal of each face's center plane."""
+    e = xyz[tri[:, 1]] - xyz[tri[:, 0]]
+    m = _cross(e, xyz[tri[:, 2]] - xyz[tri[:, 0]])
+    spanned = _rows(_norm(e) > 0.0, _perpendicular(e), (0.0, 0.0, 1.0))
+    return _rows(_norm(m) == 0.0, spanned, _unit(m))
 
 
-def primitive_angles(g: MatGraph, i: int, j: int) -> tuple[float, float]:
-    """Envelope-normal deviation of two adjacent nodes, one angle per side.
+def _face_bends(xyz, a, b):
+    """Bend of face pairs: the dihedral at a hinge, else the plane angle."""
+    on_b = (a[:, :, None] == b[:, None, :]).any(2)
+    on_a = (b[:, :, None] == a[:, None, :]).any(2)
+    hinged = np.flatnonzero(on_b.sum(1) == 2)
+    ends = a[hinged][on_b[hinged]].reshape(-1, 2)
+    base, hinge = xyz[ends[:, 0]], xyz[ends[:, 1]] - xyz[ends[:, 0]]
+    h = _unit(hinge)
+    p = [xyz[t[hinged][~on[hinged]]] - base for t, on in ((a, on_b), (b, on_a))]
+    p = [d - h * _dot(d, h)[:, None] for d in p]
+    folded = (_norm(hinge) > 0.0) & (_norm(p[0]) != 0.0) & (_norm(p[1]) != 0.0)
+    bend = np.empty(len(a))
+    bend[hinged[folded]] = _angle(_unit(p[0][folded]), _unit(p[1][folded]))
+    # vertex contact or a degenerate hinge: coplanar planes give pi
+    rest = np.ones(len(a), dtype=bool)
+    rest[hinged[folded]] = False
+    t = _angle(_plane_normals(xyz, a[rest]), _plane_normals(xyz, b[rest]))
+    bend[rest] = math.pi - np.where(math.pi - t < t, math.pi - t, t)
+    return bend
 
-    Sides are matched by normal agreement: slab/slab pairs match the tangent
-    plane normals maximizing total alignment, slab/cone pairs build the cone
-    normal inside the plane spanned by the cone axis and each slab side
-    normal, and cone/cone pairs share the plane spanned by the two edge
-    directions at their common vertex.  A continuous envelope yields (0, 0).
+
+def _slab_slab(na, nb):
+    """Slab normals matched side to side for the larger total agreement."""
+    a1, a2, b1, b2 = na[:, 0], na[:, 1], nb[:, 0], nb[:, 1]
+    keep = _dot(a1, b1) + _dot(a2, b2) >= _dot(a1, b2) + _dot(a2, b1)
+    return _angle(a1, _rows(keep, b1, b2)), _angle(a2, _rows(keep, b2, b1))
+
+
+def _envelope(d, s, u, side):
+    c = np.sqrt(np.where(1.0 - s * s > 0.0, 1.0 - s * s, 0.0))
+    return -s[:, None] * d + (side * c)[:, None] * u
+
+
+def _slab_cone(normals, axis, slant):
+    """Cone normals in the plane of the axis and each slab normal."""
+    angles = []
+    for ns in (normals[:, 0], normals[:, 1]):
+        u = ns - axis * _dot(ns, axis)[:, None]
+        u = _rows(_norm(u) > 1e-12, _unit(u), _perpendicular(axis))
+        angles.append(_angle(ns, _envelope(axis, slant, u, 1.0)))
+    return angles
+
+
+def _cone_cone(xyz, a, b, axis_a, slant_a, axis_b, slant_b):
+    """Bend off the shared sphere, and normals in the edge directions' plane."""
+    v = np.where((a[:, 0] == b[:, 0]) | (a[:, 0] == b[:, 1]), a[:, 0], a[:, 1])
+    di = xyz[np.where(a[:, 0] == v, a[:, 1], a[:, 0])] - xyz[v]
+    dj = xyz[np.where(b[:, 0] == v, b[:, 1], b[:, 0])] - xyz[v]
+    straight = (_norm(di) == 0.0) | (_norm(dj) == 0.0)
+    bend = np.where(straight, math.pi, _angle(di, dj))
+    di = _rows(_norm(di) > 0.0, _unit(di), (1.0, 0.0, 0.0))
+    dj = _rows(_norm(dj) > 0.0, _unit(dj), (1.0, 0.0, 0.0))
+    si = np.where(_dot(di, axis_a) >= 0.0, slant_a, -slant_a)
+    sj = np.where(_dot(dj, axis_b) >= 0.0, slant_b, -slant_b)
+    w = _cross(di, dj)
+    scale = _norm(di) * _norm(dj)
+    bent = _norm(w) > 1e-12 * np.where(1e-300 > scale, 1e-300, scale)
+    perp = _perpendicular(di)
+    ui = _rows(bent, _unit(_cross(_unit(w), di)), perp)
+    uj = _rows(bent, _unit(_cross(_unit(w), dj)),
+               _rows(_dot(di, dj) >= 0.0, perp, -perp))
+    side = np.where(_dot(ui, uj) >= 0.0, 1.0, -1.0)
+    return (bend,
+            _angle(_envelope(di, si, ui, 1.0), _envelope(dj, sj, uj, side)),
+            _angle(_envelope(di, si, ui, -1.0), _envelope(dj, sj, uj, -side)))
+
+
+def pair_angles(g: MatGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bend and envelope angles of every pair in g.pair_index, as arrays.
+
+    bend in [0, pi] is the dihedral at two faces' hinge (pi when coplanar),
+    else the angle of their planes; for two edges the angle of their
+    directions off the shared sphere; 0 for a face and an edge.  plus and
+    minus are the envelope-normal deviations per side, (0, 0) when smooth.
+    Values equal the scalar geometry's bit for bit, NaN where it meets a
+    zero vector (its only error on a validated mesh).
     """
-    lo, hi = (i, j) if i <= j else (j, i)
-    if hi not in g.adjacency[lo]:
-        raise NotAdjacent(f"nodes {i} and {j} are not adjacent")
-    a, b = g.tangents[lo], g.tangents[hi]
-    a_face, b_face = len(g.elements[lo]) == 3, len(g.elements[hi]) == 3
-    if a_face and b_face:
-        a1, a2 = (p.normal for p in a)
-        b1, b2 = (p.normal for p in b)
-        if dot(a1, b1) + dot(a2, b2) >= dot(a1, b2) + dot(a2, b1):
-            return (angle_between(a1, b1), angle_between(a2, b2))
-        return (angle_between(a1, b2), angle_between(a2, b1))
-    if not (a_face or b_face):
-        (p1, q1), (p2, q2) = _edge_pair_normals(g, lo, hi)
-        return (angle_between(p1, q1), angle_between(p2, q2))
-    slab, cone = (a, b) if a_face else (b, a)
-    slab_normals = [p.normal for p in slab]
-    cone_normals = _cone_side_normals_for_slab(cone, slab_normals)
-    return (
-        angle_between(slab_normals[0], cone_normals[0]),
-        angle_between(slab_normals[1], cone_normals[1]),
-    )
+    lo, hi = g.pair_index[0].T
+    n_faces = len(g.normals)
+    faces, ends = g.mm.faces, g.mm.edges[g.mm.standalone]
+    xyz = g.mm.centers()
+    bend, plus, minus = (np.zeros(len(lo)) for _ in range(3))
+    # faces come before edges, so a mixed pair is (face, edge)
+    ff = np.flatnonzero(hi < n_faces)
+    fc = np.flatnonzero((lo < n_faces) & (hi >= n_faces))
+    cc = np.flatnonzero(lo >= n_faces)
+    ia, ib = lo[cc] - n_faces, hi[cc] - n_faces
+    with np.errstate(all="ignore"):
+        bend[ff] = _face_bends(xyz, faces[lo[ff]], faces[hi[ff]])
+        plus[ff], minus[ff] = _slab_slab(g.normals[lo[ff]], g.normals[hi[ff]])
+        plus[fc], minus[fc] = _slab_cone(g.normals[lo[fc]],
+                                         g.axes[hi[fc] - n_faces],
+                                         g.slants[hi[fc] - n_faces])
+        bend[cc], plus[cc], minus[cc] = _cone_cone(
+            xyz, ends[ia], ends[ib], g.axes[ia], g.slants[ia], g.axes[ib],
+            g.slants[ib])
+    raised = np.isnan(plus) | np.isnan(minus)
+    plus[raised] = minus[raised] = np.nan
+    return bend, plus, minus

@@ -10,22 +10,41 @@ quadratic replaced, the per-edge collapse cost the batched scoring
 replaced, the per-node dense swallowing test the ball query replaced, and
 the union-finds, depth-first walks and set loops that the node x sphere
 incidence and ``mat_graph.linked_groups`` replaced, the minimum cut
-solved from the source side that the sink-side solve replaced, and the
-per-line file readers and writers that the bulk ones replaced.  The
-package's results must equal them exactly (readers: the same arrays, or the
-same exception class and message), save for the rounding noise of the
-stacked sum.  Two geometric helpers only the tests use live here as well.
+solved from the source side that the sink-side solve replaced, the
+per-line file readers and writers that the bulk ones replaced, and the
+per-pair angles and growing costs that the pair table replaced, with the
+grow loop that computed and cached each cost on first read.  The
+package's results must equal them exactly (readers and grow: the same
+arrays, or the same exception class and message), save for the rounding
+noise of the stacked sum.  Two geometric helpers only the tests use live here as well.
 """
 
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from segmat.geometry import Sphere, dot
-from segmat.growing import region_labels
+from segmat.geometry import (
+    DegenerateGeometry,
+    Sphere,
+    any_perpendicular,
+    cross,
+    dot,
+    norm,
+    normalize,
+    sub,
+)
+from segmat.growing import (
+    GrowingParams,
+    Region,
+    _component_thresholds,
+    _merge_leftovers,
+    region_labels,
+    swallow,
+)
 from segmat.mat_simplify import _FROM_A_SQ, _FROM_B_SQ, _PLACEMENT_SAMPLES
 from segmat.mesh_io import (
     PALETTE,
@@ -37,6 +56,7 @@ from segmat.mesh_io import (
 )
 from segmat.structure import (
     ComponentKind,
+    DegenerateInput,
     Joint,
     JointKind,
     StructuralComponent,
@@ -787,3 +807,291 @@ def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
         for f, k in zip(mesh.faces, lab):
             r, g, b = PALETTE[int(k) % len(PALETTE)]
             fh.write(f"3 {f[0]} {f[1]} {f[2]} {r} {g} {b}\n")
+
+
+# --- the per-pair angles and costs the pair table replaced -----------------
+
+def angle_between(u, v) -> float:
+    """Angle between two nonzero vectors, in [0, pi]."""
+    nu = norm(u)
+    nv = norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise DegenerateGeometry("angle with a zero vector")
+    c = dot(u, v) / (nu * nv)
+    return math.acos(max(-1.0, min(1.0, c)))
+
+
+def _tangent(g, k):
+    """Envelope data of node k: its two slab normals, or a cone's (axis, slant)."""
+    if k < len(g.normals):
+        return [tuple(n) for n in g.normals[k].tolist()]
+    c = k - len(g.normals)
+    return tuple(g.axes[c].tolist()), float(g.slants[c])
+
+
+def _face_plane_normal(mm, tri):
+    c = [mm.spheres[v, :3].tolist() for v in tri]
+    m = cross(sub(c[1], c[0]), sub(c[2], c[0]))
+    if norm(m) == 0.0:
+        e = sub(c[1], c[0])
+        return any_perpendicular(e) if norm(e) > 0.0 else (0.0, 0.0, 1.0)
+    return normalize(m)
+
+
+def _acute(u, v) -> float:
+    a = angle_between(u, v)
+    return min(a, math.pi - a)
+
+
+def _face_face_angle(mm, tri_i, tri_j) -> float:
+    shared = sorted(set(tri_i) & set(tri_j))
+    if len(shared) == 2:
+        # Interior dihedral at the hinge: pi for coplanar continuation,
+        # 0 for a fold back onto itself.
+        a, b = [mm.spheres[v, :3].tolist() for v in shared]
+        hinge = sub(b, a)
+        hl = norm(hinge)
+        if hl > 0.0:
+            h = normalize(hinge)
+            perps = []
+            for tri in (tri_i, tri_j):
+                (w,) = [v for v in tri if v not in shared]
+                d = sub(mm.spheres[w, :3].tolist(), a)
+                p = sub(d, tuple(x * dot(d, h) for x in h))
+                if norm(p) == 0.0:
+                    perps = None
+                    break
+                perps.append(normalize(p))
+            if perps is not None:
+                return angle_between(perps[0], perps[1])
+    # Vertex-only contact (or a degenerate hinge): treat the bend as the
+    # angle between the face planes, mapped so coplanar gives pi.
+    ni = _face_plane_normal(mm, tri_i)
+    nj = _face_plane_normal(mm, tri_j)
+    return math.pi - _acute(ni, nj)
+
+
+def _edge_edge_angle(mm, e_i, e_j) -> float:
+    shared = set(e_i) & set(e_j)
+    v = min(shared)
+    (oi,) = [w for w in e_i if w != v] or [v]
+    (oj,) = [w for w in e_j if w != v] or [v]
+    c, ci, cj = (mm.spheres[w, :3].tolist() for w in (v, oi, oj))
+    di = sub(ci, c)
+    dj = sub(cj, c)
+    if norm(di) == 0.0 or norm(dj) == 0.0:
+        return math.pi
+    return angle_between(di, dj)
+
+
+def node_angle(g, i: int, j: int) -> float:
+    """Bend angle theta between two adjacent nodes, in [0, pi].
+
+    Face/face pairs use the interior dihedral at their hinge, edge/edge
+    pairs the angle between the edge directions oriented away from the
+    shared vertex, and mixed pairs 0 by convention.
+    """
+    lo, hi = (i, j) if i <= j else (j, i)
+    assert hi in g.adjacency[lo], f"nodes {i} and {j} are not adjacent"
+    a, b = g.elements[lo], g.elements[hi]
+    if len(a) != len(b):
+        return 0.0
+    if len(a) == 3:
+        return _face_face_angle(g.mm, a, b)
+    return _edge_edge_angle(g.mm, a, b)
+
+
+def _cone_side_normals_for_slab(cone, slab_normals):
+    """Cone envelope normals in the planes spanned by the axis and each slab side."""
+    ax, s = cone
+    c = math.sqrt(max(0.0, 1.0 - s * s))
+    out = []
+    for ns in slab_normals:
+        u = sub(ns, tuple(x * dot(ns, ax) for x in ax))
+        u = normalize(u) if norm(u) > 1e-12 else any_perpendicular(ax)
+        out.append(tuple(-s * ax[k] + c * u[k] for k in range(3)))
+    return out
+
+
+def _edge_pair_normals(g, lo: int, hi: int):
+    """Matched envelope-normal pairs for two adjacent cones."""
+    mm = g.mm
+    e_i = g.elements[lo]
+    e_j = g.elements[hi]
+    shared = set(e_i) & set(e_j)
+    v = min(shared)
+    cv = mm.spheres[v, :3].tolist()
+
+    def away_data(element, cone):
+        (other,) = [w for w in element if w != v] or [v]
+        d = sub(mm.spheres[other, :3].tolist(), cv)
+        d = normalize(d) if norm(d) > 0.0 else (1.0, 0.0, 0.0)
+        axis, slant = cone
+        s = slant if dot(d, axis) >= 0.0 else -slant
+        return d, s
+
+    di, si = away_data(e_i, _tangent(g, lo))
+    dj, sj = away_data(e_j, _tangent(g, hi))
+    w = cross(di, dj)
+    if norm(w) > 1e-12 * max(norm(di) * norm(dj), 1e-300):
+        wh = normalize(w)
+        ui = normalize(cross(wh, di))
+        uj = normalize(cross(wh, dj))
+    else:
+        ui = any_perpendicular(di)
+        uj = ui if dot(di, dj) >= 0.0 else tuple(-x for x in ui)
+
+    def envelope_normal(d, s, u, side):
+        c = math.sqrt(max(0.0, 1.0 - s * s))
+        return tuple(-s * d[k] + side * c * u[k] for k in range(3))
+
+    side_j = 1.0 if dot(ui, uj) >= 0.0 else -1.0
+    return (
+        (envelope_normal(di, si, ui, 1.0), envelope_normal(dj, sj, uj, side_j)),
+        (envelope_normal(di, si, ui, -1.0), envelope_normal(dj, sj, uj, -side_j)),
+    )
+
+
+def primitive_angles(g, i: int, j: int) -> tuple[float, float]:
+    """Envelope-normal deviation of two adjacent nodes, one angle per side.
+
+    Sides are matched by normal agreement: slab/slab pairs match the tangent
+    plane normals maximizing total alignment, slab/cone pairs build the cone
+    normal inside the plane spanned by the cone axis and each slab side
+    normal, and cone/cone pairs share the plane spanned by the two edge
+    directions at their common vertex.  A continuous envelope yields (0, 0).
+    """
+    lo, hi = (i, j) if i <= j else (j, i)
+    assert hi in g.adjacency[lo], f"nodes {i} and {j} are not adjacent"
+    a, b = _tangent(g, lo), _tangent(g, hi)
+    a_face, b_face = len(g.elements[lo]) == 3, len(g.elements[hi]) == 3
+    if a_face and b_face:
+        a1, a2 = a
+        b1, b2 = b
+        if dot(a1, b1) + dot(a2, b2) >= dot(a1, b2) + dot(a2, b1):
+            return (angle_between(a1, b1), angle_between(a2, b2))
+        return (angle_between(a1, b2), angle_between(a2, b1))
+    if not (a_face or b_face):
+        (p1, q1), (p2, q2) = _edge_pair_normals(g, lo, hi)
+        return (angle_between(p1, q1), angle_between(p2, q2))
+    slab, cone = (a, b) if a_face else (b, a)
+    slab_normals = slab
+    cone_normals = _cone_side_normals_for_slab(cone, slab_normals)
+    return (
+        angle_between(slab_normals[0], cone_normals[0]),
+        angle_between(slab_normals[1], cone_normals[1]),
+    )
+
+
+def ma_cost(g, i: int, j: int, alpha: float = 0.05) -> float:
+    ri = float(g.mean_radii[i])
+    rj = float(g.mean_radii[j])
+    if min(ri, rj) <= 0.0:
+        raise DegenerateInput(
+            f"component {int(g.component_id[i])}: node {i if ri <= rj else j}"
+            " has radius 0")
+    theta = node_angle(g, i, j)
+    return abs(ri - rj) / min(ri, rj) + alpha * (math.pi - theta) / math.pi
+
+
+def primitive_cost(angle_plus: float, angle_minus: float) -> float:
+    return (angle_plus + angle_minus) / (2.0 * math.pi)
+
+
+def mp_cost(g, i: int, j: int) -> float:
+    return primitive_cost(*primitive_angles(g, i, j))
+
+
+def growing_cost(g, i: int, j: int, p=None) -> float:
+    p = p or GrowingParams()
+    return min(ma_cost(g, i, j, p.alpha), p.lam * mp_cost(g, i, j))
+
+
+def grow(g, comps, p=None, cost_fn=None, swallowing=True):
+    """growing.grow with a cost computed per pair on first read and cached.
+
+    cost_fn(i, j) with i < j overrides growing_cost.
+    """
+    p = p or GrowingParams()
+    for name in ("alpha", "lam", "delta0", "eta"):
+        value = getattr(p, name)
+        if not value >= 0.0:
+            raise ValueError(f"{name} must not be negative, got {value}")
+    n = len(g)
+    comp_of = np.asarray(g.component_id)
+    deltas = _component_thresholds(comps, p)
+    radii = g.mean_radii
+    visited = np.zeros(n, dtype=bool)
+    negligible = np.zeros(n, dtype=bool)
+    cache = {}
+
+    def cost(i: int, j: int) -> float:
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            if cost_fn is None:
+                cache[key] = growing_cost(g, key[0], key[1], p)
+            else:
+                cache[key] = float(cost_fn(key[0], key[1]))
+        return cache[key]
+
+    regions = []
+    failed = []
+    while not visited.all():
+        pending = np.flatnonzero(~visited)
+        seed = int(pending[np.argmax(radii[pending])])
+        comp = int(comp_of[seed])
+        delta = deltas[comp] if 0 <= comp < len(deltas) else p.delta0
+        queue = deque([seed])
+        visited[seed] = True
+        nodes = []
+        while queue:
+            i = queue.popleft()
+            nodes.append(i)
+            for j in g.adjacency[i]:
+                if not visited[j] and comp_of[j] == comp and cost(i, j) < delta:
+                    visited[j] = True
+                    queue.append(j)
+        if len(nodes) / n >= p.eta:
+            region = Region(len(regions), nodes, seed, comp)
+            if swallowing:
+                before = len(region.nodes)
+                swallow(g, region, np.flatnonzero(~visited | negligible))
+                absorbed = region.nodes[before:]
+                visited[absorbed] = True
+                negligible[absorbed] = False
+            regions.append(region)
+        else:
+            negligible[nodes] = True
+            failed.append(nodes)
+
+    if not regions:
+        # Everything fell under eta: keep the grown clusters as they are.
+        for nodes in failed:
+            alive = [v for v in nodes if negligible[v]]
+            if alive:
+                regions.append(Region(len(regions), alive, nodes[0],
+                                      int(comp_of[nodes[0]])))
+                negligible[alive] = False
+        return regions
+
+    _merge_leftovers(g, regions, negligible)
+    return regions
+
+
+def skeleton_cost(sc, alpha: float):
+    """The skeleton growing cost of one pair of points, as a closure."""
+    radii = sc.radii
+    directions = sc.directions
+
+    def cost(i: int, j: int) -> float:
+        ri, rj = float(radii[i]), float(radii[j])
+        if ri == rj:
+            spread = 0.0
+        else:
+            low = min(ri, rj)
+            spread = abs(ri - rj) / low if low > 0.0 else math.inf
+        # undirected lines: a parallel continuation bends by zero
+        cosine = min(1.0, abs(float(directions[i] @ directions[j])))
+        return spread + alpha * math.acos(cosine) / math.pi
+
+    return cost

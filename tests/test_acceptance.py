@@ -16,16 +16,15 @@ import pytest
 
 from oracles import bounding_diagonal, signed_distance
 from segmat.geometry import Sphere, slab_tangent_planes
+from segmat import growing
 from segmat.growing import (
     GrowingParams,
     Region,
     adjusted_threshold,
-    growing_cost,
-    ma_cost,
-    mp_cost,
-    primitive_cost,
+    cost_terms,
+    grow,
 )
-from segmat.mat_graph import build_graph
+from segmat.mat_graph import build_graph, pair_angles
 from segmat.merging import RadiusHistogram, emd_1d, merge_matching
 from segmat.mesh_io import MedialMesh, SurfaceMesh
 from segmat.metrics import (
@@ -36,6 +35,7 @@ from segmat.metrics import (
     rand_index,
 )
 from segmat.pipeline import PipelineConfig, boundary_length, run_pipeline
+from segmat.structure import assign_base_nodes, detect_joints, split_components
 from segmat.transfer import (
     TransferParams,
     exterior_dihedrals,
@@ -224,44 +224,60 @@ def test_01_slab_tangency_residual_below_1e9_of_diagonal():
     assert time.perf_counter() - start < 1.0
 
 
-def test_02_cost_formula_golden_values_and_defaults():
+def test_02_cost_formula_golden_values_and_defaults(monkeypatch):
     """Hand-evaluated cost goldens at 1e-12 plus the default constants."""
+
+    def terms(graph):
+        # one (ma, mp) row per adjacent pair; none of these pairs faults
+        ma, mp, faults = cost_terms(graph)
+        assert faults == {}
+        return ma, mp
+
     jump = medial([(0, 0, 0), (4, 0, 0), (8, 0, 0)], [1, 1, 3],
                   edges=[(0, 1), (1, 2)])
     g = build_graph(jump)
     # node mean radii 1 and 2, collinear chain: pure radius-variation term
-    assert ma_cost(g, 0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert terms(g)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     bend = medial([(0, 0, 0), (1, 0, 0), (1, 1, 0)], [1, 1, 1],
                   edges=[(0, 1), (1, 2)])
     gb = build_graph(bend)
     # equal radii, right-angle bend: alpha * (pi - pi/2) / pi = 0.025
-    assert ma_cost(gb, 0, 1) == pytest.approx(0.025, abs=1e-12)
+    assert terms(gb)[0][0] == pytest.approx(0.025, abs=1e-12)
 
     hinge = medial([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [0.2] * 4,
                    faces=[(0, 1, 2), (0, 1, 3)])
     gh = build_graph(hinge)
     # right-angle hinge of equal-radius slabs folds (pi/2, pi/2)
-    assert mp_cost(gh, 0, 1) == pytest.approx(0.5, abs=1e-12)
+    assert terms(gh)[1][0] == pytest.approx(0.5, abs=1e-12)
 
     flat = medial([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], [0.2] * 4,
                   faces=[(0, 1, 2), (1, 2, 3)])
     gf = build_graph(flat)
-    assert mp_cost(gf, 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert terms(gf)[1][0] == pytest.approx(0.0, abs=1e-12)
+
+    def primitive_cost(angle_plus, angle_minus):
+        # the primitive term of the hinge pair given these angles
+        bend_h = pair_angles(gh)[0]
+        monkeypatch.setattr(growing, "pair_angles", lambda _: (
+            bend_h, np.array([angle_plus]), np.array([angle_minus])))
+        return terms(gh)[1][0]
 
     assert primitive_cost(math.pi / 2, math.pi / 2) == pytest.approx(
         0.5, abs=1e-12)
     # a straight fold on one side still sums half a turn over 2*pi
     assert primitive_cost(math.pi, 0.0) == pytest.approx(0.5, abs=1e-12)
+    monkeypatch.undo()
 
     p = GrowingParams()
-    for graph in (g, gb, gh, gf):
-        for i in range(len(graph)):
-            for j in graph.adjacency[i]:
-                expected = min(ma_cost(graph, i, j, p.alpha),
-                               p.lam * mp_cost(graph, i, j))
-                assert growing_cost(graph, i, j, p) == pytest.approx(
-                    expected, abs=1e-12)
+    for mm, graph in ((jump, g), (bend, gb), (hinge, gh), (flat, gf)):
+        ma, mp = terms(graph)
+        expected = np.array([min(a, p.lam * b) for a, b in zip(ma, mp)])
+        # grow reads min(ma, lam * mp) per pair
+        comps = split_components(mm, detect_joints(mm))
+        assign_base_nodes(graph, comps)
+        assert grow(graph, comps, p) == grow(graph, comps, p,
+                                             costs=expected)
     # min(ma, lam * mp) with ma = 1.0, mp = 0.5 lands on the primitive route
     assert min(1.0, p.lam * 0.5) == pytest.approx(0.75, abs=1e-12)
 

@@ -1,0 +1,55 @@
+"""The benchmark workloads' labels are pinned: labels are the contract.
+
+A change meant to keep behaviour must leave `segment`'s `.labels.txt`
+byte-identical on every benchmark workload.  This runs the seed-0 input of
+each workload through `segmat segment` in-process, as the benchmark's
+worker does, and compares the SHA-256 of the labels with the recorded one.
+perfbench/workloads.py is loaded by path, as test_bench_hooks loads the
+tracer, so the inputs are exactly the benchmark's.
+"""
+
+import functools
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from segmat import cli
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+LABELS_SHA256 = {
+    "chain-simplify":
+        "4ff729b219deacccbbc43b1b28a895d1c0319254b9b80d4da040c4a4724a7846",
+    "plate-simplify":
+        "10dff5885d8cca4477e72cbe667dc34304651337b3b49143a346bd6d60fb55cf",
+    "banded-chain":
+        "2ac208700dea68f98ede6a5964edb84a97623d687985b323fbf4c45dccbc42c1",
+}
+
+
+@functools.cache
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name while it is defined
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(LABELS_SHA256))
+def test_seed_0_labels_match_the_recorded_hash(tmp_path, capsys, name):
+    workloads = load_workloads()
+    w = workloads.generate(name, 0)
+    off, ma = workloads.write_inputs(w, str(tmp_path))
+    out = str(tmp_path / "out")
+    argv = ["segment", "--mesh", off, "--mat", ma, "--out", out]
+    if w.structured:
+        argv += ["--structured", ma]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    labels = Path(out + ".labels.txt").read_bytes()
+    assert hashlib.sha256(labels).hexdigest() == LABELS_SHA256[name]

@@ -457,6 +457,17 @@ def test_segment_coincident_spheres_exit_2(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_segment_thin_slab_with_a_cancelling_determinant_exits_0(tmp_path):
+    mesh_path, _ = strip_assets(tmp_path)
+    mat_path = str(tmp_path / "thin.ma")
+    with open(mat_path, "w") as fh:
+        fh.write("v 0 1e8 0 0.5\nv 0 0 0 0.5\nv 0 0 1 0.5\nf 0 1 2\n")
+    out = str(tmp_path / "x")
+    assert main(["segment", "--mesh", mesh_path, "--structured", mat_path,
+                 "--mat", mat_path, "--out", out]) == 0
+    assert os.path.exists(out + ".labels.txt")
+
+
 def test_segment_off_with_a_record_past_its_counts_exits_2(tmp_path, capsys):
     mesh_path, mat_path = strip_assets(tmp_path)
     with open(mesh_path) as fh:

@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bounding_diagonal, signed_distance
+from oracles import angle_between, bounding_diagonal, signed_distance
 from segmat.geometry import (
     ConeGeometry,
     DegenerateGeometry,
     Sphere,
-    angle_between,
     cone_geometry,
     slab_fallback_planes,
     slab_tangent_planes,
@@ -122,6 +121,21 @@ def test_slab_degenerate_collinear_and_dominated():
     )
     with pytest.raises(DegenerateGeometry):
         slab_tangent_planes(*dominated)
+
+
+@pytest.mark.parametrize("centers", [
+    # far enough from collinear for the cross-product test, but
+    # 1e16 * (1e16 + 1) - 1e16 * 1e16 rounds to 0
+    [(0.0, 1e8, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)],
+    # the Gram products overflow: inf - inf is NaN
+    [(0.0, 0.0, 0.0), (2e77, 0.0, 0.0), (2e77, 2e77, 0.0)],
+])
+@pytest.mark.parametrize("radii", [(0.5, 0.5, 0.5), (1.0, 2.0, 3.0)])
+def test_slab_whose_gram_determinant_is_not_positive_is_collinear(centers,
+                                                                  radii):
+    spheres = [Sphere(c, r) for c, r in zip(centers, radii)]
+    with pytest.raises(DegenerateGeometry, match="collinear"):
+        slab_tangent_planes(*spheres)
 
 
 def test_slab_fallback_uses_center_plane_and_mean_radius():

@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
+from segmat import growing
 from segmat.growing import (
     GrowingParams,
     Region,
     adjusted_threshold,
+    cost_terms,
     grow,
-    growing_cost,
-    ma_cost,
-    mp_cost,
-    primitive_cost,
     region_labels,
     swallow,
 )
-from segmat.mat_graph import build_graph
+from segmat.mat_graph import build_graph, pair_angles
 from segmat.mesh_io import MedialMesh
 from segmat.structure import (
     DegenerateInput,
@@ -64,6 +64,37 @@ def coplanar_slabs():
     return medial(pts, [0.2] * 4, faces=[(0, 1, 2), (1, 2, 3)])
 
 
+def terms(g, i, j, alpha=0.05):
+    """(ma, mp) of the adjacent nodes i and j, from the pair table."""
+    ma, mp, faults = cost_terms(g, alpha)
+    k = g.pair_index[0].tolist().index(sorted([i, j]))
+    assert k not in faults
+    return float(ma[k]), float(mp[k])
+
+
+def ma_cost(g, i, j, alpha=0.05):
+    return terms(g, i, j, alpha)[0]
+
+
+def mp_cost(g, i, j):
+    return terms(g, i, j)[1]
+
+
+def primitive_cost(monkeypatch, angle_plus, angle_minus):
+    """The primitive term cost_terms gives a pair with these angles."""
+    g, _ = prepared_graph(hinge())
+    bend = pair_angles(g)[0]
+    monkeypatch.setattr(growing, "pair_angles", lambda _: (
+        bend, np.array([angle_plus]), np.array([angle_minus])))
+    return float(cost_terms(g)[1][0])
+
+
+def cheaper_costs(g, p):
+    """min(ma, lam * mp) per pair, as grow reads it."""
+    ma, mp, _ = cost_terms(g, p.alpha)
+    return np.where(p.lam * mp < ma, p.lam * mp, ma)
+
+
 def test_ma_cost_is_zero_without_variation():
     g, _ = prepared_graph(cone_chain([0, 2, 4], [1, 1, 1]))
     assert ma_cost(g, 0, 1) == 0.0
@@ -84,36 +115,42 @@ def test_ma_cost_right_angle_bend():
 
 def test_ma_cost_is_symmetric_and_non_negative():
     g, _ = prepared_graph(dumbbell())
+    ma = cost_terms(g)[0]
+    for k in g.pair_index[1].tolist():
+        assert ma[k] >= 0.0
     for i in range(len(g)):
         for j in g.adjacency[i]:
             assert ma_cost(g, i, j) >= 0.0
-            assert ma_cost(g, i, j) == ma_cost(g, j, i)
+            assert ma_cost(g, i, j) == ma_cost(g, j, i) == oracles.ma_cost(g, j, i)
 
 
-def test_mp_cost_examples():
+def test_mp_cost_examples(monkeypatch):
     g, _ = prepared_graph(coplanar_slabs())
     assert mp_cost(g, 0, 1) == pytest.approx(0.0, abs=1e-12)
     g, _ = prepared_graph(hinge())
     assert mp_cost(g, 0, 1) == pytest.approx(0.5, rel=1e-12)
-    assert primitive_cost(math.pi / 2, math.pi / 2) == pytest.approx(0.5)
-    assert primitive_cost(math.pi, 0.0) == pytest.approx(0.5)
-    assert primitive_cost(0.0, 0.0) == 0.0
+    assert primitive_cost(monkeypatch, math.pi / 2, math.pi / 2) == pytest.approx(0.5)
+    assert primitive_cost(monkeypatch, math.pi, 0.0) == pytest.approx(0.5)
+    assert primitive_cost(monkeypatch, 0.0, 0.0) == 0.0
 
 
 def test_growing_cost_takes_the_cheaper_route():
-    g, _ = prepared_graph(hinge())
+    g, comps = prepared_graph(hinge())
     p = GrowingParams()
     # equal radii, right-angle fold: axis term 0.025 beats 1.5 * 0.5
-    assert growing_cost(g, 0, 1, p) == 0.025
+    assert cheaper_costs(g, p).tolist() == [0.025]
+    # grow reads exactly these costs
+    assert grow(g, comps, p) == grow(g, comps, p, costs=cheaper_costs(g, p))
 
     g, _ = prepared_graph(coplanar_slabs())
-    assert growing_cost(g, 0, 1, p) == 0.0
+    assert cheaper_costs(g, p).tolist() == [0.0]
 
     g, _ = prepared_graph(dumbbell())
-    for i in range(len(g)):
-        for j in g.adjacency[i]:
-            expected = min(ma_cost(g, i, j, p.alpha), p.lam * mp_cost(g, i, j))
-            assert growing_cost(g, i, j, p) == expected
+    cheaper = cheaper_costs(g, p)
+    for k, (i, j) in enumerate(g.pair_index[0].tolist()):
+        expected = min(oracles.ma_cost(g, i, j, p.alpha),
+                       p.lam * oracles.mp_cost(g, i, j))
+        assert cheaper[k] == expected
 
 
 def test_adjusted_threshold():
@@ -277,3 +314,22 @@ def test_zero_radius_node_is_a_typed_error():
     g, comps = prepared_graph(cone_chain([0, 2, 4, 6], [1, 0, 0, 1]))
     with pytest.raises(DegenerateInput, match="component 0: node 1 has radius 0"):
         grow(g, comps)
+
+
+@pytest.mark.parametrize("name", ["alpha", "lam", "delta0", "eta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameter_is_rejected_by_name(name, value):
+    g, comps = prepared_graph(dumbbell())
+    p = GrowingParams(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        grow(g, comps, p)
+
+
+def test_costs_replace_the_growing_cost_one_per_pair():
+    g, comps = prepared_graph(dumbbell())
+    pairs = g.pair_index[0]
+    # one region when every pair is free, one per node when none is
+    assert len(grow(g, comps, costs=np.zeros(len(pairs)))) == 1
+    regions = grow(g, comps, GrowingParams(eta=0.0),
+                   costs=np.full(len(pairs), np.inf), swallowing=False)
+    assert len(regions) == len(g)

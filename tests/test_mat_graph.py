@@ -3,19 +3,33 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
 from segmat.mat_graph import (
     EmptyInput,
     MatGraph,
-    NotAdjacent,
     build_graph,
-    node_angle,
-    primitive_angles,
+    pair_angles,
 )
 from segmat.mesh_io import MedialMesh
 
 
 def mm_from(spheres, edges=(), faces=()):
     return MedialMesh.build([(*c, r) for c, r in spheres], list(edges), list(faces))
+
+
+def angles(g, i, j):
+    """(bend, plus, minus) of the adjacent nodes i and j, from the pair table."""
+    k = g.pair_index[0].tolist().index(sorted([i, j]))
+    return tuple(float(a[k]) for a in pair_angles(g))
+
+
+def node_angle(g, i, j):
+    return angles(g, i, j)[0]
+
+
+def primitive_angles(g, i, j):
+    return angles(g, i, j)[1:]
 
 
 def test_triangle_plus_edge_two_nodes_one_adjacency():
@@ -38,8 +52,9 @@ def test_single_face_no_adjacency_and_not_adjacent_error():
     g = build_graph(mm)
     assert len(g) == 1
     assert g.adjacency == [[]]
-    with pytest.raises(NotAdjacent):
-        node_angle(g, 0, 0)
+    # no pair, so no angle to ask for
+    assert g.pair_index[0].shape == (0, 2)
+    assert [len(a) for a in pair_angles(g)] == [0, 0, 0]
 
 
 def test_vertices_only_mesh_is_empty_input():
@@ -190,10 +205,17 @@ def test_angles_are_symmetric_in_arguments():
                for r in rng.uniform(0.2, 1.0, 6)]
     mm = mm_from(spheres, edges=[(3, 4), (4, 5)], faces=[(0, 1, 2), (1, 2, 3)])
     g = build_graph(mm)
-    for i in range(len(g)):
-        for j in g.adjacency[i]:
-            assert node_angle(g, i, j) == node_angle(g, j, i)
-            assert primitive_angles(g, i, j) == primitive_angles(g, j, i)
+    pairs, entry_pair = g.pair_index
+    bend, plus, minus = pair_angles(g)
+    entries = [(i, j) for i in range(len(g)) for j in g.adjacency[i]]
+    assert len(entries) == len(entry_pair) == 2 * len(pairs)
+    for (i, j), k in zip(entries, entry_pair.tolist()):
+        # both orders of a pair read one row, which is the scalar value
+        # in either argument order
+        assert sorted([i, j]) == pairs[k].tolist()
+        assert bend[k] == oracles.node_angle(g, i, j) == oracles.node_angle(g, j, i)
+        assert ((plus[k], minus[k]) == oracles.primitive_angles(g, i, j)
+                == oracles.primitive_angles(g, j, i))
 
 
 def test_adjacency_requires_shared_vertex():
@@ -204,8 +226,7 @@ def test_adjacency_requires_shared_vertex():
     )
     g = build_graph(mm)
     assert g.adjacency == [[], []]
-    with pytest.raises(NotAdjacent):
-        primitive_angles(g, 0, 1)
+    assert g.pair_index[0].shape == (0, 2)
 
 
 def test_one_empty_input_class_across_modules():
