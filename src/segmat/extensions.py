@@ -177,7 +177,7 @@ def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
     )
 
 
-def _skeleton_costs(sc: SkeletonCloud, pairs, alpha: float) -> np.ndarray:
+def _skeleton_pair_costs(sc: SkeletonCloud, pairs, alpha: float) -> np.ndarray:
     """Radius spread plus alpha times the bend of every pair of points."""
     lo, hi = pairs.T
     ri, rj = sc.radii[lo], sc.radii[hi]
@@ -201,7 +201,7 @@ def segment_skeleton(sc: SkeletonCloud, p: GrowingParams | None = None) -> np.nd
     """
     p = p or GrowingParams()
     graph = _skeleton_graph(sc)
-    costs = _skeleton_costs(sc, graph.pair_index[0], p.alpha)
+    costs = _skeleton_pair_costs(sc, graph.pair_index[0], p.alpha)
     regions = grow(graph, [], p, costs=costs)
     return region_labels(graph, regions)
 

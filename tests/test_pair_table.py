@@ -22,7 +22,7 @@ import oracles
 from test_grouping import complexes
 from test_mesh_io_properties import medial_meshes
 
-from segmat.extensions import SkeletonCloud, _skeleton_costs, _skeleton_graph
+from segmat.extensions import SkeletonCloud, _skeleton_pair_costs, _skeleton_graph
 from segmat.geometry import DegenerateGeometry
 from segmat.growing import GrowingParams, cost_terms, grow
 from segmat.mat_graph import build_graph, pair_angles
@@ -161,14 +161,14 @@ def test_cost_terms_equal_the_scalar_costs(mm, alpha):
        st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]), min_size=12,
                 max_size=12),
        st.integers(1, 4), st.sampled_from([0.0, 0.05, 1.0]))
-def test_skeleton_costs_equal_the_scalar_closure(points, radii, k, alpha):
+def test_skeleton_pair_costs_equal_the_scalar_closure(points, radii, k, alpha):
     sc = SkeletonCloud.build(np.array(points, dtype=float),
                              np.array(radii[:len(points)]), k=k)
     graph = _skeleton_graph(sc)
     pairs = graph.pair_index[0]
     cost = oracles.skeleton_cost(sc, alpha)
     want = [cost(i, j) for i, j in pairs.tolist()]
-    assert bits(_skeleton_costs(sc, pairs, alpha)) == bits(want)
+    assert bits(_skeleton_pair_costs(sc, pairs, alpha)) == bits(want)
 
 
 def test_pair_index_lists_each_adjacency_once():
