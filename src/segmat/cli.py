@@ -168,6 +168,13 @@ def _require_file(path: str | None, what: str) -> str:
     return path
 
 
+def _require_out_dir(path: str) -> None:
+    """The directory that path is to be written in must exist."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        raise InputError(f"output directory not found: {out_dir}")
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -194,9 +201,7 @@ def _segment_one(mesh_path, mat_path, structured_path, out_prefix,
     _require_file(mat_path, "--mat")
     if structured_path:
         _require_file(structured_path, "--structured")
-    out_dir = os.path.dirname(os.path.abspath(out_prefix))
-    if not os.path.isdir(out_dir):
-        raise InputError(f"output directory not found: {out_dir}")
+    _require_out_dir(out_prefix)
 
     mesh = load_surface(mesh_path)
     mat = load_medial_mesh(mat_path)
@@ -294,6 +299,9 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     params = resolve_params(args, _SIMPLIFY_KEYS)
     values = _values(params)
     _require_file(args.mat, "--mat")
+    for path in (args.out, args.report):
+        if path:
+            _require_out_dir(path)
     mat = load_medial_mesh(args.mat)
     trace = []
     out = simplify(mat, SimplifyParams(

@@ -19,18 +19,45 @@ spaced t and the cheapest sample is kept; of two tied samples the lower t
 wins, so coincident spheres keep sphere a at no cost.
 
 Costs are scored a batch at a time: every edge at start-up, then after
-each collapse the candidate edges of the vertices it touched, as one
-(edges x 17) array with a row-wise argmin.  The squared length |d|^2 of
-each row is ``np.vecdot(d, d)``, which sums in the same order as the 1-D
-``d @ d`` of a single edge (both reach the same BLAS dot), so a batch
-gives bitwise the same costs as scoring its edges one at a time;
-``np.einsum`` and ``(d * d).sum(1)`` do not.
+each collapse the edges that need a new cost, as one (edges x 17) array
+with a row-wise argmin.  The squared length |d|^2 of each row is
+``np.vecdot(d, d)``, which sums in the same order as the 1-D ``d @ d`` of
+a single edge (both reach the same BLAS dot), so a batch gives bitwise the
+same costs as scoring its edges one at a time; ``np.einsum`` and
+``(d * d).sum(1)`` do not.
 
 A global min-cost queue with lazy invalidation drives the loop; ties break
-toward the lexicographically smallest edge.  Pop order depends only on
-the queued tuples, never on the order they were pushed in.  The loop stops
-when the cheapest remaining collapse would exceed ``target_error`` times
-the bounding-box diagonal of the input.
+toward the lexicographically smallest edge.  An entry holds the versions
+of its two ends and is live until one of them is bumped, so each edge has
+at most one live entry, and pop order depends only on the live entries'
+keys, never on the order they were pushed in.  The first queue is
+``mm.edges``: every face side is in it, so it is every collapsible edge.
+An edge's cost reads only the spheres, accumulated errors and
+face-plus-edge counts of its ends.  A collapse of b into a changes those
+only at a and at the vertices whose count moved, every edge it removes
+is at b and every edge it makes is at a.  So it bumps the versions of
+these changed vertices (a, b and the count-moved ones) and re-scores the
+edges at them; every other edge keeps its live entry, whose
+(total, a, b, fresh, t) is bit for bit what re-scoring it would push.
+
+An edge that fails the topology check leaves the queue until a collapse
+changes one of its ends.  Re-queueing it whenever a collapse touches an
+end (changes the faces or edges there) gives the same collapses: a
+collapse that changes neither end u, w of a rejected edge keeps it
+rejected, so such an entry would go stale, pop rejected again, or stop
+the loop where the next live pop stops it.  Proof: the collapse maps the
+faces and edges at u and at w one to one by b -> a (a face (a, b, u) to
+the edge (a, u)), or a count would move.  So the common neighbours and
+the opposite vertices of (u, w) map by b -> a too, and a witness c,
+common but not opposite, stays one unless {c, o} = {a, b} for an
+opposite o.  Then u neighbours both a and b, so the accepted collapse
+had a face (a, b, u), and afterwards a face (a, u, w) covers its edge
+(a, u): u lost an element, a contradiction.  The lone-edge test rejects
+only when (u, w) is the only element at u and at w, and a collapse that
+changes neither end keeps it so.
+
+The loop stops when the cheapest remaining collapse would exceed
+``target_error`` times the bounding-box diagonal of the input.
 """
 
 from __future__ import annotations
@@ -85,11 +112,16 @@ class _State:
         self.count = np.zeros(n, dtype=int)
         self.recount(self.vertex_faces.keys() | self.vertex_edges.keys())
 
-    def recount(self, vertices) -> None:
-        """Refresh the face-plus-standalone-edge count of each of vertices."""
+    def recount(self, vertices) -> list[int]:
+        """Refresh the face-plus-standalone-edge count of each of vertices;
+        returns those whose count moved."""
+        moved = []
         for v in vertices:
-            self.count[v] = (len(self.incident_faces(v))
-                             + len(self.incident_edges(v)))
+            n = len(self.incident_faces(v)) + len(self.incident_edges(v))
+            if n != self.count[v]:
+                self.count[v] = n
+                moved.append(v)
+        return moved
 
     def incident_faces(self, v: int) -> set:
         return self.vertex_faces.get(v, ())
@@ -165,7 +197,8 @@ def _violates_topology(state: _State, a: int, b: int) -> bool:
 
 
 def _apply_collapse(state: _State, a: int, b: int, t: float) -> set[int]:
-    """Merge b into a at interpolation t; returns the touched vertices."""
+    """Merge b into a at interpolation t; returns the changed vertices, a,
+    b and those whose count moved, and bumps their versions."""
     touched = {a, b}
     state.spheres[a] = (1.0 - t) * state.spheres[a] + t * state.spheres[b]
 
@@ -219,10 +252,10 @@ def _apply_collapse(state: _State, a: int, b: int, t: float) -> set[int]:
             drop_edge(e)
 
     state.acc[a] = state.acc[a] + state.acc[b]
-    state.recount(touched)
-    for v in touched:
+    changed = {a, b}.union(state.recount(touched))
+    for v in changed:
         state.version[v] += 1
-    return touched
+    return changed
 
 
 def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -> MedialMesh:
@@ -245,10 +278,8 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     bound = params.target_error * mm.diagonal()
     bound_sq = bound * bound
 
-    def scored(vertices) -> list[tuple]:
-        """Queue entries for the candidate edges at vertices, one batch."""
-        ab = np.array(list(state.candidate_edges(vertices)),
-                      dtype=np.intp).reshape(-1, 2)
+    def scored(ab: np.ndarray) -> list[tuple]:
+        """Queue entries for the edges in the rows (a, b) of ab, one batch."""
         a, b = ab[:, 0], ab[:, 1]
         fresh, t = state.score(a, b)
         total = fresh if params.average_error else fresh + state.acc[a] + state.acc[b]
@@ -256,7 +287,8 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
                         state.version[a].tolist(), state.version[b].tolist(),
                         fresh.tolist(), t.tolist()))
 
-    heap = scored(state.vertex_faces.keys() | state.vertex_edges.keys())
+    # every edge is a face side or a standalone edge: each is a candidate
+    heap = scored(mm.edges)
     heapq.heapify(heap)
 
     accepted_sq_sum = 0.0
@@ -273,15 +305,16 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
             break
         if params.preserve_topology and _violates_topology(state, a, b):
             # Leave versions alone: the edge re-enters the queue if a later
-            # collapse touches its neighborhood and may pass the check then.
+            # collapse changes one of its ends and may pass the check then.
             continue
-        touched = _apply_collapse(state, a, b, t)
+        changed = _apply_collapse(state, a, b, t)
         state.acc[a] += fresh
         accepted_sq_sum += total
         accepted += 1
         if trace is not None:
             trace.append(((a, b), total, t))
-        for entry in scored(touched):
+        again = np.array(list(state.candidate_edges(changed)), dtype=np.intp)
+        for entry in scored(again.reshape(-1, 2)):
             heapq.heappush(heap, entry)
 
     faces = np.array(list(set().union(*state.vertex_faces.values())),

@@ -7,9 +7,11 @@ package used before its sphere-gap search was pruned with a k-d tree, the
 scalar data cost of one face, the dict-based dual-graph builder the numpy
 edge pairing replaced, the stacked-array collapse cost the closed-form
 quadratic replaced, the per-edge collapse cost the batched scoring
-replaced, the per-node dense swallowing test the ball query replaced, and
-the union-finds, depth-first walks and set loops that the node x sphere
-incidence and ``mat_graph.linked_groups`` replaced, the minimum cut
+replaced, the simplification queue that re-scored every edge at every
+touched vertex after a collapse, the per-node dense swallowing test the
+ball query replaced, and the union-finds, depth-first walks and set loops
+that the node x sphere incidence and ``mat_graph.linked_groups``
+replaced, the minimum cut
 solved from the source side that the sink-side solve replaced, the
 per-line file readers and writers that the bulk ones replaced, and the
 per-pair angles and growing costs that the pair table replaced, with the
@@ -19,6 +21,7 @@ arrays, or the same exception class and message), save for the rounding
 noise of the stacked sum.  Two geometric helpers only the tests use live here as well.
 """
 
+import heapq
 import math
 from collections import deque
 from types import SimpleNamespace
@@ -27,6 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
+from segmat import mat_simplify
 from segmat.geometry import (
     DegenerateGeometry,
     Sphere,
@@ -45,9 +49,15 @@ from segmat.growing import (
     region_labels,
     swallow,
 )
-from segmat.mat_simplify import _FROM_A_SQ, _FROM_B_SQ, _PLACEMENT_SAMPLES
+from segmat.mat_simplify import (
+    _FROM_A_SQ,
+    _FROM_B_SQ,
+    _PLACEMENT_SAMPLES,
+    SimplifyParams,
+)
 from segmat.mesh_io import (
     PALETTE,
+    EmptyInput,
     LengthMismatch,
     MedialMesh,
     NegativeRadius,
@@ -476,6 +486,130 @@ def batch_of(per_edge):
         return (np.array([cost for cost, _ in pairs], dtype=float),
                 np.array([t for _, t in pairs], dtype=float))
     return score
+
+
+def apply_collapse(state, a, b, t):
+    """Merge b into a at interpolation t; returns the touched vertices, and
+    bumps all their versions."""
+    touched = {a, b}
+    state.spheres[a] = (1.0 - t) * state.spheres[a] + t * state.spheres[b]
+
+    old_faces = list(state.incident_faces(b))
+    old_edges = list(state.incident_edges(b))
+
+    def drop_face(f):
+        for v in f:
+            state.vertex_faces[v].discard(f)
+            touched.add(v)
+
+    def drop_edge(e):
+        for v in e:
+            state.vertex_edges[v].discard(e)
+            touched.add(v)
+
+    def covered_by_face(u, w):
+        return any(w in f for f in state.incident_faces(u))
+
+    def add_edge(u, w):
+        if u == w:
+            return
+        key = (u, w) if u < w else (w, u)
+        if key in state.incident_edges(u) or covered_by_face(u, w):
+            return
+        for v in key:
+            state.vertex_edges.setdefault(v, set()).add(key)
+            touched.add(v)
+
+    for f in old_faces:
+        drop_face(f)
+        verts = [a if v == b else v for v in f]
+        if len(set(verts)) == 2:
+            # The face contained the collapsed edge: it degrades to a segment.
+            u, w = sorted(set(verts))
+            add_edge(u, w)
+        else:
+            nf = tuple(sorted(verts))
+            if nf not in state.incident_faces(a):
+                for v in nf:
+                    state.vertex_faces.setdefault(v, set()).add(nf)
+                    touched.add(v)
+    for e in old_edges:
+        drop_edge(e)
+        u, w = (a if v == b else v for v in e)
+        add_edge(u, w)
+
+    # A new sheet attachment can make an explicit segment redundant.
+    for e in list(state.incident_edges(a)):
+        if covered_by_face(*e):
+            drop_edge(e)
+
+    state.acc[a] = state.acc[a] + state.acc[b]
+    state.recount(touched)
+    for v in touched:
+        state.version[v] += 1
+    return touched
+
+
+def simplify(mm, params=None, trace=None):
+    """mat_simplify.simplify with the queue it had before it re-scored only
+    the changed vertices' edges: the first queue comes from the candidate
+    edges of every vertex, and after each collapse every candidate edge of
+    every touched vertex is re-scored and every touched version bumped."""
+    mm.validate()
+    params = params or SimplifyParams()
+    if not params.target_error >= 0.0:
+        raise ValueError(
+            f"target_error must not be negative, got {params.target_error}")
+    if len(mm.edges) == 0:
+        raise EmptyInput("medial mesh has no elements")
+    state = mat_simplify._State(mm)
+    bound = params.target_error * mm.diagonal()
+    bound_sq = bound * bound
+
+    def scored(vertices):
+        ab = np.array(list(state.candidate_edges(vertices)),
+                      dtype=np.intp).reshape(-1, 2)
+        a, b = ab[:, 0], ab[:, 1]
+        fresh, t = state.score(a, b)
+        total = fresh if params.average_error else fresh + state.acc[a] + state.acc[b]
+        return list(zip(total.tolist(), a.tolist(), b.tolist(),
+                        state.version[a].tolist(), state.version[b].tolist(),
+                        fresh.tolist(), t.tolist()))
+
+    heap = scored(state.vertex_faces.keys() | state.vertex_edges.keys())
+    heapq.heapify(heap)
+
+    accepted_sq_sum = 0.0
+    accepted = 0
+    while heap:
+        total, a, b, va, vb, fresh, t = heapq.heappop(heap)
+        if state.version[a] != va or state.version[b] != vb:
+            continue
+        if params.average_error:
+            if (accepted_sq_sum + total) / (accepted + 1) > bound_sq:
+                break
+        elif total > bound_sq:
+            break
+        if params.preserve_topology and mat_simplify._violates_topology(state, a, b):
+            continue
+        touched = apply_collapse(state, a, b, t)
+        state.acc[a] += fresh
+        accepted_sq_sum += total
+        accepted += 1
+        if trace is not None:
+            trace.append(((a, b), total, t))
+        for entry in scored(touched):
+            heapq.heappush(heap, entry)
+
+    faces = np.array(list(set().union(*state.vertex_faces.values())),
+                     dtype=np.intp).reshape(-1, 3)
+    edges = np.array(list(set().union(*state.vertex_edges.values())),
+                     dtype=np.intp).reshape(-1, 2)
+    used = np.union1d(faces, edges)
+    if not len(used):
+        used = np.argmax(state.spheres[:, 3], keepdims=True)
+    return MedialMesh.build(state.spheres[used], np.searchsorted(used, edges),
+                            np.searchsorted(used, faces))
 
 
 def swallow(g, region, unclaimed):

@@ -1,9 +1,11 @@
 """The benchmark workloads' labels are pinned: labels are the contract.
 
 A change meant to keep behaviour must leave `segment`'s `.labels.txt`
-byte-identical on every benchmark workload.  This runs the seed-0 input of
-each workload through `segmat segment` in-process, as the benchmark's
-worker does, and compares the SHA-256 of the labels with the recorded one.
+byte-identical on every benchmark workload, and the simplified MAT that
+`--emit-structured-mat` writes byte-identical on the workloads that
+simplify.  This runs the seed-0 input of each workload through `segmat
+segment` in-process, as the benchmark's worker does, and compares the
+SHA-256 of those files with the recorded ones.
 perfbench/workloads.py is loaded by path, as test_bench_hooks loads the
 tracer, so the inputs are exactly the benchmark's.
 """
@@ -29,6 +31,13 @@ LABELS_SHA256 = {
         "2ac208700dea68f98ede6a5964edb84a97623d687985b323fbf4c45dccbc42c1",
 }
 
+STRUCTURED_SHA256 = {
+    "chain-simplify":
+        "bb35e39cce680a32a9a856ed5686349ea87eb9e833d59a7a200ab54e4e18e111",
+    "plate-simplify":
+        "8a3ec33ece0e6f617746c15421c7771d14cdcee3f997133fbeaea1ef5e2f0b00",
+}
+
 
 @functools.cache
 def load_workloads():
@@ -47,9 +56,13 @@ def test_seed_0_labels_match_the_recorded_hash(tmp_path, capsys, name):
     w = workloads.generate(name, 0)
     off, ma = workloads.write_inputs(w, str(tmp_path))
     out = str(tmp_path / "out")
-    argv = ["segment", "--mesh", off, "--mat", ma, "--out", out]
+    argv = ["segment", "--mesh", off, "--mat", ma, "--out", out,
+            "--emit-structured-mat"]
     if w.structured:
         argv += ["--structured", ma]
     assert cli.main(argv) == 0, capsys.readouterr().err
     labels = Path(out + ".labels.txt").read_bytes()
     assert hashlib.sha256(labels).hexdigest() == LABELS_SHA256[name]
+    if name in STRUCTURED_SHA256:
+        structured = Path(out + ".structured.ma").read_bytes()
+        assert hashlib.sha256(structured).hexdigest() == STRUCTURED_SHA256[name]

@@ -277,6 +277,21 @@ def test_simplify_command_shrinks_the_mat(tmp_path):
     assert report["largest_collapse_error"] <= report["error_bound"]
 
 
+@pytest.mark.parametrize("missing", ["--out", "--report"])
+def test_simplify_missing_output_directory_exits_2_and_writes_nothing(
+        tmp_path, capsys, missing):
+    mat_path = str(tmp_path / "dense.ma")
+    save_medial_mesh(chain_mat(count=111, spacing=0.1), mat_path)
+    paths = {"--out": str(tmp_path / "coarse.ma"),
+             "--report": str(tmp_path / "simplify.json")}
+    paths[missing] = str(tmp_path / "no-such-dir" / "file")
+    assert main(["simplify", "--mat", mat_path, "--out", paths["--out"],
+                 "--report", paths["--report"]]) == 2
+    err = capsys.readouterr().err
+    assert f"output directory not found: {tmp_path / 'no-such-dir'}" in err
+    assert sorted(os.listdir(tmp_path)) == ["dense.ma"]
+
+
 def test_eval_identical_labelings_score_zero(tmp_path, capsys):
     mesh_path, _ = strip_assets(tmp_path)
     mesh = load_surface(mesh_path)

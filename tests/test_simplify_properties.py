@@ -1,10 +1,14 @@
-"""Property tests: batched collapse scoring equals scoring one edge at a time.
+"""Property tests: batched collapse scoring equals scoring one edge at a
+time, and re-scoring only the changed vertices' edges equals re-scoring
+every touched vertex's.
 
 ``_State.score`` scores a whole batch of edges with one array expression.
 It must give bitwise the costs and placements of the per-edge reference
 ``oracles.evaluate``, at exact placement ties, for coincident spheres and
 where the squared lengths go subnormal or overflow; and a whole
-``simplify`` run must not change when the reference scores its edges.
+``simplify`` run must not change when the reference scores its edges, nor
+when ``oracles.simplify`` re-scores every edge at every touched vertex
+after each collapse.
 """
 
 import math
@@ -136,6 +140,13 @@ GATE_PARAMS = [
 ]
 
 
+def assert_same_mesh(out, ref):
+    assert np.array_equal(out.spheres, ref.spheres)
+    assert np.array_equal(out.edges, ref.edges)
+    assert np.array_equal(out.faces, ref.faces)
+    assert np.array_equal(out.standalone, ref.standalone)
+
+
 @given(complexes())
 def test_simplify_equals_per_edge_scored_simplify(mm):
     scored = []
@@ -153,8 +164,62 @@ def test_simplify_equals_per_edge_scored_simplify(mm):
                                oracles.batch_of(per_edge)):
             ref = simplify(mm, params, ref_trace)
         assert len(scored) >= len(mm.edges)
-        assert np.array_equal(out.centers(), ref.centers())
-        assert np.array_equal(out.radii(), ref.radii())
-        assert np.array_equal(out.edges, ref.edges)
-        assert np.array_equal(out.faces, ref.faces)
+        assert_same_mesh(out, ref)
         assert trace == ref_trace
+
+
+def simplified_as_the_oracle(mm, params) -> list:
+    """simplify's trace, after checking that oracles.simplify, which
+    re-scores every edge at every touched vertex, gives the same trace and
+    the same mesh."""
+    trace, ref_trace = [], []
+    out = simplify(mm, params, trace)
+    ref = oracles.simplify(mm, params, ref_trace)
+    assert trace == ref_trace
+    assert_same_mesh(out, ref)
+    return trace
+
+
+@given(complexes())
+def test_simplify_equals_the_rescore_every_touched_vertex_loop(mm):
+    for params in GATE_PARAMS:
+        simplified_as_the_oracle(mm, params)
+
+
+def closed_fan(k, seed):
+    """k triangles around a centre, centers jittered by up to 0.8 and radii
+    by up to 80% of 2: at these sizes some of the topology-rejected edges
+    collapse later."""
+    points, _, faces = fan_piece(k - 2, True)
+    rng = np.random.default_rng(seed)
+    c = np.array(points) + rng.uniform(-0.8, 0.8, (k + 1, 3))
+    r = 2.0 * (1.0 + rng.uniform(-0.8, 0.8, k + 1))
+    return MedialMesh.build(np.column_stack([c, r]), [], faces)
+
+
+def test_rejected_edges_reenter_as_in_the_rescore_every_touched_vertex_loop():
+    """A rejected edge comes back to the queue only when a collapse changes
+    one of its ends; the collapses must still be those of the loop that
+    re-queues it whenever a collapse touches an end, rejects that later
+    collapse included."""
+    rejected = set()
+    violates = mat_simplify._violates_topology
+
+    def spy(state, a, b):
+        out = violates(state, a, b)
+        if out:
+            rejected.add((a, b))
+        return out
+
+    rejects = reentered = 0
+    with mock.patch.object(mat_simplify, "_violates_topology", spy):
+        for k in (3, 4):
+            for seed in range(50):
+                mm = closed_fan(k, seed)
+                for params in GATE_PARAMS:
+                    rejected.clear()
+                    trace = simplified_as_the_oracle(mm, params)
+                    rejects += len(rejected)
+                    reentered += sum(edge in rejected for edge, _, _ in trace)
+    assert rejects > 0
+    assert reentered > 0
