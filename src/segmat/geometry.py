@@ -203,14 +203,19 @@ def slab_fallback_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPla
 def _sphere_gaps(points, centers, radii):
     """Lowest gap |p - c_j| - r_j from every point to a set of spheres.
 
-    The 8 spheres with the nearest centers are measured on the tree first,
-    and only those whose tree gap reaches the lowest one are scored
-    exactly.  Every other sphere's center lies at least d_8 (the 8th center
-    distance) away, so its gap is at least d_8 - max(r); a best gap strictly
-    below that is final.  The remaining points score every sphere whose
-    center lies within best + max(r), which holds every sphere that can
-    reach best.  A margin far above float rounding keeps every test
-    conservative, so the result equals a full scan bit for bit.
+    The 8 spheres with the nearest centers are measured on the tree first.
+    Their tree gaps bound the exact ones to within a margin far above float
+    rounding, so only a sphere whose tree gap lies within margin of the
+    lowest one can hold the lowest exact gap.  Every point scores the
+    sphere with the lowest tree gap exactly; only a point with a second
+    sphere inside that margin scores each of them and keeps the lowest.
+    That is the candidate set that a table of all 8 tree gaps would
+    score, so the minimum is the same float.  Every other sphere's center
+    lies at least d_8 (the 8th center distance) away, so its gap is at
+    least d_8 - max(r); a best gap below that by more than the margin is
+    final.  The remaining points score every sphere whose center lies
+    within best + max(r) + margin, which holds every sphere that can
+    reach best.  So the result equals a full scan bit for bit.
 
     points and centers are (n, 3) float arrays, radii is per sphere, and
     there is at least one sphere.
@@ -234,10 +239,18 @@ def _sphere_gaps(points, centers, radii):
     if (near == n_items).any():
         raise ValueError("distances between points and sphere centers overflow")
     bound = dist - radii[near]
-    rows, cols = np.nonzero(bound <= bound.min(axis=1, keepdims=True) + margin)
-    scores = np.full((n_points, k), np.inf)
-    scores[rows, cols] = gaps(rows, near[rows, cols])
-    best = scores.min(axis=1)
+    every = np.arange(n_points)
+    first = bound.argmin(axis=1)
+    nearest = near[every, first]
+    best = (np.linalg.norm(points - centers[nearest], axis=1)
+            - radii[nearest])
+    reach = bound[every, first] + margin
+    tied = np.flatnonzero(
+        np.count_nonzero(bound <= reach[:, None], axis=1) > 1)
+    if tied.size:
+        rows, cols = np.nonzero(bound[tied] <= reach[tied, None])
+        rows = tied[rows]
+        np.minimum.at(best, rows, gaps(rows, near[rows, cols]))
     if k == n_items:
         return best
 

@@ -9,10 +9,20 @@ exact minimum s-t cut.  Each cut is read off a maximum flow solved from the
 sink side; the source side it gives, the nodes the residual still reaches
 from the source, is the same for every maximum flow, so the labels do not
 depend on the direction of the solve.
+
+Most moves change no face, so the arrays of a move that do not depend on
+alpha are kept per labeling and made again only after an accepted move:
+the cost of each face's current label, the labels at both faces of every
+adjacent pair, and the pair terms that depend on those labels alone.  A
+move builds the rest, the terms of alpha, and hands the solver int32
+capacities.  A move whose capacities overflow raises ValueError rather
+than cutting a graph that no longer scales to integers.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +59,9 @@ def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
     solve, and it is solved from the sink side: a maximum flow from sink
     to source on the reversed graph, transposed, is a maximum flow of the
     graph itself.  On expansion moves that solve is several times faster.
+
+    Raises ValueError when the flow bound or a summed arc is not finite,
+    since no integer scaling keeps such a graph.
     """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
@@ -58,16 +71,29 @@ def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
     if not positive.any():
         side[source] = True
         return side
-    tails, heads, caps = tails[positive], heads[positive], caps[positive]
-    flow_bound = min(caps[tails == source].sum(), caps[heads == sink].sum())
+    if not positive.all():
+        tails, heads, caps = tails[positive], heads[positive], caps[positive]
+    with np.errstate(over="ignore"):
+        flow_bound = min(caps[tails == source].sum(), caps[heads == sink].sum())
     # parallel arcs are summed before scaling, so no arc passes 2**30
     reverse = csr_matrix(
         (caps, (heads, tails)), shape=(num_nodes, num_nodes), dtype=float
     )
-    scale = float(2**_SCALE_BITS) / max(float(reverse.data.max()), float(flow_bound))
-    reverse.data = np.round(reverse.data * scale).astype(np.int64)
+    top = max(float(reverse.data.max()), float(flow_bound))
+    if not math.isfinite(top):
+        raise ValueError("cut capacities overflow: the flow bound or an arc "
+                         "is not finite")
+    scale = float(2**_SCALE_BITS) / top
+    if math.isinf(scale):
+        # top is below about 1e-300: divide first, then scale exactly
+        scaled = reverse.data / top * float(2**_SCALE_BITS)
+    else:
+        scaled = reverse.data * scale
+    reverse.data = np.round(scaled).astype(np.int32)
     result = maximum_flow(reverse, int(sink), int(source))
-    residual = (reverse - result.flow).T
+    # flow minus capacity is the residual negated: it has the same nonzero
+    # entries, and unlike the residual (up to 2**31) it stays inside int32
+    residual = (result.flow - reverse).T
     residual.eliminate_zeros()
     reached = breadth_first_order(
         residual, int(source), directed=True, return_predecessors=False
@@ -129,53 +155,75 @@ def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
     return _energy(labels, costs, pairs, _boundary_costs(mesh), omega)
 
 
-def _expansion_move(labels, alpha, costs, pairs, boundary_weights):
-    """One alpha-expansion as a binary min cut; returns new labels or None.
+class _ExpansionMoves:
+    """Alpha-expansion moves on one cost table, from one labeling at a time.
 
-    Keep-current is the source side, switch-to-alpha the sink side.  The
-    pairwise table (A=cost both keep, B/C=one switches, D=0) is submodular
-    for boundary costs of the same-label-is-free kind, so the residual
-    B+C-A lands on a single arc and C-A / -C fold into the unary terms.
+    A move is one binary min cut: keep-current is the source side,
+    switch-to-alpha the sink side.  The pairwise table (A=cost both keep,
+    B/C=one switches, D=0) is submodular for boundary costs of the
+    same-label-is-free kind, so the residual B+C-A lands on a single arc
+    and C-A / -C fold into the unary terms.
+
+    relabel keeps what depends on the labeling but on no alpha: the keep
+    costs, the labels of each pair's faces, A, and B+C-A of a pair whose
+    faces both keep their labels.  Only those pairs get an arc: when one
+    face already has label alpha, B+C-A is 0.  Each array is the float
+    that a move building everything afresh computes, so every move solves
+    the same integer graph.  move raises ValueError when a folded unary,
+    an arc or the flow bound is not finite.
     """
-    num_faces = len(labels)
-    theta0 = costs[np.arange(num_faces), labels]
-    theta1 = costs[:, alpha].copy()
-    arc_tails, arc_heads, arc_caps = [], [], []
-    if len(pairs):
-        f, g = pairs[:, 0], pairs[:, 1]
-        l_f, l_g = labels[f], labels[g]
-        a = boundary_weights * (l_f != l_g)
-        b = boundary_weights * (l_f != alpha)
-        c = boundary_weights * (l_g != alpha)
-        np.add.at(theta1, f, c - a)
-        np.subtract.at(theta1, g, c)
-        residual = b + c - a
-        cross = residual > 0.0
-        arc_tails.append(f[cross])
-        arc_heads.append(g[cross])
-        arc_caps.append(residual[cross])
-    source, sink = num_faces, num_faces + 1
-    diff = theta1 - theta0
-    pull = diff > 0.0
-    push = diff < 0.0
-    arc_tails.append(np.full(int(pull.sum()), source))
-    arc_heads.append(np.flatnonzero(pull))
-    arc_caps.append(diff[pull])
-    arc_tails.append(np.flatnonzero(push))
-    arc_heads.append(np.full(int(push.sum()), sink))
-    arc_caps.append(-diff[push])
-    side = _min_cut_side(
-        num_faces + 2,
-        source,
-        sink,
-        np.concatenate(arc_tails),
-        np.concatenate(arc_heads),
-        np.concatenate(arc_caps),
-    )
-    updated = np.where(side[:num_faces], labels, alpha)
-    if np.array_equal(updated, labels):
-        return None
-    return updated
+
+    def __init__(self, costs, pairs, boundary_weights, labels):
+        self.costs = costs
+        self.f = np.ascontiguousarray(pairs[:, 0])
+        self.g = np.ascontiguousarray(pairs[:, 1])
+        self.weights = boundary_weights
+        with np.errstate(over="ignore"):
+            self.doubled = boundary_weights + boundary_weights
+        self.relabel(labels)
+
+    def relabel(self, labels):
+        self.labels = labels
+        self.theta0 = self.costs[np.arange(len(labels)), labels]
+        self.l_f = labels[self.f]
+        self.l_g = labels[self.g]
+        self.a = self.weights * (self.l_f != self.l_g)
+        # B = C = weight when both faces keep their labels
+        self.both_keep = self.doubled - self.a
+        self.arcs = self.both_keep > 0.0
+
+    def move(self, alpha):
+        """New labels after the expansion of alpha, or None if none change."""
+        labels = self.labels
+        num_faces = len(labels)
+        keep_g = self.l_g != alpha
+        c = self.weights * keep_g
+        theta1 = self.costs[:, alpha].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(theta1, self.f, c - self.a)
+            np.subtract.at(theta1, self.g, c)
+            diff = theta1 - self.theta0
+        cross = self.arcs & (self.l_f != alpha) & keep_g
+        residual = self.both_keep[cross]
+        if not (np.isfinite(diff).all() and np.isfinite(residual).all()):
+            raise ValueError("expansion move capacities overflow: omega or "
+                             "the costs are too large")
+        source, sink = num_faces, num_faces + 1
+        ends = np.flatnonzero(diff)
+        terminal = diff[ends]
+        pull = terminal > 0.0
+        side = _min_cut_side(
+            num_faces + 2,
+            source,
+            sink,
+            np.concatenate((self.f[cross], np.where(pull, source, ends))),
+            np.concatenate((self.g[cross], np.where(pull, ends, sink))),
+            np.concatenate((residual, np.abs(terminal))),
+        )
+        updated = np.where(side[:num_faces], labels, alpha)
+        if np.array_equal(updated, labels):
+            return None
+        return updated
 
 
 def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.ndarray:
@@ -190,9 +238,14 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     p = params if params is not None else TransferParams()
     if not 0.0 <= p.omega < float("inf"):
         raise ValueError("omega must be a finite non-negative number")
-    if p.max_iterations < 0:
+    try:
+        iterations = operator.index(p.max_iterations)
+    except TypeError:
+        raise ValueError("max_iterations must be an integer, got "
+                         f"{p.max_iterations!r}") from None
+    if iterations < 0:
         raise ValueError(
-            f"max_iterations must not be negative, got {p.max_iterations}")
+            f"max_iterations must not be negative, got {iterations}")
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2:
         raise ValueError("costs must be a (faces, segments) table")
@@ -206,18 +259,19 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     labels = np.argmin(costs, axis=1)
     pairs, _ = mesh.dual_edges()
     boundary = _boundary_costs(mesh)
-    weights = p.omega * boundary
     energy = _energy(labels, costs, pairs, boundary, p.omega)
-    for _ in range(p.max_iterations):
+    moves = _ExpansionMoves(costs, pairs, p.omega * boundary, labels)
+    for _ in range(iterations):
         improved = False
         for alpha in range(num_segments):
-            candidate = _expansion_move(labels, alpha, costs, pairs, weights)
+            candidate = moves.move(alpha)
             if candidate is None:
                 continue
             candidate_energy = _energy(candidate, costs, pairs, boundary,
                                        p.omega)
             if candidate_energy < energy:
                 labels, energy = candidate, candidate_energy
+                moves.relabel(labels)
                 improved = True
                 if trace is not None:
                     trace.append((alpha, energy))

@@ -13,6 +13,8 @@ ball query replaced, and the union-finds, depth-first walks and set loops
 that the node x sphere incidence and ``mat_graph.linked_groups``
 replaced, the minimum cut
 solved from the source side that the sink-side solve replaced, the
+expansion move that built every array afresh on each move, which the
+per-labeling move arrays replaced, the
 per-line file readers and writers that the bulk ones replaced, and the
 per-pair angles and growing costs that the pair table replaced, with the
 grow loop that computed and cached each cost on first read.  The
@@ -71,7 +73,7 @@ from segmat.structure import (
     JointKind,
     StructuralComponent,
 )
-from segmat.transfer import _SCALE_BITS
+from segmat.transfer import _SCALE_BITS, _boundary_costs, _energy, _min_cut_side
 
 
 def signed_distance(plane, point):
@@ -424,6 +426,78 @@ def min_cut_side(num_nodes, source, sink, tails, heads, caps):
     )
     side[reached] = True
     return side
+
+
+def expansion_move(labels, alpha, costs, pairs, boundary_weights):
+    """One alpha-expansion as a binary min cut; returns new labels or None.
+
+    Keep-current is the source side, switch-to-alpha the sink side.  The
+    pairwise table (A=cost both keep, B/C=one switches, D=0) is submodular
+    for boundary costs of the same-label-is-free kind, so the residual
+    B+C-A lands on a single arc and C-A / -C fold into the unary terms.
+    """
+    num_faces = len(labels)
+    theta0 = costs[np.arange(num_faces), labels]
+    theta1 = costs[:, alpha].copy()
+    arc_tails, arc_heads, arc_caps = [], [], []
+    if len(pairs):
+        f, g = pairs[:, 0], pairs[:, 1]
+        l_f, l_g = labels[f], labels[g]
+        a = boundary_weights * (l_f != l_g)
+        b = boundary_weights * (l_f != alpha)
+        c = boundary_weights * (l_g != alpha)
+        np.add.at(theta1, f, c - a)
+        np.subtract.at(theta1, g, c)
+        residual = b + c - a
+        cross = residual > 0.0
+        arc_tails.append(f[cross])
+        arc_heads.append(g[cross])
+        arc_caps.append(residual[cross])
+    source, sink = num_faces, num_faces + 1
+    diff = theta1 - theta0
+    pull = diff > 0.0
+    push = diff < 0.0
+    arc_tails.append(np.full(int(pull.sum()), source))
+    arc_heads.append(np.flatnonzero(pull))
+    arc_caps.append(diff[pull])
+    arc_tails.append(np.flatnonzero(push))
+    arc_heads.append(np.full(int(push.sum()), sink))
+    arc_caps.append(-diff[push])
+    side = _min_cut_side(
+        num_faces + 2,
+        source,
+        sink,
+        np.concatenate(arc_tails),
+        np.concatenate(arc_heads),
+        np.concatenate(arc_caps),
+    )
+    updated = np.where(side[:num_faces], labels, alpha)
+    if np.array_equal(updated, labels):
+        return None
+    return updated
+
+
+def optimize_labels(mesh, costs, omega, max_iterations=10):
+    """transfer.optimize_labels with every move built by expansion_move."""
+    labels = np.argmin(costs, axis=1)
+    pairs, _ = mesh.dual_edges()
+    boundary = _boundary_costs(mesh)
+    weights = omega * boundary
+    energy = _energy(labels, costs, pairs, boundary, omega)
+    for _ in range(max_iterations):
+        improved = False
+        for alpha in range(costs.shape[1]):
+            candidate = expansion_move(labels, alpha, costs, pairs, weights)
+            if candidate is None:
+                continue
+            candidate_energy = _energy(candidate, costs, pairs, boundary,
+                                       omega)
+            if candidate_energy < energy:
+                labels, energy = candidate, candidate_energy
+                improved = True
+        if not improved:
+            break
+    return labels
 
 
 def dual_edges(mesh):

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from test_benchmark_labels import segment
 from test_cli import bent_l_assets, chain_mat
 from test_pipeline import bent_l_mat
 from test_simplify import chain, plate
@@ -167,6 +168,25 @@ def test_cut_counters_read_one_graph_per_move_with_a_positive_arc(
     assert entries == [k for k in positive if k > 0]
     assert tracer.counts["transfer.maximum_flow.calls"] == len(entries)
     assert tracer.counts["transfer.cut_arcs"] == sum(entries)
+
+
+def test_traced_banded_op_solves_the_recorded_cuts(tmp_path, capsys,
+                                                   monkeypatch):
+    # banded-chain seed 0 makes 64 expansion moves that each cut a graph,
+    # 3,104,500 arcs in all, and accepts 19 of them; a change to how the
+    # moves are built must solve the same graphs
+    monkeypatch.delenv("SEGMAT_CONFIG", raising=False)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        segment(tmp_path, capsys, "banded-chain", 0)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer)
+    counts = {name: metrics[f"transfer.{name}"]["value"]
+              for name in ("cuts", "cut_arcs", "moves_accepted")}
+    assert counts == {"cuts": 64, "cut_arcs": 3104500, "moves_accepted": 19}
 
 
 def test_one_traced_segment_op_fills_every_layer_metric(tmp_path, monkeypatch):

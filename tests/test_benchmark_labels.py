@@ -5,7 +5,9 @@ byte-identical on every benchmark workload, and the simplified MAT that
 `--emit-structured-mat` writes byte-identical on the workloads that
 simplify.  This runs the seed-0 input of each workload through `segmat
 segment` in-process, as the benchmark's worker does, and compares the
-SHA-256 of those files with the recorded ones.
+SHA-256 of those files with the recorded ones.  `banded-chain`, the one
+workload with many regions, is pinned at seeds 1 and 2 as well: each
+seed accepts a different set of expansion moves.
 perfbench/workloads.py is loaded by path, as test_bench_hooks loads the
 tracer, so the inputs are exactly the benchmark's.
 """
@@ -31,6 +33,12 @@ LABELS_SHA256 = {
         "2ac208700dea68f98ede6a5964edb84a97623d687985b323fbf4c45dccbc42c1",
 }
 
+# banded-chain labels at further seeds
+BANDED_SHA256 = {
+    1: "02b610448e3b14b313ef5bdf6514e5943cdead6f9b7e2a8e3d598f96c7c03ec3",
+    2: "d017da1a5a3b252950218e0ec50c2b10ef68f136e3f5711da95ad4a9af2fb761",
+}
+
 STRUCTURED_SHA256 = {
     "chain-simplify":
         "bb35e39cce680a32a9a856ed5686349ea87eb9e833d59a7a200ab54e4e18e111",
@@ -50,10 +58,10 @@ def load_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", sorted(LABELS_SHA256))
-def test_seed_0_labels_match_the_recorded_hash(tmp_path, capsys, name):
+def segment(tmp_path, capsys, name, seed):
+    """Run one workload input through `segmat segment`; the output prefix."""
     workloads = load_workloads()
-    w = workloads.generate(name, 0)
+    w = workloads.generate(name, seed)
     off, ma = workloads.write_inputs(w, str(tmp_path))
     out = str(tmp_path / "out")
     argv = ["segment", "--mesh", off, "--mat", ma, "--out", out,
@@ -61,8 +69,23 @@ def test_seed_0_labels_match_the_recorded_hash(tmp_path, capsys, name):
     if w.structured:
         argv += ["--structured", ma]
     assert cli.main(argv) == 0, capsys.readouterr().err
-    labels = Path(out + ".labels.txt").read_bytes()
-    assert hashlib.sha256(labels).hexdigest() == LABELS_SHA256[name]
+    return out
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LABELS_SHA256))
+def test_seed_0_labels_match_the_recorded_hash(tmp_path, capsys, name):
+    out = segment(tmp_path, capsys, name, 0)
+    assert sha256(out + ".labels.txt") == LABELS_SHA256[name]
     if name in STRUCTURED_SHA256:
-        structured = Path(out + ".structured.ma").read_bytes()
-        assert hashlib.sha256(structured).hexdigest() == STRUCTURED_SHA256[name]
+        assert sha256(out + ".structured.ma") == STRUCTURED_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", sorted(BANDED_SHA256))
+def test_banded_labels_at_more_seeds_match_the_recorded_hash(tmp_path, capsys,
+                                                             seed):
+    out = segment(tmp_path, capsys, "banded-chain", seed)
+    assert sha256(out + ".labels.txt") == BANDED_SHA256[seed]

@@ -706,6 +706,21 @@ def test_eval_overflowing_surface_diagonal_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_segment_omega_whose_capacities_overflow_exits_2(tmp_path, capsys):
+    mesh_path, mat_path = bent_l_assets(tmp_path)
+    out = str(tmp_path / "run")
+    argv = ["segment", "--mesh", mesh_path, "--mat", mat_path, "--out", out]
+    assert main(argv + ["--omega", "1e308"]) == 2
+    assert "expansion move capacities overflow" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [os.path.basename(p)
+                                    for p in sorted((mesh_path, mat_path))]
+    # a huge omega whose capacities stay finite still segments: the
+    # boundary cost outweighs every data cost, so one label is left
+    assert main(argv + ["--omega", "1e300"]) == 0
+    labels = open(out + ".labels.txt").read().split()
+    assert len(labels) == 1152 and set(labels) == {"0"}
+
+
 def test_segment_inputs_far_apart_exit_2(tmp_path, capsys):
     # each input's own diagonal is finite; the distances between them are not
     mesh_path = str(tmp_path / "cube.off")

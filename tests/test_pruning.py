@@ -174,6 +174,12 @@ def test_regions_smaller_than_k_and_inside_spheres_match():
     assert (table > 0.0).any()
 
 
+def dense_gaps(points, centers, radii):
+    """The lowest gap of every point, from the full points x spheres table."""
+    return (np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+            - radii[None, :]).min(axis=1)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40))
 def test_sphere_gaps_are_the_dense_minimum(seed, n, m):
     rng = np.random.default_rng(seed)
@@ -181,11 +187,82 @@ def test_sphere_gaps_are_the_dense_minimum(seed, n, m):
     points = rng.integers(-4, 5, size=(n, 3)) / 2.0
     centers = rng.integers(-4, 5, size=(m, 3)) / 2.0
     radii = rng.choice([0.0, 0.5, 1.0, 4.0], size=m)
-
-    dense = (np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-             - radii[None, :])
     assert np.array_equal(_sphere_gaps(points, centers, radii),
-                          dense.min(axis=1))
+                          dense_gaps(points, centers, radii))
+
+
+def test_sphere_gaps_exact_ties_match():
+    # each point lies midway between two equal spheres, so its two
+    # lowest tree gaps are equal; nine spheres leave a ninth unqueried
+    centers = np.array([(x, y, 0.0) for x in (-1.0, 1.0)
+                        for y in (0.0, 4.0, 8.0, 12.0)] + [(0.0, 30.0, 0.0)])
+    radii = np.array([0.5] * 8 + [1.0])
+    points = np.array([(0.0, y, z) for y in (0.0, 4.0, 8.0, 12.0)
+                       for z in (0.0, 0.25)])
+    gaps = _sphere_gaps(points, centers, radii)
+    assert np.array_equal(gaps, dense_gaps(points, centers, radii))
+    assert np.array_equal(gaps[::2], np.full(4, 0.5))
+
+
+class RoundingTree(geometry.cKDTree):
+    """A tree that reports sphere 0 a rounding error farther than it is.
+
+    Tree distances may differ from the exact ones by rounding; the margin
+    of _sphere_gaps is there for that.  Here the lowest tree gap is not
+    the lowest exact gap.
+    """
+
+    def query(self, *args, **kwargs):
+        dist, near = super().query(*args, **kwargs)
+        return dist * np.where(near == 0, 1.0 + 1e-15, 1.0), near
+
+
+def test_sphere_gaps_near_tie_scores_every_sphere_inside_the_margin(
+        monkeypatch):
+    monkeypatch.setattr(geometry, "cKDTree", RoundingTree)
+    centers = np.array([(1.0, 0.0, 0.0), (0.0, 1.0 + 2**-52, 0.0)])
+    radii = np.array([0.5, 0.5])
+    points = np.zeros((1, 3))
+    dist, near = RoundingTree(centers).query(points, k=2)
+    bound = dist - radii[near]
+    assert near[0, bound[0].argmin()] == 1  # the lower tree gap is sphere 1's
+    gaps = _sphere_gaps(points, centers, radii)
+    assert np.array_equal(gaps, dense_gaps(points, centers, radii))
+    assert gaps[0] == 0.5  # sphere 0's exact gap
+
+
+def test_sphere_gaps_open_rows_take_the_ball_query(monkeypatch):
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    CountingTree.balls = 0
+    # thin spheres in front of a thick one: the eight nearest centers
+    # leave rows open, and the ball query finds the thick sphere
+    centers = np.array([(0.5 * i, 0.0, 0.0) for i in range(21)])
+    radii = np.array([0.2] * 10 + [6.0] + [0.2] * 10)
+    points = np.array([(0.0, 1.0, 0.0), (10.0, -1.0, 0.5), (5.0, 7.0, 0.0)])
+    gaps = _sphere_gaps(points, centers, radii)
+    assert CountingTree.balls == 1
+    assert np.array_equal(gaps, dense_gaps(points, centers, radii))
+
+
+def test_sphere_gaps_with_k_equal_to_the_sphere_count(monkeypatch):
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    CountingTree.balls = 0
+    rng = np.random.default_rng(4)
+    for count in (1, 5, 8):
+        centers = rng.normal(size=(count, 3))
+        radii = rng.choice([0.0, 0.5, 3.0], size=count)
+        points = rng.normal(size=(30, 3)) * 3.0
+        assert np.array_equal(_sphere_gaps(points, centers, radii),
+                              dense_gaps(points, centers, radii))
+    assert CountingTree.balls == 0
+
+
+def test_sphere_gaps_overflowing_distances_raise():
+    centers = np.array([(-1e200, 0.0, 0.0), (-1.1e200, 0.0, 0.0)])
+    points = np.array([(1e200, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="distances between points and "
+                                         "sphere centers overflow"):
+        _sphere_gaps(points, centers, np.array([1.0, 1.0]))
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from segmat.transfer import (
     NoSegments,
     TransferParams,
     _boundary_costs,
-    _expansion_move,
+    _ExpansionMoves,
     _min_cut_side,
     data_table,
     exterior_dihedrals,
@@ -424,6 +425,95 @@ def test_non_finite_cost_raises(value):
         optimize_labels(octahedron(), costs)
 
 
+@pytest.mark.parametrize("value", [2.5, "3", None])
+def test_non_integral_max_iterations_raises(value):
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        optimize_labels(octahedron(), np.zeros((8, 2)),
+                        TransferParams(max_iterations=value))
+
+
+def test_integer_max_iterations_of_any_integer_type_run():
+    costs = np.random.default_rng(9).uniform(size=(8, 3))
+    want = optimize_labels(octahedron(), costs, TransferParams(max_iterations=3))
+    got = optimize_labels(octahedron(), costs,
+                          TransferParams(max_iterations=np.int64(3)))
+    assert np.array_equal(got, want)
+
+
+# --- capacities that overflow ------------------------------------------------
+#
+# A cut is solved on integers scaled from the largest arc or the flow bound,
+# so a capacity or a bound that overflows to inf would scale every arc to 0.
+# These raise ValueError, and no RuntimeWarning comes first.
+
+
+def raises_without_warning(match, fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
+
+@pytest.mark.parametrize("network", [
+    # the arcs out of the source and into the sink both sum past 1.8e308
+    (4, 0, 3, [0, 0, 1, 2], [1, 2, 3, 3], [1e308] * 4),
+    # two parallel arcs sum past it
+    (3, 0, 2, [0, 0, 1], [1, 1, 2], [1e308, 1e308, 1.0]),
+    (3, 0, 2, [0, 1], [1, 2], [math.inf, 1.0]),
+])
+def test_min_cut_side_with_a_capacity_that_overflows_raises(network):
+    raises_without_warning("cut capacities overflow", _min_cut_side, *network)
+
+
+@pytest.mark.parametrize("caps,side", [
+    ([5e-324, 1e-310], [True, False, False]),
+    ([1e-310, 5e-324], [True, True, False]),
+    ([1e-300, 3e-300], [True, False, False]),
+])
+def test_min_cut_side_with_subnormal_capacities_cuts(caps, side):
+    # 2**30 over the largest capacity overflows below about 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _min_cut_side(3, 0, 2, [0, 1], [1, 2], caps)
+    assert got.tolist() == side
+
+
+def test_min_cut_side_with_one_finite_terminal_sum_cuts():
+    # only the source arcs overflow when summed; the flow bound is the
+    # sink sum, every arc is finite, and the cut is the exact one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        side = _min_cut_side(4, 0, 3, [0, 0, 1, 2], [1, 2, 3, 3],
+                             [1e308, 1e308, 1.0, 2.0])
+    assert side.tolist() == [True, True, True, False]
+
+
+@pytest.mark.parametrize("omega,costs", [
+    # omega * 2 overflows: the arc of a pair whose faces both keep
+    (1e308, np.random.default_rng(5).uniform(size=(8, 3))),
+    # the switch cost minus the keep cost overflows: a folded unary
+    (0.3, np.vstack([[-1e308, 1e308], np.zeros((7, 2))])),
+])
+def test_expansion_move_with_capacities_that_overflow_raises(omega, costs):
+    raises_without_warning("expansion move capacities overflow",
+                           optimize_labels, octahedron(), costs,
+                           TransferParams(omega=omega))
+
+
+@pytest.mark.parametrize("omega,costs", [
+    (1e300, np.random.default_rng(5).uniform(size=(8, 3))),
+    # the terminal arcs of every switch sum past 1.8e308, but only on the
+    # source side, so the flow bound stays finite
+    (0.3, np.tile([0.0, 1.7e308], (8, 1))),
+])
+def test_huge_finite_capacities_keep_their_labels(omega, costs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimize_labels(octahedron(), costs, TransferParams(omega=omega))
+    assert np.array_equal(got, oracles.optimize_labels(octahedron(), costs,
+                                                       omega))
+
+
 def test_omega_zero_reduces_to_argmin():
     mesh = octahedron()
     rng = np.random.default_rng(9)
@@ -535,17 +625,23 @@ def terrain(heights, cols):
 
 
 @st.composite
-def expansion_cases(draw):
-    """(labels, alpha, costs, pairs, weights) of one move on a small terrain.
+def labelings(draw, twice=False, omegas=(0.0, 0.3, 1.0)):
+    """(mesh, costs, omega, labels) on a small terrain.
 
     Heights, costs and omega come from small pools as well as ranges, so
-    coplanar faces, tied costs and tied boundary weights are common.
+    coplanar faces, tied costs and tied boundary weights are common.  With
+    twice the terrain may list one face twice, which puts parallel pairs
+    in the pair table.
     """
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     heights = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, -1.0]),
                                       st.floats(-2.0, 2.0)),
                             min_size=rows * cols, max_size=rows * cols))
     mesh = terrain(heights, cols)
+    if twice and draw(st.booleans()):
+        last = len(mesh.faces) - 1
+        mesh = with_face_twice(mesh, draw(st.integers(0, last)),
+                               draw(st.integers(0, last + 1)))
     k = draw(st.integers(1, 4))
     num_faces = len(mesh.faces)
     cost = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 2.0))
@@ -553,22 +649,123 @@ def expansion_cases(draw):
                                    min_size=num_faces, max_size=num_faces)))
     labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=num_faces,
                                     max_size=num_faces)))
-    omega = draw(st.one_of(st.sampled_from([0.0, 0.3, 1.0]),
-                           st.floats(0.0, 5.0)))
+    omega = draw(st.one_of(st.sampled_from(omegas), st.floats(0.0, 5.0)))
+    return mesh, costs, omega, labels
+
+
+@st.composite
+def expansion_cases(draw):
+    """(labels, alpha, costs, pairs, weights) of one move on a small terrain."""
+    mesh, costs, omega, labels = draw(labelings())
     pairs, _ = mesh.dual_edges()
-    return (labels, draw(st.integers(0, k - 1)), costs, pairs,
+    return (labels, draw(st.integers(0, costs.shape[1] - 1)), costs, pairs,
             omega * _boundary_costs(mesh))
+
+
+def expansion(labels, alpha, costs, pairs, weights):
+    """The move of alpha from labels."""
+    return _ExpansionMoves(costs, pairs, weights, labels).move(alpha)
+
+
+def same_move(got, want):
+    return (got is None and want is None) or (
+        got is not None and want is not None and np.array_equal(got, want))
 
 
 @settings(max_examples=200)
 @given(case=expansion_cases())
 def test_expansion_move_equals_the_forward_solve(case):
-    got = _expansion_move(*case)
+    got = expansion(*case)
     with mock.patch.object(transfer, "_min_cut_side", oracles.min_cut_side):
-        want = _expansion_move(*case)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert np.array_equal(got, want)
+        want = expansion(*case)
+    assert same_move(got, want)
+
+
+def with_face_twice(mesh, face, at):
+    """mesh with a copy of one face inserted at position at."""
+    faces = mesh.faces.tolist()
+    faces.insert(at, faces[face])
+    return SurfaceMesh(mesh.vertices, np.array(faces))
+
+
+@st.composite
+def expansion_runs(draw):
+    """(mesh, costs, omega, labels, alphas): a run of moves on a terrain.
+
+    Moves without a positive arc (omega 0 with a cost column that ties the
+    kept ones) and faces already labelled alpha are common.
+    """
+    mesh, costs, omega, labels = draw(labelings(twice=True,
+                                                omegas=(0.0, 0.3, 1.0, 1e300)))
+    alphas = draw(st.lists(st.integers(0, costs.shape[1] - 1), min_size=1,
+                           max_size=8))
+    return mesh, costs, omega, labels, alphas
+
+
+def run_moves(mesh, costs, omega, labels, alphas):
+    """Every move of alphas made both ways; each changed labeling is kept.
+
+    Returns (moves that changed labels, moves without a positive arc,
+    moves from a labeling that already had a face labelled alpha).
+    """
+    pairs, _ = mesh.dual_edges()
+    weights = omega * _boundary_costs(mesh)
+    moves = _ExpansionMoves(costs, pairs, weights, labels)
+    arcs = []
+
+    def spy(num_nodes, source, sink, tails, heads, caps):
+        arcs.append(bool((np.asarray(caps) > 0.0).any()))
+        return _min_cut_side(num_nodes, source, sink, tails, heads, caps)
+
+    changed = at_alpha = 0
+    with mock.patch.object(transfer, "_min_cut_side", spy):
+        for alpha in alphas:
+            want = oracles.expansion_move(labels, alpha, costs, pairs, weights)
+            got = moves.move(alpha)
+            assert same_move(got, want)
+            at_alpha += bool((labels == alpha).any())
+            if want is not None:
+                changed += 1
+                labels = want
+                moves.relabel(labels)
+    return changed, arcs.count(False), at_alpha
+
+
+GATE_RUNS = [
+    # face 2 listed twice, so three parallel pairs; tied costs
+    (with_face_twice(terrain([0.0, 0.5, -1.0, 0.0, 0.5, 0.0, 1.0, -1.0, 0.0], 3),
+                     2, 5),
+     np.array([[0.25, 0.0, 1.0], [0.0, 0.25, 0.25], [1.0, 0.0, 0.0],
+               [0.25, 0.25, 0.25], [0.0, 1.0, 0.25], [0.25, 0.0, 1.0],
+               [1.0, 1.0, 0.0], [0.0, 0.25, 1.0], [0.25, 1.0, 0.0]]),
+     0.3, np.array([0, 1, 2, 0, 1, 0, 2, 1, 0]), [0, 1, 2, 0, 2, 1, 0]),
+    # omega 0 and a column that ties every kept cost: no positive arc
+    (terrain([0.0, 0.5, 0.5, 0.0, 1.0, 0.0], 3),
+     np.array([[0.5, 0.5], [0.25, 0.25], [1.0, 1.0], [0.0, 0.0]]), 0.0,
+     np.array([0, 1, 0, 1]), [0, 1, 1, 0]),
+]
+
+
+@given(run=expansion_runs())
+@example(run=GATE_RUNS[0])
+@example(run=GATE_RUNS[1])
+@example(run=(terrain([0.0] * 4, 2), np.array([[0.0, 0.0], [0.0, 5e-324]]),
+              0.0, np.array([0, 0]), [0]))
+def test_expansion_moves_equal_the_per_move_build(run):
+    # every move equals the move that builds all its arrays afresh, also
+    # after earlier moves changed the labeling; and so does optimize_labels
+    mesh, costs, omega, labels, alphas = run
+    run_moves(mesh, costs, omega, labels, alphas)
+    assert np.array_equal(
+        optimize_labels(mesh, costs, TransferParams(omega=omega)),
+        oracles.optimize_labels(mesh, costs, omega))
+
+
+def test_expansion_gate_runs_cover_parallel_pairs_and_empty_moves():
+    pairs = GATE_RUNS[0][0].dual_edges()[0].tolist()
+    assert max(pairs.count(pair) for pair in pairs) == 3
+    assert run_moves(*GATE_RUNS[0]) == (2, 0, 6)
+    assert run_moves(*GATE_RUNS[1]) == (3, 4, 2)
 
 
 # --- transfer from regions --------------------------------------------------
