@@ -10,14 +10,7 @@ skeleton/point-cloud mode.
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    ConeGeometry,
-    DegenerateGeometry,
-    Sphere,
-    TangentPlane,
-    cone_geometry,
-    slab_tangent_planes,
-)
+from .geometry import DegenerateGeometry, cone_axes, slab_normals
 from .mesh_io import (
     EmptyInput,
     LengthMismatch,

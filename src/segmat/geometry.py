@@ -1,20 +1,16 @@
-"""Sphere, cone and slab primitives of a medial axis transform.
+"""Envelope geometry of a medial axis transform, row by row.
 
 A medial mesh vertex is a sphere, an edge spans a cone (the envelope of two
-spheres) and a triangle spans a slab (the envelope of three spheres).  The
-primitive routines work on plain float tuples; the pruned nearest sphere-gap
-search at the end takes numpy arrays.
+spheres) and a triangle spans a slab (the envelope of three spheres).
+``slab_normals`` and ``cone_axes`` compute the envelope data of many slabs
+and cones at once, and the pruned nearest sphere-gap search at the end
+measures points against a set of spheres.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
-
-Vec3 = tuple[float, float, float]
 
 
 class DegenerateGeometry(ValueError):
@@ -25,179 +21,139 @@ class DegenerateGeometry(ValueError):
 EPSILON_FACTOR = 1e-9
 
 
-def _v(p) -> Vec3:
-    return (float(p[0]), float(p[1]), float(p[2]))
+# Row-wise vector algebra on (n, 3) arrays.  Each row is computed in the
+# operand order of the one-vector formula, so it equals that formula bit
+# for bit.
+
+def _dot(a, b):
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
 
-def sub(a, b) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+def _cross(a, b):
+    return np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
 
 
-def add(a, b) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+def _norm(a):
+    """Euclidean length per row.
 
-
-def scale(a, s: float) -> Vec3:
-    return (a[0] * s, a[1] * s, a[2] * s)
-
-
-def dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross(a, b) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def norm(a) -> float:
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def normalize(a) -> Vec3:
-    n = norm(a)
-    if n == 0.0:
-        raise DegenerateGeometry("cannot normalize a zero vector")
-    return (a[0] / n, a[1] / n, a[2] / n)
-
-
-def any_perpendicular(a) -> Vec3:
-    """Deterministic unit vector perpendicular to a (a must be nonzero)."""
-    ax, ay, az = abs(a[0]), abs(a[1]), abs(a[2])
-    # Cross against the coordinate axis least aligned with a.
-    if ax <= ay and ax <= az:
-        basis = (1.0, 0.0, 0.0)
-    elif ay <= az:
-        basis = (0.0, 1.0, 0.0)
-    else:
-        basis = (0.0, 0.0, 1.0)
-    return normalize(cross(a, basis))
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """Medial sphere: center in model units, radius >= 0."""
-
-    center: Vec3
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _v(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-
-
-@dataclass(frozen=True)
-class TangentPlane:
-    """Plane {x : normal . x + offset = 0} with unit normal.
-
-    Stored so that the signed distance of every generating sphere center
-    equals its radius (the normal points from the plane toward the spheres).
+    A finite nonzero row whose sum of squares overflows, or underflows
+    below the normal range, is measured as s * |a / s| with s its largest
+    magnitude; every other row is sqrt(a . a).
     """
+    with np.errstate(over="ignore", under="ignore"):
+        squares = _dot(a, a)
+        n = np.sqrt(squares)
+        s = np.abs(a).max(axis=1, initial=0.0)
+        lost = (squares < np.finfo(float).tiny) | (squares == np.inf)
+        redo = np.flatnonzero(lost & (s > 0.0) & (s < np.inf))
+        if redo.size:
+            b = a[redo] / s[redo, None]
+            n[redo] = s[redo] * np.sqrt(_dot(b, b))
+    return n
 
-    normal: Vec3
-    offset: float
+
+def _unit(a):
+    return a / _norm(a)[:, None]
 
 
-@dataclass(frozen=True)
-class ConeGeometry:
-    """Envelope data of a medial cone spanned by two spheres.
+def _rows(mask, values, other):
+    return np.where(mask[:, None], values, other)
 
-    axis points from the smaller-radius sphere center to the larger one
-    (ties broken lexicographically on the centers), slant_sine is
-    (r_large - r_small) / center distance, in [0, 1].  The envelope line in
-    any axial plane makes angle asin(slant_sine) with the axis.
+
+def _perpendicular(a):
+    """Unit vector perpendicular to each nonzero row: the row crossed with
+    the coordinate axis least aligned with it."""
+    x, y, z = np.abs(a).T
+    basis = np.where((x <= y) & (x <= z), 0, np.where(y <= z, 1, 2))
+    return _unit(_cross(a, np.eye(3)[basis]))
+
+
+def slab_normals(centers, radii):
+    """Unit normals of the two planes tangent to each slab's three spheres.
+
+    centers is (F, 3, 3) and radii is (F, 3), one slab per row; returns
+    (F, 2, 3).  A plane n . x + o = 0 of a slab is tangent to every sphere
+    i (n . c_i + o = r_i); the first normal has a positive component along
+    the cross product of the edges c_2 - c_1 and c_3 - c_1.  A slab
+    without such planes (collinear centers, a sphere that dominates the
+    other two, or a Gram determinant so small that the normals come out
+    non-finite) takes the normal of its centers' plane and its negation.
+    Raises DegenerateGeometry where that normal cannot be normalized.
     """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3, 3)
+    radii = np.asarray(radii, dtype=float).reshape(-1, 3)
+    c1, c2, c3 = centers[:, 0], centers[:, 1], centers[:, 2]
+    r1 = radii[:, 0]
+    with np.errstate(all="ignore"):
+        e1, e2 = c2 - c1, c3 - c1
+        m = _cross(e1, e2)
+        mn, ne1, ne2 = _norm(m), _norm(e1), _norm(e2)
+        spread = ne1 * ne2
+        thin = mn <= EPSILON_FACTOR * np.where(1e-300 > spread, 1e-300, spread)
+        # the in-plane part p of a normal solves p . e1 = b1, p . e2 = b2
+        b1, b2 = radii[:, 1] - r1, radii[:, 2] - r1
+        g11, g12, g22 = _dot(e1, e1), _dot(e1, e2), _dot(e2, e2)
+        det = g11 * g22 - g12 * g12
+        x = (b1 * g22 - b2 * g12) / det
+        y = (b2 * g11 - b1 * g12) / det
+        p = e1 * x[:, None] + e2 * y[:, None]
+        q = 1.0 - _dot(p, p)
+        lift = (m / mn[:, None]) * np.sqrt(q)[:, None]
+        tangent = np.stack([p + lift, p - lift], axis=1)
+        # a thin slab can pass the first test yet cancel (or overflow) in det
+        fallback = (thin | ~(det > 0.0) | (q < 0.0)
+                    | ~np.isfinite(tangent).all(axis=(1, 2)))
 
-    axis: Vec3
-    slant_sine: float
+        edge = _rows(ne1 == 0.0, e2, e1)
+        spanned = _rows(_norm(edge) > 0.0, _perpendicular(edge), (0.0, 0.0, 1.0))
+        plane = _rows(mn == 0.0, spanned, m)
+        length = _norm(plane)
+        if (length[fallback] == 0.0).any():
+            raise DegenerateGeometry("cannot normalize a zero vector")
+        mh = plane / length[:, None]
+    planes = np.stack([mh, mh * -1.0], axis=1)
+    return np.where(fallback[:, None, None], planes, tangent)
 
 
-def cone_geometry(s1: Sphere, s2: Sphere) -> ConeGeometry:
-    """Axis and slant of the cone spanned by two spheres.
+def cone_axes(centers, radii):
+    """Axis and slant sine of each cone spanned by two spheres.
 
-    Raises DegenerateGeometry when the centers coincide or one sphere
-    contains the other (no external envelope exists).
+    centers is (C, 2, 3) and radii is (C, 2), one cone per row; returns the
+    (C, 3) unit axes and the (C,) slants.  The axis points from the
+    smaller-radius center to the larger one (ties broken lexicographically
+    on the centers) and the slant is (r_large - r_small) / center distance,
+    so the envelope line in any axial plane makes angle asin(slant) with
+    the axis.  A cone without an external envelope (coincident centers, or
+    one sphere containing the other) is clamped to a hemispherical cap:
+    its axis runs from the first center to the second when r_1 <= r_2 and
+    back otherwise, or is (1, 0, 0) when the centers coincide, and its
+    slant is 1, or 0 for equal radii.
     """
-    c1, c2 = s1.center, s2.center
-    d = norm(sub(c2, c1))
-    span = d + s1.radius + s2.radius
-    if d <= EPSILON_FACTOR * span or d == 0.0:
-        raise DegenerateGeometry("cone spheres share a center")
-    dr = abs(s2.radius - s1.radius)
-    if dr > d:
-        raise DegenerateGeometry("one cone sphere contains the other")
-    if s1.radius < s2.radius or (s1.radius == s2.radius and c1 <= c2):
-        lo, hi = c1, c2
-    else:
-        lo, hi = c2, c1
-    return ConeGeometry(axis=normalize(sub(hi, lo)), slant_sine=min(1.0, dr / d))
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2, 3)
+    radii = np.asarray(radii, dtype=float).reshape(-1, 2)
+    c1, c2 = centers[:, 0], centers[:, 1]
+    r1, r2 = radii[:, 0], radii[:, 1]
+    with np.errstate(all="ignore"):
+        forth, back = c2 - c1, c1 - c2
+        d = _norm(forth)
+        dr = np.abs(r2 - r1)
+        capped = (d <= EPSILON_FACTOR * (d + r1 + r2)) | (d == 0.0) | (dr > d)
+        # lexicographic c1 <= c2: equal, or lower at the first coordinate
+        # where they differ
+        differ = c1 != c2
+        first = differ.argmax(axis=1)
+        rows = np.arange(len(c1))
+        lex = ~differ.any(axis=1) | (c1[rows, first] < c2[rows, first])
+        up = (r1 < r2) | ((r1 == r2) & lex)
+        axes = _unit(_rows(up, forth, back))
+        slants = dr / d
+        slants = np.where(slants < 1.0, slants, 1.0)
 
-
-def slab_tangent_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPlane, TangentPlane]:
-    """The two planes tangent to all three spheres of a medial slab.
-
-    Each plane satisfies normal . c_i + offset = r_i for every sphere.  The
-    first plane is the one whose normal has a positive component along the
-    cross product of the center-plane edges.  Raises DegenerateGeometry for
-    collinear centers or when no common tangent plane exists (one sphere
-    dominates the other two).
-    """
-    c1, c2, c3 = s1.center, s2.center, s3.center
-    e1 = sub(c2, c1)
-    e2 = sub(c3, c1)
-    m = cross(e1, e2)
-    mn = norm(m)
-    if mn <= EPSILON_FACTOR * max(norm(e1) * norm(e2), 1e-300):
-        raise DegenerateGeometry("slab centers are collinear")
-    b1 = s2.radius - s1.radius
-    b2 = s3.radius - s1.radius
-    # In-plane component p of the normal solves p.e1 = b1, p.e2 = b2.
-    g11 = dot(e1, e1)
-    g12 = dot(e1, e2)
-    g22 = dot(e2, e2)
-    det = g11 * g22 - g12 * g12
-    if not det > 0.0:
-        # a thin slab can pass the test above yet cancel (or overflow) here
-        raise DegenerateGeometry("slab centers are collinear")
-    x = (b1 * g22 - b2 * g12) / det
-    y = (b2 * g11 - b1 * g12) / det
-    p = add(scale(e1, x), scale(e2, y))
-    q = 1.0 - dot(p, p)
-    if q < 0.0:
-        raise DegenerateGeometry("no common tangent plane (radius spread too large)")
-    t = math.sqrt(q)
-    mh = (m[0] / mn, m[1] / mn, m[2] / mn)
-    n_plus = add(p, scale(mh, t))
-    n_minus = sub(p, scale(mh, t))
-    return (
-        TangentPlane(normal=n_plus, offset=s1.radius - dot(n_plus, c1)),
-        TangentPlane(normal=n_minus, offset=s1.radius - dot(n_minus, c1)),
-    )
-
-
-def slab_fallback_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPlane, TangentPlane]:
-    """Stand-in tangent planes for slabs without a true common tangent.
-
-    Uses the centers' plane normal offset by +/- the mean radius, which keeps
-    downstream angle computations total on dirty input.
-    """
-    c1, c2, c3 = s1.center, s2.center, s3.center
-    m = cross(sub(c2, c1), sub(c3, c1))
-    if norm(m) == 0.0:
-        edge = sub(c2, c1)
-        if norm(edge) == 0.0:
-            edge = sub(c3, c1)
-        m = any_perpendicular(edge) if norm(edge) > 0.0 else (0.0, 0.0, 1.0)
-    mh = normalize(m)
-    centroid = scale(add(add(c1, c2), c3), 1.0 / 3.0)
-    r_mean = (s1.radius + s2.radius + s3.radius) / 3.0
-    return (
-        TangentPlane(normal=mh, offset=r_mean - dot(mh, centroid)),
-        TangentPlane(normal=scale(mh, -1.0), offset=r_mean + dot(mh, centroid)),
-    )
+        cap = _rows(d > 0.0, _unit(_rows(r1 <= r2, forth, back)), (1.0, 0.0, 0.0))
+    return (_rows(capped, cap, axes),
+            np.where(capped, np.where(r1 != r2, 1.0, 0.0), slants))
 
 
 def _sphere_gaps(points, centers, radii):

@@ -25,15 +25,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import (
-    ConeGeometry,
-    DegenerateGeometry,
-    Sphere,
-    cone_geometry,
-    norm,
-    normalize,
-    slab_fallback_planes,
-    slab_tangent_planes,
-    sub,
+    _cross,
+    _dot,
+    _norm,
+    _perpendicular,
+    _rows,
+    _unit,
+    cone_axes,
+    slab_normals,
 )
 from .mesh_io import EmptyInput, MedialMesh
 
@@ -104,19 +103,6 @@ def linked_groups(pairs, n_items: int) -> list[list[int]]:
     return list(groups.values())
 
 
-def _edge_cone(sa: Sphere, sb: Sphere) -> ConeGeometry:
-    try:
-        return cone_geometry(sa, sb)
-    except DegenerateGeometry:
-        # Coincident centers or containment: clamp to a hemispherical cap.
-        d = sub(sb.center, sa.center)
-        if norm(d) > 0.0:
-            axis = normalize(d if sa.radius <= sb.radius else sub(sa.center, sb.center))
-        else:
-            axis = (1.0, 0.0, 0.0)
-        return ConeGeometry(axis=axis, slant_sine=1.0 if sa.radius != sb.radius else 0.0)
-
-
 def build_graph(mm: MedialMesh) -> MatGraph:
     """Build the primitive adjacency graph of a canonical medial mesh."""
     mm.validate()
@@ -125,19 +111,9 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     if not elements:
         raise EmptyInput("medial mesh has no faces and no standalone edges")
 
-    spheres = [Sphere((x, y, z), r) for x, y, z, r in mm.spheres.tolist()]
     centers = mm.centers()
     radii = mm.radii()
-    normals = []
-    for tri in faces.tolist():
-        slab = [spheres[v] for v in tri]
-        try:
-            planes = slab_tangent_planes(*slab)
-        except DegenerateGeometry:
-            planes = slab_fallback_planes(*slab)
-        normals.append([plane.normal for plane in planes])
-    cones = [_edge_cone(spheres[a], spheres[b]) for a, b in ends.tolist()]
-
+    axes, slants = cone_axes(centers[ends], radii[ends])
     graph = MatGraph(
         mm=mm,
         elements=elements,
@@ -147,9 +123,9 @@ def build_graph(mm: MedialMesh) -> MatGraph:
         centroids=np.concatenate([
             centers[faces].mean(axis=1),
             (centers[ends[:, 0]] + centers[ends[:, 1]]) / 2.0]),
-        normals=np.array(normals, dtype=float).reshape(-1, 2, 3),
-        axes=np.array([c.axis for c in cones], dtype=float).reshape(-1, 3),
-        slants=np.array([c.slant_sine for c in cones], dtype=float),
+        normals=slab_normals(centers[faces], radii[faces]),
+        axes=axes,
+        slants=slants,
         adjacency=[],
         component_id=np.full(len(elements), -1, dtype=int))
     # nodes sharing a sphere: the off-diagonal of incidence x incidence^T
@@ -160,48 +136,18 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     return graph
 
 
-# Row-wise vector algebra in the operand order of the geometry helpers, so
-# every value is bit for bit the one they give on a single pair.
-
-def _dot(a, b):
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
-
-
-def _cross(a, b):
-    return np.column_stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
-
-
-def _norm(a):
-    return np.sqrt(_dot(a, a))
-
-
-def _unit(a):
-    return a / _norm(a)[:, None]
-
-
-def _rows(mask, values, other):
-    return np.where(mask[:, None], values, other)
-
-
-def _perpendicular(a):
-    """any_perpendicular per row."""
-    x, y, z = np.abs(a).T
-    basis = np.where((x <= y) & (x <= z), 0, np.where(y <= z, 1, 2))
-    return _unit(_cross(a, np.eye(3)[basis]))
-
-
 def _angle(u, v):
-    """Angle in [0, pi] per row; NaN where a vector is zero."""
+    """Angle in [0, pi] per row; NaN where a vector is zero, or so short
+    that the product of the lengths underflows to 0."""
     nu, nv = _norm(u), _norm(v)
-    c = _dot(u, v) / (nu * nv)
+    scale = nu * nv
+    c = _dot(u, v) / scale
     # min(1, c) before max(-1, .), as the scalar clamp: NaN becomes 1
     c = np.where(c < 1.0, c, 1.0)
     c = np.where(c > -1.0, c, -1.0)
     # math.acos, not np.arccos: the two differ in the last bit
     out = np.fromiter(map(math.acos, c.tolist()), dtype=float, count=len(c))
-    out[(nu == 0.0) | (nv == 0.0)] = np.nan
+    out[(nu == 0.0) | (nv == 0.0) | (scale == 0.0)] = np.nan
     return out
 
 
@@ -287,8 +233,8 @@ def pair_angles(g: MatGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else the angle of their planes; for two edges the angle of their
     directions off the shared sphere; 0 for a face and an edge.  plus and
     minus are the envelope-normal deviations per side, (0, 0) when smooth.
-    Values equal the scalar geometry's bit for bit, NaN where it meets a
-    zero vector (its only error on a validated mesh).
+    Values equal those of a one-pair-at-a-time computation bit for bit, NaN
+    where it meets a zero vector (its only error on a validated mesh).
     """
     lo, hi = g.pair_index[0].T
     n_faces = len(g.normals)

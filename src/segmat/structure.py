@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .geometry import _cross, _norm
 from .mat_graph import MatGraph, linked_groups
 from .mesh_io import MedialMesh
 
@@ -129,7 +130,7 @@ def split_components(smat: MedialMesh,
 
 def _make_sheet(tri, centers, radii) -> StructuralComponent:
     a, b, c = centers[tri[:, 0]], centers[tri[:, 1]], centers[tri[:, 2]]
-    area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()
+    area = 0.5 * _norm(_cross(b - a, c - a)).sum()
     r_max = float(radii[np.unique(tri)].max())
     return StructuralComponent(ComponentKind.SHEET, list(map(tuple, tri.tolist())),
                                float(math.sqrt(area)), r_max)

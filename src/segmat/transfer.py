@@ -16,7 +16,8 @@ the cost of each face's current label, the labels at both faces of every
 adjacent pair, and the pair terms that depend on those labels alone.  A
 move builds the rest, the terms of alpha, and hands the solver int32
 capacities.  A move whose capacities overflow raises ValueError rather
-than cutting a graph that no longer scales to integers.
+than cutting a graph that no longer scales to integers, and so does a
+labeling whose summed data cost overflows.
 """
 
 from __future__ import annotations
@@ -140,7 +141,11 @@ def _boundary_costs(mesh: SurfaceMesh) -> np.ndarray:
 
 
 def _energy(labels, costs, pairs, boundary, omega) -> float:
-    total = float(costs[np.arange(len(labels)), labels].sum())
+    with np.errstate(over="ignore"):
+        total = float(costs[np.arange(len(labels)), labels].sum())
+    if not math.isfinite(total):
+        # an inf energy would make every move compare as no better
+        raise ValueError("labeling energy overflows: the costs are too large")
     if len(pairs):
         differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
         total += float(omega) * float(boundary[differ].sum())

@@ -15,17 +15,22 @@ replaced, the minimum cut
 solved from the source side that the sink-side solve replaced, the
 expansion move that built every array afresh on each move, which the
 per-labeling move arrays replaced, the
-per-line file readers and writers that the bulk ones replaced, and the
+per-line file readers and writers that the bulk ones replaced, the
+scalar sphere, cone and slab primitives whose per-node loop the row-wise
+slab and cone kernels replaced, and the
 per-pair angles and growing costs that the pair table replaced, with the
 grow loop that computed and cached each cost on first read.  The
-package's results must equal them exactly (readers and grow: the same
-arrays, or the same exception class and message), save for the rounding
-noise of the stacked sum.  Two geometric helpers only the tests use live here as well.
+package's results must equal them exactly (readers, grow and node
+geometry: the same arrays, or the same exception class and message), save
+for the rounding noise of the stacked sum.  A bounding-box helper only the
+tests use lives here as well.
 """
 
 import heapq
 import math
+import sys
 from collections import deque
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,16 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from segmat import mat_simplify
-from segmat.geometry import (
-    DegenerateGeometry,
-    Sphere,
-    any_perpendicular,
-    cross,
-    dot,
-    norm,
-    normalize,
-    sub,
-)
+from segmat.geometry import EPSILON_FACTOR, DegenerateGeometry
 from segmat.growing import (
     GrowingParams,
     Region,
@@ -76,9 +72,228 @@ from segmat.structure import (
 from segmat.transfer import _SCALE_BITS, _boundary_costs, _energy, _min_cut_side
 
 
-def signed_distance(plane, point):
-    """Signed distance of a point from a TangentPlane."""
-    return dot(plane.normal, point) + plane.offset
+# --- the per-node envelope geometry the row-wise kernels replaced ----------
+
+Vec3 = tuple[float, float, float]
+
+
+def _v(p) -> Vec3:
+    return (float(p[0]), float(p[1]), float(p[2]))
+
+
+def sub(a, b) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def add(a, b) -> Vec3:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def scale(a, s: float) -> Vec3:
+    return (a[0] * s, a[1] * s, a[2] * s)
+
+
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a, b) -> Vec3:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def norm(a) -> float:
+    squares = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    n = math.sqrt(squares)
+    s = max(abs(a[0]), abs(a[1]), abs(a[2]))
+    lost = squares < sys.float_info.min or squares == math.inf
+    if lost and 0.0 < s < math.inf:
+        # the squares left the normal range: measure a / s instead
+        b = (a[0] / s, a[1] / s, a[2] / s)
+        n = s * math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+    return n
+
+
+def normalize(a) -> Vec3:
+    n = norm(a)
+    if n == 0.0:
+        raise DegenerateGeometry("cannot normalize a zero vector")
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+def any_perpendicular(a) -> Vec3:
+    """Deterministic unit vector perpendicular to a (a must be nonzero)."""
+    ax, ay, az = abs(a[0]), abs(a[1]), abs(a[2])
+    # Cross against the coordinate axis least aligned with a.
+    if ax <= ay and ax <= az:
+        basis = (1.0, 0.0, 0.0)
+    elif ay <= az:
+        basis = (0.0, 1.0, 0.0)
+    else:
+        basis = (0.0, 0.0, 1.0)
+    return normalize(cross(a, basis))
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """Medial sphere: center in model units, radius >= 0."""
+
+    center: Vec3
+    radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _v(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
+
+
+@dataclass(frozen=True)
+class TangentPlane:
+    """Plane {x : normal . x + offset = 0} with unit normal.
+
+    Stored so that the signed distance of every generating sphere center
+    equals its radius (the normal points from the plane toward the spheres).
+    """
+
+    normal: Vec3
+    offset: float
+
+
+@dataclass(frozen=True)
+class ConeGeometry:
+    """Envelope data of a medial cone spanned by two spheres.
+
+    axis points from the smaller-radius sphere center to the larger one
+    (ties broken lexicographically on the centers), slant_sine is
+    (r_large - r_small) / center distance, in [0, 1].  The envelope line in
+    any axial plane makes angle asin(slant_sine) with the axis.
+    """
+
+    axis: Vec3
+    slant_sine: float
+
+
+def cone_geometry(s1: Sphere, s2: Sphere) -> ConeGeometry:
+    """Axis and slant of the cone spanned by two spheres.
+
+    Raises DegenerateGeometry when the centers coincide or one sphere
+    contains the other (no external envelope exists).
+    """
+    c1, c2 = s1.center, s2.center
+    d = norm(sub(c2, c1))
+    span = d + s1.radius + s2.radius
+    if d <= EPSILON_FACTOR * span or d == 0.0:
+        raise DegenerateGeometry("cone spheres share a center")
+    dr = abs(s2.radius - s1.radius)
+    if dr > d:
+        raise DegenerateGeometry("one cone sphere contains the other")
+    if s1.radius < s2.radius or (s1.radius == s2.radius and c1 <= c2):
+        lo, hi = c1, c2
+    else:
+        lo, hi = c2, c1
+    return ConeGeometry(axis=normalize(sub(hi, lo)), slant_sine=min(1.0, dr / d))
+
+
+def slab_tangent_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPlane, TangentPlane]:
+    """The two planes tangent to all three spheres of a medial slab.
+
+    Each plane satisfies normal . c_i + offset = r_i for every sphere.  The
+    first plane is the one whose normal has a positive component along the
+    cross product of the center-plane edges.  Raises DegenerateGeometry for
+    collinear centers, when no common tangent plane exists (one sphere
+    dominates the other two) or when the normals come out non-finite.
+    """
+    c1, c2, c3 = s1.center, s2.center, s3.center
+    e1 = sub(c2, c1)
+    e2 = sub(c3, c1)
+    m = cross(e1, e2)
+    mn = norm(m)
+    if mn <= EPSILON_FACTOR * max(norm(e1) * norm(e2), 1e-300):
+        raise DegenerateGeometry("slab centers are collinear")
+    b1 = s2.radius - s1.radius
+    b2 = s3.radius - s1.radius
+    # In-plane component p of the normal solves p.e1 = b1, p.e2 = b2.
+    g11 = dot(e1, e1)
+    g12 = dot(e1, e2)
+    g22 = dot(e2, e2)
+    det = g11 * g22 - g12 * g12
+    if not det > 0.0:
+        # a thin slab can pass the test above yet cancel (or overflow) here
+        raise DegenerateGeometry("slab centers are collinear")
+    x = (b1 * g22 - b2 * g12) / det
+    y = (b2 * g11 - b1 * g12) / det
+    p = add(scale(e1, x), scale(e2, y))
+    q = 1.0 - dot(p, p)
+    if q < 0.0:
+        raise DegenerateGeometry("no common tangent plane (radius spread too large)")
+    t = math.sqrt(q)
+    mh = (m[0] / mn, m[1] / mn, m[2] / mn)
+    n_plus = add(p, scale(mh, t))
+    n_minus = sub(p, scale(mh, t))
+    if not all(map(math.isfinite, n_plus + n_minus)):
+        # a subnormal det makes x and y inf, and 0 * inf is NaN
+        raise DegenerateGeometry("slab tangent normals are not finite")
+    return (
+        TangentPlane(normal=n_plus, offset=s1.radius - dot(n_plus, c1)),
+        TangentPlane(normal=n_minus, offset=s1.radius - dot(n_minus, c1)),
+    )
+
+
+def slab_fallback_planes(s1: Sphere, s2: Sphere, s3: Sphere) -> tuple[TangentPlane, TangentPlane]:
+    """Stand-in tangent planes for slabs without a true common tangent.
+
+    Uses the centers' plane normal offset by +/- the mean radius, which keeps
+    downstream angle computations total on dirty input.
+    """
+    c1, c2, c3 = s1.center, s2.center, s3.center
+    m = cross(sub(c2, c1), sub(c3, c1))
+    if norm(m) == 0.0:
+        edge = sub(c2, c1)
+        if norm(edge) == 0.0:
+            edge = sub(c3, c1)
+        m = any_perpendicular(edge) if norm(edge) > 0.0 else (0.0, 0.0, 1.0)
+    mh = normalize(m)
+    centroid = scale(add(add(c1, c2), c3), 1.0 / 3.0)
+    r_mean = (s1.radius + s2.radius + s3.radius) / 3.0
+    return (
+        TangentPlane(normal=mh, offset=r_mean - dot(mh, centroid)),
+        TangentPlane(normal=scale(mh, -1.0), offset=r_mean + dot(mh, centroid)),
+    )
+
+
+def _edge_cone(sa: Sphere, sb: Sphere) -> ConeGeometry:
+    try:
+        return cone_geometry(sa, sb)
+    except DegenerateGeometry:
+        # Coincident centers or containment: clamp to a hemispherical cap.
+        d = sub(sb.center, sa.center)
+        if norm(d) > 0.0:
+            axis = normalize(d if sa.radius <= sb.radius else sub(sa.center, sb.center))
+        else:
+            axis = (1.0, 0.0, 0.0)
+        return ConeGeometry(axis=axis, slant_sine=1.0 if sa.radius != sb.radius else 0.0)
+
+
+def node_geometry(mm):
+    """build_graph's (normals, axes, slants), one Sphere per vertex and one
+    slab or cone at a time: the tangent planes of a slab, or its fallback
+    planes when it has none, and each standalone edge's cone."""
+    spheres = [Sphere((x, y, z), r) for x, y, z, r in mm.spheres.tolist()]
+    normals = []
+    for tri in mm.faces.tolist():
+        slab = [spheres[v] for v in tri]
+        try:
+            planes = slab_tangent_planes(*slab)
+        except DegenerateGeometry:
+            planes = slab_fallback_planes(*slab)
+        normals.append([plane.normal for plane in planes])
+    cones = [_edge_cone(spheres[a], spheres[b])
+             for a, b in mm.edges[mm.standalone].tolist()]
+    return (np.array(normals, dtype=float).reshape(-1, 2, 3),
+            np.array([c.axis for c in cones], dtype=float).reshape(-1, 3),
+            np.array([c.slant_sine for c in cones], dtype=float))
 
 
 def bounding_diagonal(centers, radii=None):
@@ -1023,7 +1238,8 @@ def angle_between(u, v) -> float:
     """Angle between two nonzero vectors, in [0, pi]."""
     nu = norm(u)
     nv = norm(v)
-    if nu == 0.0 or nv == 0.0:
+    if nu == 0.0 or nv == 0.0 or nu * nv == 0.0:
+        # the lengths' product underflows only for rescaled tiny vectors
         raise DegenerateGeometry("angle with a zero vector")
     c = dot(u, v) / (nu * nv)
     return math.acos(max(-1.0, min(1.0, c)))

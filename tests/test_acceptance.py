@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import bounding_diagonal, signed_distance
-from segmat.geometry import Sphere, slab_tangent_planes
+from oracles import bounding_diagonal
+from segmat.geometry import slab_normals
 from segmat import growing
 from segmat.growing import (
     GrowingParams,
@@ -202,6 +202,7 @@ def test_01_slab_tangency_residual_below_1e9_of_diagonal():
     to within 1e-9 of the triple's bounding diagonal, in under a second."""
     rng = np.random.default_rng(101)
     start = time.perf_counter()
+    center_rows, radius_rows = [], []
     for _ in range(1000):
         while True:
             centers = rng.uniform(-5.0, 5.0, (3, 3))
@@ -212,15 +213,16 @@ def test_01_slab_tangency_residual_below_1e9_of_diagonal():
             area = 0.5 * np.linalg.norm(np.cross(e1, e2))
             if dmin >= 1.0 and area >= 0.3 * dmin * dmin:
                 break
-        radii = rng.uniform(0.05, 0.15, 3) * dmin
-        spheres = [Sphere(tuple(c), float(r))
-                   for c, r in zip(centers, radii)]
-        planes = slab_tangent_planes(*spheres)
-        budget = 1e-9 * bounding_diagonal(centers, radii)
-        for plane in planes:
-            for c, r in zip(centers, radii):
-                residual = abs(abs(signed_distance(plane, tuple(c))) - r)
-                assert residual < budget
+        center_rows.append(centers)
+        radius_rows.append(rng.uniform(0.05, 0.15, 3) * dmin)
+    centers, radii = np.array(center_rows), np.array(radius_rows)
+    normals = slab_normals(centers, radii)
+    for c, r, planes in zip(centers, radii, normals):
+        budget = 1e-9 * bounding_diagonal(c, r)
+        for n in planes:
+            offset = r[0] - n @ c[0]
+            residual = np.abs(np.abs(c @ n + offset) - r).max()
+            assert residual < budget
     assert time.perf_counter() - start < 1.0
 
 

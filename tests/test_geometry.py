@@ -2,33 +2,38 @@
 
 The slab oracle verifies tangency residuals directly from the plane
 equation; the cone oracle constructs the external tangent line of the two
-axial-plane circles independently and compares angles.
+axial-plane circles independently and compares angles.  Both run on the
+row-wise kernels, one slab or cone per row.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import angle_between, bounding_diagonal, signed_distance
-from segmat.geometry import (
-    ConeGeometry,
-    DegenerateGeometry,
-    Sphere,
-    cone_geometry,
-    slab_fallback_planes,
-    slab_tangent_planes,
-)
+import oracles
+from oracles import angle_between, bounding_diagonal
+from segmat.geometry import DegenerateGeometry, cone_axes, slab_normals
 
 
-def tangency_residual(planes, spheres):
-    """Largest |signed_distance(center) - radius| over planes and spheres."""
+def tangency_residual(centers, radii):
+    """Largest |n . c_i + o - r_i| over both tangent planes of one slab,
+    with each plane's offset o = r_1 - n . c_1."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
     worst = 0.0
-    for p in planes:
-        assert abs(math.sqrt(sum(c * c for c in p.normal)) - 1.0) < 1e-12
-        for s in spheres:
-            worst = max(worst, abs(signed_distance(p, s.center) - s.radius))
+    for n in slab_normals(centers[None], radii[None])[0]:
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-12
+        offset = radii[0] - n @ centers[0]
+        worst = max(worst, float(np.abs(centers @ n + offset - radii).max()))
     return worst
+
+
+def cone(c1, c2, r1, r2):
+    """Axis and slant of the one cone spanned by two spheres."""
+    axes, slants = cone_axes([[c1, c2]], [[r1, r2]])
+    return tuple(axes[0].tolist()), float(slants[0])
 
 
 def external_tangent_sine(r1, r2, d):
@@ -56,42 +61,29 @@ def external_tangent_sine(r1, r2, d):
 
 
 def test_slab_planes_tangent_to_all_three_spheres():
-    spheres = (
-        Sphere((0.0, 0.0, 0.0), 1.0),
-        Sphere((2.0, 0.0, 0.0), 1.0),
-        Sphere((1.0, 2.0, 0.0), 0.5),
-    )
-    planes = slab_tangent_planes(*spheres)
-    diag = bounding_diagonal([s.center for s in spheres], [s.radius for s in spheres])
-    assert tangency_residual(planes, spheres) < 1e-9 * diag
+    centers = [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 2.0, 0.0)]
+    radii = [1.0, 1.0, 0.5]
+    diag = bounding_diagonal(centers, radii)
+    assert tangency_residual(centers, radii) < 1e-9 * diag
 
 
 def test_slab_planes_equal_radii_parallel_to_center_plane():
-    spheres = (
-        Sphere((0.0, 0.0, 0.0), 0.75),
-        Sphere((3.0, 0.0, 0.0), 0.75),
-        Sphere((0.0, 2.0, 0.0), 0.75),
-    )
-    p_plus, p_minus = slab_tangent_planes(*spheres)
-    assert p_plus.normal == pytest.approx((0.0, 0.0, 1.0))
-    assert p_minus.normal == pytest.approx((0.0, 0.0, -1.0))
-    assert p_plus.offset == pytest.approx(0.75)
-    assert p_minus.offset == pytest.approx(0.75)
+    centers = np.array([(0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (0.0, 2.0, 0.0)])
+    n_plus, n_minus = slab_normals(centers[None], [[0.75] * 3])[0]
+    assert n_plus == pytest.approx((0.0, 0.0, 1.0))
+    assert n_minus == pytest.approx((0.0, 0.0, -1.0))
+    assert 0.75 - n_plus @ centers[0] == pytest.approx(0.75)
+    assert 0.75 - n_minus @ centers[0] == pytest.approx(0.75)
 
 
 def test_slab_planes_permutation_invariant_as_a_set():
-    spheres = [
-        Sphere((0.1, -0.3, 0.2), 0.9),
-        Sphere((2.0, 0.4, -0.1), 1.3),
-        Sphere((0.7, 2.2, 0.5), 0.6),
-    ]
-    base = {tuple(round(x, 9) for x in p.normal) for p in slab_tangent_planes(*spheres)}
-    for perm in ((1, 2, 0), (2, 1, 0), (0, 2, 1)):
-        got = {
-            tuple(round(x, 9) for x in p.normal)
-            for p in slab_tangent_planes(*(spheres[k] for k in perm))
-        }
-        assert got == base
+    centers = np.array([(0.1, -0.3, 0.2), (2.0, 0.4, -0.1), (0.7, 2.2, 0.5)])
+    radii = np.array([0.9, 1.3, 0.6])
+    perms = [(0, 1, 2), (1, 2, 0), (2, 1, 0), (0, 2, 1)]
+    normals = slab_normals(centers[perms], radii[perms])
+    base = {tuple(round(x, 9) for x in n) for n in normals[0].tolist()}
+    for planes in normals[1:]:
+        assert {tuple(round(x, 9) for x in n) for n in planes.tolist()} == base
 
 
 def test_slab_planes_random_triples_satisfy_tangency():
@@ -100,27 +92,27 @@ def test_slab_planes_random_triples_satisfy_tangency():
     while accepted < 300:
         centers = rng.uniform(-5.0, 5.0, size=(3, 3))
         radii = rng.uniform(0.1, 2.0, size=3)
-        spheres = [Sphere(tuple(c), r) for c, r in zip(centers, radii)]
         try:
-            planes = slab_tangent_planes(*spheres)
+            oracles.slab_tangent_planes(
+                *(oracles.Sphere(tuple(c), r) for c, r in zip(centers, radii)))
         except DegenerateGeometry:
             continue
         diag = bounding_diagonal(centers, radii)
-        assert tangency_residual(planes, spheres) < 1e-9 * diag
+        assert tangency_residual(centers, radii) < 1e-9 * diag
         accepted += 1
 
 
+CENTER_PLANE = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+
+
 def test_slab_degenerate_collinear_and_dominated():
-    collinear = [Sphere((float(i), 0.0, 0.0), 0.5) for i in range(3)]
-    with pytest.raises(DegenerateGeometry):
-        slab_tangent_planes(*collinear)
-    dominated = (
-        Sphere((0.0, 0.0, 0.0), 5.0),
-        Sphere((1.0, 0.0, 0.0), 0.1),
-        Sphere((0.0, 1.0, 0.0), 0.1),
-    )
-    with pytest.raises(DegenerateGeometry):
-        slab_tangent_planes(*dominated)
+    # no common tangent plane: both take the normal of the centers' plane
+    # (for collinear centers, the edge crossed with its least aligned axis)
+    collinear = [(float(i), 0.0, 0.0) for i in range(3)]
+    dominated = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    normals = slab_normals([collinear, dominated],
+                           [[0.5, 0.5, 0.5], [5.0, 0.1, 0.1]])
+    assert normals.tolist() == [CENTER_PLANE, CENTER_PLANE]
 
 
 @pytest.mark.parametrize("centers", [
@@ -133,34 +125,42 @@ def test_slab_degenerate_collinear_and_dominated():
 @pytest.mark.parametrize("radii", [(0.5, 0.5, 0.5), (1.0, 2.0, 3.0)])
 def test_slab_whose_gram_determinant_is_not_positive_is_collinear(centers,
                                                                   radii):
-    spheres = [Sphere(c, r) for c, r in zip(centers, radii)]
-    with pytest.raises(DegenerateGeometry, match="collinear"):
-        slab_tangent_planes(*spheres)
+    # such a slab takes the center-plane normals, as a collinear one does;
+    # both planes here are axis-aligned, so m / max|m| is their unit normal
+    c = np.array(centers)
+    m = np.cross(c[1] - c[0], c[2] - c[0])
+    m /= np.abs(m).max()
+    assert slab_normals(c[None], [radii])[0].tolist() == [m.tolist(),
+                                                          (-m).tolist()]
 
 
-def test_slab_fallback_uses_center_plane_and_mean_radius():
-    spheres = (
-        Sphere((0.0, 0.0, 0.0), 5.0),
-        Sphere((1.0, 0.0, 0.0), 0.1),
-        Sphere((0.0, 1.0, 0.0), 0.6),
-    )
-    p_plus, p_minus = slab_fallback_planes(*spheres)
-    assert p_plus.normal == pytest.approx((0.0, 0.0, 1.0))
-    assert p_minus.normal == pytest.approx((0.0, 0.0, -1.0))
-    r_mean = (5.0 + 0.1 + 0.6) / 3.0
-    centroid = (1.0 / 3.0, 1.0 / 3.0, 0.0)
-    assert signed_distance(p_plus, centroid) == pytest.approx(r_mean)
-    assert signed_distance(p_minus, centroid) == pytest.approx(r_mean)
+def test_slab_whose_fallback_normal_overflows_raises():
+    # coincident and far apart: the edge's perpendicular has length
+    # sqrt(2) * 1.5e308, so it normalizes to a zero vector
+    c = [(0.0, -7.5e307, -7.5e307), (0.0, 7.5e307, 7.5e307),
+         (0.0, -7.5e307, -7.5e307)]
+    with pytest.raises(DegenerateGeometry, match="zero vector"):
+        oracles.node_geometry(SimpleNamespace(
+            spheres=np.array([(*p, 1.0) for p in c]),
+            faces=np.array([(0, 1, 2)]), edges=np.empty((0, 2), dtype=int),
+            standalone=np.empty(0, dtype=int)))
+    with pytest.raises(DegenerateGeometry, match="zero vector"):
+        slab_normals([c], [[1.0, 1.0, 1.0]])
+
+
+def test_slab_fallback_uses_center_plane_normal():
+    centers = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    n_plus, n_minus = slab_normals([centers], [[5.0, 0.1, 0.6]])[0]
+    assert n_plus == pytest.approx((0.0, 0.0, 1.0))
+    assert n_minus == pytest.approx((0.0, 0.0, -1.0))
 
 
 def test_cone_slant_matches_two_circle_tangent_oracle():
-    s1 = Sphere((0.0, 0.0, 0.0), 1.0)
-    s2 = Sphere((2.0, 0.0, 0.0), 0.5)
-    cone = cone_geometry(s1, s2)
-    assert cone.slant_sine == pytest.approx(0.25, abs=1e-12)
-    assert cone.slant_sine == pytest.approx(external_tangent_sine(1.0, 0.5, 2.0), abs=1e-12)
+    axis, slant = cone((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 1.0, 0.5)
+    assert slant == pytest.approx(0.25, abs=1e-12)
+    assert slant == pytest.approx(external_tangent_sine(1.0, 0.5, 2.0), abs=1e-12)
     # Axis runs from the smaller-radius sphere toward the larger one.
-    assert cone.axis == pytest.approx((-1.0, 0.0, 0.0))
+    assert axis == pytest.approx((-1.0, 0.0, 0.0))
 
 
 def test_cone_random_pairs_match_tangent_oracle():
@@ -170,41 +170,40 @@ def test_cone_random_pairs_match_tangent_oracle():
         c1 = rng.uniform(-4.0, 4.0, size=3)
         c2 = rng.uniform(-4.0, 4.0, size=3)
         r1, r2 = rng.uniform(0.1, 2.0, size=2)
-        try:
-            cone = cone_geometry(Sphere(tuple(c1), r1), Sphere(tuple(c2), r2))
-        except DegenerateGeometry:
-            continue
         d = float(np.linalg.norm(c2 - c1))
-        assert cone.slant_sine == pytest.approx(external_tangent_sine(r1, r2, d), abs=1e-9)
-        assert np.linalg.norm(cone.axis) == pytest.approx(1.0, abs=1e-12)
+        if abs(r2 - r1) > d:  # one sphere contains the other
+            continue
+        axis, slant = cone(c1, c2, r1, r2)
+        assert slant == pytest.approx(external_tangent_sine(r1, r2, d), abs=1e-9)
+        assert np.linalg.norm(axis) == pytest.approx(1.0, abs=1e-12)
         accepted += 1
 
 
 def test_cone_equal_radii_is_a_cylinder():
-    cone = cone_geometry(Sphere((0.0, 0.0, 0.0), 0.8), Sphere((0.0, 3.0, 0.0), 0.8))
-    assert cone.slant_sine == 0.0
-    assert cone.axis == pytest.approx((0.0, 1.0, 0.0))
+    axis, slant = cone((0.0, 0.0, 0.0), (0.0, 3.0, 0.0), 0.8, 0.8)
+    assert slant == 0.0
+    assert axis == pytest.approx((0.0, 1.0, 0.0))
 
 
 def test_cone_symmetric_under_argument_swap():
-    s1 = Sphere((0.3, -1.0, 0.4), 0.6)
-    s2 = Sphere((2.0, 0.5, -0.2), 1.1)
-    assert cone_geometry(s1, s2) == cone_geometry(s2, s1)
-    eq1 = Sphere((0.0, 0.0, 0.0), 0.5)
-    eq2 = Sphere((1.0, 1.0, 0.0), 0.5)
-    assert cone_geometry(eq1, eq2) == cone_geometry(eq2, eq1)
+    for c1, c2, r1, r2 in [((0.3, -1.0, 0.4), (2.0, 0.5, -0.2), 0.6, 1.1),
+                           ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), 0.5, 0.5)]:
+        assert cone(c1, c2, r1, r2) == cone(c2, c1, r2, r1)
 
 
 def test_cone_containment_is_degenerate():
-    with pytest.raises(DegenerateGeometry):
-        cone_geometry(Sphere((0.0, 0.0, 0.0), 1.0), Sphere((1.0, 0.0, 0.0), 3.0))
-    with pytest.raises(DegenerateGeometry):
-        cone_geometry(Sphere((0.0, 0.0, 0.0), 1.0), Sphere((0.0, 0.0, 0.0), 1.0))
+    # no external envelope: a hemispherical cap, the axis toward the larger
+    # sphere, or (1, 0, 0) when the centers coincide
+    axes, slants = cone_axes(
+        [[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+         [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]],
+        [[1.0, 3.0], [1.0, 1.0], [1.0, 3.0]])
+    assert axes.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    assert slants.tolist() == [1.0, 0.0, 1.0]
 
 
 def test_cone_internal_tangency_saturates_slant():
-    cone = cone_geometry(Sphere((0.0, 0.0, 0.0), 1.0), Sphere((2.0, 0.0, 0.0), 3.0))
-    assert cone.slant_sine == 1.0
+    assert cone((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 1.0, 3.0)[1] == 1.0
 
 
 def test_angle_between_basics():
@@ -213,8 +212,3 @@ def test_angle_between_basics():
     assert angle_between((1.0, 0.0, 0.0), (-3.0, 0.0, 0.0)) == pytest.approx(math.pi)
     with pytest.raises(DegenerateGeometry):
         angle_between((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
-
-def test_slant_is_a_valid_sine():
-    cone = ConeGeometry(axis=(1.0, 0.0, 0.0), slant_sine=1.0)
-    assert -1.0 <= cone.slant_sine <= 1.0

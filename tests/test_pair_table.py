@@ -1,5 +1,8 @@
-"""The pair table against the per-pair code it replaced.
+"""The node geometry and the pair table against the code they replaced.
 
+build_graph takes every node's slab normals or cone axis and slant from
+the row-wise geometry kernels; they must equal the per-node loop over the
+scalar primitives bit for bit, and raise where it raises.
 mat_graph.pair_angles computes the bend and envelope angles of every
 adjacent pair as arrays, growing.cost_terms turns them into the two cost
 terms, and grow reads one cost per pair.  These properties check each
@@ -12,9 +15,9 @@ appear.
 """
 
 import math
-import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -25,7 +28,7 @@ from test_mesh_io_properties import medial_meshes
 from segmat.extensions import SkeletonCloud, _skeleton_pair_costs, _skeleton_graph
 from segmat.geometry import DegenerateGeometry
 from segmat.growing import GrowingParams, cost_terms, grow
-from segmat.mat_graph import build_graph, pair_angles
+from segmat.mat_graph import _angle, build_graph, pair_angles
 from segmat.mesh_io import MedialMesh
 from segmat.structure import assign_base_nodes, detect_joints, split_components
 
@@ -39,10 +42,18 @@ def scaled(mm, factor):
 
 def nan_slabs():
     """Two slabs whose first has NaN tangent normals: its Gram determinant
-    is subnormal, so the in-plane solve gives inf * 0."""
+    is subnormal, so the in-plane solve gives inf * 0.  It takes the
+    normals of its centers' plane instead."""
     return MedialMesh.build(
         [(0, 0, 0, 0), (1e-80, 0, 0, 1e150), (0, 1e-80, 0, 1e150),
          (1e-80, 1e-80, 1e-80, 1)], [], [(0, 1, 2), (1, 2, 3)])
+
+
+def right_angle_slabs():
+    """Two slabs of equal radii folded at a right angle on one edge."""
+    return MedialMesh.build(
+        [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)], [],
+        [(0, 1, 2), (0, 2, 3)])
 
 
 def chain_at(coordinate):
@@ -75,9 +86,29 @@ def outcome(fn, *args):
 
 
 @given(meshes)
-@example(nan_slabs())         # NaN cosines
-@example(chain_at(1e-161))   # |d|^2 is subnormal: the cosine is far off 1
-@example(MedialMesh.build(    # |cross|^2 overflows: zero plane normals
+@example(nan_slabs())         # non-finite tangent normals
+@example(chain_at(1e-161))   # |d|^2 is subnormal: the norm rescales
+@example(scaled(right_angle_slabs(), 1e100))  # |cross|^2 overflows
+def test_node_geometry_equals_the_per_node_loop(mm):
+    # build_graph's input checks come first: no nodes, or a non-finite span
+    assume(len(mm.faces) or len(mm.standalone))
+    assume(outcome(mm.validate)[1] is None)
+    want, raised = outcome(oracles.node_geometry, mm)
+    try:
+        g = build_graph(mm)
+    except DegenerateGeometry as exc:
+        assert (type(exc), str(exc)) == raised
+        return
+    assert raised is None
+    assert [bits(g.normals), bits(g.axes), bits(g.slants)] == list(
+        map(bits, want))
+
+
+@given(meshes)
+@example(nan_slabs())
+@example(chain_at(1e-161))   # |d|^2 is subnormal: the norm rescales
+@example(chain_at(1e-300))   # |d_i| |d_j| underflows to 0
+@example(MedialMesh.build(    # |cross|^2 overflows: the norm rescales
     [(0, 0, 0, 1), (1e100, 0, 0, 1), (0, 1e100, 0, 1), (0, 0, 1e100, 1)],
     [], [(0, 1, 2), (0, 2, 3)]))
 def test_pair_angles_equal_the_scalar_code_bit_for_bit(mm):
@@ -100,18 +131,22 @@ def test_pair_angles_equal_the_scalar_code_bit_for_bit(mm):
 def test_a_nan_cosine_clamps_to_one():
     # min(1, c) first turns NaN into 1 (angle 0); max(-1, .) first would
     # turn it into -1 (angle pi)
+    u, v = np.array([[math.inf, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+    assert oracles.angle_between(u[0].tolist(), v[0].tolist()) == 0.0
+    with np.errstate(invalid="ignore"):
+        assert _angle(u, v).tolist() == [0.0]
+
+
+def test_non_finite_tangent_normals_take_the_center_plane():
     g = build_graph(nan_slabs())
-    assert np.isnan(g.normals[0]).all()
-    assert oracles.primitive_angles(g, 0, 1) == (0.0, 0.0)
-    assert [a.tolist() for a in pair_angles(g)[1:]] == [[0.0], [0.0]]
+    assert g.normals[0].tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    assert np.isfinite(g.normals).all()
+    assert np.abs(np.linalg.norm(g.normals, axis=2) - 1.0).max() < 1e-12
 
 
 def prepared(mm):
     g = graph_of(mm)
-    with warnings.catch_warnings():
-        # scaled copies overflow the sheet areas; growing is under test
-        warnings.simplefilter("ignore", RuntimeWarning)
-        comps = split_components(mm, detect_joints(mm))
+    comps = split_components(mm, detect_joints(mm))
     assign_base_nodes(g, comps)
     return g, comps
 
@@ -121,6 +156,18 @@ def regions_or_error(fn, *args):
         return [(r.id, r.nodes, r.seed, r.component_id) for r in fn(*args)]
     except Exception as exc:  # noqa: BLE001 -- also overflow warnings
         return type(exc), str(exc)
+
+
+def test_slabs_at_1e77_have_unit_normals_and_grow_as_at_scale_one():
+    # |cross|^2 overflows at this scale, in the normals and sheet areas
+    g, comps = prepared(scaled(right_angle_slabs(), 1e77))
+    assert np.abs(np.linalg.norm(g.normals, axis=2) - 1.0).max() < 1e-12
+    unit_g, unit_comps = prepared(right_angle_slabs())
+    assert [c.extent / 1e77 for c in comps] == pytest.approx(
+        [c.extent for c in unit_comps], rel=1e-12)
+    want = regions_or_error(grow, unit_g, unit_comps)
+    assert isinstance(want, list)
+    assert regions_or_error(grow, g, comps) == want
 
 
 params = st.builds(GrowingParams,

@@ -500,6 +500,12 @@ def test_expansion_move_with_capacities_that_overflow_raises(omega, costs):
                            TransferParams(omega=omega))
 
 
+def test_costs_whose_energy_overflows_raise():
+    # every face's cost is finite, but their sum is not
+    raises_without_warning("labeling energy overflows", optimize_labels,
+                           octahedron(), np.full((8, 2), 1e308))
+
+
 @pytest.mark.parametrize("omega,costs", [
     (1e300, np.random.default_rng(5).uniform(size=(8, 3))),
     # the terminal arcs of every switch sum past 1.8e308, but only on the
