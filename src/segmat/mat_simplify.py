@@ -24,7 +24,17 @@ with a row-wise argmin.  The squared length |d|^2 of each row is
 ``np.vecdot(d, d)``, which sums in the same order as the 1-D ``d @ d`` of
 a single edge (both reach the same BLAS dot), so a batch gives bitwise the
 same costs as scoring its edges one at a time; ``np.einsum`` and
-``(d * d).sum(1)`` do not.
+``(d * d).sum(1)`` do not.  A weighted sample past the float range scores
+inf, above any bound, with the overflow warning silenced.
+
+The complex is kept only as per-vertex incidence: two lists indexed by
+vertex hold the faces and the standalone (face-free) edges there, as sets
+of sorted tuples.  The counts, accumulated errors and versions are lists
+of Python numbers beside them, so a queue pop reads no NumPy scalar; the
+counts are also kept as the array the scorer gathers from.  A collapse
+moves the incidence of b to a, refreshes the counts, bumps the versions
+and collects the edges to re-score in one pass over a and the vertices of
+the elements at b, the only ones whose incidence can change.
 
 A global min-cost queue with lazy invalidation drives the loop; ties break
 toward the lexicographically smallest edge.  An entry holds the versions
@@ -91,75 +101,23 @@ class SimplifyParams:
     average_error: bool = False
 
 
-class _State:
-    """Mutable element complex during simplification."""
+def _counts(mm: MedialMesh) -> np.ndarray:
+    """The faces plus standalone edges at each vertex of mm."""
+    n = len(mm.spheres)
+    return (np.bincount(mm.faces.ravel(), minlength=n)
+            + np.bincount(mm.edges[mm.standalone].ravel(), minlength=n))
 
-    def __init__(self, mm: MedialMesh):
-        n = len(mm.spheres)
-        self.spheres = mm.spheres.copy()
-        self.acc = np.zeros(n)
-        self.version = np.zeros(n, dtype=int)
-        # The complex is kept only as per-vertex incidence: the faces and
-        # the standalone (face-free) edges at each vertex, and their count.
-        self.vertex_faces: dict[int, set] = {}
-        self.vertex_edges: dict[int, set] = {}
-        for f in map(tuple, mm.faces.tolist()):
-            for v in f:
-                self.vertex_faces.setdefault(v, set()).add(f)
-        for e in map(tuple, mm.edges[mm.standalone].tolist()):
-            for v in e:
-                self.vertex_edges.setdefault(v, set()).add(e)
-        self.count = np.zeros(n, dtype=int)
-        self.recount(self.vertex_faces.keys() | self.vertex_edges.keys())
 
-    def recount(self, vertices) -> list[int]:
-        """Refresh the face-plus-standalone-edge count of each of vertices;
-        returns those whose count moved."""
-        moved = []
-        for v in vertices:
-            n = len(self.incident_faces(v)) + len(self.incident_edges(v))
-            if n != self.count[v]:
-                self.count[v] = n
-                moved.append(v)
-        return moved
-
-    def incident_faces(self, v: int) -> set:
-        return self.vertex_faces.get(v, ())
-
-    def incident_edges(self, v: int) -> set:
-        return self.vertex_edges.get(v, ())
-
-    def candidate_edges(self, vertices) -> set:
-        """Collapsible 1-skeleton edges at any of vertices: the two sides of
-        each incident face that meet the vertex, plus curve segments."""
-        out = set()
-        for v in vertices:
-            out.update(self.incident_edges(v))
-            for a, b, c in self.incident_faces(v):
-                if v == a:
-                    out.update(((a, b), (a, c)))
-                elif v == b:
-                    out.update(((a, b), (b, c)))
-                else:
-                    out.update(((b, c), (a, c)))
-        return out
-
-    def skeleton_neighbors(self, v: int) -> set[int]:
-        out = set()
-        for f in self.incident_faces(v):
-            out.update(f)
-        for e in self.incident_edges(v):
-            out.update(e)
-        out.discard(v)
-        return out
-
-    def score(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cost, t) of collapsing each edge (a[i], b[i]), t = 0 keeping sphere a."""
-        d = self.spheres[b] - self.spheres[a]
-        fresh = np.vecdot(d, d)[:, None] * (self.count[a][:, None] * _FROM_A_SQ
-                                            + self.count[b][:, None] * _FROM_B_SQ)
-        best = fresh.argmin(axis=1)
-        return fresh[np.arange(len(best)), best], _PLACEMENT_SAMPLES[best]
+def _score(spheres: np.ndarray, count: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(cost, t) of collapsing each edge (a[i], b[i]), t = 0 keeping sphere a;
+    count holds the faces plus standalone edges at each vertex.  Callers
+    score under ``np.errstate(over="ignore")``: a weighted sample past the
+    float range reads inf, above any bound."""
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    d = spheres[b] - spheres[a]
+    fresh = np.vecdot(d, d)[:, None] * (count[a][:, None] * _FROM_A_SQ
+                                        + count[b][:, None] * _FROM_B_SQ)
+    return fresh.min(axis=1), _PLACEMENT_SAMPLES[fresh.argmin(axis=1)]
 
 
 def _check_edge(mm: MedialMesh, edge) -> tuple[int, int]:
@@ -176,86 +134,102 @@ def collapse_cost(mm: MedialMesh, edge) -> float:
     This is the fresh cost only (no accumulated history), in model units
     squared; the optimal placement on the segment is already folded in.
     """
+    mm.validate()
     a, b = _check_edge(mm, edge)
-    cost, _ = _State(mm).score(np.array([a]), np.array([b]))
+    with np.errstate(over="ignore"):
+        cost, _ = _score(mm.spheres, _counts(mm), [a], [b])
     return float(cost[0])
 
 
-def _violates_topology(state: _State, a: int, b: int) -> bool:
-    opposite = set()
-    for f in state.incident_faces(a):
+def _violates_topology(faces: list[set], edges: list[set], a: int, b: int) -> bool:
+    """Whether collapsing (a, b) would pinch the complex: a and b share a
+    neighbour that is not opposite (a, b) in a face, or (a, b) is the last
+    element of its component."""
+    opposite = {a, b}
+    for f in faces[a]:
         if b in f:
-            opposite.update(v for v in f if v not in (a, b))
-    common = state.skeleton_neighbors(a) & state.skeleton_neighbors(b)
-    if common - opposite:
+            opposite.update(f)
+    common = set().union(*faces[a], *edges[a]) & set().union(*faces[b], *edges[b])
+    if not common <= opposite:
         return True
     # Never let a component vanish into a bare vertex.
-    only_this_edge = (not state.incident_faces(a)
-                      and not state.incident_faces(b)
-                      and state.count[a] + state.count[b] == 2)
-    return only_this_edge
+    return (not faces[a] and not faces[b]
+            and len(edges[a]) + len(edges[b]) == 2)
 
 
-def _apply_collapse(state: _State, a: int, b: int, t: float) -> set[int]:
-    """Merge b into a at interpolation t; returns the changed vertices, a,
-    b and those whose count moved, and bumps their versions."""
-    touched = {a, b}
-    state.spheres[a] = (1.0 - t) * state.spheres[a] + t * state.spheres[b]
+def _collapse(faces: list[set], edges: list[set], count: list[int],
+              counts: np.ndarray, version: list[int], a: int,
+              b: int) -> tuple[list[int], list[int]]:
+    """Merge vertex b into a in the per-vertex incidence, in one pass.
 
-    old_faces = list(state.incident_faces(b))
-    old_edges = list(state.incident_edges(b))
-
-    def drop_face(f):
-        for v in f:
-            state.vertex_faces[v].discard(f)
-            touched.add(v)
-
-    def drop_edge(e):
-        for v in e:
-            state.vertex_edges[v].discard(e)
-            touched.add(v)
-
-    def covered_by_face(u, w):
-        return any(w in f for f in state.incident_faces(u))
-
-    def add_edge(u, w):
-        if u == w:
-            return
-        key = (u, w) if u < w else (w, u)
-        if key in state.incident_edges(u) or covered_by_face(u, w):
-            return
-        for v in key:
-            state.vertex_edges.setdefault(v, set()).add(key)
-            touched.add(v)
-
-    for f in old_faces:
-        drop_face(f)
-        verts = [a if v == b else v for v in f]
-        if len(set(verts)) == 2:
+    Only a and the vertices of the elements at b can change.  Their counts
+    are refreshed (in count and counts alike), and the versions of a, b and
+    those whose count moved are bumped.  Returns the skeleton edges at
+    these changed vertices, to be re-scored, as lists of first and second
+    ends; an edge between two of them is taken at its lower end.
+    """
+    near = {a}
+    far = []  # far ends of the segments that the elements at b leave at a
+    sides = []  # far ends of the sides at a of the faces that a gains
+    for f in faces[b]:
+        near.update(f)
+        x, y, z = f
+        u, w = (y, z) if x == b else (x, z) if y == b else (x, y)
+        faces[u].discard(f)
+        faces[w].discard(f)
+        if u == a or w == a:
             # The face contained the collapsed edge: it degrades to a segment.
-            u, w = sorted(set(verts))
-            add_edge(u, w)
-        else:
-            nf = tuple(sorted(verts))
-            if nf not in state.incident_faces(a):
-                for v in nf:
-                    state.vertex_faces.setdefault(v, set()).add(nf)
-                    touched.add(v)
-    for e in old_edges:
-        drop_edge(e)
-        u, w = (a if v == b else v for v in e)
-        add_edge(u, w)
+            far.append(w if u == a else u)
+            continue
+        nf = (a, u, w) if a < u else (u, a, w) if a < w else (u, w, a)
+        if nf not in faces[a]:
+            for v in nf:
+                faces[v].add(nf)
+            sides += (u, w)
+    for e in edges[b]:
+        u = e[0] if e[1] == b else e[1]
+        near.add(u)
+        edges[u].discard(e)
+        if u != a:
+            far.append(u)
+    faces[b] = set()
+    edges[b] = set()
+    # A new sheet attachment can make an explicit segment redundant, and a
+    # segment left at a is explicit only if no face at a covers it.
+    if edges[a]:
+        for u in sides:
+            e = (a, u) if a < u else (u, a)
+            edges[a].discard(e)
+            edges[u].discard(e)
+    if far:
+        covered = set().union(*faces[a])
+        for u in far:
+            if u not in covered:
+                e = (a, u) if a < u else (u, a)
+                edges[a].add(e)
+                edges[u].add(e)
 
-    # A new sheet attachment can make an explicit segment redundant.
-    for e in list(state.incident_edges(a)):
-        if covered_by_face(*e):
-            drop_edge(e)
-
-    state.acc[a] = state.acc[a] + state.acc[b]
-    changed = {a, b}.union(state.recount(touched))
+    count[b] = counts[b] = 0
+    version[b] += 1
+    changed = []
+    for v in near:
+        k = len(faces[v]) + len(edges[v])
+        if k != count[v]:
+            count[v] = counts[v] = k
+        elif v != a:
+            continue
+        version[v] += 1
+        changed.append(v)
+    ends_a, ends_b = [], []
     for v in changed:
-        state.version[v] += 1
-    return changed
+        for u in set().union(*faces[v], *edges[v]):
+            if u > v:
+                ends_a.append(v)
+                ends_b.append(u)
+            elif u < v and u not in changed:
+                ends_a.append(u)
+                ends_b.append(v)
+    return ends_a, ends_b
 
 
 def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -> MedialMesh:
@@ -274,56 +248,68 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     # every side of a face is an edge, so no edges means no elements
     if len(mm.edges) == 0:
         raise EmptyInput("medial mesh has no elements")
-    state = _State(mm)
+    spheres = mm.spheres.copy()
+    n = len(spheres)
+    # The per-vertex incidence and numbers of the module docstring.
+    faces = [set() for _ in range(n)]
+    edges = [set() for _ in range(n)]
+    for f in map(tuple, mm.faces.tolist()):
+        for v in f:
+            faces[v].add(f)
+    for e in map(tuple, mm.edges[mm.standalone].tolist()):
+        for v in e:
+            edges[v].add(e)
+    counts = _counts(mm)
+    count = counts.tolist()
+    acc = [0.0] * n
+    version = [0] * n
     bound = params.target_error * mm.diagonal()
     bound_sq = bound * bound
 
-    def scored(ab: np.ndarray) -> list[tuple]:
-        """Queue entries for the edges in the rows (a, b) of ab, one batch."""
-        a, b = ab[:, 0], ab[:, 1]
-        fresh, t = state.score(a, b)
-        total = fresh if params.average_error else fresh + state.acc[a] + state.acc[b]
-        return list(zip(total.tolist(), a.tolist(), b.tolist(),
-                        state.version[a].tolist(), state.version[b].tolist(),
-                        fresh.tolist(), t.tolist()))
+    def scored(a: list[int], b: list[int]):
+        """Queue entries for the edges (a[i], b[i]), one batch."""
+        fresh, t = _score(spheres, counts, a, b)
+        fresh = fresh.tolist()
+        total = fresh if params.average_error else [
+            f + acc[u] + acc[w] for f, u, w in zip(fresh, a, b)]
+        return zip(total, a, b, [version[u] for u in a],
+                   [version[w] for w in b], fresh, t.tolist())
 
-    # every edge is a face side or a standalone edge: each is a candidate
-    heap = scored(mm.edges)
-    heapq.heapify(heap)
-
-    accepted_sq_sum = 0.0
-    accepted = 0
-    while heap:
-        total, a, b, va, vb, fresh, t = heapq.heappop(heap)
-        # an edge change bumps both end versions, so a current pop is live
-        if state.version[a] != va or state.version[b] != vb:
-            continue
-        if params.average_error:
-            if (accepted_sq_sum + total) / (accepted + 1) > bound_sq:
+    with np.errstate(over="ignore"):
+        # every edge is a face side or a standalone edge: each is a candidate
+        heap = list(scored(*mm.edges.T.tolist()))
+        heapq.heapify(heap)
+        accepted_sq_sum = 0.0
+        accepted = 0
+        while heap:
+            total, a, b, va, vb, fresh, t = heapq.heappop(heap)
+            # an edge change bumps both end versions, so a current pop is live
+            if version[a] != va or version[b] != vb:
+                continue
+            if params.average_error:
+                if (accepted_sq_sum + total) / (accepted + 1) > bound_sq:
+                    break
+            elif total > bound_sq:
                 break
-        elif total > bound_sq:
-            break
-        if params.preserve_topology and _violates_topology(state, a, b):
-            # Leave versions alone: the edge re-enters the queue if a later
-            # collapse changes one of its ends and may pass the check then.
-            continue
-        changed = _apply_collapse(state, a, b, t)
-        state.acc[a] += fresh
-        accepted_sq_sum += total
-        accepted += 1
-        if trace is not None:
-            trace.append(((a, b), total, t))
-        again = np.array(list(state.candidate_edges(changed)), dtype=np.intp)
-        for entry in scored(again.reshape(-1, 2)):
-            heapq.heappush(heap, entry)
+            if params.preserve_topology and _violates_topology(faces, edges, a, b):
+                # Leave versions alone: the edge re-enters the queue if a later
+                # collapse changes one of its ends and may pass the check then.
+                continue
+            spheres[a] = (1.0 - t) * spheres[a] + t * spheres[b]
+            acc[a] = acc[a] + acc[b] + fresh
+            accepted_sq_sum += total
+            accepted += 1
+            if trace is not None:
+                trace.append(((a, b), total, t))
+            again = _collapse(faces, edges, count, counts, version, a, b)
+            for entry in scored(*again):
+                heapq.heappush(heap, entry)
 
-    faces = np.array(list(set().union(*state.vertex_faces.values())),
-                     dtype=np.intp).reshape(-1, 3)
-    edges = np.array(list(set().union(*state.vertex_edges.values())),
-                     dtype=np.intp).reshape(-1, 2)
+    faces = np.array(list(set().union(*faces)), dtype=np.intp).reshape(-1, 3)
+    edges = np.array(list(set().union(*edges)), dtype=np.intp).reshape(-1, 2)
     used = np.union1d(faces, edges)
     if not len(used):
         # Fully collapsed (only possible without topology preservation).
-        used = np.argmax(state.spheres[:, 3], keepdims=True)
-    return MedialMesh.build(state.spheres[used], np.searchsorted(used, edges),
+        used = np.argmax(spheres[:, 3], keepdims=True)
+    return MedialMesh.build(spheres[used], np.searchsorted(used, edges),
                             np.searchsorted(used, faces))

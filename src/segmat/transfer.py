@@ -17,7 +17,8 @@ adjacent pair, and the pair terms that depend on those labels alone.  A
 move builds the rest, the terms of alpha, and hands the solver int32
 capacities.  A move whose capacities overflow raises ValueError rather
 than cutting a graph that no longer scales to integers, and so does a
-labeling whose summed data cost overflows.
+labeling whose energy overflows, in its summed data cost or in omega
+times its boundary.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def _energy(labels, costs, pairs, boundary, omega) -> float:
     if len(pairs):
         differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
         total += float(omega) * float(boundary[differ].sum())
+        if not math.isfinite(total):
+            raise ValueError(
+                "labeling energy overflows: omega times the boundary is too large")
     return total
 
 

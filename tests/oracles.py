@@ -8,8 +8,9 @@ scalar data cost of one face, the dict-based dual-graph builder the numpy
 edge pairing replaced, the stacked-array collapse cost the closed-form
 quadratic replaced, the per-edge collapse cost the batched scoring
 replaced, the simplification queue that re-scored every edge at every
-touched vertex after a collapse, the per-node dense swallowing test the
-ball query replaced, and the union-finds, depth-first walks and set loops
+touched vertex after a collapse, with the set-based state and topology
+check that the flat per-vertex loop replaced, the per-node dense
+swallowing test the ball query replaced, and the union-finds, depth-first walks and set loops
 that the node x sphere incidence and ``mat_graph.linked_groups``
 replaced, the minimum cut
 solved from the source side that the sink-side solve replaced, the
@@ -37,7 +38,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from segmat import mat_simplify
 from segmat.geometry import EPSILON_FACTOR, DegenerateGeometry
 from segmat.growing import (
     GrowingParams,
@@ -736,8 +736,97 @@ def dual_edges(mesh):
     return pairs_a[order], shared_a[order]
 
 
-def stacked_collapse_cost(state, a, b):
-    """(cost, t) of collapsing edge (a, b) of a simplification state.
+class SimplifyState:
+    """Mutable element complex during simplification."""
+
+    def __init__(self, mm: MedialMesh):
+        n = len(mm.spheres)
+        self.spheres = mm.spheres.copy()
+        self.acc = np.zeros(n)
+        self.version = np.zeros(n, dtype=int)
+        # The complex is kept only as per-vertex incidence: the faces and
+        # the standalone (face-free) edges at each vertex, and their count.
+        self.vertex_faces: dict[int, set] = {}
+        self.vertex_edges: dict[int, set] = {}
+        for f in map(tuple, mm.faces.tolist()):
+            for v in f:
+                self.vertex_faces.setdefault(v, set()).add(f)
+        for e in map(tuple, mm.edges[mm.standalone].tolist()):
+            for v in e:
+                self.vertex_edges.setdefault(v, set()).add(e)
+        self.count = np.zeros(n, dtype=int)
+        self.recount(self.vertex_faces.keys() | self.vertex_edges.keys())
+
+    def recount(self, vertices) -> list[int]:
+        """Refresh the face-plus-standalone-edge count of each of vertices;
+        returns those whose count moved."""
+        moved = []
+        for v in vertices:
+            n = len(self.incident_faces(v)) + len(self.incident_edges(v))
+            if n != self.count[v]:
+                self.count[v] = n
+                moved.append(v)
+        return moved
+
+    def incident_faces(self, v: int) -> set:
+        return self.vertex_faces.get(v, ())
+
+    def incident_edges(self, v: int) -> set:
+        return self.vertex_edges.get(v, ())
+
+    def candidate_edges(self, vertices) -> set:
+        """Collapsible 1-skeleton edges at any of vertices: the two sides of
+        each incident face that meet the vertex, plus curve segments."""
+        out = set()
+        for v in vertices:
+            out.update(self.incident_edges(v))
+            for a, b, c in self.incident_faces(v):
+                if v == a:
+                    out.update(((a, b), (a, c)))
+                elif v == b:
+                    out.update(((a, b), (b, c)))
+                else:
+                    out.update(((b, c), (a, c)))
+        return out
+
+    def skeleton_neighbors(self, v: int) -> set[int]:
+        out = set()
+        for f in self.incident_faces(v):
+            out.update(f)
+        for e in self.incident_edges(v):
+            out.update(e)
+        out.discard(v)
+        return out
+
+    def score(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, t) of collapsing each edge (a[i], b[i]), t = 0 keeping sphere a."""
+        d = self.spheres[b] - self.spheres[a]
+        # a weighted sample past the float range reads inf
+        with np.errstate(over="ignore"):
+            fresh = np.vecdot(d, d)[:, None] * (self.count[a][:, None] * _FROM_A_SQ
+                                                + self.count[b][:, None] * _FROM_B_SQ)
+        best = fresh.argmin(axis=1)
+        return fresh[np.arange(len(best)), best], _PLACEMENT_SAMPLES[best]
+
+
+def violates_topology(state: SimplifyState, a: int, b: int) -> bool:
+    opposite = set()
+    for f in state.incident_faces(a):
+        if b in f:
+            opposite.update(v for v in f if v not in (a, b))
+    common = state.skeleton_neighbors(a) & state.skeleton_neighbors(b)
+    if common - opposite:
+        return True
+    # Never let a component vanish into a bare vertex.
+    only_this_edge = (not state.incident_faces(a)
+                      and not state.incident_faces(b)
+                      and state.count[a] + state.count[b] == 2)
+    return only_this_edge
+
+
+def stacked_collapse_cost(spheres, count, a, b):
+    """(cost, t) of collapsing edge (a, b), where count holds the faces plus
+    standalone edges at each vertex.
 
     Stacks one copy of each endpoint sphere per element incident to it and
     sums the squared deviation of every sampled placement from all copies.
@@ -745,33 +834,28 @@ def stacked_collapse_cost(state, a, b):
     samples_t = np.linspace(0.0, 1.0, 17)
     incident_spheres = []
     for v in (a, b):
-        count = len(state.incident_faces(v)) + len(state.incident_edges(v))
-        if count == 0:
-            count = 1
-        incident_spheres.extend([state.spheres[v]] * count)
+        incident_spheres.extend([spheres[v]] * max(int(count[v]), 1))
     originals = np.array(incident_spheres).reshape(-1, 4)
-    samples = (state.spheres[a][None, :] * (1.0 - samples_t[:, None])
-               + state.spheres[b][None, :] * samples_t[:, None])
+    samples = (spheres[a][None, :] * (1.0 - samples_t[:, None])
+               + spheres[b][None, :] * samples_t[:, None])
     fresh = ((samples[:, None, :] - originals[None, :, :]) ** 2).sum(axis=2).sum(axis=1)
     best = int(np.argmin(fresh))
     return float(fresh[best]), float(samples_t[best])
 
 
-def evaluate(state, a, b):
+def evaluate(spheres, count, a, b):
     """(cost, t) of collapsing edge (a, b), t = 0 keeping sphere a."""
-    d = state.spheres[b] - state.spheres[a]
-    n_a = len(state.incident_faces(a)) + len(state.incident_edges(a))
-    n_b = len(state.incident_faces(b)) + len(state.incident_edges(b))
-    weights = n_a * _FROM_A_SQ + n_b * _FROM_B_SQ
+    d = spheres[b] - spheres[a]
+    weights = int(count[a]) * _FROM_A_SQ + int(count[b]) * _FROM_B_SQ
     fresh = (d @ d) * weights
     best = int(np.argmin(fresh))
     return float(fresh[best]), float(_PLACEMENT_SAMPLES[best])
 
 
 def batch_of(per_edge):
-    """A stand-in for ``_State.score`` that calls per_edge edge by edge."""
-    def score(state, a, b):
-        pairs = [per_edge(state, int(u), int(w)) for u, w in zip(a, b)]
+    """A stand-in for ``mat_simplify._score`` that calls per_edge edge by edge."""
+    def score(spheres, count, a, b):
+        pairs = [per_edge(spheres, count, int(u), int(w)) for u, w in zip(a, b)]
         return (np.array([cost for cost, _ in pairs], dtype=float),
                 np.array([t for _, t in pairs], dtype=float))
     return score
@@ -851,7 +935,7 @@ def simplify(mm, params=None, trace=None):
             f"target_error must not be negative, got {params.target_error}")
     if len(mm.edges) == 0:
         raise EmptyInput("medial mesh has no elements")
-    state = mat_simplify._State(mm)
+    state = SimplifyState(mm)
     bound = params.target_error * mm.diagonal()
     bound_sq = bound * bound
 
@@ -879,7 +963,7 @@ def simplify(mm, params=None, trace=None):
                 break
         elif total > bound_sq:
             break
-        if params.preserve_topology and mat_simplify._violates_topology(state, a, b):
+        if params.preserve_topology and violates_topology(state, a, b):
             continue
         touched = apply_collapse(state, a, b, t)
         state.acc[a] += fresh

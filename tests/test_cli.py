@@ -710,8 +710,12 @@ def test_segment_omega_whose_capacities_overflow_exits_2(tmp_path, capsys):
     mesh_path, mat_path = bent_l_assets(tmp_path)
     out = str(tmp_path / "run")
     argv = ["segment", "--mesh", mesh_path, "--mat", mat_path, "--out", out]
+    # the start labeling's energy is finite, but a cut's flow bound is not
+    assert main(argv + ["--omega", "1e307"]) == 2
+    assert "cut capacities overflow" in capsys.readouterr().err
+    # here omega times the start labeling's boundary overflows first
     assert main(argv + ["--omega", "1e308"]) == 2
-    assert "expansion move capacities overflow" in capsys.readouterr().err
+    assert "labeling energy overflows" in capsys.readouterr().err
     assert os.listdir(tmp_path) == [os.path.basename(p)
                                     for p in sorted((mesh_path, mat_path))]
     # a huge omega whose capacities stay finite still segments: the

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from segmat import mat_simplify
 from segmat.mat_simplify import EmptyInput, SimplifyParams, collapse_cost, simplify
-from segmat.mesh_io import MedialMesh
+from segmat.mesh_io import MedialMesh, ParseError
 
 
 def chain(radii, spacing=2.0):
@@ -105,6 +105,14 @@ def test_collapse_cost_non_negative_and_rejects_non_edges():
         assert collapse_cost(mm, e) >= 0.0
     with pytest.raises(ValueError):
         collapse_cost(mm, (0, 5))
+
+
+def test_collapse_cost_rejects_a_non_finite_diagonal():
+    # every coordinate is finite, but the bounding box is not
+    mm = MedialMesh.build([(0.0, 0.0, 0.0, 1.0), (1e308, 0.0, 0.0, 1.0),
+                           (-1e308, 0.0, 0.0, 1.0)], [(0, 1), (0, 2)], [])
+    with pytest.raises(ParseError, match="non-finite diagonal"):
+        collapse_cost(mm, (0, 1))
 
 
 def test_thin_strip_becomes_a_curve_chain():
@@ -264,10 +272,12 @@ def counted_pair(n_a, n_b, sphere_a, sphere_b):
     return counted_pairs([(n_a, n_b, sphere_a, sphere_b)])
 
 
-def score_edges(state, edges):
-    """_State.score over edges as one batch, as lists of costs and of t."""
+def score_edges(mm, edges):
+    """mat_simplify._score over edges of mm as one batch, as lists of costs
+    and of t."""
     ab = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    cost, t = state.score(ab[:, 0], ab[:, 1])
+    cost, t = mat_simplify._score(mm.spheres, mat_simplify._counts(mm),
+                                  ab[:, 0].tolist(), ab[:, 1].tolist())
     return cost.tolist(), t.tolist()
 
 
@@ -279,12 +289,13 @@ def test_closed_form_cost_matches_stacked_oracle():
             sa, sb = ((*rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.1, 1.0)))
                       for _ in range(2))
             pairs.append((n_a, n_b, sa, sb))
-    state = mat_simplify._State(counted_pairs(pairs))
+    mm = counted_pairs(pairs)
     edges = [(2 * i, 2 * i + 1) for i in range(len(pairs))]
-    costs, ts = score_edges(state, edges)
+    costs, ts = score_edges(mm, edges)
     ab = np.array(edges)
+    state = oracles.SimplifyState(mm)
     ref_costs, ref_ts = oracles.batch_of(oracles.stacked_collapse_cost)(
-        state, ab[:, 0], ab[:, 1])
+        state.spheres, state.count, ab[:, 0], ab[:, 1])
     ties = 0
     for (n_a, n_b, _, _), cost, t, ref_cost, ref_t in zip(
             pairs, costs, ts, ref_costs, ref_ts):
@@ -303,8 +314,7 @@ def test_closed_form_cost_matches_stacked_oracle():
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 31), (4, 9), (17, 15)])
 def test_coincident_spheres_collapse_free_keeping_a(n_a, n_b):
     s = (0.5, -1.0, 2.0, 0.7)
-    state = mat_simplify._State(counted_pair(n_a, n_b, s, s))
-    assert score_edges(state, [(0, 1)]) == ([0.0], [0.0])
+    assert score_edges(counted_pair(n_a, n_b, s, s), [(0, 1)]) == ([0.0], [0.0])
 
 
 def jittered(mm, seed, scale=1e-3):
@@ -351,11 +361,11 @@ def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
     scored = []
     stacked = oracles.batch_of(oracles.stacked_collapse_cost)
 
-    def score(state, a, b):
+    def score(spheres, count, a, b):
         scored.append(len(a))
-        return stacked(state, a, b)
+        return stacked(spheres, count, a, b)
 
-    monkeypatch.setattr(mat_simplify._State, "score", score)
+    monkeypatch.setattr(mat_simplify, "_score", score)
     collapsed = 0
     for mm, (out, trace) in zip(fixtures, got):
         ref_trace = []
@@ -376,7 +386,7 @@ def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
 def test_equal_collapse_costs_go_to_the_lowest_edge():
     mm = strip()
     costs = dict(zip(map(tuple, mm.edges.tolist()),
-                     score_edges(mat_simplify._State(mm), mm.edges)[0]))
+                     score_edges(mm, mm.edges)[0]))
     tied = sorted(e for e, c in costs.items() if c == min(costs.values()))
     assert len(tied) > 1
     trace = []

@@ -2,7 +2,8 @@
 time, and re-scoring only the changed vertices' edges equals re-scoring
 every touched vertex's.
 
-``_State.score`` scores a whole batch of edges with one array expression.
+``mat_simplify._score`` scores a whole batch of edges with one array
+expression.
 It must give bitwise the costs and placements of the per-edge reference
 ``oracles.evaluate``, at exact placement ties, for coincident spheres and
 where the squared lengths go subnormal or overflow; and a whole
@@ -12,9 +13,11 @@ after each collapse.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_simplify import counted_pairs, score_edges
@@ -56,14 +59,14 @@ U = (0.5, -0.25, 1.0, 0.75, -1.0, 0.5, 0.125, 0.25)
 def test_batch_score_equals_per_edge_score_bitwise(drawn):
     mm = counted_pairs([(n_a, n_b, *pair_spheres(scale, u, coincident))
                         for (n_a, n_b), scale, u, coincident in drawn])
-    state = mat_simplify._State(mm)
+    state = oracles.SimplifyState(mm)
     edges = [(2 * i, 2 * i + 1) for i in range(len(drawn))]
     ab = np.array(edges)
     d = state.spheres[ab[:, 1]] - state.spheres[ab[:, 0]]
     # The 1e154 and 1e160 scales overflow on purpose.
     with np.errstate(over="ignore"):
-        costs, ts = score_edges(state, edges)
-        ref = [oracles.evaluate(state, a, b) for a, b in edges]
+        costs, ts = score_edges(mm, edges)
+        ref = [oracles.evaluate(state.spheres, state.count, a, b) for a, b in edges]
         squared = np.vecdot(d, d).tolist()
         ref_squared = [float(row @ row) for row in d]
     assert costs == [c for c, _ in ref]
@@ -151,16 +154,16 @@ def assert_same_mesh(out, ref):
 def test_simplify_equals_per_edge_scored_simplify(mm):
     scored = []
 
-    def per_edge(state, a, b):
+    def per_edge(spheres, count, a, b):
         scored.append((a, b))
-        return oracles.evaluate(state, a, b)
+        return oracles.evaluate(spheres, count, a, b)
 
     for params in GATE_PARAMS:
         trace = []
         out = simplify(mm, params, trace)
         ref_trace = []
         scored.clear()
-        with mock.patch.object(mat_simplify._State, "score",
+        with mock.patch.object(mat_simplify, "_score",
                                oracles.batch_of(per_edge)):
             ref = simplify(mm, params, ref_trace)
         assert len(scored) >= len(mm.edges)
@@ -186,6 +189,34 @@ def test_simplify_equals_the_rescore_every_touched_vertex_loop(mm):
         simplified_as_the_oracle(mm, params)
 
 
+@pytest.mark.parametrize("k,rim", [(40, 3e153), (16, 4e153)])
+def test_fans_whose_weighted_samples_overflow_simplify_as_the_oracle(k, rim):
+    """k triangles around a centre on a rim of that radius, all radii 1: the
+    diagonal is finite, but some weighted samples of the spoke collapses
+    pass the float range.  They score inf, with no warning."""
+    points, _, faces = fan_piece(k - 2, True)
+    mm = MedialMesh.build([(x, rim * y, rim * z, 1.0) for x, y, z in points],
+                          [], faces)
+    collapsed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in GATE_PARAMS:
+            collapsed += len(simplified_as_the_oracle(mm, params))
+    assert collapsed > 0
+
+
+def test_a_face_that_covers_a_segment_drops_it_as_the_oracle():
+    """Without topology preservation, collapsing (0, 1) turns the face
+    (1, 2, 3) into (0, 2, 3), which covers the segment (0, 2): the segment
+    goes, so 0 and 2 each count one element fewer in the later costs."""
+    mm = MedialMesh.build([(0.0, 0.0, 0.0, 1.0), (0.05, 0.0, 0.0, 1.0),
+                           (0.6, 0.3, 0.0, 1.0), (0.6, -0.3, 0.0, 1.0)],
+                          [(0, 1), (0, 2)], [(1, 2, 3)])
+    params = SimplifyParams(target_error=0.2, preserve_topology=False)
+    trace = simplified_as_the_oracle(mm, params)
+    assert trace[0][0] == (0, 1) and len(trace) > 1
+
+
 def closed_fan(k, seed):
     """k triangles around a centre, centers jittered by up to 0.8 and radii
     by up to 80% of 2: at these sizes some of the topology-rejected edges
@@ -205,8 +236,8 @@ def test_rejected_edges_reenter_as_in_the_rescore_every_touched_vertex_loop():
     rejected = set()
     violates = mat_simplify._violates_topology
 
-    def spy(state, a, b):
-        out = violates(state, a, b)
+    def spy(faces, edges, a, b):
+        out = violates(faces, edges, a, b)
         if out:
             rejected.add((a, b))
         return out

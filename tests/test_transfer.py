@@ -489,8 +489,10 @@ def test_min_cut_side_with_one_finite_terminal_sum_cuts():
 
 
 @pytest.mark.parametrize("omega,costs", [
-    # omega * 2 overflows: the arc of a pair whose faces both keep
-    (1e308, np.random.default_rng(5).uniform(size=(8, 3))),
+    # omega * 2 overflows: the arc of a pair whose faces both keep.  Label 0
+    # is every face's argmin, so the start labeling has no boundary and its
+    # energy is finite.
+    (1e308, np.random.default_rng(5).uniform(size=(8, 3)) + [0.0, 1.0, 1.0]),
     # the switch cost minus the keep cost overflows: a folded unary
     (0.3, np.vstack([[-1e308, 1e308], np.zeros((7, 2))])),
 ])
@@ -504,6 +506,13 @@ def test_costs_whose_energy_overflows_raise():
     # every face's cost is finite, but their sum is not
     raises_without_warning("labeling energy overflows", optimize_labels,
                            octahedron(), np.full((8, 2), 1e308))
+
+
+def test_labeling_energy_whose_boundary_term_overflows_raises():
+    # the data term is 8, but omega times the boundary is past 1.8e308
+    raises_without_warning("labeling energy overflows", labeling_energy,
+                           octahedron(), [0, 0, 0, 0, 1, 1, 1, 1],
+                           np.ones((8, 2)), 1e308)
 
 
 @pytest.mark.parametrize("omega,costs", [
