@@ -19,22 +19,36 @@ spaced t and the cheapest sample is kept; of two tied samples the lower t
 wins, so coincident spheres keep sphere a at no cost.
 
 Costs are scored a batch at a time: every edge at start-up, then after
-each collapse the edges that need a new cost, as one (edges x 17) array
-with a row-wise argmin.  The squared length |d|^2 of each row is
-``np.vecdot(d, d)``, which sums in the same order as the 1-D ``d @ d`` of
-a single edge (both reach the same BLAS dot), so a batch gives bitwise the
-same costs as scoring its edges one at a time; ``np.einsum`` and
-``(d * d).sum(1)`` do not.  A weighted sample past the float range scores
-inf, above any bound, with the overflow warning silenced.
+each collapse the edges that need a new cost.  NumPy gives the squared
+lengths |d|^2 of a batch as ``np.vecdot(d, d)``, which sums in the same
+order as the 1-D ``d @ d`` of a single edge (both reach the same BLAS
+dot), so a batch gives bitwise the squared lengths of scoring its edges
+one at a time; ``np.einsum``, ``(d * d).sum(1)`` and a Python sum do not.
+The rest is a little Python per edge that gives bit for bit the least of
+the 17 products fresh = |d|^2 * weights and its first index, as
+``np.argmin`` finds it.  The weights n_a A + n_b B depend only on the two
+counts, so each count pair's row is made once (with that array
+expression) along with its least weight w and the first index k of w.
+Rounding is monotone, so fl(|d|^2 w) is exactly the least product of its
+row.  An earlier sample j < k could still tie it after rounding, and
+then np.argmin would take j.  It cannot when fl(|d|^2 w) is a normal
+finite float, whose rounding error is at most 2^-53 relative, and every
+weight before k exceeds w by the factor 1 + 2^-40; a later sample never
+wins, as np.argmin takes the first minimum.  Every other edge is a
+fallback row: coincident spheres (|d|^2 = 0), subnormal or overflowing
+products, and count pairs with a near-tied earlier weight form their 17
+products and take the first minimum, as np.argmin does.  A weighted
+sample past the float range scores inf, above any bound, and the
+overflow warning of |d|^2 is silenced.
 
 The complex is kept only as per-vertex incidence: two lists indexed by
 vertex hold the faces and the standalone (face-free) edges there, as sets
 of sorted tuples.  The counts, accumulated errors and versions are lists
-of Python numbers beside them, so a queue pop reads no NumPy scalar; the
-counts are also kept as the array the scorer gathers from.  A collapse
-moves the incidence of b to a, refreshes the counts, bumps the versions
-and collects the edges to re-score in one pass over a and the vertices of
-the elements at b, the only ones whose incidence can change.
+of Python numbers beside them, so a queue pop reads no NumPy scalar and
+the scorer reads the counts from a list.  A collapse moves the incidence
+of b to a, refreshes the counts, bumps the versions and collects the
+edges to re-score in one pass over a and the vertices of the elements at
+b, the only ones whose incidence can change.
 
 A global min-cost queue with lazy invalidation drives the loop; ties break
 toward the lexicographically smallest edge.  An entry holds the versions
@@ -49,6 +63,13 @@ is at b and every edge it makes is at a.  So it bumps the versions of
 these changed vertices (a, b and the count-moved ones) and re-scores the
 edges at them; every other edge keeps its live entry, whose
 (total, a, b, fresh, t) is bit for bit what re-scoring it would push.
+
+Stale entries are shed in bulk: when the queue has grown past twice its
+size after the last rebuild, every entry with a bumped version is dropped
+and the rest are heapified.  The live pops keep their order.  Each edge
+has at most one live entry, so the live keys (total, a, b) are distinct,
+and a heap pops its live entries in key order whatever stale entries lie
+among them; dropping stale ones only saves their pops.
 
 An edge that fails the topology check leaves the queue until a collapse
 changes one of its ends.  Re-queueing it whenever a collapse touches an
@@ -72,7 +93,11 @@ The loop stops when the cheapest remaining collapse would exceed
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +110,11 @@ from .mesh_io import EmptyInput, MedialMesh
 _PLACEMENT_SAMPLES = np.linspace(0.0, 1.0, 17)
 _FROM_A_SQ = _PLACEMENT_SAMPLES**2
 _FROM_B_SQ = (1.0 - _PLACEMENT_SAMPLES)**2
+# The smallest normal float, and the factor by which an earlier weight
+# must exceed the least one to cost more after rounding (module docstring).
+_NORMAL = sys.float_info.min
+_INF = math.inf
+_CLEAR = 1.0 + 2.0**-40
 
 
 @dataclass
@@ -108,20 +138,52 @@ def _counts(mm: MedialMesh) -> np.ndarray:
             + np.bincount(mm.edges[mm.standalone].ravel(), minlength=n))
 
 
-def _score(spheres: np.ndarray, count: np.ndarray, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(cost, t) of collapsing each edge (a[i], b[i]), t = 0 keeping sphere a;
-    count holds the faces plus standalone edges at each vertex.  Callers
-    score under ``np.errstate(over="ignore")``: a weighted sample past the
-    float range reads inf, above any bound."""
-    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
-    d = spheres[b] - spheres[a]
-    fresh = np.vecdot(d, d)[:, None] * (count[a][:, None] * _FROM_A_SQ
-                                        + count[b][:, None] * _FROM_B_SQ)
-    return fresh.min(axis=1), _PLACEMENT_SAMPLES[fresh.argmin(axis=1)]
+@functools.lru_cache(maxsize=4096)
+def _least_weight(count_a: int, count_b: int) -> tuple[float, float, bool, tuple]:
+    """(w, t, clear, weights) of one pair of end counts: the 17 weights
+    ``count_a * _FROM_A_SQ + count_b * _FROM_B_SQ``, their minimum w and
+    the sample t of its first index, and whether every weight before that
+    index exceeds w by the factor ``_CLEAR``.
+
+    A pure function of two counts, cached across calls: a run meets few
+    pairs (62 in about 40,000 scored edges on the plate-simplify benchmark
+    input), and rows made afresh for each batch would cost more than the
+    NumPy calls they replace.  The bound only keeps a long-lived process
+    from growing the cache without limit."""
+    weights = tuple((count_a * _FROM_A_SQ + count_b * _FROM_B_SQ).tolist())
+    w = min(weights)
+    k = weights.index(w)
+    clear = min(weights[:k], default=_INF) > w * _CLEAR
+    return w, float(_PLACEMENT_SAMPLES[k]), clear, weights
+
+
+def _score(spheres: np.ndarray, count, a, b) -> tuple[list[float], list[float]]:
+    """(cost, t) lists of collapsing each edge (a[i], b[i]), t = 0 keeping
+    sphere a; count[v] is the faces plus standalone edges at vertex v.
+    Callers score under ``np.errstate(over="ignore")``, as |d|^2 may pass
+    the float range; a weighted sample that does reads inf, above any
+    bound."""
+    d = spheres.take(b, axis=0) - spheres.take(a, axis=0)
+    cost, t = [], []
+    for u, v, dd in zip(a, b, np.vecdot(d, d).tolist()):
+        w, t_w, clear, weights = _least_weight(count[u], count[v])
+        f = dd * w
+        if not (clear and _NORMAL <= f < _INF):
+            # A fallback row of the module docstring.
+            fresh = [dd * x for x in weights]
+            f = min(fresh)
+            t_w = float(_PLACEMENT_SAMPLES[fresh.index(f)])
+        cost.append(f)
+        t.append(t_w)
+    return cost, t
 
 
 def _check_edge(mm: MedialMesh, edge) -> tuple[int, int]:
-    a, b = int(edge[0]), int(edge[1])
+    try:
+        a, b = map(operator.index, edge)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"an edge is two integral vertex indices, got {edge!r}") from None
     key = (a, b) if a < b else (b, a)
     if not (mm.edges == key).all(axis=1).any():
         raise ValueError(f"{edge} is not an edge of the medial mesh")
@@ -137,8 +199,8 @@ def collapse_cost(mm: MedialMesh, edge) -> float:
     mm.validate()
     a, b = _check_edge(mm, edge)
     with np.errstate(over="ignore"):
-        cost, _ = _score(mm.spheres, _counts(mm), [a], [b])
-    return float(cost[0])
+        cost, _ = _score(mm.spheres, _counts(mm).tolist(), [a], [b])
+    return cost[0]
 
 
 def _violates_topology(faces: list[set], edges: list[set], a: int, b: int) -> bool:
@@ -158,15 +220,14 @@ def _violates_topology(faces: list[set], edges: list[set], a: int, b: int) -> bo
 
 
 def _collapse(faces: list[set], edges: list[set], count: list[int],
-              counts: np.ndarray, version: list[int], a: int,
-              b: int) -> tuple[list[int], list[int]]:
+              version: list[int], a: int, b: int) -> tuple[list[int], list[int]]:
     """Merge vertex b into a in the per-vertex incidence, in one pass.
 
     Only a and the vertices of the elements at b can change.  Their counts
-    are refreshed (in count and counts alike), and the versions of a, b and
-    those whose count moved are bumped.  Returns the skeleton edges at
-    these changed vertices, to be re-scored, as lists of first and second
-    ends; an edge between two of them is taken at its lower end.
+    are refreshed, and the versions of a, b and those whose count moved
+    are bumped.  Returns the skeleton edges at these changed vertices, to
+    be re-scored, as lists of first and second ends; an edge between two
+    of them is taken at its lower end.
     """
     near = {a}
     far = []  # far ends of the segments that the elements at b leave at a
@@ -209,13 +270,13 @@ def _collapse(faces: list[set], edges: list[set], count: list[int],
                 edges[a].add(e)
                 edges[u].add(e)
 
-    count[b] = counts[b] = 0
+    count[b] = 0
     version[b] += 1
     changed = []
     for v in near:
         k = len(faces[v]) + len(edges[v])
         if k != count[v]:
-            count[v] = counts[v] = k
+            count[v] = k
         elif v != a:
             continue
         version[v] += 1
@@ -259,26 +320,29 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     for e in map(tuple, mm.edges[mm.standalone].tolist()):
         for v in e:
             edges[v].add(e)
-    counts = _counts(mm)
-    count = counts.tolist()
+    count = _counts(mm).tolist()
     acc = [0.0] * n
     version = [0] * n
     bound = params.target_error * mm.diagonal()
     bound_sq = bound * bound
+    if not math.isfinite(bound_sq):
+        raise ValueError(
+            f"target_error {params.target_error} gives an error bound of "
+            f"{bound}, whose square overflows")
 
     def scored(a: list[int], b: list[int]):
         """Queue entries for the edges (a[i], b[i]), one batch."""
-        fresh, t = _score(spheres, counts, a, b)
-        fresh = fresh.tolist()
+        fresh, t = _score(spheres, count, a, b)
         total = fresh if params.average_error else [
             f + acc[u] + acc[w] for f, u, w in zip(fresh, a, b)]
         return zip(total, a, b, [version[u] for u in a],
-                   [version[w] for w in b], fresh, t.tolist())
+                   [version[w] for w in b], fresh, t)
 
     with np.errstate(over="ignore"):
         # every edge is a face side or a standalone edge: each is a candidate
         heap = list(scored(*mm.edges.T.tolist()))
         heapq.heapify(heap)
+        rebuilt = len(heap)
         accepted_sq_sum = 0.0
         accepted = 0
         while heap:
@@ -301,9 +365,15 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
             accepted += 1
             if trace is not None:
                 trace.append(((a, b), total, t))
-            again = _collapse(faces, edges, count, counts, version, a, b)
+            again = _collapse(faces, edges, count, version, a, b)
             for entry in scored(*again):
                 heapq.heappush(heap, entry)
+            if len(heap) > 2 * rebuilt:
+                # Shed the stale entries (see the module docstring).
+                heap = [e for e in heap
+                        if version[e[1]] == e[3] and version[e[2]] == e[4]]
+                heapq.heapify(heap)
+                rebuilt = len(heap)
 
     faces = np.array(list(set().union(*faces)), dtype=np.intp).reshape(-1, 3)
     edges = np.array(list(set().union(*edges)), dtype=np.intp).reshape(-1, 2)

@@ -853,11 +853,11 @@ def evaluate(spheres, count, a, b):
 
 
 def batch_of(per_edge):
-    """A stand-in for ``mat_simplify._score`` that calls per_edge edge by edge."""
+    """A stand-in for ``mat_simplify._score`` that calls per_edge edge by
+    edge; like it, returns lists of costs and of t."""
     def score(spheres, count, a, b):
         pairs = [per_edge(spheres, count, int(u), int(w)) for u, w in zip(a, b)]
-        return (np.array([cost for cost, _ in pairs], dtype=float),
-                np.array([t for _, t in pairs], dtype=float))
+        return [cost for cost, _ in pairs], [t for _, t in pairs]
     return score
 
 
@@ -927,7 +927,8 @@ def simplify(mm, params=None, trace=None):
     """mat_simplify.simplify with the queue it had before it re-scored only
     the changed vertices' edges: the first queue comes from the candidate
     edges of every vertex, and after each collapse every candidate edge of
-    every touched vertex is re-scored and every touched version bumped."""
+    every touched vertex is re-scored and every touched version bumped.
+    Stale entries stay in the queue until they are popped."""
     mm.validate()
     params = params or SimplifyParams()
     if not params.target_error >= 0.0:

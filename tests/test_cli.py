@@ -106,9 +106,16 @@ def write_labels(path, labels):
         fh.writelines(f"{int(v)}\n" for v in labels)
 
 
+def strict_json(fh):
+    """json.load that refuses NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.load(fh, parse_constant=reject)
+
+
 def read_report(prefix):
     with open(f"{prefix}.report.json") as fh:
-        return json.load(fh)
+        return strict_json(fh)
 
 
 def test_segment_writes_labels_ply_and_report(tmp_path):
@@ -265,7 +272,7 @@ def test_simplify_command_shrinks_the_mat(tmp_path):
     out = load_medial_mesh(out_path)
     assert 1 <= len(out.spheres) < 111
     with open(report_path) as fh:
-        report = json.load(fh)
+        report = strict_json(fh)
     assert report["before"]["spheres"] == 111
     assert report["after"]["spheres"] == len(out.spheres)
     # A collapse on a chain removes one sphere.
@@ -689,6 +696,23 @@ def test_simplify_overflowing_medial_diagonal_exits_2(tmp_path, capsys):
     assert main(["simplify", "--mat", mat_path, "--out", out]) == 2
     assert "spheres span a non-finite diagonal" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["simplify", "segment"])
+def test_target_error_whose_bound_squared_overflows_exits_2(
+        tmp_path, capsys, command):
+    mesh_path, _ = strip_assets(tmp_path)
+    mat_path = str(tmp_path / "dense.ma")
+    save_medial_mesh(chain_mat(count=111, spacing=0.1), mat_path)
+    out = str(tmp_path / "out")
+    argv = {"simplify": ["simplify", "--mat", mat_path, "--out", out + ".ma",
+                         "--report", out + ".json"],
+            "segment": ["segment", "--mesh", mesh_path, "--mat", mat_path,
+                        "--out", out]}[command]
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv + ["--target-error", "1e308"]) == 2
+    assert "whose square overflows" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_eval_overflowing_surface_diagonal_exits_2(tmp_path, capsys):

@@ -107,6 +107,21 @@ def test_collapse_cost_non_negative_and_rejects_non_edges():
         collapse_cost(mm, (0, 5))
 
 
+@pytest.mark.parametrize("edge", [(0.9, 1.2), (0, 1, 2), ("0", "1"), (0,)],
+                         ids=["floats", "three-indices", "strings", "one-index"])
+def test_collapse_cost_takes_exactly_two_integral_indices(edge):
+    with pytest.raises(ValueError, match="two integral vertex indices"):
+        collapse_cost(chain([0.5] * 4), edge)
+
+
+@pytest.mark.parametrize("target_error", [1e160, 1e308, math.inf])
+def test_an_error_bound_whose_square_overflows_raises(target_error):
+    # The diagonal is about 7.1: at 1e160 the bound is finite but its
+    # square is not, and at 1e308 the bound itself overflows.
+    with pytest.raises(ValueError, match="whose square overflows"):
+        simplify(chain([0.5] * 4), SimplifyParams(target_error=target_error))
+
+
 def test_collapse_cost_rejects_a_non_finite_diagonal():
     # every coordinate is finite, but the bounding box is not
     mm = MedialMesh.build([(0.0, 0.0, 0.0, 1.0), (1e308, 0.0, 0.0, 1.0),
@@ -276,9 +291,8 @@ def score_edges(mm, edges):
     """mat_simplify._score over edges of mm as one batch, as lists of costs
     and of t."""
     ab = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    cost, t = mat_simplify._score(mm.spheres, mat_simplify._counts(mm),
-                                  ab[:, 0].tolist(), ab[:, 1].tolist())
-    return cost.tolist(), t.tolist()
+    return mat_simplify._score(mm.spheres, mat_simplify._counts(mm).tolist(),
+                               ab[:, 0].tolist(), ab[:, 1].tolist())
 
 
 def test_closed_form_cost_matches_stacked_oracle():

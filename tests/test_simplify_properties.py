@@ -1,17 +1,20 @@
 """Property tests: batched collapse scoring equals scoring one edge at a
-time, and re-scoring only the changed vertices' edges equals re-scoring
-every touched vertex's.
+time, and re-scoring only the changed vertices' edges, with stale queue
+entries shed, equals re-scoring every touched vertex's.
 
-``mat_simplify._score`` scores a whole batch of edges with one array
-expression.
-It must give bitwise the costs and placements of the per-edge reference
-``oracles.evaluate``, at exact placement ties, for coincident spheres and
-where the squared lengths go subnormal or overflow; and a whole
-``simplify`` run must not change when the reference scores its edges, nor
-when ``oracles.simplify`` re-scores every edge at every touched vertex
-after each collapse.
+``mat_simplify._score`` takes a batch's squared lengths from one
+``np.vecdot`` and each edge's least product from its count pair's cached
+least weight, or from all 17 products on a fallback row.  Both paths
+must give bitwise the costs and placements of the per-edge reference
+``oracles.evaluate``, at exact placement ties, for equal counts, for
+coincident spheres and where the squared lengths go subnormal or
+overflow; and a whole ``simplify`` run must not change when the
+reference scores its edges, nor when ``oracles.simplify`` re-scores every
+edge at every touched vertex after each collapse and never sheds stale
+entries.
 """
 
+import heapq
 import math
 import warnings
 from unittest import mock
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_simplify import counted_pairs, score_edges
+from test_simplify import counted_pairs, jittered, plate, score_edges
 
 import oracles
 from segmat import mat_simplify
@@ -34,9 +37,10 @@ TIED_COUNTS = [(1, 31), (31, 1), (15, 17), (17, 15)]
 SCALES = [1.0, 1e-160, 1e154, 1e160]
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
+counts = st.integers(1, 64)
 pairs = st.tuples(
-    st.one_of(st.sampled_from(TIED_COUNTS),
-              st.tuples(st.integers(1, 40), st.integers(1, 40))),
+    st.one_of(st.sampled_from(TIED_COUNTS), counts.map(lambda n: (n, n)),
+              st.tuples(counts, counts)),
     st.sampled_from(SCALES),
     st.tuples(*[unit] * 8),
     st.booleans())
@@ -56,6 +60,7 @@ U = (0.5, -0.25, 1.0, 0.75, -1.0, 0.5, 0.125, 0.25)
 @example([((4, 9), 1.0, U, True), ((40, 40), 1e-160, U, True)])
 @example([((3, 5), 1e-160, U, False), ((1, 1), 1e-160, (1e-4,) * 8, False)])
 @example([((3, 5), 1e160, U, False), ((40, 1), 1e154, U, False)])
+@example([((64, 64), 1e154, U, False), ((64, 1), 1e-160, U, False)])
 def test_batch_score_equals_per_edge_score_bitwise(drawn):
     mm = counted_pairs([(n_a, n_b, *pair_spheres(scale, u, coincident))
                         for (n_a, n_b), scale, u, coincident in drawn])
@@ -63,14 +68,23 @@ def test_batch_score_equals_per_edge_score_bitwise(drawn):
     edges = [(2 * i, 2 * i + 1) for i in range(len(drawn))]
     ab = np.array(edges)
     d = state.spheres[ab[:, 1]] - state.spheres[ab[:, 0]]
+    least_weight = mat_simplify._least_weight
+
+    def never_clear(count_a, count_b):
+        w, t, _, weights = least_weight(count_a, count_b)
+        return w, t, False, weights
+
     # The 1e154 and 1e160 scales overflow on purpose.
     with np.errstate(over="ignore"):
         costs, ts = score_edges(mm, edges)
+        # every row a fallback row
+        with mock.patch.object(mat_simplify, "_least_weight", never_clear):
+            fallback = score_edges(mm, edges)
         ref = [oracles.evaluate(state.spheres, state.count, a, b) for a, b in edges]
         squared = np.vecdot(d, d).tolist()
         ref_squared = [float(row @ row) for row in d]
-    assert costs == [c for c, _ in ref]
-    assert ts == [t for _, t in ref]
+    assert costs == fallback[0] == [c for c, _ in ref]
+    assert ts == fallback[1] == [t for _, t in ref]
     # The batch's squared lengths sum in the order of a 1-D d @ d.
     assert squared == ref_squared
 
@@ -187,6 +201,30 @@ def simplified_as_the_oracle(mm, params) -> list:
 def test_simplify_equals_the_rescore_every_touched_vertex_loop(mm):
     for params in GATE_PARAMS:
         simplified_as_the_oracle(mm, params)
+
+
+def test_a_plate_whose_queue_is_rebuilt_simplifies_as_the_oracle():
+    """On a 30 x 30 plate at target_error 0.2 the queue sheds its stale
+    entries again and again; the collapses stay those of the loop that
+    never sheds them."""
+    mm = jittered(plate(n=30), 7)
+    heapify = heapq.heapify
+    sizes = []
+
+    def spy(heap):
+        sizes.append(len(heap))
+        heapify(heap)
+
+    params = SimplifyParams(target_error=0.2)
+    trace, ref_trace = [], []
+    with mock.patch.object(heapq, "heapify", spy):
+        out = simplify(mm, params, trace)
+    ref = oracles.simplify(mm, params, ref_trace)
+    # the first queue and at least two rebuilds
+    assert len(sizes) >= 3 and sizes[0] == len(mm.edges)
+    assert len(trace) > 500
+    assert trace == ref_trace
+    assert_same_mesh(out, ref)
 
 
 @pytest.mark.parametrize("k,rim", [(40, 3e153), (16, 4e153)])
