@@ -11,16 +11,15 @@ structure; bending comes from PCA line directions instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
 from .growing import GrowingParams, grow, region_labels
-from .mat_graph import EmptyInput, MatGraph
+from .mat_graph import EmptyInput, MatGraph, linked_groups
 from .mesh_io import MedialMesh, SurfaceMesh
 
 
@@ -97,6 +96,16 @@ def mobb(points) -> OrientedBox:
 # --- skeleton segmentation --------------------------------------------------
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 @dataclass
 class SkeletonCloud:
     """Skeleton points with radii, a kNN graph and per-point directions."""
@@ -112,8 +121,7 @@ class SkeletonCloud:
         rad = np.asarray(radii, dtype=float).reshape(-1)
         if len(pts) == 0:
             raise EmptyInput("no skeleton points")
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = _integer("k", k, least=1)
         if rad.shape != (len(pts),):
             raise ValueError("one radius per point required")
         if not np.isfinite(rad).all():
@@ -124,14 +132,12 @@ class SkeletonCloud:
             extent = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
         if not np.isfinite(extent):
             raise ValueError("skeleton points span a non-finite extent")
-        neighbor_count = min(int(k), len(pts) - 1)
+        neighbor_count = min(k, len(pts) - 1)
         links: list[set[int]] = [set() for _ in pts]
         if neighbor_count > 0:
             _, idx = cKDTree(pts).query(pts, k=neighbor_count + 1)
-            idx = np.atleast_2d(idx)
-            for i, row in enumerate(idx):
-                picked = [int(j) for j in row if int(j) != i][:neighbor_count]
-                for j in picked:
+            for i, row in enumerate(np.atleast_2d(idx).tolist()):
+                for j in [j for j in row if j != i][:neighbor_count]:
                     links[i].add(j)
                     links[j].add(i)
         adjacency = [sorted(s) for s in links]
@@ -156,24 +162,19 @@ class SkeletonCloud:
 
 
 def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
-    mm = MedialMesh.build(np.column_stack([sc.points, sc.radii]), [], [])
     n = len(sc.points)
-    rows = [i for i, nbrs in enumerate(sc.adjacency) for _ in nbrs]
-    cols = [j for nbrs in sc.adjacency for j in nbrs]
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
+    # point i keyed by itself and its neighbours: its kNN component
+    pairs = [(i, j) for i, nbrs in enumerate(sc.adjacency) for j in [i, *nbrs]]
+    comp = np.empty(n, dtype=int)
+    for k, group in enumerate(linked_groups(pairs, n)):
+        comp[group] = k
     return MatGraph(
-        mm=mm,
+        mm=MedialMesh.build(np.column_stack([sc.points, sc.radii]), [], []),
         elements=[(i,) for i in range(n)],
         mean_radii=sc.radii,
         centroids=sc.points,
-        # no envelope data: skeleton growing supplies its own costs from
-        # the estimated directions
-        normals=np.empty((0, 2, 3)),
-        axes=np.empty((0, 3)),
-        slants=np.empty(0),
         adjacency=[list(nbrs) for nbrs in sc.adjacency],
-        component_id=comp.astype(int),
+        component_id=comp,
     )
 
 
@@ -366,8 +367,9 @@ def abstraction_error(
     pose-free) so the score does not depend on the shape's orientation.  An
     empty box set scores IoU 0 with infinite chamfer.
     """
-    if resolution < 1 or samples < 1:
-        raise ValueError("resolution and samples must be at least 1")
+    resolution = _integer("resolution", resolution, least=1)
+    samples = _integer("samples", samples, least=1)
+    seed = _integer("seed", seed)
     boxes = list(boxes)
     corners = [mesh.vertices] + [box.corners() for box in boxes]
     everything = np.vstack(corners)

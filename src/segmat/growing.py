@@ -130,9 +130,11 @@ def _component_thresholds(comps: list[StructuralComponent],
 def grow(g: MatGraph, comps: list[StructuralComponent],
          p: GrowingParams | None = None, costs=None,
          swallowing: bool = True) -> list[Region]:
-    """Partition all graph nodes into regions (requires component_id set).
+    """Partition all graph nodes into regions.
 
-    costs overrides the growing cost with one value per pair of
+    Every component_id must index comps (see assign_base_nodes); with
+    comps empty, the ids only keep growth apart and every threshold is
+    delta0.  costs overrides the growing cost with one value per pair of
     g.pair_index; the default is the cheaper of the medial-axis term and
     lam times the primitive term.  Point-based pipelines pass a cost of
     their own while keeping the growth, swallowing and leftover rules.
@@ -148,6 +150,10 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
             raise ValueError(f"{name} must not be negative, got {value}")
     n = len(g)
     comp_of = np.asarray(g.component_id)
+    stray = np.flatnonzero((comp_of < 0) | (comp_of >= len(comps)))
+    if comps and stray.size:
+        raise ValueError(f"node {stray[0]} has component id {comp_of[stray[0]]}"
+                         f" of {len(comps)}; run assign_base_nodes first")
     deltas = _component_thresholds(comps, p)
     radii = g.mean_radii
     visited = np.zeros(n, dtype=bool)
@@ -169,7 +175,7 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
         pending = np.flatnonzero(~visited)
         seed = int(pending[np.argmax(radii[pending])])
         comp = int(comp_of[seed])
-        delta = deltas[comp] if 0 <= comp < len(deltas) else p.delta0
+        delta = deltas[comp] if deltas else p.delta0
         queue = deque([seed])
         visited[seed] = True
         nodes: list[int] = []
@@ -198,13 +204,8 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
 
     if not regions:
         # Everything fell under eta: keep the grown clusters as they are.
-        for nodes in failed:
-            alive = [v for v in nodes if negligible[v]]
-            if alive:
-                regions.append(Region(len(regions), alive, nodes[0],
-                                      int(comp_of[nodes[0]])))
-                negligible[alive] = False
-        return regions
+        return [Region(k, nodes, nodes[0], int(comp_of[nodes[0]]))
+                for k, nodes in enumerate(failed)]
 
     _merge_leftovers(g, regions, negligible)
     return regions

@@ -6,11 +6,12 @@ adjacent iff their elements share at least one medial-mesh vertex, which
 is read off a sparse node x sphere incidence.  ``MatGraph`` is one node
 table built once: the element of every node (its length is the node's
 kind, 3 for a face and 2 for an edge), the mean radius of its vertex
-spheres and its centroid as arrays, and the envelope data (two tangent
-plane normals per slab, axis + slant per cone) from which ``pair_angles``
-takes the angles of every adjacent pair at once.  ``linked_groups`` is the
-one grouping routine of the package: items that share a key, transitively,
-form a group.
+spheres and its centroid as arrays; no envelope data, so a point
+skeleton fills it the same way.  ``pair_angles`` takes the two tangent
+plane normals of every slab and the axis and slant of every cone from
+the geometry kernels and gives the angles of every adjacent pair at once.
+``linked_groups`` is the one grouping routine of the package: items that
+share a key, transitively, form a group.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class MatGraph:
     elements: list[tuple[int, ...]]
     mean_radii: np.ndarray  # (n,) mean radius of each node's spheres
     centroids: np.ndarray   # (n, 3) mean center of each node's spheres
-    normals: np.ndarray     # (F, 2, 3) tangent plane normals of each face node
-    axes: np.ndarray        # (C, 3) axis of each edge node, after the faces
-    slants: np.ndarray      # (C,) slant sine of each edge node
     adjacency: list[list[int]]
     # Structural component per node, -1 until assigned.
     component_id: np.ndarray
@@ -111,9 +109,7 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     if not elements:
         raise EmptyInput("medial mesh has no faces and no standalone edges")
 
-    centers = mm.centers()
-    radii = mm.radii()
-    axes, slants = cone_axes(centers[ends], radii[ends])
+    centers, radii = mm.centers(), mm.radii()
     graph = MatGraph(
         mm=mm,
         elements=elements,
@@ -123,9 +119,6 @@ def build_graph(mm: MedialMesh) -> MatGraph:
         centroids=np.concatenate([
             centers[faces].mean(axis=1),
             (centers[ends[:, 0]] + centers[ends[:, 1]]) / 2.0]),
-        normals=slab_normals(centers[faces], radii[faces]),
-        axes=axes,
-        slants=slants,
         adjacency=[],
         component_id=np.full(len(elements), -1, dtype=int))
     # nodes sharing a sphere: the off-diagonal of incidence x incidence^T
@@ -234,12 +227,15 @@ def pair_angles(g: MatGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     directions off the shared sphere; 0 for a face and an edge.  plus and
     minus are the envelope-normal deviations per side, (0, 0) when smooth.
     Values equal those of a one-pair-at-a-time computation bit for bit, NaN
-    where it meets a zero vector (its only error on a validated mesh).
+    where it meets a zero vector.  Slab normals and cone axes come from
+    the geometry kernels, which raise DegenerateGeometry for a slab whose
+    fallback normal cannot be normalized.
     """
     lo, hi = g.pair_index[0].T
-    n_faces = len(g.normals)
     faces, ends = g.mm.faces, g.mm.edges[g.mm.standalone]
-    xyz = g.mm.centers()
+    n_faces, xyz, r = len(faces), g.mm.centers(), g.mm.radii()
+    normals = slab_normals(xyz[faces], r[faces])
+    axes, slants = cone_axes(xyz[ends], r[ends])
     bend, plus, minus = (np.zeros(len(lo)) for _ in range(3))
     # faces come before edges, so a mixed pair is (face, edge)
     ff = np.flatnonzero(hi < n_faces)
@@ -248,13 +244,13 @@ def pair_angles(g: MatGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ia, ib = lo[cc] - n_faces, hi[cc] - n_faces
     with np.errstate(all="ignore"):
         bend[ff] = _face_bends(xyz, faces[lo[ff]], faces[hi[ff]])
-        plus[ff], minus[ff] = _slab_slab(g.normals[lo[ff]], g.normals[hi[ff]])
-        plus[fc], minus[fc] = _slab_cone(g.normals[lo[fc]],
-                                         g.axes[hi[fc] - n_faces],
-                                         g.slants[hi[fc] - n_faces])
+        plus[ff], minus[ff] = _slab_slab(normals[lo[ff]], normals[hi[ff]])
+        plus[fc], minus[fc] = _slab_cone(normals[lo[fc]],
+                                         axes[hi[fc] - n_faces],
+                                         slants[hi[fc] - n_faces])
         bend[cc], plus[cc], minus[cc] = _cone_cone(
-            xyz, ends[ia], ends[ib], g.axes[ia], g.slants[ia], g.axes[ib],
-            g.slants[ib])
+            xyz, ends[ia], ends[ib], axes[ia], slants[ia], axes[ib],
+            slants[ib])
     raised = np.isnan(plus) | np.isnan(minus)
     plus[raised] = minus[raised] = np.nan
     return bend, plus, minus

@@ -277,9 +277,10 @@ def _edge_cone(sa: Sphere, sb: Sphere) -> ConeGeometry:
 
 
 def node_geometry(mm):
-    """build_graph's (normals, axes, slants), one Sphere per vertex and one
-    slab or cone at a time: the tangent planes of a slab, or its fallback
-    planes when it has none, and each standalone edge's cone."""
+    """The (normals, axes, slants) that pair_angles takes from slab_normals
+    and cone_axes, one Sphere per vertex and one slab or cone at a time:
+    the tangent planes of a slab, or its fallback planes when it has none,
+    and each standalone edge's cone."""
     spheres = [Sphere((x, y, z), r) for x, y, z, r in mm.spheres.tolist()]
     normals = []
     for tri in mm.faces.tolist():
@@ -1331,11 +1332,13 @@ def angle_between(u, v) -> float:
 
 
 def _tangent(g, k):
-    """Envelope data of node k: its two slab normals, or a cone's (axis, slant)."""
-    if k < len(g.normals):
-        return [tuple(n) for n in g.normals[k].tolist()]
-    c = k - len(g.normals)
-    return tuple(g.axes[c].tolist()), float(g.slants[c])
+    """Envelope data of node k: its two slab normals, or a cone's (axis,
+    slant), from the per-node loop of node_geometry."""
+    normals, axes, slants = node_geometry(g.mm)
+    if k < len(normals):
+        return [tuple(n) for n in normals[k].tolist()]
+    c = k - len(normals)
+    return tuple(axes[c].tolist()), float(slants[c])
 
 
 def _face_plane_normal(mm, tri):

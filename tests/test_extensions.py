@@ -207,6 +207,11 @@ def test_build_rejects_non_finite_radii(value):
         SkeletonCloud.build(chain_points(3, 1.0), [0.5, value, 0.5])
 
 
+def test_build_rejects_a_non_integral_k():
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        SkeletonCloud.build(chain_points(3, 1.0), [0.5] * 3, k=2.5)
+
+
 def test_from_cloud_takes_nearest_distance_as_radius():
     cloud = [(0.0, 0.0, 2.0), (0.0, 0.0, -2.0), (10.0, 0.0, 1.0)]
     sc = SkeletonCloud.from_cloud([(0.0, 0.0, 0.0), (10.0, 0.0, 0.0)], cloud)
@@ -240,6 +245,15 @@ def test_empty_box_set_scores_zero_iou():
     iou, chamfer = abstraction_error(mesh, [])
     assert iou == 0.0
     assert math.isinf(chamfer)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("resolution", 2.5), ("samples", 10.5), ("seed", 1.5)])
+def test_abstraction_error_rejects_non_integral_parameters(name, value):
+    mesh = box_mesh((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError,
+                       match=f"{name} must be an integer, got {value}"):
+        abstraction_error(mesh, [mobb(mesh.vertices)], **{name: value})
 
 
 def test_iou_stays_in_unit_interval():

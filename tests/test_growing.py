@@ -316,6 +316,25 @@ def test_zero_radius_node_is_a_typed_error():
         grow(g, comps)
 
 
+def test_unassigned_nodes_are_rejected_by_name():
+    # a plate with a three-edge tail: one sheet and one curve component
+    pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (2, 0, 0), (3, 0, 0),
+           (4, 0, 0)]
+    mm = medial(pts, [0.4] * 7, edges=[(1, 4), (4, 5), (5, 6)],
+                faces=[(0, 1, 2), (0, 2, 3)])
+    comps = split_components(mm, detect_joints(mm))
+    assert len(comps) == 2
+    g = build_graph(mm)
+    with pytest.raises(ValueError, match="^node 0 has component id -1 of 2; "
+                       "run assign_base_nodes first$"):
+        grow(g, comps)
+    g.component_id[:] = 0
+    g.component_id[-1] = 2
+    with pytest.raises(ValueError, match=f"node {len(g) - 1} has component "
+                       "id 2"):
+        grow(g, comps)
+
+
 @pytest.mark.parametrize("name", ["alpha", "lam", "delta0", "eta"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_parameter_is_rejected_by_name(name, value):
