@@ -210,6 +210,9 @@ def segment_skeleton(sc: SkeletonCloud, p: GrowingParams | None = None) -> np.nd
 def assign_cloud(sc: SkeletonCloud, labels, cloud_points) -> np.ndarray:
     """Carry skeleton labels to raw cloud points by nearest skeleton point."""
     labels = np.asarray(labels)
+    if len(labels) != len(sc.points):
+        raise ValueError(f"{len(sc.points)} skeleton points need as many "
+                         f"labels, got {len(labels)}")
     cloud = np.asarray(cloud_points, dtype=float).reshape(-1, 3)
     _, nearest = cKDTree(sc.points).query(cloud)
     return labels[nearest]

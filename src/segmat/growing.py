@@ -215,7 +215,10 @@ def region_labels(g: MatGraph, regions: list[Region]) -> np.ndarray:
     """Per-node region id; -1 for nodes no region claims."""
     labels = np.full(len(g), -1, dtype=int)
     for r in regions:
-        labels[list(r.nodes)] = r.id
+        try:
+            labels[g.node_index(r.nodes)] = r.id
+        except ValueError as exc:  # a node outside the graph
+            raise ValueError(f"region {r.id}: {exc}") from None
     return labels
 
 
@@ -234,11 +237,8 @@ def _merge_leftovers(g: MatGraph, regions: list[Region],
 
     cents = g.centroids
     for cluster in clusters:
-        links = np.zeros(len(regions), dtype=int)
-        for u in cluster:
-            for w in g.adjacency[u]:
-                if labels[w] >= 0:
-                    links[labels[w]] += 1
+        near = labels[list(chain.from_iterable(g.adjacency[u] for u in cluster))]
+        links = np.bincount(near[near >= 0], minlength=len(regions))
         if links.max() > 0:
             target = int(np.argmax(links))
         else:

@@ -73,9 +73,18 @@ class MatGraph:
         keys, entry_pair = np.unique(keys, return_inverse=True)
         return np.column_stack([keys // n, keys % n]), entry_pair
 
+    def node_index(self, node_ids) -> np.ndarray:
+        """node_ids as an index array; ValueError names an id outside the graph."""
+        ids = np.asarray(node_ids, dtype=np.intp)
+        outside = ids[(ids < 0) | (ids >= len(self))]
+        if outside.size:
+            raise ValueError(f"node {outside[0]} is outside the graph's "
+                             f"{len(self)} nodes")
+        return ids
+
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""
-        idx = np.unique(self.incidence[node_ids].indices)
+        idx = np.unique(self.incidence[self.node_index(node_ids)].indices)
         return self.mm.centers()[idx], self.mm.radii()[idx]
 
 
@@ -231,8 +240,12 @@ def pair_angles(g: MatGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the geometry kernels, which raise DegenerateGeometry for a slab whose
     fallback normal cannot be normalized.
     """
-    lo, hi = g.pair_index[0].T
     faces, ends = g.mm.faces, g.mm.edges[g.mm.standalone]
+    if len(g) != len(faces) + len(ends):
+        raise ValueError(f"the graph has {len(g)} nodes but its medial mesh "
+                         f"{len(faces)} faces and {len(ends)} standalone "
+                         "edges; grow such a graph with costs=")
+    lo, hi = g.pair_index[0].T
     n_faces, xyz, r = len(faces), g.mm.centers(), g.mm.radii()
     normals = slab_normals(xyz[faces], r[faces])
     axes, slants = cone_axes(xyz[ends], r[ends])

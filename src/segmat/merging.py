@@ -4,13 +4,15 @@ Each region is summarized by a 32-bin histogram of its node radii over
 the shape-wide radius range, so the bins line up across regions.  The
 1-D Earth Mover's Distance between two histograms has the closed form
 sum |CDF1 - CDF2| and is normalized by BIN_COUNT - 1, which maps "all
-mass moved across the full range" to 1.  Adjacent regions are merged
-greedily, cheapest pair first, while their distance stays under tau.
+mass moved across the full range" to 1.  Two regions are adjacent when
+a pair of the graph's pair table joins a node of each.  Adjacent regions
+are merged greedily, cheapest pair first, while their distance stays
+under tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,40 +70,21 @@ def merge_matching(g: MatGraph, regions: list[Region],
         return list(regions)
     rng = (float(g.mean_radii.min()), float(g.mean_radii.max()))
 
-    nodes = {r.id: list(r.nodes) for r in regions}
-    meta = {r.id: (r.seed, r.component_id) for r in regions}
-    label = region_labels(g, regions)
-    adjacent: set[tuple[int, int]] = set()
-    for u in np.flatnonzero(label >= 0):
-        for v in g.adjacency[u]:
-            a, b = int(label[u]), int(label[v])
-            if v > u and b >= 0 and a != b:
-                adjacent.add((min(a, b), max(a, b)))
-
-    def hist(rid: int) -> RadiusHistogram:
-        return radius_histogram(g, Region(rid, nodes[rid], 0, 0),
-                                radius_range=rng)
-
-    hists = {rid: hist(rid) for rid in nodes}
-    while True:
-        best = None
-        for a, b in sorted(adjacent):
-            e = emd_1d(hists[a], hists[b])
-            if e < tau and (best is None or (e, a, b) < best):
-                best = (e, a, b)
-        if best is None:
+    # regions touch where an adjacent pair joins two claimed nodes
+    ends = region_labels(g, regions)[g.pair_index[0]]
+    ends = np.sort(ends[(ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])])
+    adjacent = set(map(tuple, ends.tolist()))
+    table = {r.id: replace(r, nodes=list(r.nodes)) for r in regions}
+    hists = {rid: radius_histogram(g, r, rng) for rid, r in table.items()}
+    while adjacent:
+        e, a, b = min((emd_1d(hists[a], hists[b]), a, b)
+                      for a, b in sorted(adjacent))
+        if not e < tau:
             break
-        _, a, b = best
-        nodes[a].extend(nodes[b])
-        del nodes[b], hists[b], meta[b]
-        hists[a] = hist(a)
-        rewired = set()
-        for x, y in adjacent:
-            x = a if x == b else x
-            y = a if y == b else y
-            if x != y:
-                rewired.add((min(x, y), max(x, y)))
-        adjacent = rewired
-
-    return [Region(rid, nodes[rid], meta[rid][0], meta[rid][1])
-            for rid in sorted(nodes)]
+        table[a].nodes.extend(table.pop(b).nodes)
+        del hists[b]
+        hists[a] = radius_histogram(g, table[a], rng)
+        adjacent = {(min(x, y), max(x, y)) for x, y in
+                    ((a if x == b else x, a if y == b else y)
+                     for x, y in adjacent) if x != y}
+    return [table[rid] for rid in sorted(table)]

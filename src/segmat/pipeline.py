@@ -130,6 +130,9 @@ def boundary_length(mesh: SurfaceMesh, labels) -> float:
     per crossing pair.
     """
     labels = np.asarray(labels)
+    if labels.shape != (len(mesh.faces),):
+        raise ValueError(f"{len(mesh.faces)} faces need as many labels, got "
+                         f"labels of shape {labels.shape}")
     pairs, shared = mesh.dual_edges()
     if len(pairs) == 0:
         return 0.0

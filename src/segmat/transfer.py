@@ -160,6 +160,15 @@ def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
     """Total labeling energy: data costs plus omega-weighted boundary costs."""
     labels = np.asarray(labels, dtype=int)
     costs = np.asarray(costs, dtype=float)
+    faces = len(mesh.faces)
+    if costs.ndim != 2 or len(costs) != faces or labels.shape != (faces,):
+        raise ValueError(f"{faces} faces need {faces} labels and a ({faces}, k)"
+                         f" cost table, got labels of shape {labels.shape} "
+                         f"and costs of shape {costs.shape}")
+    stray = labels[(labels < 0) | (labels >= costs.shape[1])]
+    if stray.size:
+        raise ValueError(f"label {stray[0]} has no cost column of "
+                         f"{costs.shape[1]}")
     pairs, _ = mesh.dual_edges()
     return _energy(labels, costs, pairs, _boundary_costs(mesh), omega)
 
@@ -305,7 +314,10 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
         diagonal = 1.0
     columns = []
     for region in regions:
-        centers, radii = graph.sphere_arrays(region.nodes)
+        try:
+            centers, radii = graph.sphere_arrays(region.nodes)
+        except ValueError as exc:  # a node outside the graph
+            raise ValueError(f"region {region.id}: {exc}") from None
         if centers.shape[0] == 0:
             raise ValueError(f"region {region.id} has no spheres")
         best = _sphere_gaps(centroids, centers, radii)

@@ -17,6 +17,9 @@ solved from the source side that the sink-side solve replaced, the
 expansion move that built every array afresh on each move, which the
 per-labeling move arrays replaced, the
 per-line file readers and writers that the bulk ones replaced, the
+region merge loop that walked every labeled node's adjacency row and kept
+parallel node, meta and histogram dicts, which the pair table and one
+region table replaced, the
 scalar sphere, cone and slab primitives whose per-node loop the row-wise
 slab and cone kernels replaced, and the
 per-pair angles and growing costs that the pair table replaced, with the
@@ -53,6 +56,7 @@ from segmat.mat_simplify import (
     _PLACEMENT_SAMPLES,
     SimplifyParams,
 )
+from segmat.merging import emd_1d, radius_histogram
 from segmat.mesh_io import (
     PALETTE,
     EmptyInput,
@@ -571,6 +575,54 @@ def merge_leftovers(g, regions, negligible):
             target = int(np.argmin(per_region))
         regions[target].nodes.extend(cluster)
         labels[cluster] = target
+
+
+def merge_matching(g, regions, tau=0.15):
+    """merging.merge_matching walking every labeled node's adjacency row,
+    with the regions kept as parallel node, meta and histogram dicts."""
+    if not tau >= 0.0:
+        raise ValueError(f"tau must not be negative, got {tau}")
+    if len(regions) <= 1:
+        return list(regions)
+    rng = (float(g.mean_radii.min()), float(g.mean_radii.max()))
+
+    nodes = {r.id: list(r.nodes) for r in regions}
+    meta = {r.id: (r.seed, r.component_id) for r in regions}
+    label = region_labels(g, regions)
+    adjacent: set[tuple[int, int]] = set()
+    for u in np.flatnonzero(label >= 0):
+        for v in g.adjacency[u]:
+            a, b = int(label[u]), int(label[v])
+            if v > u and b >= 0 and a != b:
+                adjacent.add((min(a, b), max(a, b)))
+
+    def hist(rid: int):
+        return radius_histogram(g, Region(rid, nodes[rid], 0, 0),
+                                radius_range=rng)
+
+    hists = {rid: hist(rid) for rid in nodes}
+    while True:
+        best = None
+        for a, b in sorted(adjacent):
+            e = emd_1d(hists[a], hists[b])
+            if e < tau and (best is None or (e, a, b) < best):
+                best = (e, a, b)
+        if best is None:
+            break
+        _, a, b = best
+        nodes[a].extend(nodes[b])
+        del nodes[b], hists[b], meta[b]
+        hists[a] = hist(a)
+        rewired = set()
+        for x, y in adjacent:
+            x = a if x == b else x
+            y = a if y == b else y
+            if x != y:
+                rewired.add((min(x, y), max(x, y)))
+        adjacent = rewired
+
+    return [Region(rid, nodes[rid], meta[rid][0], meta[rid][1])
+            for rid in sorted(nodes)]
 
 
 def data_table(mesh, graph, regions):

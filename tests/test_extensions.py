@@ -229,6 +229,14 @@ def test_assign_cloud_uses_nearest_skeleton_point():
     assert out[1] == labels[-1]
 
 
+@pytest.mark.parametrize("count", [5, 1])
+def test_assign_cloud_needs_one_label_per_skeleton_point(count):
+    sc = SkeletonCloud.build(chain_points(3, 1.0), [0.5] * 3)
+    with pytest.raises(ValueError, match=f"3 skeleton points need as many "
+                                         f"labels, got {count}"):
+        assign_cloud(sc, [0] * count, [(0.0, 0.0, 0.0)])
+
+
 # --- abstraction error ------------------------------------------------------
 
 

@@ -352,3 +352,12 @@ def test_costs_replace_the_growing_cost_one_per_pair():
     regions = grow(g, comps, GrowingParams(eta=0.0),
                    costs=np.full(len(pairs), np.inf), swallowing=False)
     assert len(regions) == len(g)
+
+
+@pytest.mark.parametrize("node", [-1, 7])
+def test_region_labels_reject_a_node_outside_the_graph(node):
+    g = build_graph(cone_chain([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]))
+    regions = [Region(0, [0], 0, 0), Region(3, [1, node], 1, 0)]
+    with pytest.raises(ValueError, match=f"region 3: node {node} is outside "
+                                         "the graph's 2 nodes"):
+        region_labels(g, regions)

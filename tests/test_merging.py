@@ -1,7 +1,24 @@
+"""Radius histograms, the 1-D EMD and greedy merging of adjacent regions.
+
+merge_matching finds touching regions on the graph's pair table and keeps
+one region table; the gate at the end checks it against the loop it
+replaced (tests/oracles.py), which walked every labeled node's adjacency
+row: the same regions in the same order, node lists in order, and the same
+number of emd_1d calls.
+"""
+
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from segmat.growing import Region
+import oracles
+from test_pair_table import graph_of, meshes, regions_or_error
+
+from segmat import merging
+from segmat.growing import Region, region_labels
 from segmat.mat_graph import build_graph
 from segmat.merging import RadiusHistogram, emd_1d, merge_matching, radius_histogram
 from segmat.mesh_io import MedialMesh
@@ -149,3 +166,72 @@ def test_unclaimed_nodes_do_not_make_regions_adjacent():
     merged = merge_matching(g, regions, tau=0.15)
     assert [r.id for r in merged] == [0, 1]
     assert [r.nodes for r in merged] == [r.nodes for r in regions]
+
+
+@pytest.mark.parametrize("node", [-1, 9])
+def test_a_node_outside_the_graph_is_rejected_by_region(node):
+    g = chain_graph([2.0] * 9)
+    regions = [region(0, range(0, 4)), region(5, [4, node])]
+    with pytest.raises(ValueError, match=f"region 5: node {node} is outside "
+                                         "the graph's 8 nodes"):
+        merge_matching(g, regions)
+
+
+@st.composite
+def partitions(draw):
+    """A graph, regions over some of its nodes and a tau.
+
+    Regions are runs of consecutive nodes, as grown regions mostly are, or
+    scattered; some nodes are unclaimed.  Region ids are sparse and listed
+    out of order, node lists are shuffled, and tau is at times the exact
+    EMD of two regions on an adjacent pair.
+    """
+    g = graph_of(draw(meshes))
+    n = len(g)
+    assume(n > 1)
+    ids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6,
+                        unique=True))
+    if draw(st.booleans()):
+        cuts = draw(st.lists(st.integers(0, n), min_size=len(ids) - 1,
+                             max_size=len(ids) - 1))
+        owner = np.searchsorted(sorted(cuts), np.arange(n), side="right")
+    else:
+        owner = np.array(draw(st.lists(st.integers(0, len(ids) - 1),
+                                       min_size=n, max_size=n)))
+    owner[draw(st.lists(st.integers(0, n - 1), max_size=n // 3))] = -1
+    order = draw(st.permutations(range(n)))
+    groups = [[v for v in order if owner[v] == k] for k in range(len(ids))]
+    regions = draw(st.permutations(
+        [Region(rid, nodes, nodes[0], draw(st.integers(0, 3)))
+         for rid, nodes in zip(ids, groups) if nodes]))
+    tau = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5, 2.0]))
+    pairs = g.pair_index[0]
+    if len(pairs) and draw(st.booleans()):
+        ends = region_labels(g, regions)[pairs[draw(
+            st.integers(0, len(pairs) - 1))]]
+        by_id = {r.id: r for r in regions}
+        if (ends >= 0).all() and ends[0] != ends[1]:
+            tau = emd_1d(*(radius_histogram(g, by_id[k]) for k in ends))
+    return g, regions, tau
+
+
+def merge_chain():
+    """Five two-node regions on a chain: once 2 and 3 merge, 2 takes 4
+    through the rewired pair (3, 4), and not 1, by the merged histogram."""
+    g = chain_graph([4, 4, 2, 2, 3, 3, 3, 3, 4, 4, 4])
+    return g, [region(k, [2 * k, 2 * k + 1]) for k in range(5)], 0.5
+
+
+@given(partitions())
+@example(merge_chain())
+def test_merge_matching_equals_the_adjacency_row_loop(case):
+    g, regions, tau = case
+    given_regions = [(r.id, list(r.nodes), r.seed, r.component_id)
+                     for r in regions]
+    with mock.patch.object(merging, "emd_1d", wraps=emd_1d) as spy:
+        got = regions_or_error(merge_matching, g, regions, tau)
+    with mock.patch.object(oracles, "emd_1d", wraps=emd_1d) as oracle_spy:
+        want = regions_or_error(oracles.merge_matching, g, regions, tau)
+    assert got == want
+    assert spy.call_count == oracle_spy.call_count
+    assert regions_or_error(list, regions) == given_regions  # not mutated

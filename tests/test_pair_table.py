@@ -240,3 +240,16 @@ def test_pair_index_lists_each_adjacency_once():
     pairs, entry_pair = g.pair_index
     assert pairs.tolist() == [[0, 1], [1, 2]]
     assert entry_pair.tolist() == [0, 0, 1, 1]
+
+
+def test_a_graph_not_built_from_its_medial_mesh_needs_costs():
+    # a skeleton graph's medial mesh holds its points, with no faces or edges
+    sc = SkeletonCloud.build(np.array([(0, 0, 0), (1, 0, 0), (2, 0, 0)], float),
+                             np.ones(3), k=2)
+    g = _skeleton_graph(sc)
+    with pytest.raises(ValueError, match="the graph has 3 nodes but its medial "
+                       "mesh 0 faces and 0 standalone edges; grow such a graph "
+                       "with costs="):
+        grow(g, [])
+    costs = _skeleton_pair_costs(sc, g.pair_index[0], 0.05)
+    assert [r.nodes for r in grow(g, [], costs=costs)] == [[0, 1, 2]]

@@ -1,5 +1,7 @@
 """End-to-end pipeline tests on synthetic medial meshes and grid surfaces."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,11 @@ def test_boundary_length_empty_mesh_edge_cases():
                                    [0.0, 1.0, 0.0]]),
                          np.array([[0, 1, 2]]))
     assert boundary_length(lonely, [0]) == 0.0
+
+
+@pytest.mark.parametrize("count", [7, 1])
+def test_boundary_length_needs_one_label_per_face(count):
+    mesh = grid_mesh(0.0, 2.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"4 faces need as many labels, got labels of shape ({count},)")):
+        boundary_length(mesh, [0] * count)

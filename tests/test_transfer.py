@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -352,6 +353,18 @@ def test_data_term_rejects_empty_segment():
 def boundary_cost(mesh):
     """The hinge's cost for labels (0, 1), read through labeling_energy."""
     return labeling_energy(mesh, [0, 1], np.zeros((2, 2)), 1.0)
+
+
+@pytest.mark.parametrize("labels, costs, message", [
+    ([0, -1], np.zeros((2, 2)), "label -1 has no cost column of 2"),
+    ([0, 5], np.zeros((2, 2)), "label 5 has no cost column of 2"),
+    ([0, 1], np.zeros((3, 2)), "costs of shape (3, 2)"),
+    ([0, 1], np.zeros(2), "costs of shape (2,)"),
+    ([0], np.zeros((2, 2)), "labels of shape (1,)"),
+])
+def test_labeling_energy_rejects_labels_without_costs(labels, costs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        labeling_energy(folded(0.4), labels, costs, 1.0)
 
 
 def test_smooth_term_same_label_is_zero():
@@ -821,6 +834,15 @@ def test_transfer_with_no_regions_raises():
     mesh, g, _ = two_plates_setup()
     with pytest.raises(NoSegments):
         transfer_labels(mesh, g, [])
+
+
+@pytest.mark.parametrize("node", [-1, 2])
+def test_transfer_rejects_a_node_outside_the_graph(node):
+    mesh, g, regions = two_plates_setup()
+    regions[1].nodes.append(node)
+    with pytest.raises(ValueError, match=f"region 5: node {node} is outside "
+                                         "the graph's 2 nodes"):
+        transfer_labels(mesh, g, regions)
 
 
 def test_data_table_matches_scalar_term():
