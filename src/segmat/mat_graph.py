@@ -74,13 +74,18 @@ class MatGraph:
         return np.column_stack([keys // n, keys % n]), entry_pair
 
     def node_index(self, node_ids) -> np.ndarray:
-        """node_ids as an index array; ValueError names an id outside the graph."""
-        ids = np.asarray(node_ids, dtype=np.intp)
+        """node_ids as an index array; ValueError names an id that is not a
+        whole number or is outside the graph."""
+        ids = np.asarray(node_ids)
+        if ids.dtype.kind not in "iu":
+            whole = ids == np.floor(ids) if ids.dtype.kind == "f" else np.zeros(ids.shape, bool)
+            if not whole.all():
+                raise ValueError(f"node {ids[~whole][0].item()!r} is not a whole number")
         outside = ids[(ids < 0) | (ids >= len(self))]
         if outside.size:
-            raise ValueError(f"node {outside[0]} is outside the graph's "
+            raise ValueError(f"node {outside[0].item()} is outside the graph's "
                              f"{len(self)} nodes")
-        return ids
+        return ids.astype(np.intp, copy=False)
 
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""

@@ -31,13 +31,22 @@ class RadiusHistogram:
 def radius_histogram(g: MatGraph, region: Region,
                      radius_range: tuple[float, float] | None = None
                      ) -> RadiusHistogram:
-    """Normalized node-radius histogram over the shape's global range."""
+    """Normalized node-radius histogram over the shape's global range.
+
+    ValueError for a region with no nodes or with a node that
+    :meth:`MatGraph.node_index` rejects.
+    """
     radii = g.mean_radii
     if radius_range is None:
         lo, hi = float(radii.min()), float(radii.max())
     else:
         lo, hi = radius_range
-    vals = radii[list(region.nodes)]
+    try:
+        vals = radii[g.node_index(list(region.nodes))]
+    except ValueError as exc:
+        raise ValueError(f"region {region.id}: {exc}") from None
+    if not len(vals):
+        raise ValueError(f"region {region.id} has no nodes")
     bins = np.zeros(BIN_COUNT)
     if hi <= lo:
         bins[0] = 1.0
@@ -66,12 +75,13 @@ def merge_matching(g: MatGraph, regions: list[Region],
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must not be negative, got {tau}")
+    labels = region_labels(g, regions)  # checks every region's nodes
     if len(regions) <= 1:
         return list(regions)
     rng = (float(g.mean_radii.min()), float(g.mean_radii.max()))
 
     # regions touch where an adjacent pair joins two claimed nodes
-    ends = region_labels(g, regions)[g.pair_index[0]]
+    ends = labels[g.pair_index[0]]
     ends = np.sort(ends[(ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])])
     adjacent = set(map(tuple, ends.tolist()))
     table = {r.id: replace(r, nodes=list(r.nodes)) for r in regions}

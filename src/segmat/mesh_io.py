@@ -10,16 +10,27 @@ Colored surface output is ASCII PLY with per-face red/green/blue taken from
 a fixed 32-entry palette (label k uses entry k mod 32).
 
 All writers emit floats with 9 significant digits, so load(save(x)) is exact
-once coordinates are representable at that precision.  Readers convert a
-block of records at a time; a parse error names the first bad ``file:line``.
+once coordinates are representable at that precision; they format a block
+of rows with one ``%`` at a time.  Readers convert a block of records at a
+time; a parse error names the first bad ``file:line``.
+
+OFF and ``.ma`` files laid out as the writers write them take a one-call
+read first, one np.loadtxt per block of records: an ``OFF`` line, a counts
+line, nv lines of 3 numbers and nf lines ``3 i j k``; or one run of lines
+per ``.ma`` record kind.  Any other file, one with a comment, a k-gon or a
+fault, or a number np.loadtxt does not take (it takes fewer spellings than
+``float()`` and ``int()``, no ``1_0`` and no non-ASCII digits, and reads
+those it takes to the same value) goes to the per-block parser, so the
+arrays and messages are the parser's either way.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from itertools import islice
 
 import numpy as np
 
@@ -56,8 +67,11 @@ PALETTE: tuple[tuple[int, int, int], ...] = (
 # lines read and rows written at a time, an x y z row with 9 digits, and
 # the palette as PLY text
 _BLOCK = 1024
-_XYZ = "{:.9g} {:.9g} {:.9g}\n"
+_XYZ = "%.9g %.9g %.9g\n"
 _COLORS = np.array([f"{r} {g} {b}" for r, g, b in PALETTE], dtype=object)
+# the numbers of each .ma record kind, and where a run of its lines ends
+_MA_ROWS = {"v": (float, 4), "e": (np.int64, 2), "f": (np.int64, 3)}
+_RUN_END = {kind: re.compile(f"\n(?!{kind} )") for kind in _MA_ROWS}
 
 
 @dataclass
@@ -364,6 +378,39 @@ def _polygons(path, number, index, arity, outside, shown, checks=()):
     return triangles
 
 
+def _loadtxt(fh, dtype, rows=None) -> np.ndarray:
+    """The next rows records (all if None) of the open text file fh as one
+    np.loadtxt reads them, at least 2-D; a warning is raised as an error.
+    Given the file and not its path, np.loadtxt takes the lines as text
+    mode splits them and stops right after the last record it reads."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(fh, dtype, comments=None, max_rows=rows, ndmin=2)
+
+
+def _clean_off(path) -> SurfaceMesh | None:
+    """An OFF file as the writers give it, read with one np.loadtxt per
+    record block: an ``OFF`` line, a line of counts nv nf, nv lines of 3
+    finite numbers and nf lines ``3 i j k`` of distinct indices below nv,
+    and no ``#``.  None for any other file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        head, counts = fh.readline(), fh.readline()
+        try:
+            nv, nf = map(int, counts.split()[:2])
+            if head.split() != ["OFF"] or "#" in counts or min(nv, nf) < 0:
+                return None
+            vertices = _loadtxt(fh, float, nv)
+            faces = _loadtxt(fh, np.int64)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if (vertices.shape != (nv, 3) or faces.shape != (nf, 4)
+            or not np.isfinite(vertices).all() or (faces[:, 0] != 3).any()):
+        return None
+    faces = faces[:, 1:]
+    outside, repeated = _index_faults(faces, nv)
+    return None if (outside | repeated).any() else SurfaceMesh(vertices, faces)
+
+
 def _by_suffix(path, off, obj):
     for suffix, handler in ((".off", off), (".obj", obj)):
         if str(path).lower().endswith(suffix):
@@ -384,6 +431,11 @@ def save_surface(mesh: SurfaceMesh, path) -> None:
 
 
 def _load_off(path) -> SurfaceMesh:
+    mesh = _clean_off(path)
+    return _parse_off(path) if mesh is None else mesh
+
+
+def _parse_off(path) -> SurfaceMesh:
     text = _Text(path)
     if not len(text.number):
         raise ParseError(f"{path}: empty OFF file")
@@ -463,28 +515,75 @@ def _load_obj(path) -> SurfaceMesh:
 
 
 def _write(path, head: str, *parts) -> None:
-    """head, then template.format(*row) for the rows of each (template,
-    *arrays) part, its arrays side by side, a block of rows at a time."""
+    """head, then template % row for the rows of each (template, *arrays)
+    part, its arrays side by side, one % per block of rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
         for template, *arrays in parts:
             for i in range(0, len(arrays[0]), _BLOCK):
                 rows = np.concatenate([a[i:i + _BLOCK] for a in arrays], axis=1)
-                fh.write("".join(starmap(template.format, rows.tolist())))
+                fh.write(template * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _save_off(mesh: SurfaceMesh, path) -> None:
     _write(path, f"OFF\n{len(mesh.vertices)} {len(mesh.faces)} 0\n",
-           (_XYZ, mesh.vertices), ("3 {} {} {}\n", mesh.faces))
+           (_XYZ, mesh.vertices), ("3 %d %d %d\n", mesh.faces))
 
 
 def _save_obj(mesh: SurfaceMesh, path) -> None:
-    _write(path, "", ("v " + _XYZ, mesh.vertices), ("f {} {} {}\n", mesh.faces + 1))
+    _write(path, "", ("v " + _XYZ, mesh.vertices), ("f %d %d %d\n", mesh.faces + 1))
 
 
 def load_medial_mesh(path) -> MedialMesh:
     """Load a ``.ma`` medial mesh and return it in canonical form."""
     p = str(path)
+    tables = _clean_ma(p)
+    return _parse_ma(p) if tables is None else MedialMesh.build(*tables)
+
+
+def _ma_runs(text) -> dict | None:
+    """{keyword: lines} of text as one run of lines each for ``v``, ``e``
+    and ``f`` records, or for some of them, in any order, every line led by
+    its keyword and a space.  None for any other text."""
+    runs, at = {}, 0
+    while at < len(text):
+        kind = text[at]
+        if kind not in _RUN_END or kind in runs or text[at + 1:at + 2] != " ":
+            return None
+        end = _RUN_END[kind].search(text, at)
+        stop = len(text) if end is None else end.end()
+        runs[kind], at = text.count("\n", at, stop - 1) + 1, stop
+    return runs or None
+
+
+def _clean_ma(path) -> tuple | None:
+    """Sphere, edge and face rows of a ``.ma`` file as save_medial_mesh
+    writes it, read with one np.loadtxt per run of :func:`_ma_runs`: each
+    line a keyword and its numbers, finite spheres with radii >= 0 and
+    distinct indices below the sphere count.  None for any other file.
+
+    The keyword is read as a column too, so that np.loadtxt checks the
+    count of numbers on every line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        runs = _ma_runs(fh.read())
+        if runs is None:
+            return None
+        fh.seek(0)
+        try:
+            read = {kind: _loadtxt(fh, [("k", "U1"), ("x", *_MA_ROWS[kind])], lines)["x"][:, 0]
+                    for kind, lines in runs.items()}
+        except (ValueError, OverflowError, Warning):
+            return None
+    spheres, edges, faces = (read.get(kind, np.zeros((0, width), dtype))
+                             for kind, (dtype, width) in _MA_ROWS.items())
+    if not np.isfinite(spheres).all() or (spheres[:, 3] < 0.0).any() or any(
+            fault.any() for rows in (edges, faces)
+            for fault in _index_faults(rows, len(spheres))):
+        return None
+    return spheres, edges, faces
+
+
+def _parse_ma(p) -> MedialMesh:
     text, parts = _Text(p), []
     for a, tokens, start, count in text.blocks():
         keyword, checks, part = np.array(_pick(tokens, start), dtype=object), [], []
@@ -515,8 +614,8 @@ def load_medial_mesh(path) -> MedialMesh:
 
 
 def save_medial_mesh(mm: MedialMesh, path) -> None:
-    _write(path, "", ("v {:.9g} " + _XYZ, mm.spheres), ("e {} {}\n", mm.edges),
-           ("f {} {} {}\n", mm.faces))
+    _write(path, "", ("v %.9g " + _XYZ, mm.spheres), ("e %d %d\n", mm.edges),
+           ("f %d %d %d\n", mm.faces))
 
 
 def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
@@ -569,10 +668,10 @@ def load_xyz(path) -> np.ndarray:
 
 def save_point_labels(path, labels) -> None:
     """Write per-point labels, one integer per line (LF endings)."""
-    values = map(str, map(int, labels))
+    values = map(int, labels)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while block := list(islice(values, _BLOCK)):
-            fh.write("\n".join(block) + "\n")
+        while block := tuple(islice(values, _BLOCK)):
+            fh.write("%d\n" * len(block) % block)
 
 
 def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
@@ -587,4 +686,4 @@ def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
            "property list uchar int vertex_indices\n"
            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
            "end_header\n", (_XYZ, mesh.vertices),
-           ("3 {} {} {} {}\n", mesh.faces, _COLORS[lab % len(PALETTE)][:, None]))
+           ("3 %d %d %d %s\n", mesh.faces, _COLORS[lab % len(PALETTE)][:, None]))

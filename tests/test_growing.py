@@ -361,3 +361,22 @@ def test_region_labels_reject_a_node_outside_the_graph(node):
     with pytest.raises(ValueError, match=f"region 3: node {node} is outside "
                                          "the graph's 2 nodes"):
         region_labels(g, regions)
+
+
+@pytest.mark.parametrize("node, shown", [(1.9, "1.9"), (0.5, "0.5"), ("1", "'1'"),
+                                         (float("nan"), "nan")])
+def test_a_node_id_that_is_not_a_whole_number_is_rejected(node, shown):
+    g = build_graph(cone_chain([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]))
+    message = f"node {shown} is not a whole number"
+    with pytest.raises(ValueError, match=f"^region 3: {message}$"):
+        region_labels(g, [Region(0, [0], 0, 0), Region(3, [1, node], 1, 0)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        g.sphere_arrays([1, node])
+
+
+def test_whole_float_and_empty_node_lists_are_indices():
+    g = build_graph(cone_chain([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]))
+    assert region_labels(g, [Region(4, [1.0], 1, 0)]).tolist() == [-1, 4]
+    assert region_labels(g, [Region(4, [], 1, 0)]).tolist() == [-1, -1]
+    for got, want in zip(g.sphere_arrays([]), g.sphere_arrays(np.zeros(0, np.intp))):
+        assert got.shape == want.shape and got.shape[0] == 0

@@ -177,6 +177,27 @@ def test_a_node_outside_the_graph_is_rejected_by_region(node):
         merge_matching(g, regions)
 
 
+@pytest.mark.parametrize("node", [-2, 7])
+def test_a_single_region_is_checked_too(node):
+    g = chain_graph([2.0] * 3)
+    with pytest.raises(ValueError, match=f"^region 0: node {node} is outside "
+                                         "the graph's 2 nodes$"):
+        merge_matching(g, [Region(0, [node], 0, 0)])
+    assert merge_matching(g, [Region(0, [1], 0, 0)]) == [Region(0, [1], 0, 0)]
+    assert merge_matching(g, []) == []
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([5], "node 5 is outside the graph's 2 nodes"),
+    ([-2], "node -2 is outside the graph's 2 nodes"),
+    ([0, 0.5], "node 0.5 is not a whole number"),
+    ([], "has no nodes")])
+def test_radius_histogram_rejects_a_bad_region(nodes, message):
+    g = chain_graph([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=f"^region 4:? {message}$"):
+        radius_histogram(g, Region(4, nodes, 0, 0))
+
+
 @st.composite
 def partitions(draw):
     """A graph, regions over some of its nodes and a tau.
