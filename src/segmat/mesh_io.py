@@ -394,8 +394,8 @@ def _clean_off(path) -> SurfaceMesh | None:
     finite numbers and nf lines ``3 i j k`` of distinct indices below nv,
     and no ``#``.  None for any other file."""
     with open(path, "r", encoding="utf-8") as fh:
-        head, counts = fh.readline(), fh.readline()
         try:
+            head, counts = fh.readline(), fh.readline()
             nv, nf = map(int, counts.split()[:2])
             if head.split() != ["OFF"] or "#" in counts or min(nv, nf) < 0:
                 return None

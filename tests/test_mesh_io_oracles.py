@@ -476,6 +476,21 @@ def test_the_one_call_read_on_edge_cases(tmp_path, name, text, taken):
                      mesh_io.load_medial_mesh)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("m.off", OFF.replace("OFF", "OFF" + " " * 9000 + "\udcff")),
+    ("m.off", OFF.replace("1 0 0", "1 0 \udcff")),
+    ("m.ma", MA.replace("v 0 0 0 1", "v 0 0 0 1" + " " * 9000 + "\udcff")),
+    ("m.ma", MA.replace("e 1 2", "e 1 \udcff"))],
+    ids=["off-header", "off-body", "ma-first-line", "ma-body"])
+def test_a_file_that_is_not_utf8_gets_the_parsers_error(tmp_path, name, text):
+    # the undecodable byte sits past the first 8 KiB a line read decodes
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    _, _, parse, load = ONE_CALL[path.suffix]
+    assert outcome(load, str(path)) == outcome(parse, str(path))
+    assert outcome(load, str(path))[0] is UnicodeDecodeError
+
+
 @pytest.mark.parametrize("rows", [3, 1500])
 def test_the_one_call_read_takes_what_the_writers_write(tmp_path, rows):
     rng = np.random.default_rng(rows)
