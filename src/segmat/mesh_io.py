@@ -378,28 +378,30 @@ def _polygons(path, number, index, arity, outside, shown, checks=()):
     return triangles
 
 
-def _loadtxt(fh, dtype, rows=None) -> np.ndarray:
-    """The next rows records (all if None) of the open text file fh as one
-    np.loadtxt reads them, at least 2-D; a warning is raised as an error.
-    Given the file and not its path, np.loadtxt takes the lines as text
-    mode splits them and stops right after the last record it reads."""
+def _loadtxt(lines, dtype) -> np.ndarray:
+    """The lines (an open text file, split as text mode splits it, or an
+    iterator over it) as one np.loadtxt reads them, at least 2-D, blank
+    lines skipped; a warning is raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(fh, dtype, comments=None, max_rows=rows, ndmin=2)
+        return np.loadtxt(lines, dtype, comments=None, ndmin=2)
 
 
 def _clean_off(path) -> SurfaceMesh | None:
     """An OFF file as the writers give it, read with one np.loadtxt per
     record block: an ``OFF`` line, a line of counts nv nf, nv lines of 3
     finite numbers and nf lines ``3 i j k`` of distinct indices below nv,
-    and no ``#``.  None for any other file."""
+    and no ``#``.  None for any other file; a blank line in the vertex
+    block leaves it short of nv rows."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             head, counts = fh.readline(), fh.readline()
             nv, nf = map(int, counts.split()[:2])
             if head.split() != ["OFF"] or "#" in counts or min(nv, nf) < 0:
                 return None
-            vertices = _loadtxt(fh, float, nv)
+            # the next nv lines, not max_rows=nv: np.loadtxt would size its
+            # array by the header before reading a line
+            vertices = _loadtxt(islice(fh, nv), float)
             faces = _loadtxt(fh, np.int64)
         except (ValueError, OverflowError, Warning):
             return None
@@ -570,7 +572,7 @@ def _clean_ma(path) -> tuple | None:
             return None
         fh.seek(0)
         try:
-            read = {kind: _loadtxt(fh, [("k", "U1"), ("x", *_MA_ROWS[kind])], lines)["x"][:, 0]
+            read = {kind: _loadtxt(islice(fh, lines), [("k", "U1"), ("x", *_MA_ROWS[kind])])["x"][:, 0]
                     for kind, lines in runs.items()}
         except (ValueError, OverflowError, Warning):
             return None

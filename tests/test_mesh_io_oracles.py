@@ -430,6 +430,9 @@ MA = "v 0 0 0 1\nv 1 0 0 1\nv 0 1 0 1\ne 0 1\ne 1 2\nf 0 1 2\n"
     ("m.off", OFF.replace("3 0 1 2\n", ""), False),
     ("m.off", OFF[:-9], False),
     ("m.off", "OFF\n99999999999999999999 1\n0 0 0\n", False),
+    # counts within int64 whose vertex array would not fit in memory
+    ("m.off", "OFF\n10000000000 1 0\n0 0 0\n", False),
+    ("m.off", "OFF\n100000000000000000 1 0\n0 0 0\n", False),
     ("m.off", "OFF\n3 99999999999999999999\n0 0 0\n1 0 0\n0 1 0\n", False),
     ("m.off", OFF.replace("3 0 1 2", "3 0 1 99999999999999999999"), False),
     ("m.off", OFF.replace("3 0 1 2", "3 0 1 0"), False),
