@@ -15,6 +15,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import identity
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
@@ -170,7 +171,7 @@ def _skeleton_graph(sc: SkeletonCloud) -> MatGraph:
         comp[group] = k
     return MatGraph(
         mm=MedialMesh.build(np.column_stack([sc.points, sc.radii]), [], []),
-        elements=[(i,) for i in range(n)],
+        incidence=identity(n, dtype=bool, format="csr"),
         mean_radii=sc.radii,
         centroids=sc.points,
         adjacency=[list(nbrs) for nbrs in sc.adjacency],

@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import DegenerateGeometry
 from .mat_graph import MatGraph, linked_groups, pair_angles
-from .structure import DegenerateInput, StructuralComponent, thinness
+from .structure import ComponentKind, DegenerateInput, StructuralComponent, thinness
 
 SIGMA_KNEE = 3.0  # log-thinness below this leaves delta0 alone
 
@@ -122,7 +122,8 @@ def _component_thresholds(comps: list[StructuralComponent],
             raise DegenerateInput(f"{name}: every sphere has radius 0")
         rho = thinness(c)
         if rho <= 0.0:
-            raise DegenerateInput(f"{name}: its spheres coincide (zero extent)")
+            extra = " or are collinear" if c.kind is ComponentKind.SHEET else ""
+            raise DegenerateInput(f"{name}: its spheres coincide{extra} (zero extent)")
         out.append(adjusted_threshold(p.delta0, rho))
     return out
 

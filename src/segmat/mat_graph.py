@@ -4,14 +4,14 @@ Every medial triangle becomes a face node (a slab) and every edge that
 belongs to no triangle becomes an edge node (a cone).  Two nodes are
 adjacent iff their elements share at least one medial-mesh vertex, which
 is read off a sparse node x sphere incidence.  ``MatGraph`` is one node
-table built once: the element of every node (its length is the node's
-kind, 3 for a face and 2 for an edge), the mean radius of its vertex
-spheres and its centroid as arrays; no envelope data, so a point
-skeleton fills it the same way.  ``pair_angles`` takes the two tangent
-plane normals of every slab and the axis and slant of every cone from
-the geometry kernels and gives the angles of every adjacent pair at once.
-``linked_groups`` is the one grouping routine of the package: items that
-share a key, transitively, form a group.
+table built once: that incidence, whose row i is the element of node i
+(its length is the node's kind, 3 for a face and 2 for an edge), and the
+mean radius of its vertex spheres and its centroid as arrays; no envelope
+data, so a point skeleton fills it the same way.  ``pair_angles`` takes
+the two tangent plane normals of every slab and the axis and slant of
+every cone from the geometry kernels and gives the angles of every
+adjacent pair at once.  ``linked_groups`` is the one grouping routine of
+the package: items that share a key, transitively, form a group.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class MatGraph:
     """One row per node: faces of mm first, then its standalone edges."""
 
     mm: MedialMesh
-    # sphere indices of each node: a face triple or a standalone edge pair
-    elements: list[tuple[int, ...]]
+    # node x sphere incidence: row i is node i's face triple or edge pair
+    incidence: csr_matrix
     mean_radii: np.ndarray  # (n,) mean radius of each node's spheres
     centroids: np.ndarray   # (n, 3) mean center of each node's spheres
     adjacency: list[list[int]]
@@ -51,16 +51,7 @@ class MatGraph:
     component_id: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def incidence(self) -> csr_matrix:
-        """Node x sphere incidence: row i holds the spheres of node i, ascending."""
-        rows = np.repeat(np.arange(len(self)), [len(el) for el in self.elements])
-        cols = np.fromiter(chain.from_iterable(self.elements), dtype=np.intp,
-                           count=len(rows))
-        return csr_matrix((np.ones(len(cols), dtype=bool), (rows, cols)),
-                          shape=(len(self), len(self.mm.spheres)))
+        return self.incidence.shape[0]
 
     @cached_property
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,14 +110,18 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     """Build the primitive adjacency graph of a canonical medial mesh."""
     mm.validate()
     faces, ends = mm.faces, mm.edges[mm.standalone]
-    elements = list(map(tuple, faces.tolist() + ends.tolist()))
-    if not elements:
+    n = len(faces) + len(ends)
+    if n == 0:
         raise EmptyInput("medial mesh has no faces and no standalone edges")
+    # 3 entries per face row, then 2 per edge row, ascending as the rows are
+    spheres = np.concatenate([faces.ravel(), ends.ravel()])
+    indptr = np.r_[0:faces.size:3, faces.size:len(spheres) + 1:2]
 
     centers, radii = mm.centers(), mm.radii()
     graph = MatGraph(
         mm=mm,
-        elements=elements,
+        incidence=csr_matrix((np.ones(len(spheres), dtype=bool), spheres, indptr),
+                             shape=(n, len(mm.spheres))),
         mean_radii=np.concatenate([
             radii[faces].mean(axis=1),
             (radii[ends[:, 0]] + radii[ends[:, 1]]) / 2.0]),
@@ -134,7 +129,7 @@ def build_graph(mm: MedialMesh) -> MatGraph:
             centers[faces].mean(axis=1),
             (centers[ends[:, 0]] + centers[ends[:, 1]]) / 2.0]),
         adjacency=[],
-        component_id=np.full(len(elements), -1, dtype=int))
+        component_id=np.full(n, -1, dtype=int))
     # nodes sharing a sphere: the off-diagonal of incidence x incidence^T
     shared = graph.incidence @ graph.incidence.T
     shared.setdiag(False)

@@ -64,8 +64,7 @@ def run_pipeline(mesh: SurfaceMesh, mat: MedialMesh,
     """Segment mesh using mat; validation errors surface as ValueError.
 
     When structured is given the simplification stage is skipped and the
-    given medial mesh is decomposed directly; mat is then only used as the
-    provenance record in the result.
+    given medial mesh is decomposed directly; mat is then not read.
     """
     cfg = config or PipelineConfig()
     timings: dict[str, float] = {}

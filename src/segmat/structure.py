@@ -3,9 +3,9 @@
 Junction elements (seam edges, seam vertices, vertices shared by an edge
 and a triangle, vertices where two triangle umbrellas meet) cut the mesh.
 What remains splits into connected components that are purely triangles
-(sheets) or purely standalone edges (curves).  Every node of a graph built
-from the same mesh is one face or one standalone edge, so it takes the
-component that holds its own element.
+(sheets) or purely standalone edges (curves).  Node f of a graph built
+from the same mesh is face f and node F + e standalone edge e, so each
+component names the nodes of its elements.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .mesh_io import MedialMesh
 
 
 class DegenerateInput(ValueError):
-    """A component whose spheres all vanish or all coincide: its growing
-    threshold and costs are undefined."""
+    """A component whose spheres all vanish, all coincide or, for a sheet,
+    are all collinear: its growing threshold and costs are undefined."""
 
 
 class ZeroRadius(DegenerateInput):
@@ -49,11 +49,12 @@ class Joint:
     element: int | tuple[int, int]
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: a component equals only itself
 class StructuralComponent:
     kind: ComponentKind
-    # Edge pairs (curve) or face triples (sheet), vertex ids of the smat.
-    elements: list[tuple[int, ...]]
+    # (k, 2) edge rows (curve) or (k, 3) face rows (sheet), and their nodes
+    elements: np.ndarray
+    nodes: np.ndarray
     extent: float
     max_radius: float
 
@@ -104,15 +105,13 @@ def split_components(smat: MedialMesh,
 
     Joint elements belong to no component; every face and standalone edge
     belongs to exactly one.  Sheets come first, then curves; each kind in
-    the order of its first element, each listing its elements in mesh order.
+    the order of its first element, each listing its rows and nodes in mesh order.
     """
     n = len(smat.spheres)
     seam_edges = [j.element[0] * n + j.element[1] for j in joints
                   if j.kind is JointKind.SEAM_EDGE]
     cut_vertices = [j.element for j in joints
                     if j.kind is not JointKind.SEAM_EDGE]
-    centers = smat.centers()
-    radii = smat.radii()
 
     # Sheets: faces linked through non-seam shared edges.
     _, sides = _face_sides(smat)
@@ -124,23 +123,21 @@ def split_components(smat: MedialMesh,
     e, k = np.nonzero(~np.isin(ends, cut_vertices))
     curves = linked_groups(np.stack([e, ends[e, k]], axis=1), len(ends))
 
-    return ([_make_sheet(smat.faces[group], centers, radii) for group in sheets]
-            + [_make_curve(ends[group], centers, radii) for group in curves])
+    return ([_component(smat, smat.faces[g], g) for g in sheets]
+            + [_component(smat, ends[g], np.add(g, len(sides))) for g in curves])
 
 
-def _make_sheet(tri, centers, radii) -> StructuralComponent:
-    a, b, c = centers[tri[:, 0]], centers[tri[:, 1]], centers[tri[:, 2]]
-    area = 0.5 * _norm(_cross(b - a, c - a)).sum()
-    r_max = float(radii[np.unique(tri)].max())
-    return StructuralComponent(ComponentKind.SHEET, list(map(tuple, tri.tolist())),
-                               float(math.sqrt(area)), r_max)
-
-
-def _make_curve(seg, centers, radii) -> StructuralComponent:
-    length = np.linalg.norm(centers[seg[:, 1]] - centers[seg[:, 0]], axis=1).sum()
-    r_max = float(radii[np.unique(seg)].max())
-    return StructuralComponent(ComponentKind.CURVE, list(map(tuple, seg.tolist())),
-                               float(length), r_max)
+def _component(smat, rows, nodes) -> StructuralComponent:
+    """A sheet of face rows by its area's root, or a curve of edge rows by length."""
+    p = smat.centers()[rows]
+    if rows.shape[1] == 3:
+        area = 0.5 * _norm(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])).sum()
+        kind, extent = ComponentKind.SHEET, math.sqrt(area)
+    else:
+        kind = ComponentKind.CURVE
+        extent = np.linalg.norm(p[:, 1] - p[:, 0], axis=1).sum()
+    return StructuralComponent(kind, rows, np.asarray(nodes), float(extent),
+                               float(smat.radii()[rows].max()))
 
 
 def thinness(comp: StructuralComponent) -> float:
@@ -150,19 +147,25 @@ def thinness(comp: StructuralComponent) -> float:
 
 
 def assign_base_nodes(g: MatGraph, comps: list[StructuralComponent]) -> None:
-    """Label every node of g with the component that holds its element.
+    """Label every node of g with the component that names it.
 
-    g must be built from the mesh the components were split from: each of
-    its faces and standalone edges then lies in exactly one component, and
-    the canonical element tuples of the mesh key the lookup.
+    g must be built from the mesh the components were split from, so that
+    its incidence rows at each component's nodes are that component's rows.
     """
     if not comps:
         raise ValueError("no components to assign nodes to")
-    owner = {el: k for k, comp in enumerate(comps) for el in comp.elements}
-    if len(owner) != len(g):
-        raise ValueError(f"components hold {len(owner)} elements, "
+    nodes = np.concatenate([comp.nodes for comp in comps])
+    if len(nodes) != len(g):
+        raise ValueError(f"components hold {len(nodes)} elements, "
                          f"the graph has {len(g)} nodes")
-    try:
-        g.component_id[:] = [owner[el] for el in g.elements]
-    except KeyError as exc:
-        raise ValueError(f"element {exc.args[0]} lies in no component") from None
+    if not np.array_equal(g.incidence[g.node_index(nodes)].indices,
+                          np.concatenate([comp.elements.ravel() for comp in comps])):
+        # a graph of another mesh: name its first element no component holds
+        held = {tuple(row) for comp in comps for row in comp.elements.tolist()}
+        rows = map(tuple, g.incidence.tolil().rows)
+        foreign = next((el for el in rows if el not in held), None)
+        if foreign is None:  # each element is held, at another node
+            raise ValueError("the components' nodes do not match their elements")
+        raise ValueError(f"element {foreign} lies in no component")
+    g.component_id[nodes] = np.repeat(np.arange(len(comps)),
+                                      [len(comp.nodes) for comp in comps])

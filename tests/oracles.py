@@ -2,7 +2,9 @@
 
 These are the Sphere-list and set build of a medial mesh that its
 sphere, edge and face arrays replaced, the per-node construction of the
-MAT graph's node table that the arrays built once replaced, the dense faces x spheres scan the
+MAT graph's node table that the arrays built once replaced, the node
+lookup keyed by element tuples that the components' node ids replaced,
+the dense faces x spheres scan the
 package used before its sphere-gap search was pruned with a k-d tree, the
 scalar data cost of one face, the dict-based dual-graph builder the numpy
 edge pairing replaced, the stacked-array collapse cost the closed-form
@@ -320,8 +322,9 @@ def bounding_diagonal(centers, radii=None):
 def sphere_arrays(g, node_ids):
     """MatGraph.sphere_arrays from a Python set of the nodes' elements."""
     seen = set()
+    node_elements = elements(g)
     for i in node_ids:
-        seen.update(g.elements[i])
+        seen.update(node_elements[i])
     idx = sorted(seen)
     return g.mm.centers()[idx], g.mm.radii()[idx]
 
@@ -374,6 +377,12 @@ def standalone_of(mm):
     return list(map(tuple, mm.edges[mm.standalone].tolist()))
 
 
+def elements(g):
+    """The element of every node of a graph built from g.mm, as tuples of
+    Python ints: its faces, then its standalone edges."""
+    return faces_of(g.mm) + standalone_of(g.mm)
+
+
 def node_table(mm):
     """build_graph's node table, built one node at a time.
 
@@ -401,19 +410,35 @@ def node_table(mm):
         incidence=incidence)
 
 
-def adjacency(g):
-    """build_graph's adjacency: nodes sharing a vertex, by a set loop."""
+def adjacency(node_elements):
+    """build_graph's adjacency of the nodes with these elements: nodes
+    sharing a vertex, by a set loop."""
     vertex_nodes = {}
-    for i, element in enumerate(g.elements):
+    for i, element in enumerate(node_elements):
         for v in element:
             vertex_nodes.setdefault(v, []).append(i)
-    adjacency_sets = [set() for _ in g.elements]
+    adjacency_sets = [set() for _ in node_elements]
     for incident in vertex_nodes.values():
         for i in incident:
             for j in incident:
                 if i != j:
                     adjacency_sets[i].add(j)
     return [sorted(s) for s in adjacency_sets]
+
+
+def assign_base_nodes(g, comps):
+    """structure.assign_base_nodes as a dict keyed by element tuples."""
+    if not comps:
+        raise ValueError("no components to assign nodes to")
+    owner = {el: k for k, comp in enumerate(comps)
+             for el in map(tuple, comp.elements.tolist())}
+    if len(owner) != len(g):
+        raise ValueError(f"components hold {len(owner)} elements, "
+                         f"the graph has {len(g)} nodes")
+    try:
+        g.component_id[:] = [owner[el] for el in elements(g)]
+    except KeyError as exc:
+        raise ValueError(f"element {exc.args[0]} lies in no component") from None
 
 
 def _umbrella_count(v, fs):
@@ -507,13 +532,15 @@ def union_find_groups(items, keys_of):
 def split_components(smat, joints):
     """structure.split_components by union-find over faces, then edges.
 
-    Components of one kind come in the order of their union-find roots.
+    Components of one kind come in the order of their union-find roots; each
+    names its nodes through a dict keyed by the graph's element tuples.
     """
     seam_edges = {j.element for j in joints if j.kind is JointKind.SEAM_EDGE}
     cut_vertices = {j.element for j in joints
                     if j.kind is not JointKind.SEAM_EDGE}
     centers = smat.centers()
     radii = smat.radii()
+    node = {el: i for i, el in enumerate(faces_of(smat) + standalone_of(smat))}
     comps = []
     for faces in union_find_groups(faces_of(smat), lambda f: [
             e for e in ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))
@@ -522,16 +549,16 @@ def split_components(smat, joints):
         a, b, c = centers[tri[:, 0]], centers[tri[:, 1]], centers[tri[:, 2]]
         area = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum()
         comps.append(StructuralComponent(
-            ComponentKind.SHEET, faces, float(math.sqrt(area)),
-            float(radii[np.unique(tri)].max())))
+            ComponentKind.SHEET, tri, np.array([node[f] for f in faces]),
+            float(math.sqrt(area)), float(radii[np.unique(tri)].max())))
     for group in union_find_groups(standalone_of(smat), lambda e: [
             v for v in e if v not in cut_vertices]):
         seg = np.array(group)
         length = np.linalg.norm(centers[seg[:, 1]] - centers[seg[:, 0]],
                                 axis=1).sum()
         comps.append(StructuralComponent(
-            ComponentKind.CURVE, group, float(length),
-            float(radii[np.unique(seg)].max())))
+            ComponentKind.CURVE, seg, np.array([node[e] for e in group]),
+            float(length), float(radii[np.unique(seg)].max())))
     return comps
 
 
@@ -1044,8 +1071,9 @@ def swallow(g, region, unclaimed):
     centers, radii = sphere_arrays(g, region.nodes)
     all_centers = g.mm.centers()
     all_radii = g.mm.radii()
+    node_elements = elements(g)
     for v in unclaimed:
-        el = list(g.elements[v])
+        el = list(node_elements[v])
         c = all_centers[el]
         r = all_radii[el]
         d = np.linalg.norm(c[:, None, :] - centers[None, :, :], axis=2)
@@ -1457,7 +1485,7 @@ def node_angle(g, i: int, j: int) -> float:
     """
     lo, hi = (i, j) if i <= j else (j, i)
     assert hi in g.adjacency[lo], f"nodes {i} and {j} are not adjacent"
-    a, b = g.elements[lo], g.elements[hi]
+    a, b = elements(g)[lo], elements(g)[hi]
     if len(a) != len(b):
         return 0.0
     if len(a) == 3:
@@ -1480,8 +1508,7 @@ def _cone_side_normals_for_slab(cone, slab_normals):
 def _edge_pair_normals(g, lo: int, hi: int):
     """Matched envelope-normal pairs for two adjacent cones."""
     mm = g.mm
-    e_i = g.elements[lo]
-    e_j = g.elements[hi]
+    e_i, e_j = elements(g)[lo], elements(g)[hi]
     shared = set(e_i) & set(e_j)
     v = min(shared)
     cv = mm.spheres[v, :3].tolist()
@@ -1528,7 +1555,7 @@ def primitive_angles(g, i: int, j: int) -> tuple[float, float]:
     lo, hi = (i, j) if i <= j else (j, i)
     assert hi in g.adjacency[lo], f"nodes {i} and {j} are not adjacent"
     a, b = _tangent(g, lo), _tangent(g, hi)
-    a_face, b_face = len(g.elements[lo]) == 3, len(g.elements[hi]) == 3
+    a_face, b_face = lo < len(g.mm.faces), hi < len(g.mm.faces)
     if a_face and b_face:
         a1, a2 = a
         b1, b2 = b

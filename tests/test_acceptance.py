@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import bounding_diagonal
+from oracles import bounding_diagonal, elements
 from segmat.geometry import slab_normals
 from segmat import growing
 from segmat.growing import (
@@ -318,7 +318,7 @@ def chain_cone_labels(result, sphere_count):
     """Labels of the original chain cones keyed by sphere pair, so the two
     runs compare the same cone even though extra edges shift node ids."""
     by_low = {}
-    for v, element in enumerate(result.graph.elements):
+    for v, element in enumerate(elements(result.graph)):
         el = sorted(element)
         if len(el) == 2 and el[1] == el[0] + 1 and el[1] < sphere_count:
             by_low[el[0]] = int(result.node_labels[v])

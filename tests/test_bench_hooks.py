@@ -88,8 +88,28 @@ def test_graph_counters_read_the_node_table():
     pairs = {(min(i, j), max(i, j))
              for i, row in enumerate(graph.adjacency) for j in row}
     assert len(pairs) > 0
-    assert tracer.counts["mat_graph.nodes"] == len(graph) == len(graph.elements)
+    assert tracer.counts["mat_graph.nodes"] == len(graph) == graph.incidence.shape[0]
     assert tracer.counts["mat_graph.adjacency"] == len(pairs)
+
+
+def test_structure_counters_read_the_component_rows():
+    mat = bent_l_mat()
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        graph = pipeline.build_graph(mat)
+        comps = pipeline.split_components(mat, pipeline.detect_joints(mat))
+        pipeline.assign_base_nodes(graph, comps)
+    finally:
+        tracer.restore()
+    widths = [comp.elements.shape[1] for comp in comps]
+    rows = sum(comp.elements.shape[0] for comp in comps)
+    counts = tracer.counts
+    # 25 standalone edges, cut at the roots of the two stubs into 5 curves
+    assert counts["structure.distance_pairs"] == graph.incidence.shape[0] * rows == 625
+    assert counts["structure.components_sheet"] == widths.count(3) == 0
+    assert counts["structure.components_curve"] == widths.count(2) == 5
 
 
 def test_collapse_count_is_the_length_of_the_simplify_trace():

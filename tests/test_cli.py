@@ -479,6 +479,19 @@ def test_segment_coincident_spheres_exit_2(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_segment_collinear_sheet_exit_2(tmp_path, capsys):
+    # three distinct centers on one line span no area
+    mesh_path, _ = strip_assets(tmp_path)
+    mat_path = str(tmp_path / "line.ma")
+    with open(mat_path, "w") as fh:
+        fh.write("v 0.2 0.2 0.2 0.1\nv 0.3 0.2 0.2 0.1\nv 0.4 0.2 0.2 0.1\n"
+                 "f 0 1 2\n")
+    assert main(["segment", "--mesh", mesh_path, "--structured", mat_path,
+                 "--mat", mat_path, "--out", str(tmp_path / "x")]) == 2
+    assert ("component 0 (sheet): its spheres coincide or are collinear "
+            "(zero extent)") in capsys.readouterr().err
+
+
 def test_segment_thin_slab_with_a_cancelling_determinant_exits_0(tmp_path):
     mesh_path, _ = strip_assets(tmp_path)
     mat_path = str(tmp_path / "thin.ma")

@@ -6,7 +6,9 @@ growing group items with linked_groups.  These properties check each
 against the union-finds, walks and set loops of tests/oracles.py on random
 complexes built from seams, bowties, edge-triangle vertices, isolated
 faces and closed loops.  The node table build_graph fills as arrays is
-checked against the per-node build there too.
+checked against the per-node build there too, and assign_base_nodes,
+which reads each component's nodes, against the lookup keyed by element
+tuples.
 """
 
 import copy
@@ -21,7 +23,13 @@ from test_mesh_io_properties import medial_meshes
 from segmat.growing import Region, _merge_leftovers
 from segmat.mat_graph import build_graph, linked_groups
 from segmat.mesh_io import MedialMesh
-from segmat.structure import Joint, JointKind, detect_joints, split_components
+from segmat.structure import (
+    Joint,
+    JointKind,
+    assign_base_nodes,
+    detect_joints,
+    split_components,
+)
 
 MOTIFS = ("seam", "bowtie", "tail", "face", "loop")
 
@@ -66,8 +74,8 @@ def complexes(draw):
 
 
 def exact(comps):
-    return [(c.kind, c.elements, c.extent.hex(), c.max_radius.hex())
-            for c in comps]
+    return [(c.kind, c.elements.tolist(), c.nodes.tolist(), c.extent.hex(),
+             c.max_radius.hex()) for c in comps]
 
 
 @given(complexes())
@@ -85,7 +93,7 @@ def first_element_order(smat, comps):
     """Sheets, then curves, each by the mesh position of its first element."""
     position = {el: k for k, el in enumerate(map(tuple, (
         smat.faces.tolist() + smat.edges[smat.standalone].tolist())))}
-    return sorted(comps, key=lambda c: position[c.elements[0]])
+    return sorted(comps, key=lambda c: position[tuple(c.elements[0].tolist())])
 
 
 @given(complexes(), st.integers(1, 3))
@@ -98,9 +106,7 @@ def test_components_match_the_union_find(smat, stride):
     # first element.  Members, extents and radii are the same.
     assert exact(got) == exact(first_element_order(
         smat, oracles.split_components(smat, joints)))
-    assert got == first_element_order(smat, got)
-    for comp in got:
-        assert all(type(v) is int for el in comp.elements for v in el)
+    assert exact(got) == exact(first_element_order(smat, got))
 
 
 # Cut at the seam edge (0, 1) alone, faces (0, 1, 2), (0, 1, 4), (0, 2, 4)
@@ -113,16 +119,16 @@ ROOT_AFTER_FIRST = MedialMesh.build(
 
 def test_components_come_in_first_element_order():
     joints = [Joint(JointKind.SEAM_EDGE, (0, 1))]
-    got = [c.elements for c in split_components(ROOT_AFTER_FIRST, joints)]
-    assert got == [[(0, 1, 2), (0, 1, 4), (0, 2, 4), (0, 4, 5)], [(0, 1, 3)]]
+    got = [c.elements.tolist() for c in split_components(ROOT_AFTER_FIRST, joints)]
+    assert got == [[[0, 1, 2], [0, 1, 4], [0, 2, 4], [0, 4, 5]], [[0, 1, 3]]]
     old = oracles.split_components(ROOT_AFTER_FIRST, joints)
-    assert [c.elements for c in old] == got[::-1]
+    assert [c.elements.tolist() for c in old] == got[::-1]
 
 
 @given(complexes())
 def test_adjacency_matches_the_set_loop(smat):
     graph = build_graph(smat)
-    assert graph.adjacency == oracles.adjacency(graph)
+    assert graph.adjacency == oracles.adjacency(oracles.elements(graph))
     assert all(type(j) is int for row in graph.adjacency for j in row)
 
 
@@ -158,6 +164,7 @@ def test_leftover_attachments_match_the_walk(smat, data):
 
 @given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 11),
                                               st.integers(-3, 40))))
+@example(4, [(0, 0), (2, 1), (3, 0), (3, 1)])  # the group [0, 2, 3] has root 3
 def test_linked_groups_match_the_union_find(n, pairs):
     pairs = [(item, key) for item, key in pairs if item < n]
     keys = {}
@@ -165,7 +172,8 @@ def test_linked_groups_match_the_union_find(n, pairs):
         keys.setdefault(item, []).append(key)
     expected = oracles.union_find_groups(list(range(n)),
                                          lambda x: keys.get(x, []))
-    assert linked_groups(pairs, n) == expected
+    # the union-find lists groups by root, linked_groups by lowest item
+    assert linked_groups(pairs, n) == sorted(expected)
 
 
 def test_groups_are_ordered_by_lowest_item():
@@ -181,7 +189,7 @@ def test_incidence_rows_are_the_sorted_elements(smat):
     graph = build_graph(smat)
     rows = graph.incidence
     assert rows.shape == (len(graph), len(smat.spheres))
-    for i, element in enumerate(graph.elements):
+    for i, element in enumerate(oracles.elements(graph)):
         got = rows.indices[rows.indptr[i]:rows.indptr[i + 1]].tolist()
         assert got == sorted(element)
 
@@ -207,9 +215,55 @@ def test_node_table_matches_the_per_node_build(smat, factor):
     smat = scaled(smat, factor)
     graph = build_graph(smat)
     want = oracles.node_table(smat)
-    assert graph.elements == want.elements
-    assert all(type(v) is int for el in graph.elements for v in el)
+    assert len(graph) == len(want.elements)
     assert np.array_equal(graph.mean_radii, want.mean_radii)
     assert np.array_equal(graph.centroids, want.centroids)
     assert np.array_equal(graph.incidence.toarray(), want.incidence)
-    assert graph.adjacency == oracles.adjacency(want)
+    assert graph.adjacency == oracles.adjacency(want.elements)
+
+
+def relabelled(smat, order):
+    """smat with sphere order[j] moved to index j: the same sizes, mostly
+    other element rows."""
+    index = np.argsort(order)
+    return MedialMesh.build(smat.spheres[order], index[smat.edges],
+                            index[smat.faces])
+
+
+def padded(smat, nodes):
+    """smat with isolated edges on new spheres up to the given node count."""
+    extra = nodes - len(build_graph(smat))
+    n = len(smat.spheres)
+    return MedialMesh.build(
+        np.concatenate([smat.spheres, [(9.0, 9.0, float(k), 1.0)
+                                       for k in range(2 * extra)]]),
+        np.concatenate([smat.edges, n + np.arange(2 * extra).reshape(-1, 2)]),
+        smat.faces)
+
+
+def assigned(assign, smat, comps):
+    """component_id after assign on a fresh graph of smat, or its error."""
+    graph = build_graph(smat)
+    try:
+        assign(graph, comps)
+    except Exception as exc:  # the class is part of the outcome
+        return type(exc), str(exc)
+    return graph.component_id.tolist()
+
+
+@given(st.one_of(complexes(), medial_meshes()),
+       st.one_of(complexes(), medial_meshes()), st.data())
+def test_node_assignment_matches_the_dict_lookup(smat, other, data):
+    comps = split_components(smat, detect_joints(smat))
+    graph = build_graph(smat)
+    for comp in comps:
+        rows = graph.incidence[comp.nodes]
+        assert np.array_equal(rows.indices, comp.elements.ravel())
+        assert (np.diff(rows.indptr) == comp.elements.shape[1]).all()
+    order = np.array(data.draw(st.permutations(range(len(smat.spheres)))))
+    meshes = [smat, other, relabelled(smat, order)]
+    if len(build_graph(other)) < len(graph):
+        meshes.append(padded(other, len(graph)))
+    for mesh in meshes:
+        got = assigned(assign_base_nodes, mesh, comps)
+        assert got == assigned(oracles.assign_base_nodes, mesh, comps)

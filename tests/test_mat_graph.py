@@ -41,8 +41,7 @@ def test_triangle_plus_edge_two_nodes_one_adjacency():
     )
     g = build_graph(mm)
     assert len(g) == 2
-    assert len(g.elements[0]) == 3
-    assert len(g.elements[1]) == 2
+    assert np.diff(g.incidence.indptr).tolist() == [3, 2]
     assert g.adjacency == [[1], [0]]
 
 
@@ -93,8 +92,7 @@ def test_vertex_incidence_count_invariant():
         faces=[(0, 1, 2), (1, 2, 3)],
     )
     g = build_graph(mm)
-    incidences = sum(len(el) for el in g.elements)
-    assert incidences == 3 * len(mm.faces) + 2 * len(mm.standalone)
+    assert g.incidence.nnz == 3 * len(mm.faces) + 2 * len(mm.standalone)
 
 
 def test_coplanar_faces_sharing_an_edge_have_angle_pi():

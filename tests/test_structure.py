@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import faces_of, standalone_of
+from oracles import elements, faces_of, standalone_of
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh
 from segmat.structure import (
@@ -197,6 +198,8 @@ def test_seam_fan_splits_into_three_sheets():
     comps = split(three_fan())
     assert len(comps) == 3
     assert all(c.kind is ComponentKind.SHEET for c in comps)
+    # components hold arrays, so they compare by identity
+    assert comps[0] == comps[0] and comps[0] != comps[1]
 
 
 def test_thinness_of_curve_and_sheet():
@@ -241,9 +244,10 @@ def test_node_on_a_curve_segment_is_assigned_to_it():
     comps = split(mm)
     assign_base_nodes(g, comps)
     # node for edge (1,4) sits on the curve component
-    tail_node = g.elements.index((1, 4))
+    tail_node = elements(g).index((1, 4))
     assert g.component_id[tail_node] == 1
-    assert (1, 4) in comps[1].elements
+    assert [1, 4] in comps[1].elements.tolist()
+    assert tail_node in comps[1].nodes
 
 
 def test_foreign_graph_raises():
@@ -260,6 +264,18 @@ def test_foreign_graph_raises():
                    edges=[(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="no component"):
         assign_base_nodes(build_graph(other), comps)
+
+
+def test_components_whose_nodes_miss_their_elements_raise():
+    # hand-built components: each element is held, but at another node
+    mm = plate_with_tail()
+    comps = split(mm)
+    swapped = [replace(comps[0], nodes=comps[0].nodes[::-1]), comps[1]]
+    with pytest.raises(ValueError, match="nodes do not match their elements"):
+        assign_base_nodes(build_graph(mm), swapped)
+    outside = [replace(comps[0], nodes=comps[0].nodes + 10), comps[1]]
+    with pytest.raises(ValueError, match="node 10 is outside the graph's 4 nodes"):
+        assign_base_nodes(build_graph(mm), outside)
 
 
 def test_member_nodes_partition_all_nodes():
