@@ -45,12 +45,14 @@ def _norm(a):
     with np.errstate(over="ignore", under="ignore"):
         squares = _dot(a, a)
         n = np.sqrt(squares)
-        s = np.abs(a).max(axis=1, initial=0.0)
-        lost = (squares < np.finfo(float).tiny) | (squares == np.inf)
-        redo = np.flatnonzero(lost & (s > 0.0) & (s < np.inf))
-        if redo.size:
-            b = a[redo] / s[redo, None]
-            n[redo] = s[redo] * np.sqrt(_dot(b, b))
+        lost = np.flatnonzero((squares < np.finfo(float).tiny)
+                              | (squares == np.inf))
+        if lost.size:
+            s = np.abs(a[lost]).max(axis=1, initial=0.0)
+            keep = (s > 0.0) & (s < np.inf)
+            redo, s = lost[keep], s[keep, None]
+            b = a[redo] / s
+            n[redo] = s[:, 0] * np.sqrt(_dot(b, b))
     return n
 
 

@@ -12,7 +12,6 @@ of a kept region or merged into an adjacent one.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -42,13 +41,23 @@ class Region:
     component_id: int
 
 
+def _check_param(name: str, value: float) -> None:
+    """ValueError unless the growing parameter is finite and not negative."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    if value < 0.0:
+        raise ValueError(f"{name} must not be negative, got {value}")
+
+
 def cost_terms(g: MatGraph, alpha: float = 0.05):
     """Medial-axis and primitive cost terms of every pair in g.pair_index.
 
     ma = |r_i - r_j| / min(r_i, r_j) + alpha (pi - theta) / pi and
     mp = (angle+ + angle-) / (2 pi).  faults maps each pair without a cost
     to the error reading it raises: a zero radius, else a zero vector.
+    alpha must be finite and not negative.
     """
+    _check_param("alpha", alpha)
     bend, plus, minus = pair_angles(g)
     lo, hi = g.pair_index[0].T
     ri, rj = g.mean_radii[lo], g.mean_radii[hi]
@@ -84,8 +93,12 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     candidate sphere at that radius, plus a margin far above float rounding,
     finds every pair either test accepts.  The tests then run on those pairs
     only, with the arithmetic of a full scan, so the result equals it.
+    ValueError names a candidate that is not a node of g, or a region
+    without nodes.
     """
-    candidates = np.asarray(unclaimed, dtype=np.intp)
+    candidates = g.node_index(unclaimed)
+    if len(region.nodes) == 0:
+        raise ValueError(f"region {region.id} has no nodes")
     if candidates.size == 0:
         return region
     centers, radii = g.sphere_arrays(region.nodes)
@@ -136,19 +149,16 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     Every component_id must index comps (see assign_base_nodes); with
     comps empty, the ids only keep growth apart and every threshold is
     delta0.  costs overrides the growing cost with one value per pair of
-    g.pair_index; the default is the cheaper of the medial-axis term and
-    lam times the primitive term.  Point-based pipelines pass a cost of
-    their own while keeping the growth, swallowing and leftover rules.
+    g.pair_index, none of them NaN; the default is the cheaper of the
+    medial-axis term and lam times the primitive term.  Point-based
+    pipelines pass a cost of their own while keeping the growth, swallowing
+    and leftover rules.
     swallowing=False disables spike absorption, leaving unstable branches
     to fend for themselves (they usually surface as extra regions).
     """
     p = p or GrowingParams()
     for name in ("alpha", "lam", "delta0", "eta"):
-        value = getattr(p, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
-        if value < 0.0:
-            raise ValueError(f"{name} must not be negative, got {value}")
+        _check_param(name, getattr(p, name))
     n = len(g)
     comp_of = np.asarray(g.component_id)
     stray = np.flatnonzero((comp_of < 0) | (comp_of >= len(comps)))
@@ -160,36 +170,50 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     visited = np.zeros(n, dtype=bool)
     negligible = np.zeros(n, dtype=bool)
     faults = {}
+    pairs = g.pair_index
     if costs is None:
         ma, mp, faults = cost_terms(g, p.alpha)
         costs = np.where(p.lam * mp < ma, p.lam * mp, ma)
+    else:
+        costs = np.asarray(costs, dtype=float)
+        if costs.shape != (len(pairs[0]),):
+            raise ValueError(f"costs must hold one value per pair of "
+                             f"g.pair_index ({len(pairs[0])}), got shape "
+                             f"{costs.shape}")
+        nan = np.flatnonzero(np.isnan(costs))
+        if nan.size:
+            i, j = pairs[0][nan[0]].tolist()
+            raise ValueError(f"the cost of pair ({i}, {j}) is NaN")
     # adjacency entry k of node i is entry_cost[start[i] + its position]
-    entry_pair = g.pair_index[1]
-    entry_cost = np.asarray(costs, dtype=float)[entry_pair].tolist()
+    entry_pair = pairs[1]
+    entry_cost = costs[entry_pair].tolist()
     start = list(accumulate(map(len, g.adjacency), initial=0))
     at = np.flatnonzero(np.isin(entry_pair, list(faults))).tolist()
     entry_fault = {k: faults[int(entry_pair[k])] for k in at}
 
+    # the walk reads visits and components from lists; visited mirrors
+    # seen as an array for the seed search and swallowing's candidates
+    seen = [False] * n
+    comp_at = comp_of.tolist()
+    adjacency = g.adjacency
     regions: list[Region] = []
     failed: list[list[int]] = []
     while not visited.all():
         pending = np.flatnonzero(~visited)
         seed = int(pending[np.argmax(radii[pending])])
-        comp = int(comp_of[seed])
+        comp = comp_at[seed]
         delta = deltas[comp] if deltas else p.delta0
-        queue = deque([seed])
-        visited[seed] = True
-        nodes: list[int] = []
-        while queue:
-            i = queue.popleft()
-            nodes.append(i)
-            for k, j in enumerate(g.adjacency[i], start[i]):
-                if not visited[j] and comp_of[j] == comp:
+        seen[seed] = True
+        nodes = [seed]  # breadth first: the list is its own queue
+        for i in nodes:
+            for k, j in enumerate(adjacency[i], start[i]):
+                if not seen[j] and comp_at[j] == comp:
                     if k in entry_fault:
                         raise entry_fault[k]
                     if entry_cost[k] < delta:
-                        visited[j] = True
-                        queue.append(j)
+                        seen[j] = True
+                        nodes.append(j)
+        visited[nodes] = True
         if len(nodes) / n >= p.eta:
             region = Region(len(regions), nodes, seed, comp)
             if swallowing:
@@ -198,6 +222,8 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
                 absorbed = region.nodes[before:]
                 visited[absorbed] = True
                 negligible[absorbed] = False
+                for j in absorbed:
+                    seen[j] = True
             regions.append(region)
         else:
             negligible[nodes] = True

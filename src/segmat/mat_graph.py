@@ -99,11 +99,14 @@ def linked_groups(pairs, n_items: int) -> list[list[int]]:
         (np.ones(len(pairs), dtype=bool), (pairs[:, 0], n_items + key_ids)),
         shape=(size, size))
     _, label = connected_components(links, directed=False)
-    # first come, first listed: scipy's own label order plays no part
-    groups: dict[int, list[int]] = {}
-    for item, group in enumerate(label[:n_items].tolist()):
-        groups.setdefault(group, []).append(item)
-    return list(groups.values())
+    # first come, first listed: scipy's own label order plays no part.
+    # Each item sorts by its group's lowest item, stably, so the groups
+    # follow their lowest items and list their items in ascending order.
+    _, lowest, group = np.unique(label[:n_items], return_index=True,
+                                 return_inverse=True)
+    order = np.argsort(lowest[group], kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(group)[np.argsort(lowest)]).tolist()
+    return [order[s:e] for s, e in zip([0, *bounds], bounds)]
 
 
 def build_graph(mm: MedialMesh) -> MatGraph:
@@ -134,7 +137,9 @@ def build_graph(mm: MedialMesh) -> MatGraph:
     shared = graph.incidence @ graph.incidence.T
     shared.setdiag(False)
     shared.eliminate_zeros()
-    graph.adjacency = shared.tolil().rows.tolist()
+    shared.sort_indices()
+    cols, bounds = shared.indices.tolist(), shared.indptr.tolist()
+    graph.adjacency = [cols[s:e] for s, e in zip(bounds, bounds[1:])]
     return graph
 
 
@@ -161,10 +166,13 @@ def _plane_normals(xyz, tri):
     return _rows(_norm(m) == 0.0, spanned, _unit(m))
 
 
-def _face_bends(xyz, a, b):
-    """Bend of face pairs: the dihedral at a hinge, else the plane angle."""
-    on_b = (a[:, :, None] == b[:, None, :]).any(2)
-    on_a = (b[:, :, None] == a[:, None, :]).any(2)
+def _face_bends(xyz, faces, i, j):
+    """Bend of the face pairs (faces[i], faces[j]): the dihedral at a
+    hinge, else the angle of their center planes."""
+    a, b = faces[i], faces[j]
+    # on_b[k, m]: vertex m of a[k] is a vertex of b[k], and on_a the reverse
+    on_b = (a == b[:, :1]) | (a == b[:, 1:2]) | (a == b[:, 2:])
+    on_a = (b == a[:, :1]) | (b == a[:, 1:2]) | (b == a[:, 2:])
     hinged = np.flatnonzero(on_b.sum(1) == 2)
     ends = a[hinged][on_b[hinged]].reshape(-1, 2)
     base, hinge = xyz[ends[:, 0]], xyz[ends[:, 1]] - xyz[ends[:, 0]]
@@ -177,7 +185,9 @@ def _face_bends(xyz, a, b):
     # vertex contact or a degenerate hinge: coplanar planes give pi
     rest = np.ones(len(a), dtype=bool)
     rest[hinged[folded]] = False
-    t = _angle(_plane_normals(xyz, a[rest]), _plane_normals(xyz, b[rest]))
+    # a plane normal depends on its face alone: one per face, read per pair
+    planes = _plane_normals(xyz, faces)
+    t = _angle(planes[i[rest]], planes[j[rest]])
     bend[rest] = math.pi - np.where(math.pi - t < t, math.pi - t, t)
     return bend
 
@@ -256,7 +266,7 @@ def pair_angles(g: MatGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cc = np.flatnonzero(lo >= n_faces)
     ia, ib = lo[cc] - n_faces, hi[cc] - n_faces
     with np.errstate(all="ignore"):
-        bend[ff] = _face_bends(xyz, faces[lo[ff]], faces[hi[ff]])
+        bend[ff] = _face_bends(xyz, faces, lo[ff], hi[ff])
         plus[ff], minus[ff] = _slab_slab(normals[lo[ff]], normals[hi[ff]])
         plus[fc], minus[fc] = _slab_cone(normals[lo[fc]],
                                          axes[hi[fc] - n_faces],

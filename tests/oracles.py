@@ -23,7 +23,8 @@ region merge loop that walked every labeled node's adjacency row and kept
 parallel node, meta and histogram dicts, which the pair table and one
 region table replaced, the
 scalar sphere, cone and slab primitives whose per-node loop the row-wise
-slab and cone kernels replaced, and the
+slab and cone kernels replaced, the row norm that took every row's
+largest magnitude before it knew which rows need it, and the
 per-pair angles and growing costs that the pair table replaced, with the
 grow loop that computed and cached each cost on first read.  The
 package's results must equal them exactly (readers, grow and node
@@ -120,6 +121,22 @@ def norm(a) -> float:
         # the squares left the normal range: measure a / s instead
         b = (a[0] / s, a[1] / s, a[2] / s)
         n = s * math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+    return n
+
+
+def row_norms(a):
+    """geometry._norm as it was: the largest magnitude of every row is
+    taken, though only rows whose squares left the normal range use it."""
+    with np.errstate(over="ignore", under="ignore"):
+        squares = a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2]
+        n = np.sqrt(squares)
+        s = np.abs(a).max(axis=1, initial=0.0)
+        lost = (squares < np.finfo(float).tiny) | (squares == np.inf)
+        redo = np.flatnonzero(lost & (s > 0.0) & (s < np.inf))
+        if redo.size:
+            b = a[redo] / s[redo, None]
+            n[redo] = s[redo] * np.sqrt(b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1]
+                                        + b[:, 2] * b[:, 2])
     return n
 
 

@@ -380,3 +380,58 @@ def test_whole_float_and_empty_node_lists_are_indices():
     assert region_labels(g, [Region(4, [], 1, 0)]).tolist() == [-1, -1]
     for got, want in zip(g.sphere_arrays([]), g.sphere_arrays(np.zeros(0, np.intp))):
         assert got.shape == want.shape and got.shape[0] == 0
+
+
+@pytest.mark.parametrize("costs, shown", [
+    (np.zeros(9), r"\(9,\)"),         # one short
+    (np.zeros(11), r"\(11,\)"),       # one long: was silently cut short
+    (np.zeros((10, 1)), r"\(10, 1\)"),
+    (np.float64(0.0), r"\(\)"),
+])
+def test_costs_need_one_value_per_pair(costs, shown):
+    g, comps = prepared_graph(dumbbell())
+    assert len(g.pair_index[0]) == 10
+    with pytest.raises(ValueError, match=r"^costs must hold one value per pair "
+                       rf"of g.pair_index \(10\), got shape {shown}$"):
+        grow(g, comps, costs=costs)
+
+
+def test_a_nan_cost_is_rejected_by_its_pair():
+    # a NaN cost would otherwise compare as a cut
+    g, comps = prepared_graph(dumbbell())
+    costs = np.zeros(len(g.pair_index[0]))
+    costs[[3, 7]] = math.nan
+    with pytest.raises(ValueError, match=r"^the cost of pair \(3, 4\) is NaN$"):
+        grow(g, comps, costs=costs)
+
+
+@pytest.mark.parametrize("node, message", [
+    (-1, "node -1 is outside the graph's 3 nodes"),
+    (99, "node 99 is outside the graph's 3 nodes"),
+    (1.5, "node 1.5 is not a whole number"),
+])
+def test_swallow_rejects_a_candidate_that_is_not_a_node(node, message):
+    g = build_graph(cone_chain([0, 2, 4, 6], [1, 1, 1, 1]))
+    region = Region(0, [0], 0, 0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        swallow(g, region, [2, node])
+    assert region.nodes == [0]
+
+
+def test_swallow_rejects_a_region_without_nodes():
+    g = build_graph(cone_chain([0, 2, 4, 6], [1, 1, 1, 1]))
+    with pytest.raises(ValueError, match="^region 5 has no nodes$"):
+        swallow(g, Region(5, [], 0, 0), [1])
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (math.nan, "alpha must be a finite number, got nan"),
+    (math.inf, "alpha must be a finite number, got inf"),
+    (-0.5, "alpha must not be negative, got -0.5"),
+])
+def test_cost_terms_reject_alpha_as_grow_does(alpha, message):
+    g, comps = prepared_graph(dumbbell())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cost_terms(g, alpha)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        grow(g, comps, GrowingParams(alpha=alpha))

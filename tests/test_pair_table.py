@@ -12,7 +12,10 @@ fault exactly where the scalar code raises (with its message), and grow's
 regions, or its exception class and message, against the lazy loop that
 computed and cached each cost on first read.  Scaled copies push the
 geometry into underflow and overflow, where zero vectors and NaN cosines
-appear.
+appear.  Under all of them lies the row norm, which rescales only the rows
+whose squares leave the normal range; it must equal the norm that took
+every row's largest magnitude first, bit for bit, on rows that mix zeros,
+subnormals, huge and tiny values, infinities and NaN.
 """
 
 import math
@@ -27,7 +30,7 @@ from test_grouping import complexes
 from test_mesh_io_properties import medial_meshes
 
 from segmat.extensions import SkeletonCloud, _skeleton_pair_costs, _skeleton_graph
-from segmat.geometry import DegenerateGeometry, cone_axes, slab_normals
+from segmat.geometry import DegenerateGeometry, _norm, cone_axes, slab_normals
 from segmat.growing import GrowingParams, cost_terms, grow
 from segmat.mat_graph import _angle, build_graph, pair_angles
 from segmat.mesh_io import MedialMesh
@@ -85,6 +88,28 @@ def kernel_geometry(mm):
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+MAGNITUDES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-170, 1e-155,
+              1.0, 3.0, 1e154, 1e160, 1e308, math.inf, math.nan)
+entries = st.one_of(
+    st.sampled_from(MAGNITUDES).flatmap(lambda m: st.sampled_from([m, -m])),
+    st.floats())
+
+
+@given(st.lists(st.tuples(entries, entries, entries), max_size=12),
+       st.booleans())
+@example([(0.0, 0.0, 0.0), (5e-324, 0.0, -1e-310), (1e-170, 1e-170, 0.0),
+          (1e160, -1e160, 1.0), (1e308, 1e308, 1e308), (math.inf, 1.0, 0.0),
+          (math.nan, 1e-170, 0.0), (math.inf, math.nan, 0.0), (3.0, 4.0, 0.0)],
+         True)
+def test_norm_equals_the_eager_rescale_bit_for_bit(rows, strided):
+    a = np.array(rows, dtype=float).reshape(-1, 3)
+    if strided:  # the kernels measure column slices of wider arrays too
+        wide = np.zeros((len(a), 2, 3))
+        wide[:, 1] = a
+        a = wide[:, 1]
+    assert bits(_norm(a)) == bits(oracles.row_norms(a))
 
 
 def outcome(fn, *args):
