@@ -53,60 +53,49 @@ def _bool_from_text(text: str) -> bool:
     raise InputError(f"not a boolean: {text!r}")
 
 
-# name -> (flag, dest, parser, default); name doubles as the config-file key.
-_VALUE_OPTIONS = {
-    "alpha": ("--alpha", "alpha", float, GrowingParams().alpha),
-    "lambda": ("--lambda", "lam", float, GrowingParams().lam),
-    "delta0": ("--delta0", "delta0", float, GrowingParams().delta0),
-    "eta": ("--eta", "eta", float, GrowingParams().eta),
-    "omega": ("--omega", "omega", float, TransferParams().omega),
-    "max_iterations": ("--max-iterations", "max_iterations", int,
-                       TransferParams().max_iterations),
-    "merge_tau": ("--merge-tau", "merge_tau", float,
-                  PipelineConfig().merge_tau),
-    "target_error": ("--target-error", "target_error", float,
-                     SimplifyParams().target_error),
-    "k": ("--k", "k", int, 8),
-    "resolution": ("--resolution", "resolution", int, 64),
-    "samples": ("--samples", "samples", int, 10000),
-    "seed": ("--seed", "seed", int, 0),
+# name -> (type, default).  The name is the config-file key and the argparse
+# dest; the flag is --name with "_" written "-", and a boolean that is on
+# by default is switched off by --no-name.
+_OPTIONS = {
+    "alpha": (float, GrowingParams().alpha),
+    "lambda": (float, GrowingParams().lam),
+    "delta0": (float, GrowingParams().delta0),
+    "eta": (float, GrowingParams().eta),
+    "omega": (float, TransferParams().omega),
+    "max_iterations": (int, TransferParams().max_iterations),
+    "merge_tau": (float, PipelineConfig().merge_tau),
+    "target_error": (float, SimplifyParams().target_error),
+    "k": (int, 8),
+    "resolution": (int, 64),
+    "samples": (int, 10000),
+    "seed": (int, 0),
+    "swallowing": (bool, True),
+    "merging": (bool, True),
+    "graphcut": (bool, True),
+    "preserve_topology": (bool, True),
+    "average_error": (bool, False),
 }
-
-# name -> (flag, dest, value the flag sets, default); config accepts booleans.
-_FLAG_OPTIONS = {
-    "swallowing": ("--no-swallowing", "no_swallowing", False, True),
-    "merging": ("--no-merging", "no_merging", False, True),
-    "graphcut": ("--no-graphcut", "no_graphcut", False, True),
-    "preserve_topology": ("--no-preserve-topology", "no_preserve_topology",
-                          False, True),
-    "average_error": ("--average-error", "average_error", True, False),
-}
-
-_SEGMENT_KEYS = ("alpha", "lambda", "delta0", "eta", "omega",
-                 "max_iterations", "merge_tau", "target_error",
-                 "swallowing", "merging", "graphcut")
-_SIMPLIFY_KEYS = ("target_error", "preserve_topology", "average_error")
-_CLOUD_KEYS = ("alpha", "delta0", "eta", "k")
-_ABSTRACT_KEYS = ("resolution", "samples", "seed")
 
 
 def _add_param_options(parser: argparse.ArgumentParser, keys) -> None:
     parser.add_argument("--config", help="key=value parameter file "
                         "(default: $SEGMAT_CONFIG when set)")
     for key in keys:
-        if key in _VALUE_OPTIONS:
-            flag, dest, typ, _ = _VALUE_OPTIONS[key]
-            parser.add_argument(flag, dest=dest, type=typ, default=None)
+        typ, default = _OPTIONS[key]
+        name = key.replace("_", "-")
+        if typ is bool:
+            parser.add_argument(f"--no-{name}" if default else f"--{name}",
+                                dest=key, action="store_const",
+                                const=not default)
         else:
-            flag, dest, _, _ = _FLAG_OPTIONS[key]
-            parser.add_argument(flag, dest=dest, action="store_true")
+            parser.add_argument(f"--{name}", dest=key, type=typ)
+    parser.set_defaults(keys=tuple(keys))
 
 
 def load_config(path: str) -> dict[str, str]:
     """Parse a key=value config file; unknown keys fail loud."""
     if not os.path.isfile(path):
         raise InputError(f"config file not found: {path}")
-    known = set(_VALUE_OPTIONS) | set(_FLAG_OPTIONS)
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -116,7 +105,7 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _OPTIONS:
                 raise InputError(f"{path}:{lineno}: unknown parameter {key!r}")
             out[key] = value
     return out
@@ -128,31 +117,20 @@ def resolve_params(args: argparse.Namespace, keys) -> dict[str, dict]:
     config = load_config(path) if path else {}
     resolved: dict[str, dict] = {}
     for key in keys:
-        if key in _VALUE_OPTIONS:
-            _, dest, typ, default = _VALUE_OPTIONS[key]
-            given = getattr(args, dest, None)
-            if given is not None:
-                value, source = typ(given), "cli"
-            elif key in config:
-                try:
-                    value = typ(config[key])
-                except ValueError as exc:
-                    raise InputError(f"config {key}: {exc}") from exc
-                source = "config"
-            else:
-                value, source = default, "default"
-            if not math.isfinite(value):
-                raise InputError(f"{key} must be a finite number, got {value}")
-            resolved[key] = {"value": value, "source": source}
-        else:
-            _, dest, flag_value, default = _FLAG_OPTIONS[key]
-            if getattr(args, dest, False):
-                resolved[key] = {"value": flag_value, "source": "cli"}
-            elif key in config:
-                resolved[key] = {"value": _bool_from_text(config[key]),
-                                 "source": "config"}
-            else:
-                resolved[key] = {"value": default, "source": "default"}
+        typ, value = _OPTIONS[key]
+        given, source = getattr(args, key, None), "default"
+        if given is not None:
+            value, source = given, "cli"
+        elif key in config and typ is bool:
+            value, source = _bool_from_text(config[key]), "config"
+        elif key in config:
+            try:
+                value, source = typ(config[key]), "config"
+            except ValueError as exc:
+                raise InputError(f"config {key}: {exc}") from exc
+        if not math.isfinite(value):
+            raise InputError(f"{key} must be a finite number, got {value}")
+        resolved[key] = {"value": value, "source": source}
     return resolved
 
 
@@ -242,7 +220,7 @@ def _segment_one(mesh_path, mat_path, structured_path, out_prefix,
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    params = resolve_params(args, _SEGMENT_KEYS)
+    params = resolve_params(args, args.keys)
     if args.batch:
         return _segment_batch(args, params)
     if not args.out:
@@ -296,7 +274,7 @@ def _segment_batch(args: argparse.Namespace, params: dict) -> int:
 
 
 def cmd_simplify(args: argparse.Namespace) -> int:
-    params = resolve_params(args, _SIMPLIFY_KEYS)
+    params = resolve_params(args, args.keys)
     values = _values(params)
     _require_file(args.mat, "--mat")
     for path in (args.out, args.report):
@@ -325,10 +303,6 @@ def cmd_simplify(args: argparse.Namespace) -> int:
             "outputs": {"mat": args.out},
         })
     return EXIT_OK
-
-
-_METRIC_KEYS = ("rand_index", "cut_discrepancy", "hamming",
-                "hamming_missing", "hamming_false_alarm", "gce", "lce")
 
 
 def _metric_row(pred: Segmentation, truth: Segmentation) -> dict[str, float]:
@@ -368,21 +342,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         truth = Segmentation.build(mesh, load_labels(path, mesh))
         rows.append(_metric_row(pred, truth))
     means = {key: sum(row[key] for row in rows) / len(rows)
-             for key in _METRIC_KEYS}
+             for key in rows[0]}
 
     if args.report == "csv":
         lines = ["metric,value,value_x1000"]
-        lines += [f"{key},{means[key]:.12g},{1000.0 * means[key]:.12g}"
-                  for key in _METRIC_KEYS]
+        lines += [f"{key},{mean:.12g},{1000.0 * mean:.12g}"
+                  for key, mean in means.items()]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({
             "command": "eval",
             "inputs": {"mesh": args.mesh, "pred": args.pred, "gt": paths},
             "ground_truths": len(paths),
-            "metrics": {key: {"value": means[key],
-                              "x1000": 1000.0 * means[key]}
-                        for key in _METRIC_KEYS},
+            "metrics": {key: {"value": mean, "x1000": 1000.0 * mean}
+                        for key, mean in means.items()},
             "per_ground_truth": [
                 {"gt": path, **row} for path, row in zip(paths, rows)],
         }, indent=2, sort_keys=True) + "\n"
@@ -395,7 +368,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_abstract(args: argparse.Namespace) -> int:
-    params = resolve_params(args, _ABSTRACT_KEYS)
+    params = resolve_params(args, args.keys)
     values = _values(params)
     _require_file(args.mesh, "--mesh")
     _require_file(args.labels, "--labels")
@@ -429,7 +402,7 @@ def cmd_abstract(args: argparse.Namespace) -> int:
 
 
 def cmd_cloud(args: argparse.Namespace) -> int:
-    params = resolve_params(args, _CLOUD_KEYS)
+    params = resolve_params(args, args.keys)
     values = _values(params)
     _require_file(args.skeleton, "--skeleton")
     skeleton = load_xyz(args.skeleton)
@@ -490,14 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="file of 'mesh mat out [structured]' lines")
     seg.add_argument("--jobs", type=int, default=1,
                      help="concurrent shapes in batch mode")
-    _add_param_options(seg, _SEGMENT_KEYS)
+    _add_param_options(seg, ("alpha", "lambda", "delta0", "eta", "omega",
+                             "max_iterations", "merge_tau", "target_error",
+                             "swallowing", "merging", "graphcut"))
     seg.set_defaults(func=cmd_segment)
 
     simp = sub.add_parser("simplify", help="simplify a medial mesh")
     simp.add_argument("--mat", required=True)
     simp.add_argument("--out", required=True)
     simp.add_argument("--report", help="optional JSON report path")
-    _add_param_options(simp, _SIMPLIFY_KEYS)
+    _add_param_options(simp, ("target_error", "preserve_topology",
+                              "average_error"))
     simp.set_defaults(func=cmd_simplify)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")
@@ -514,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--mesh", required=True)
     ab.add_argument("--labels", required=True)
     ab.add_argument("--out", required=True, help="JSON report path")
-    _add_param_options(ab, _ABSTRACT_KEYS)
+    _add_param_options(ab, ("resolution", "samples", "seed"))
     ab.set_defaults(func=cmd_abstract)
 
     cl = sub.add_parser("cloud",
@@ -524,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--out", required=True, help="output prefix")
     cl.add_argument("--assign-cloud", action="store_true",
                     help="also label the raw cloud by nearest skeleton point")
-    _add_param_options(cl, _CLOUD_KEYS)
+    _add_param_options(cl, ("alpha", "delta0", "eta", "k"))
     cl.set_defaults(func=cmd_cloud)
     return top
 

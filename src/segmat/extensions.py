@@ -77,6 +77,8 @@ def mobb(points) -> OrientedBox:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise EmptyInput("no points to bound")
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point coordinate")
     best = _box_from_axes(pts, np.eye(3))
     if len(pts) == 1:
         return best
@@ -371,6 +373,7 @@ def abstraction_error(
     pose-free) so the score does not depend on the shape's orientation.  An
     empty box set scores IoU 0 with infinite chamfer.
     """
+    mesh.validate()
     resolution = _integer("resolution", resolution, least=1)
     samples = _integer("samples", samples, least=1)
     seed = _integer("seed", seed)

@@ -620,9 +620,22 @@ def save_medial_mesh(mm: MedialMesh, path) -> None:
            ("f %d %d %d\n", mm.faces))
 
 
+def whole_labels(labels) -> np.ndarray:
+    """labels as an int array.  A label that no int equals (a fraction, NaN,
+    an infinity, a number beyond int64) raises a ValueError that names it
+    instead of being truncated."""
+    lab = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        ints = lab.astype(int)
+    bad = ints != lab
+    if bad.any():
+        raise ValueError(f"label {lab[bad][0].item()!r} is not a whole number")
+    return ints
+
+
 def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
     """Write per-face labels, one integer per line (LF endings)."""
-    lab = mesh.labels if labels is None else np.asarray(labels, dtype=int).reshape(-1)
+    lab = mesh.labels if labels is None else whole_labels(labels).reshape(-1)
     if lab is None:
         raise LengthMismatch("mesh has no labels to save")
     if len(lab) != len(mesh.faces):
@@ -678,7 +691,7 @@ def save_point_labels(path, labels) -> None:
 
 def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
     """Write an ASCII PLY with per-face palette colors for the labels."""
-    lab = np.asarray(labels, dtype=int).reshape(-1)
+    lab = whole_labels(labels).reshape(-1)
     if len(lab) != len(mesh.faces):
         raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
     _write(path, "ply\nformat ascii 1.0\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .mesh_io import SurfaceMesh
+from .mesh_io import SurfaceMesh, whole_labels
 
 
 @dataclass
@@ -27,7 +27,8 @@ class Segmentation:
 
     @classmethod
     def build(cls, mesh: SurfaceMesh, labels) -> "Segmentation":
-        labels = np.asarray(labels, dtype=int)
+        mesh.validate()
+        labels = whole_labels(labels)
         if labels.shape != (len(mesh.faces),):
             raise ValueError("one label per face required")
         if labels.size == 0:

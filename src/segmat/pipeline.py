@@ -128,6 +128,7 @@ def boundary_length(mesh: SurfaceMesh, labels) -> float:
     Summed over adjacent face pairs, so a non-manifold edge contributes once
     per crossing pair.
     """
+    mesh.validate()
     labels = np.asarray(labels)
     if labels.shape != (len(mesh.faces),):
         raise ValueError(f"{len(mesh.faces)} faces need as many labels, got "

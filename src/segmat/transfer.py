@@ -32,7 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .geometry import _sphere_gaps
-from .mesh_io import SurfaceMesh
+from .mesh_io import SurfaceMesh, whole_labels
 
 
 class NoSegments(ValueError):
@@ -156,15 +156,28 @@ def _energy(labels, costs, pairs, boundary, omega) -> float:
     return total
 
 
+def _check_omega(omega) -> None:
+    if not 0.0 <= omega < float("inf"):
+        raise ValueError("omega must be a finite non-negative number")
+
+
+def _check_costs_finite(costs) -> None:
+    if not np.isfinite(costs).all():
+        raise ValueError("costs must be finite")
+
+
 def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
     """Total labeling energy: data costs plus omega-weighted boundary costs."""
-    labels = np.asarray(labels, dtype=int)
+    mesh.validate()
+    _check_omega(omega)
+    labels = whole_labels(labels)
     costs = np.asarray(costs, dtype=float)
     faces = len(mesh.faces)
     if costs.ndim != 2 or len(costs) != faces or labels.shape != (faces,):
         raise ValueError(f"{faces} faces need {faces} labels and a ({faces}, k)"
                          f" cost table, got labels of shape {labels.shape} "
                          f"and costs of shape {costs.shape}")
+    _check_costs_finite(costs)
     stray = labels[(labels < 0) | (labels >= costs.shape[1])]
     if stray.size:
         raise ValueError(f"label {stray[0]} has no cost column of "
@@ -253,9 +266,9 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     the energy is non-increasing move by move.  Stops after a full cycle
     without improvement or after max_iterations cycles.
     """
+    mesh.validate()
     p = params if params is not None else TransferParams()
-    if not 0.0 <= p.omega < float("inf"):
-        raise ValueError("omega must be a finite non-negative number")
+    _check_omega(p.omega)
     try:
         iterations = operator.index(p.max_iterations)
     except TypeError:
@@ -272,8 +285,7 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
         raise NoSegments("no segments to transfer labels from")
     if num_faces != len(mesh.faces):
         raise ValueError("cost table does not match the face count")
-    if not np.isfinite(costs).all():
-        raise ValueError("costs must be finite")
+    _check_costs_finite(costs)
     labels = np.argmin(costs, axis=1)
     pairs, _ = mesh.dual_edges()
     boundary = _boundary_costs(mesh)
@@ -306,6 +318,7 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
     centers lie within best + max(r) of the face centroid can reach the
     minimum, and the result equals the full faces x spheres scan exactly.
     """
+    mesh.validate()
     if len(regions) == 0:
         raise NoSegments("no regions to transfer labels from")
     centroids = mesh.face_centroids()
