@@ -11,7 +11,6 @@ structure; bending comes from PCA line directions instead.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from scipy.spatial.distance import pdist
 
 from .growing import GrowingParams, grow, region_labels
 from .mat_graph import EmptyInput, MatGraph, linked_groups
-from .mesh_io import MedialMesh, SurfaceMesh
+from .mesh_io import MedialMesh, SurfaceMesh, integer
 
 
 @dataclass
@@ -35,9 +34,6 @@ class OrientedBox:
     @property
     def volume(self) -> float:
         return float(8.0 * np.prod(self.half_extents))
-
-    def diagonal(self) -> float:
-        return float(2.0 * np.linalg.norm(self.half_extents))
 
     def corners(self) -> np.ndarray:
         signs = np.array(
@@ -73,40 +69,33 @@ def mobb(points) -> OrientedBox:
     Candidates: the axis-aligned box, the principal-axes box, and
     one-degree rotation sweeps about each candidate axis.  The first
     candidate wins ties, so axis-aligned inputs get axis-aligned boxes.
+    Points so far apart that a spread or a volume overflows raise ValueError.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise EmptyInput("no points to bound")
     if not np.isfinite(pts).all():
         raise ValueError("non-finite point coordinate")
-    best = _box_from_axes(pts, np.eye(3))
-    if len(pts) == 1:
-        return best
-    centered = pts - pts.mean(axis=0)
-    _, vectors = np.linalg.eigh(centered.T @ centered)
-    bases = [np.eye(3), vectors.T[::-1].copy()]
-    for base in bases:
-        for axis_index in range(3):
-            axis = base[axis_index]
-            for degree in range(90):
-                rot = _rotation_about(axis, math.radians(degree))
-                candidate = _box_from_axes(pts, base @ rot.T)
-                if candidate.volume < best.volume:
-                    best = candidate
+    with np.errstate(over="raise"):
+        try:
+            best = _box_from_axes(pts, np.eye(3))
+            if len(pts) == 1:
+                return best
+            centered = pts - pts.mean(axis=0)
+            _, vectors = np.linalg.eigh(centered.T @ centered)
+            for base in [np.eye(3), vectors.T[::-1].copy()]:
+                for axis in base:
+                    for degree in range(90):
+                        rot = _rotation_about(axis, math.radians(degree))
+                        candidate = _box_from_axes(pts, base @ rot.T)
+                        if candidate.volume < best.volume:
+                            best = candidate
+        except FloatingPointError:
+            raise ValueError("point spread overflows the box search") from None
     return best
 
 
 # --- skeleton segmentation --------------------------------------------------
-
-
-def _integer(name: str, value, least: int | None = None) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return value
 
 
 @dataclass
@@ -124,7 +113,7 @@ class SkeletonCloud:
         rad = np.asarray(radii, dtype=float).reshape(-1)
         if len(pts) == 0:
             raise EmptyInput("no skeleton points")
-        k = _integer("k", k, least=1)
+        k = integer(k, "k", least=1)
         if rad.shape != (len(pts),):
             raise ValueError("one radius per point required")
         if not np.isfinite(rad).all():
@@ -374,9 +363,9 @@ def abstraction_error(
     empty box set scores IoU 0 with infinite chamfer.
     """
     mesh.validate()
-    resolution = _integer("resolution", resolution, least=1)
-    samples = _integer("samples", samples, least=1)
-    seed = _integer("seed", seed)
+    resolution = integer(resolution, "resolution", least=1)
+    samples = integer(samples, "samples", least=1)
+    seed = integer(seed, "seed")
     boxes = list(boxes)
     corners = [mesh.vertices] + [box.corners() for box in boxes]
     everything = np.vstack(corners)

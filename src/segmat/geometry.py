@@ -9,6 +9,8 @@ measures points against a set of spheres.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -158,6 +160,13 @@ def cone_axes(centers, radii):
             np.where(capped, np.where(r1 != r2, 1.0, 0.0), slants))
 
 
+def ball_pairs(tree: cKDTree, points, reach) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, items): every point row and tree item within reach[row] of it."""
+    balls = tree.query_ball_point(points, reach)
+    rows = np.repeat(np.arange(len(balls)), list(map(len, balls)))
+    return rows, np.fromiter(chain.from_iterable(balls), np.intp, len(rows))
+
+
 def _sphere_gaps(points, centers, radii):
     """Lowest gap |p - c_j| - r_j from every point to a set of spheres.
 
@@ -215,12 +224,8 @@ def _sphere_gaps(points, centers, radii):
     open_rows = np.flatnonzero(~(best < dist[:, -1] - r_max - margin))
     if open_rows.size == 0:
         return best
-    balls = tree.query_ball_point(points[open_rows],
-                                  best[open_rows] + r_max + margin)
-    counts = np.fromiter((len(b) for b in balls), dtype=np.intp,
-                         count=len(balls))
-    rows = np.repeat(open_rows, counts)
-    items = np.fromiter((j for b in balls for j in b), dtype=np.intp,
-                        count=len(rows))
+    rows, items = ball_pairs(tree, points[open_rows],
+                             best[open_rows] + r_max + margin)
+    rows = open_rows[rows]
     np.minimum.at(best, rows, gaps(rows, items))
     return best

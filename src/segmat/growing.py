@@ -18,8 +18,9 @@ from itertools import accumulate, chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import DegenerateGeometry
+from .geometry import DegenerateGeometry, ball_pairs
 from .mat_graph import MatGraph, linked_groups, pair_angles
+from .mesh_io import weight
 from .structure import ComponentKind, DegenerateInput, StructuralComponent, thinness
 
 SIGMA_KNEE = 3.0  # log-thinness below this leaves delta0 alone
@@ -41,14 +42,6 @@ class Region:
     component_id: int
 
 
-def _check_param(name: str, value: float) -> None:
-    """ValueError unless the growing parameter is finite and not negative."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value}")
-    if value < 0.0:
-        raise ValueError(f"{name} must not be negative, got {value}")
-
-
 def cost_terms(g: MatGraph, alpha: float = 0.05):
     """Medial-axis and primitive cost terms of every pair in g.pair_index.
 
@@ -57,7 +50,7 @@ def cost_terms(g: MatGraph, alpha: float = 0.05):
     to the error reading it raises: a zero radius, else a zero vector.
     alpha must be finite and not negative.
     """
-    _check_param("alpha", alpha)
+    weight(alpha, "alpha")
     bend, plus, minus = pair_angles(g)
     lo, hi = g.pair_index[0].T
     ri, rj = g.mean_radii[lo], g.mean_radii[hi]
@@ -110,11 +103,7 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     r_max = float(radii.max())
     margin = 1e-9 * (float(np.abs(c).max()) + float(np.abs(centers).max())
                      + abs(r_max) + float(np.abs(r).max()))
-    balls = cKDTree(centers).query_ball_point(c, np.abs(r) + r_max + margin)
-    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-    rows = np.repeat(np.arange(len(c)), counts)
-    items = np.fromiter(chain.from_iterable(balls), dtype=np.intp,
-                        count=len(rows))
+    rows, items = ball_pairs(cKDTree(centers), c, np.abs(r) + r_max + margin)
     d = np.linalg.norm(c[rows] - centers[items], axis=1)
     intersects = np.zeros(len(candidates), dtype=bool)
     intersects[owner[rows[d < r[rows] + radii[items]]]] = True
@@ -158,7 +147,7 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     """
     p = p or GrowingParams()
     for name in ("alpha", "lam", "delta0", "eta"):
-        _check_param(name, getattr(p, name))
+        weight(getattr(p, name), name)
     n = len(g)
     comp_of = np.asarray(g.component_id)
     stray = np.flatnonzero((comp_of < 0) | (comp_of >= len(comps)))
@@ -242,10 +231,7 @@ def region_labels(g: MatGraph, regions: list[Region]) -> np.ndarray:
     """Per-node region id; -1 for nodes no region claims."""
     labels = np.full(len(g), -1, dtype=int)
     for r in regions:
-        try:
-            labels[g.node_index(r.nodes)] = r.id
-        except ValueError as exc:  # a node outside the graph
-            raise ValueError(f"region {r.id}: {exc}") from None
+        labels[g.region_index(r)] = r.id
     return labels
 
 

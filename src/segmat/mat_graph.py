@@ -35,7 +35,7 @@ from .geometry import (
     cone_axes,
     slab_normals,
 )
-from .mesh_io import EmptyInput, MedialMesh
+from .mesh_io import EmptyInput, MedialMesh, whole_numbers
 
 @dataclass
 class MatGraph:
@@ -65,18 +65,20 @@ class MatGraph:
         return np.column_stack([keys // n, keys % n]), entry_pair
 
     def node_index(self, node_ids) -> np.ndarray:
-        """node_ids as an index array; ValueError names an id that is not a
-        whole number or is outside the graph."""
-        ids = np.asarray(node_ids)
-        if ids.dtype.kind not in "iu":
-            whole = ids == np.floor(ids) if ids.dtype.kind == "f" else np.zeros(ids.shape, bool)
-            if not whole.all():
-                raise ValueError(f"node {ids[~whole][0].item()!r} is not a whole number")
+        """node_ids as an index array; ValueError names an id outside the
+        graph or one whole_numbers rejects, a bool too: a mask is no id."""
+        ids = whole_numbers(node_ids, "node", bools=False)
         outside = ids[(ids < 0) | (ids >= len(self))]
         if outside.size:
-            raise ValueError(f"node {outside[0].item()} is outside the graph's "
-                             f"{len(self)} nodes")
-        return ids.astype(np.intp, copy=False)
+            raise ValueError(f"node {outside[0]} is outside the graph's {len(self)} nodes")
+        return ids
+
+    def region_index(self, region) -> np.ndarray:
+        """node_index of region.nodes; its ValueError names the region."""
+        try:
+            return self.node_index(region.nodes)
+        except ValueError as exc:
+            raise ValueError(f"region {region.id}: {exc}") from None
 
     def sphere_arrays(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (centers, radii) of the spheres touched by the nodes."""

@@ -102,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import EmptyInput, MedialMesh
+from .mesh_io import EmptyInput, MedialMesh, weight
 
 # Interpolation parameters tried when placing a merged sphere, and the
 # squared distance of each placement from sphere a and from sphere b per
@@ -303,9 +303,7 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     """
     mm.validate()
     params = params or SimplifyParams()
-    if not params.target_error >= 0.0:
-        raise ValueError(
-            f"target_error must not be negative, got {params.target_error}")
+    weight(params.target_error, "target_error", inf=True)
     # every side of a face is an edge, so no edges means no elements
     if len(mm.edges) == 0:
         raise EmptyInput("medial mesh has no elements")

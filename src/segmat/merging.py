@@ -18,6 +18,7 @@ import numpy as np
 
 from .growing import Region, region_labels
 from .mat_graph import MatGraph
+from .mesh_io import weight
 
 BIN_COUNT = 32
 
@@ -34,17 +35,14 @@ def radius_histogram(g: MatGraph, region: Region,
     """Normalized node-radius histogram over the shape's global range.
 
     ValueError for a region with no nodes or with a node that
-    :meth:`MatGraph.node_index` rejects.
+    :meth:`MatGraph.region_index` rejects.
     """
     radii = g.mean_radii
     if radius_range is None:
         lo, hi = float(radii.min()), float(radii.max())
     else:
         lo, hi = radius_range
-    try:
-        vals = radii[g.node_index(list(region.nodes))]
-    except ValueError as exc:
-        raise ValueError(f"region {region.id}: {exc}") from None
+    vals = radii[g.region_index(region)]
     if not len(vals):
         raise ValueError(f"region {region.id} has no nodes")
     bins = np.zeros(BIN_COUNT)
@@ -73,8 +71,7 @@ def merge_matching(g: MatGraph, regions: list[Region],
     The surviving region keeps the lower id; histograms are recomputed
     after every merge so chains of similar regions coalesce.
     """
-    if not tau >= 0.0:
-        raise ValueError(f"tau must not be negative, got {tau}")
+    weight(tau, "tau", inf=True)
     labels = region_labels(g, regions)  # checks every region's nodes
     if len(regions) <= 1:
         return list(regions)

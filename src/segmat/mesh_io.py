@@ -27,6 +27,8 @@ arrays and messages are the parser's either way.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -87,7 +89,7 @@ class SurfaceMesh:
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 3)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
+            self.labels = whole_numbers(self.labels).reshape(-1)
 
     def validate(self) -> None:
         """Array checks run once and are cached, as the derived arrays are;
@@ -620,27 +622,66 @@ def save_medial_mesh(mm: MedialMesh, path) -> None:
            ("f %d %d %d\n", mm.faces))
 
 
-def whole_labels(labels) -> np.ndarray:
-    """labels as an int array.  A label that no int equals (a fraction, NaN,
-    an infinity, a number beyond int64) raises a ValueError that names it
-    instead of being truncated."""
-    lab = np.asarray(labels)
-    with np.errstate(invalid="ignore"):
-        ints = lab.astype(int)
-    bad = ints != lab
+def _whole(x, bools: bool) -> bool:
+    """x is a real number that an int64 equals; a bool only with bools."""
+    if isinstance(x, (bool, np.bool_)):
+        return bools
+    return isinstance(x, numbers.Real) and -2**63 <= x < 2**63 and x == int(x)
+
+
+def whole_numbers(values, name: str = "label", bools: bool = True) -> np.ndarray:
+    """values (labels or node ids) as an int64 array of their shape.  A value
+    that no int64 equals (a fraction, NaN, None, a string, a complex number,
+    a bool where bools is False) raises a ValueError that names it."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind in "iu" or kind == "f" and arr is values or kind == "b" and bools:
+        with np.errstate(invalid="ignore"):
+            bad = arr.astype(np.int64, copy=False) != arr
+    else:  # each value as given: None, a str, or an int a float list would round
+        arr = np.asarray(values, dtype=object)
+        bad = np.array([not _whole(x, bools) for x in arr.flat], dtype=bool)
     if bad.any():
-        raise ValueError(f"label {lab[bad][0].item()!r} is not a whole number")
-    return ints
+        value = arr.ravel().tolist()[np.argmax(bad)]
+        raise ValueError(f"{name} {value!r} is not a whole number")
+    return arr.astype(np.int64, copy=False)
+
+
+def integer(value, name: str, least: int | None = None) -> int:
+    """value as an int (what operator.index takes), at least least."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        rule = "must not be negative" if least == 0 else f"must be at least {least}"
+        raise ValueError(f"{name} {rule}, got {number}")
+    return number
+
+
+def weight(value, name: str, inf: bool = False) -> None:
+    """ValueError unless value is a real number, finite (or, with inf, +inf)
+    and not negative; value is not converted, so its arithmetic is kept."""
+    if not isinstance(value, (numbers.Real, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if math.isnan(number) or not (inf or math.isfinite(number)):
+        raise ValueError(f"{name} must be a {'' if inf else 'finite '}number, got {value}")
+    if number < 0.0:
+        raise ValueError(f"{name} must not be negative, got {value}")
 
 
 def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
     """Write per-face labels, one integer per line (LF endings)."""
-    lab = mesh.labels if labels is None else whole_labels(labels).reshape(-1)
+    lab = mesh.labels if labels is None else whole_numbers(labels).reshape(-1)
     if lab is None:
         raise LengthMismatch("mesh has no labels to save")
     if len(lab) != len(mesh.faces):
         raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
-    save_point_labels(path, lab.tolist())
+    save_point_labels(path, lab)
 
 
 def load_labels(path, mesh: SurfaceMesh | None = None) -> np.ndarray:
@@ -683,15 +724,12 @@ def load_xyz(path) -> np.ndarray:
 
 def save_point_labels(path, labels) -> None:
     """Write per-point labels, one integer per line (LF endings)."""
-    values = map(int, labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while block := tuple(islice(values, _BLOCK)):
-            fh.write("%d\n" * len(block) % block)
+    _write(path, "", ("%d\n", whole_numbers(labels).reshape(-1, 1)))
 
 
 def save_colored_mesh(mesh: SurfaceMesh, labels, path) -> None:
     """Write an ASCII PLY with per-face palette colors for the labels."""
-    lab = whole_labels(labels).reshape(-1)
+    lab = whole_numbers(labels).reshape(-1)
     if len(lab) != len(mesh.faces):
         raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
     _write(path, "ply\nformat ascii 1.0\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .mesh_io import SurfaceMesh, whole_labels
+from .mesh_io import SurfaceMesh, whole_numbers
 
 
 @dataclass
@@ -28,7 +28,7 @@ class Segmentation:
     @classmethod
     def build(cls, mesh: SurfaceMesh, labels) -> "Segmentation":
         mesh.validate()
-        labels = whole_labels(labels)
+        labels = whole_numbers(labels).copy()
         if labels.shape != (len(mesh.faces),):
             raise ValueError("one label per face required")
         if labels.size == 0:

@@ -24,7 +24,6 @@ times its boundary.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .geometry import _sphere_gaps
-from .mesh_io import SurfaceMesh, whole_labels
+from .mesh_io import SurfaceMesh, integer, weight, whole_numbers
 
 
 class NoSegments(ValueError):
@@ -156,11 +155,6 @@ def _energy(labels, costs, pairs, boundary, omega) -> float:
     return total
 
 
-def _check_omega(omega) -> None:
-    if not 0.0 <= omega < float("inf"):
-        raise ValueError("omega must be a finite non-negative number")
-
-
 def _check_costs_finite(costs) -> None:
     if not np.isfinite(costs).all():
         raise ValueError("costs must be finite")
@@ -169,8 +163,8 @@ def _check_costs_finite(costs) -> None:
 def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
     """Total labeling energy: data costs plus omega-weighted boundary costs."""
     mesh.validate()
-    _check_omega(omega)
-    labels = whole_labels(labels)
+    weight(omega, "omega")
+    labels = whole_numbers(labels)
     costs = np.asarray(costs, dtype=float)
     faces = len(mesh.faces)
     if costs.ndim != 2 or len(costs) != faces or labels.shape != (faces,):
@@ -268,15 +262,8 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     """
     mesh.validate()
     p = params if params is not None else TransferParams()
-    _check_omega(p.omega)
-    try:
-        iterations = operator.index(p.max_iterations)
-    except TypeError:
-        raise ValueError("max_iterations must be an integer, got "
-                         f"{p.max_iterations!r}") from None
-    if iterations < 0:
-        raise ValueError(
-            f"max_iterations must not be negative, got {iterations}")
+    weight(p.omega, "omega")
+    iterations = integer(p.max_iterations, "max_iterations", least=0)
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2:
         raise ValueError("costs must be a (faces, segments) table")
@@ -327,10 +314,7 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
         diagonal = 1.0
     columns = []
     for region in regions:
-        try:
-            centers, radii = graph.sphere_arrays(region.nodes)
-        except ValueError as exc:  # a node outside the graph
-            raise ValueError(f"region {region.id}: {exc}") from None
+        centers, radii = graph.sphere_arrays(graph.region_index(region))
         if centers.shape[0] == 0:
             raise ValueError(f"region {region.id} has no spheres")
         best = _sphere_gaps(centroids, centers, radii)

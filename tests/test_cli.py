@@ -628,7 +628,7 @@ FLOAT_OPTIONS += [("simplify", "target_error")]
 FLOAT_OPTIONS += [("cloud", key) for key in ("alpha", "delta0", "eta")]
 
 NEGATIVE_OPTIONS = [("segment", key) for key in (
-    "alpha", "lambda", "delta0", "eta", "max_iterations", "merge_tau",
+    "alpha", "lambda", "delta0", "eta", "omega", "max_iterations", "merge_tau",
     "target_error")]
 NEGATIVE_OPTIONS += [("simplify", "target_error")]
 NEGATIVE_OPTIONS += [("cloud", key) for key in ("alpha", "delta0", "eta")]

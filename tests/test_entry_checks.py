@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from segmat.extensions import abstraction_error, mobb
-from segmat.growing import Region
+from segmat.growing import GrowingParams, Region, cost_terms, grow, region_labels, swallow
 from segmat.mat_graph import build_graph
-from segmat.mesh_io import MedialMesh, SurfaceMesh, save_colored_mesh, save_labels
+from segmat.mat_simplify import SimplifyParams, simplify
+from segmat.merging import merge_matching, radius_histogram
+from segmat.mesh_io import (
+    MedialMesh,
+    SurfaceMesh,
+    save_colored_mesh,
+    save_labels,
+    save_point_labels,
+)
 from segmat.metrics import Segmentation
 from segmat.pipeline import boundary_length
-from segmat.transfer import data_table, labeling_energy, optimize_labels
+from segmat.transfer import TransferParams, data_table, labeling_energy, optimize_labels
 
 TETRA_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                            [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -80,8 +88,8 @@ def test_fractional_label_is_rejected_not_truncated(tmp_path, reader, bad):
 
 @pytest.mark.parametrize("omega", [-1.0, float("nan"), float("inf")])
 def test_labeling_energy_rejects_a_bad_omega(omega):
-    with pytest.raises(ValueError,
-                       match="omega must be a finite non-negative number"):
+    with pytest.raises(ValueError, match="^omega must (be a finite number|"
+                                         "not be negative), got "):
         labeling_energy(tetra(), LABELS, COSTS, omega)
 
 
@@ -100,3 +108,77 @@ def test_mobb_rejects_non_finite_points_without_warnings(value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite point coordinate"):
             mobb(points)
+
+
+def chain_mat():
+    return MedialMesh.build([(0.2 * i, 0.2, 0.2, 0.1) for i in range(3)],
+                            [(0, 1), (1, 2)], [])
+
+
+# One row per entry point and bad argument; every call here escaped as a
+# TypeError, AttributeError, OverflowError or ComplexWarning before the
+# arguments were read by the three mesh_io readers.
+BAD_ARGUMENTS = {
+    "grow alpha 'x'": lambda tmp: grow(chain_graph(), [], GrowingParams(alpha="x")),
+    "grow lam None": lambda tmp: grow(chain_graph(), [], GrowingParams(lam=None)),
+    "grow eta 1j": lambda tmp: grow(chain_graph(), [], GrowingParams(eta=1j)),
+    "cost_terms alpha 1j": lambda tmp: cost_terms(chain_graph(), 1j),
+    "merge_matching tau None": lambda tmp: merge_matching(
+        chain_graph(), [Region(0, [0], 0, 0), Region(1, [1], 1, 0)], None),
+    "merge_matching tau '0.1'": lambda tmp: merge_matching(
+        chain_graph(), [Region(0, [0], 0, 0)], "0.1"),
+    "simplify target_error None": lambda tmp: simplify(
+        chain_mat(), SimplifyParams(target_error=None)),
+    "simplify target_error 1j": lambda tmp: simplify(
+        chain_mat(), SimplifyParams(target_error=1j)),
+    "optimize_labels omega 'x'": lambda tmp: optimize_labels(
+        tetra(), COSTS, TransferParams(omega="x")),
+    "labeling_energy omega 1j": lambda tmp: labeling_energy(
+        tetra(), LABELS, COSTS, omega=1j),
+    "labeling_energy label None": lambda tmp: labeling_energy(
+        tetra(), [0, 0, 1, None], COSTS, 0.5),
+    "region_labels node None": lambda tmp: region_labels(
+        chain_graph(), [Region(0, [None], 0, 0)]),
+    "radius_histogram node None": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0, None], 0, 0)),
+    "data_table node None": lambda tmp: data_table(
+        tetra(), chain_graph(), [Region(0, [None], 0, 0)]),
+    "swallow node None": lambda tmp: swallow(
+        chain_graph(), Region(0, [0], 0, 0), [None]),
+    "node_index 2**70": lambda tmp: chain_graph().node_index([0, 2**70]),
+    "node_index object 1.5": lambda tmp: chain_graph().node_index(
+        np.array([1.5], dtype=object)),
+    "sphere_arrays node None": lambda tmp: chain_graph().sphere_arrays([0, None]),
+    "Segmentation.build None": lambda tmp: Segmentation.build(tetra(), [None] * 4),
+    "Segmentation.build 1+0j": lambda tmp: Segmentation.build(tetra(), [1 + 0j] * 4),
+    "save_labels 2**70": lambda tmp: save_labels(
+        tetra(), tmp / "out.labels.txt", [0, 2**70, 1, 1]),
+    "save_colored_mesh 1j": lambda tmp: save_colored_mesh(
+        tetra(), [0, 0, 1, 1j], tmp / "out.ply"),
+    "SurfaceMesh labels 1.9": lambda tmp: SurfaceMesh(
+        TETRA_VERTICES, TETRA_FACES, labels=[1.9, 0, 1, 1]),
+    "SurfaceMesh labels None": lambda tmp: SurfaceMesh(
+        TETRA_VERTICES, TETRA_FACES, labels=[None] * 4),
+    "save_point_labels 1.9": lambda tmp: save_point_labels(
+        tmp / "out.txt", [1.9, -0.5]),
+    "save_point_labels None": lambda tmp: save_point_labels(tmp / "out.txt", [None]),
+    "mobb 1e200": lambda tmp: mobb([[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("row", list(BAD_ARGUMENTS))
+def test_a_bad_argument_raises_only_value_error(tmp_path, row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            BAD_ARGUMENTS[row](tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_whole_numbers_in_an_object_array_are_node_ids():
+    # an object array of Python ints is read as labels always were
+    g = chain_graph()
+    assert g.node_index(np.array([1, 0.0], dtype=object)).tolist() == [1, 0]
+    assert g.node_index([0, 2**0]).dtype == np.int64
+    with pytest.raises(ValueError, match="^node True is not a whole number$"):
+        g.node_index(np.array([True, False]))
