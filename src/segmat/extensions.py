@@ -20,7 +20,7 @@ from scipy.spatial.distance import pdist
 
 from .growing import GrowingParams, grow, region_labels
 from .mat_graph import EmptyInput, MatGraph, linked_groups
-from .mesh_io import MedialMesh, SurfaceMesh, integer
+from .mesh_io import MedialMesh, SurfaceMesh, integer, whole_numbers
 
 
 @dataclass
@@ -201,7 +201,7 @@ def segment_skeleton(sc: SkeletonCloud, p: GrowingParams | None = None) -> np.nd
 
 def assign_cloud(sc: SkeletonCloud, labels, cloud_points) -> np.ndarray:
     """Carry skeleton labels to raw cloud points by nearest skeleton point."""
-    labels = np.asarray(labels)
+    labels = whole_numbers(labels).reshape(-1)
     if len(labels) != len(sc.points):
         raise ValueError(f"{len(sc.points)} skeleton points need as many "
                          f"labels, got {len(labels)}")

@@ -64,12 +64,31 @@ these changed vertices (a, b and the count-moved ones) and re-scores the
 edges at them; every other edge keeps its live entry, whose
 (total, a, b, fresh, t) is bit for bit what re-scoring it would push.
 
-Stale entries are shed in bulk: when the queue has grown past twice its
-size after the last rebuild, every entry with a bumped version is dropped
-and the rest are heapified.  The live pops keep their order.  Each edge
+Stale entries are shed in bulk: once more entries have been pushed since
+the last rebuild than that rebuild kept, every entry with a bumped
+version is dropped and the rest are heapified.  A push after a collapse
+re-scores an edge whose earlier entry, if it had one, has just gone
+stale, so the pushes track the stale entries; the queue's length does
+not, as in the default mode the pops shrink it about as fast as the
+pushes grow it.  The live pops keep their order.  Each edge
 has at most one live entry, so the live keys (total, a, b) are distinct,
 and a heap pops its live entries in key order whatever stale entries lie
 among them; dropping stale ones only saves their pops.
+
+In the default mode an entry whose total exceeds the bound is never
+queued, and the loop ends when the queue runs dry; most scored edges cost
+more than a tight bound, so the queue stays small.  The collapses are the
+same as those of a queue that keeps every entry and stops at the first
+live pop above the bound.  Live entries pop in key order whatever else
+the queue holds, and a live entry's total does not change while it stays
+live (a collapse that changes an end's accumulated error bumps its
+version).  When the full queue's first live pop above the bound comes, no
+live entry at or under the bound is left, and the bounded queue holds
+exactly those live, under-bound entries, so it runs dry at that same
+collapse.  The average-error mode keeps every entry: its stop rule bounds
+the mean of the accepted totals and the next one, which is not a test of
+one entry's total alone, so an entry above the bound may still be
+accepted after cheaper ones have lowered the mean.
 
 An edge that fails the topology check leaves the queue until a collapse
 changes one of its ends.  Re-queueing it whenever a collapse touches an
@@ -96,13 +115,12 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import EmptyInput, MedialMesh, weight
+from .mesh_io import EmptyInput, MedialMesh, weight, whole_numbers
 
 # Interpolation parameters tried when placing a merged sphere, and the
 # squared distance of each placement from sphere a and from sphere b per
@@ -180,10 +198,12 @@ def _score(spheres: np.ndarray, count, a, b) -> tuple[list[float], list[float]]:
 
 def _check_edge(mm: MedialMesh, edge) -> tuple[int, int]:
     try:
-        a, b = map(operator.index, edge)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"an edge is two integral vertex indices, got {edge!r}") from None
+        ends = whole_numbers(edge, "vertex index", bools=False)
+    except ValueError as error:
+        raise ValueError(f"an edge is two integral vertex indices: {error}") from None
+    if ends.shape != (2,):
+        raise ValueError(f"an edge is two integral vertex indices, got {edge!r}")
+    a, b = ends.tolist()
     key = (a, b) if a < b else (b, a)
     if not (mm.edges == key).all(axis=1).any():
         raise ValueError(f"{edge} is not an edge of the medial mesh")
@@ -328,19 +348,25 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
             f"target_error {params.target_error} gives an error bound of "
             f"{bound}, whose square overflows")
 
-    def scored(a: list[int], b: list[int]):
-        """Queue entries for the edges (a[i], b[i]), one batch."""
+    def entries(a: list[int], b: list[int]) -> list[tuple]:
+        """Queue entries for the edges (a[i], b[i]), one batch; in the
+        default mode only those at or under the bound (module docstring)."""
         fresh, t = _score(spheres, count, a, b)
-        total = fresh if params.average_error else [
-            f + acc[u] + acc[w] for f, u, w in zip(fresh, a, b)]
-        return zip(total, a, b, [version[u] for u in a],
-                   [version[w] for w in b], fresh, t)
+        if params.average_error:
+            return list(zip(fresh, a, b, [version[u] for u in a],
+                            [version[w] for w in b], fresh, t))
+        batch = []
+        for f, u, w, t_f in zip(fresh, a, b, t):
+            total = f + acc[u] + acc[w]
+            if total <= bound_sq:
+                batch.append((total, u, w, version[u], version[w], f, t_f))
+        return batch
 
     with np.errstate(over="ignore"):
         # every edge is a face side or a standalone edge: each is a candidate
-        heap = list(scored(*mm.edges.T.tolist()))
+        heap = entries(*mm.edges.T.tolist())
         heapq.heapify(heap)
-        rebuilt = len(heap)
+        kept, pushed = len(heap), 0
         accepted_sq_sum = 0.0
         accepted = 0
         while heap:
@@ -348,10 +374,9 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
             # an edge change bumps both end versions, so a current pop is live
             if version[a] != va or version[b] != vb:
                 continue
-            if params.average_error:
-                if (accepted_sq_sum + total) / (accepted + 1) > bound_sq:
-                    break
-            elif total > bound_sq:
+            # an entry above the bound was never queued in the default mode
+            if (params.average_error
+                    and (accepted_sq_sum + total) / (accepted + 1) > bound_sq):
                 break
             if params.preserve_topology and _violates_topology(faces, edges, a, b):
                 # Leave versions alone: the edge re-enters the queue if a later
@@ -363,15 +388,16 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
             accepted += 1
             if trace is not None:
                 trace.append(((a, b), total, t))
-            again = _collapse(faces, edges, count, version, a, b)
-            for entry in scored(*again):
+            again = entries(*_collapse(faces, edges, count, version, a, b))
+            pushed += len(again)
+            for entry in again:
                 heapq.heappush(heap, entry)
-            if len(heap) > 2 * rebuilt:
+            if pushed > kept:
                 # Shed the stale entries (see the module docstring).
                 heap = [e for e in heap
                         if version[e[1]] == e[3] and version[e[2]] == e[4]]
                 heapq.heapify(heap)
-                rebuilt = len(heap)
+                kept, pushed = len(heap), 0
 
     faces = np.array(list(set().union(*faces)), dtype=np.intp).reshape(-1, 3)
     edges = np.array(list(set().union(*edges)), dtype=np.intp).reshape(-1, 2)

@@ -137,18 +137,24 @@ class SurfaceMesh:
         Returns (pairs, shared) where pairs is (k, 2) face indices with
         pairs[:, 0] < pairs[:, 1] and shared is (k, 2) vertex indices with
         shared[:, 0] <= shared[:, 1], rows sorted by pair, then by edge.  At
-        a non-manifold edge every face pair along it is adjacent.
+        a non-manifold edge every face pair along it is adjacent.  Face
+        indices must lie in range, as ``validate`` checks.
         """
         if "dual" not in self._cache:
-            # one row per face side, keyed by its sorted vertex pair; a sort
-            # by key groups the faces that share each edge
-            keys = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                           axis=1)
-            owner = np.repeat(np.arange(len(self.faces)), 3)
-            order = np.lexsort((keys[:, 1], keys[:, 0]))
-            keys, owner = keys[order], owner[order]
-            first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-            sizes = np.diff(np.r_[first, len(keys)])
+            # side s runs from corner s % 3 of face s // 3 to the next
+            # corner; its key lo * nv + hi orders sides by their sorted
+            # vertex pair, and a stable sort by key groups the faces that
+            # share each edge, each group in face order
+            nv = len(self.vertices)
+            after = self.faces[:, [1, 2, 0]]
+            key = np.minimum(self.faces, after)
+            key *= nv
+            key += np.maximum(self.faces, after)
+            key = key.ravel()
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            sizes = np.diff(np.r_[first, len(key)])
             rows_i, rows_j = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
             for size in np.unique(sizes[sizes > 1]):
                 i, j = np.triu_indices(size, k=1)
@@ -156,11 +162,11 @@ class SurfaceMesh:
                 rows_i.append((start + i).ravel())
                 rows_j.append((start + j).ravel())
             rows_i, rows_j = np.concatenate(rows_i), np.concatenate(rows_j)
-            a, b = owner[rows_i], owner[rows_j]
+            a, b = order[rows_i] // 3, order[rows_j] // 3
             pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-            shared = keys[rows_i]
-            order = np.lexsort((shared[:, 1], shared[:, 0],
-                                pairs[:, 1], pairs[:, 0]))
+            edge = key[rows_i]
+            shared = np.stack(np.divmod(edge, nv), axis=1)
+            order = np.lexsort((edge, pairs[:, 1], pairs[:, 0]))
             self._cache["dual"] = (pairs[order], shared[order])
         return self._cache["dual"]
 

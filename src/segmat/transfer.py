@@ -93,8 +93,10 @@ def _min_cut_side(num_nodes, source, sink, tails, heads, caps):
     reverse.data = np.round(scaled).astype(np.int32)
     result = maximum_flow(reverse, int(sink), int(source))
     # flow minus capacity is the residual negated: it has the same nonzero
-    # entries, and unlike the residual (up to 2**31) it stays inside int32
-    residual = (result.flow - reverse).T
+    # entries, and unlike the residual (up to 2**31) it stays inside int32.
+    # breadth_first_order works on a float64 csr: casting before the
+    # transpose saves it a cast of the csr it converts the csc to.
+    residual = (result.flow - reverse).astype(np.float64).T
     residual.eliminate_zeros()
     reached = breadth_first_order(
         residual, int(source), directed=True, return_predecessors=False

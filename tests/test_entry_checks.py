@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from segmat.extensions import abstraction_error, mobb
+from segmat.extensions import SkeletonCloud, abstraction_error, assign_cloud, mobb
 from segmat.growing import GrowingParams, Region, cost_terms, grow, region_labels, swallow
 from segmat.mat_graph import build_graph
-from segmat.mat_simplify import SimplifyParams, simplify
+from segmat.mat_simplify import SimplifyParams, collapse_cost, simplify
 from segmat.merging import merge_matching, radius_histogram
 from segmat.mesh_io import (
     MedialMesh,
@@ -115,9 +115,14 @@ def chain_mat():
                             [(0, 1), (1, 2)], [])
 
 
-# One row per entry point and bad argument; every call here escaped as a
-# TypeError, AttributeError, OverflowError or ComplexWarning before the
-# arguments were read by the three mesh_io readers.
+def skeleton():
+    return SkeletonCloud.build([(0.2 * i, 0.2, 0.2) for i in range(3)], [0.1] * 3)
+
+
+# One row per entry point and bad argument.  Before the arguments were read
+# by the three mesh_io readers, most of these calls escaped as a TypeError,
+# AttributeError, OverflowError or ComplexWarning, and assign_cloud handed
+# its bad labels back.
 BAD_ARGUMENTS = {
     "grow alpha 'x'": lambda tmp: grow(chain_graph(), [], GrowingParams(alpha="x")),
     "grow lam None": lambda tmp: grow(chain_graph(), [], GrowingParams(lam=None)),
@@ -163,6 +168,10 @@ BAD_ARGUMENTS = {
         tmp / "out.txt", [1.9, -0.5]),
     "save_point_labels None": lambda tmp: save_point_labels(tmp / "out.txt", [None]),
     "mobb 1e200": lambda tmp: mobb([[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]]),
+    "collapse_cost edge (0.5, 1)": lambda tmp: collapse_cost(chain_mat(), (0.5, 1)),
+    "collapse_cost non-edge (0, 2)": lambda tmp: collapse_cost(chain_mat(), (0, 2)),
+    "assign_cloud labels None 1.5 'x'": lambda tmp: assign_cloud(
+        skeleton(), [None, 1.5, "x"], [(0.0, 0.2, 0.2)]),
 }
 
 
@@ -182,3 +191,8 @@ def test_whole_numbers_in_an_object_array_are_node_ids():
     assert g.node_index([0, 2**0]).dtype == np.int64
     with pytest.raises(ValueError, match="^node True is not a whole number$"):
         g.node_index(np.array([True, False]))
+
+
+def test_an_edge_of_whole_floats_is_read_as_vertex_indices():
+    mm = chain_mat()
+    assert collapse_cost(mm, (0.0, 1.0)) == collapse_cost(mm, (0, 1))

@@ -344,6 +344,16 @@ def jittered(mm, seed, scale=1e-3):
     return MedialMesh.build(spheres, mm.edges, mm.faces)
 
 
+def paired_chain(pairs=8):
+    """A chain of sphere pairs 0.02 apart, the pairs 2 apart: at
+    target_error 0.005 only the pairs collapse."""
+    spheres = []
+    for k in range(pairs):
+        r = 0.4 + 0.05 * k
+        spheres += [(2.0 * k, 0.0, 0.0, r), (2.0 * k + 0.02, 0.0, 0.0, r)]
+    return MedialMesh.build(spheres, [(i, i + 1) for i in range(2 * pairs - 1)], [])
+
+
 def oracle_fixtures():
     rng = np.random.default_rng(17)
     radii = rng.uniform(0.3, 0.8, 10)
@@ -355,17 +365,20 @@ def oracle_fixtures():
     return [wobbly, jittered(strip(), 1), jittered(strip(n=12), 2),
             jittered(plate(), 3), jittered(plate(n=8, radius=2.0), 4),
             jittered(chain([0.3] * 40, spacing=0.1), 5),
-            jittered(two_chains(), 6)]
+            jittered(two_chains(), 6), jittered(paired_chain(), 8)]
 
 
 # At target_error 0.2 every fixture collapses; without topology
-# preservation the two chains shrink to one bare sphere.
+# preservation the two chains shrink to one bare sphere.  At 0.005 most
+# scored edges cost more than the bound, and only the paired chain
+# collapses.
 @pytest.mark.parametrize("params", [
     SimplifyParams(),
     SimplifyParams(target_error=0.2),
     SimplifyParams(target_error=0.2, preserve_topology=False),
     SimplifyParams(target_error=0.2, average_error=True),
-], ids=["default", "coarse", "no-topology", "average-error"])
+    SimplifyParams(target_error=0.005),
+], ids=["default", "coarse", "no-topology", "average-error", "tight"])
 def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
     fixtures = oracle_fixtures()
     got = []

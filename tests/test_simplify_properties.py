@@ -10,8 +10,9 @@ must give bitwise the costs and placements of the per-edge reference
 coincident spheres and where the squared lengths go subnormal or
 overflow; and a whole ``simplify`` run must not change when the
 reference scores its edges, nor when ``oracles.simplify`` re-scores every
-edge at every touched vertex after each collapse and never sheds stale
-entries.
+edge at every touched vertex after each collapse, never sheds stale
+entries and queues every scored edge, those above the error bound
+included.
 """
 
 import heapq
@@ -23,7 +24,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_simplify import counted_pairs, jittered, plate, score_edges
+from test_simplify import (
+    counted_pairs,
+    jittered,
+    paired_chain,
+    plate,
+    score_edges,
+    strip,
+)
 
 import oracles
 from segmat import mat_simplify
@@ -154,6 +162,7 @@ GATE_PARAMS = [
     SimplifyParams(target_error=0.2),
     SimplifyParams(target_error=0.2, preserve_topology=False),
     SimplifyParams(target_error=0.2, average_error=True),
+    SimplifyParams(target_error=0.005),
 ]
 
 
@@ -225,6 +234,46 @@ def test_a_plate_whose_queue_is_rebuilt_simplifies_as_the_oracle():
     assert len(trace) > 500
     assert trace == ref_trace
     assert_same_mesh(out, ref)
+
+
+def queued_entries(mm, params) -> list:
+    """Every entry simplify puts on its queue: the first queue, each push
+    and each rebuild after shedding."""
+    entries = []
+    heapify, heappush = heapq.heapify, heapq.heappush
+
+    def spy_heapify(heap):
+        entries.extend(heap)
+        heapify(heap)
+
+    def spy_heappush(heap, entry):
+        entries.append(entry)
+        heappush(heap, entry)
+
+    with mock.patch.object(heapq, "heapify", spy_heapify), \
+            mock.patch.object(heapq, "heappush", spy_heappush):
+        simplify(mm, params)
+    return entries
+
+
+@pytest.mark.parametrize("shape,target_error", [
+    (lambda: jittered(paired_chain(), 8), 0.005),
+    (lambda: jittered(strip(), 1), 0.03),
+    (lambda: jittered(plate(n=30), 9), 0.03),
+], ids=["paired-chain", "strip", "plate"])
+def test_the_default_queue_holds_no_entry_above_the_bound(shape, target_error):
+    """Without average_error an entry above the bound could only stop the
+    loop, so none is queued; the collapses stay the oracle's, whose queue
+    keeps every entry."""
+    mm = shape()
+    params = SimplifyParams(target_error=target_error)
+    bound_sq = (target_error * mm.diagonal()) ** 2
+    # some edges cost more than the bound before any collapse
+    assert max(score_edges(mm, mm.edges)[0]) > bound_sq
+    entries = queued_entries(mm, params)
+    assert entries
+    assert max(total for total, *_ in entries) <= bound_sq
+    simplified_as_the_oracle(mm, params)
 
 
 @pytest.mark.parametrize("k,rim", [(40, 3e153), (16, 4e153)])
