@@ -54,8 +54,8 @@ def _bool_from_text(text: str) -> bool:
 
 
 # name -> (type, default).  The name is the config-file key and the argparse
-# dest; the flag is --name with "_" written "-", and a boolean that is on
-# by default is switched off by --no-name.
+# dest; the flag is --name with "_" written "-", and a boolean, on by
+# default, is switched off by --no-name.
 _OPTIONS = {
     "alpha": (float, GrowingParams().alpha),
     "lambda": (float, GrowingParams().lam),
@@ -72,8 +72,6 @@ _OPTIONS = {
     "swallowing": (bool, True),
     "merging": (bool, True),
     "graphcut": (bool, True),
-    "preserve_topology": (bool, True),
-    "average_error": (bool, False),
 }
 
 
@@ -81,12 +79,11 @@ def _add_param_options(parser: argparse.ArgumentParser, keys) -> None:
     parser.add_argument("--config", help="key=value parameter file "
                         "(default: $SEGMAT_CONFIG when set)")
     for key in keys:
-        typ, default = _OPTIONS[key]
+        typ, _ = _OPTIONS[key]
         name = key.replace("_", "-")
         if typ is bool:
-            parser.add_argument(f"--no-{name}" if default else f"--{name}",
-                                dest=key, action="store_const",
-                                const=not default)
+            parser.add_argument(f"--no-{name}", dest=key,
+                                action="store_const", const=False)
         else:
             parser.add_argument(f"--{name}", dest=key, type=typ)
     parser.set_defaults(keys=tuple(keys))
@@ -282,10 +279,8 @@ def cmd_simplify(args: argparse.Namespace) -> int:
             _require_out_dir(path)
     mat = load_medial_mesh(args.mat)
     trace = []
-    out = simplify(mat, SimplifyParams(
-        target_error=values["target_error"],
-        preserve_topology=values["preserve_topology"],
-        average_error=values["average_error"]), trace)
+    out = simplify(mat, SimplifyParams(target_error=values["target_error"]),
+                   trace)
     save_medial_mesh(out, args.out)
     if args.report:
         _write_json(args.report, {
@@ -472,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--mat", required=True)
     simp.add_argument("--out", required=True)
     simp.add_argument("--report", help="optional JSON report path")
-    _add_param_options(simp, ("target_error", "preserve_topology",
-                              "average_error"))
+    _add_param_options(simp, ("target_error",))
     simp.set_defaults(func=cmd_simplify)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")

@@ -68,7 +68,13 @@ def cost_terms(g: MatGraph, alpha: float = 0.05):
 
 
 def adjusted_threshold(delta0: float, rho: float) -> float:
-    """Growing threshold scaled up for thin components; never below delta0."""
+    """Growing threshold scaled up for thin components; never below delta0.
+
+    delta0 must be finite and not negative, rho (the thinness) above 0."""
+    weight(delta0, "delta0")
+    weight(rho, "rho", inf=True)
+    if not rho > 0.0:
+        raise ValueError(f"rho must be above 0, got {rho!r}")
     x = math.log(rho)
     return delta0 * (x if x >= SIGMA_KNEE else 1.0)
 

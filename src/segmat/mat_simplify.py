@@ -69,26 +69,22 @@ the last rebuild than that rebuild kept, every entry with a bumped
 version is dropped and the rest are heapified.  A push after a collapse
 re-scores an edge whose earlier entry, if it had one, has just gone
 stale, so the pushes track the stale entries; the queue's length does
-not, as in the default mode the pops shrink it about as fast as the
-pushes grow it.  The live pops keep their order.  Each edge
-has at most one live entry, so the live keys (total, a, b) are distinct,
-and a heap pops its live entries in key order whatever stale entries lie
-among them; dropping stale ones only saves their pops.
+not, as the pops shrink it about as fast as the pushes grow it.  The
+live pops keep their order.  Each edge has at most one live entry, so
+the live keys (total, a, b) are distinct, and a heap pops its live
+entries in key order whatever stale entries lie among them; dropping
+stale ones only saves their pops.
 
-In the default mode an entry whose total exceeds the bound is never
-queued, and the loop ends when the queue runs dry; most scored edges cost
-more than a tight bound, so the queue stays small.  The collapses are the
-same as those of a queue that keeps every entry and stops at the first
-live pop above the bound.  Live entries pop in key order whatever else
-the queue holds, and a live entry's total does not change while it stays
-live (a collapse that changes an end's accumulated error bumps its
-version).  When the full queue's first live pop above the bound comes, no
-live entry at or under the bound is left, and the bounded queue holds
-exactly those live, under-bound entries, so it runs dry at that same
-collapse.  The average-error mode keeps every entry: its stop rule bounds
-the mean of the accepted totals and the next one, which is not a test of
-one entry's total alone, so an entry above the bound may still be
-accepted after cheaper ones have lowered the mean.
+An entry whose total exceeds the bound is never queued, and the loop
+ends when the queue runs dry; most scored edges cost more than a tight
+bound, so the queue stays small.  The collapses are the same as those of
+a queue that keeps every entry and stops at the first live pop above the
+bound.  Live entries pop in key order whatever else the queue holds, and
+a live entry's total does not change while it stays live (a collapse
+that changes an end's accumulated error bumps its version).  When the
+full queue's first live pop above the bound comes, no live entry at or
+under the bound is left, and the bounded queue holds exactly those live,
+under-bound entries, so it runs dry at that same collapse.
 
 An edge that fails the topology check leaves the queue until a collapse
 changes one of its ends.  Re-queueing it whenever a collapse touches an
@@ -105,6 +101,15 @@ had a face (a, b, u), and afterwards a face (a, u, w) covers its edge
 (a, u): u lost an element, a contradiction.  The lone-edge test rejects
 only when (u, w) is the only element at u and at w, and a collapse that
 changes neither end keeps it so.
+
+The topology check also keeps a face that a collapse moves to a from
+covering a standalone edge at a, so such an edge is never dropped.
+Collapsing b into a moves a face (b, u, w) to (a, u, w).  A standalone
+edge (a, u) beside it makes u a common neighbour of a and b, so the
+check needs u opposite (a, b): a face (a, b, u).  That face covers
+(a, u), so (a, u) could not be standalone.  The same holds for w.  The
+check never lets a component shrink to a bare vertex either, so some
+element is always left.
 
 The loop stops when the cheapest remaining collapse would exceed
 ``target_error`` times the bounding-box diagonal of the input.
@@ -137,16 +142,10 @@ _CLEAR = 1.0 + 2.0**-40
 
 @dataclass
 class SimplifyParams:
-    """target_error is a fraction of the input bounding-box diagonal.
-
-    With ``average_error`` the stop rule bounds the running mean collapse
-    error instead of each individual collapse (a looser accounting that
-    simplifies further); the default bounds every single collapse.
-    """
+    """target_error is a fraction of the input bounding-box diagonal; it
+    bounds every single collapse."""
 
     target_error: float = 0.03
-    preserve_topology: bool = True
-    average_error: bool = False
 
 
 def _counts(mm: MedialMesh) -> np.ndarray:
@@ -251,7 +250,6 @@ def _collapse(faces: list[set], edges: list[set], count: list[int],
     """
     near = {a}
     far = []  # far ends of the segments that the elements at b leave at a
-    sides = []  # far ends of the sides at a of the faces that a gains
     for f in faces[b]:
         near.update(f)
         x, y, z = f
@@ -266,7 +264,6 @@ def _collapse(faces: list[set], edges: list[set], count: list[int],
         if nf not in faces[a]:
             for v in nf:
                 faces[v].add(nf)
-            sides += (u, w)
     for e in edges[b]:
         u = e[0] if e[1] == b else e[1]
         near.add(u)
@@ -275,13 +272,8 @@ def _collapse(faces: list[set], edges: list[set], count: list[int],
             far.append(u)
     faces[b] = set()
     edges[b] = set()
-    # A new sheet attachment can make an explicit segment redundant, and a
-    # segment left at a is explicit only if no face at a covers it.
-    if edges[a]:
-        for u in sides:
-            e = (a, u) if a < u else (u, a)
-            edges[a].discard(e)
-            edges[u].discard(e)
+    # A segment left at a is explicit only if no face at a covers it; a
+    # face that a gains covers no standalone edge (module docstring).
     if far:
         covered = set().union(*faces[a])
         for u in far:
@@ -316,10 +308,9 @@ def _collapse(faces: list[set], edges: list[set], count: list[int],
 def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -> MedialMesh:
     """Collapse cheap edges until the error bound would be violated.
 
-    Returns a canonical medial mesh; with ``preserve_topology`` the number
-    of connected components is preserved and collapses that would merge
-    distinct boundary loops are rejected.  ``trace``, when given, receives
-    one ``(edge, cost, t)`` tuple per accepted collapse.
+    Returns a canonical medial mesh with as many connected components;
+    collapses that would pinch the complex are rejected.  ``trace``, when
+    given, receives one ``(edge, cost, t)`` tuple per accepted collapse.
     """
     mm.validate()
     params = params or SimplifyParams()
@@ -349,12 +340,9 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
             f"{bound}, whose square overflows")
 
     def entries(a: list[int], b: list[int]) -> list[tuple]:
-        """Queue entries for the edges (a[i], b[i]), one batch; in the
-        default mode only those at or under the bound (module docstring)."""
+        """Queue entries for the edges (a[i], b[i]) at or under the bound,
+        one batch (module docstring)."""
         fresh, t = _score(spheres, count, a, b)
-        if params.average_error:
-            return list(zip(fresh, a, b, [version[u] for u in a],
-                            [version[w] for w in b], fresh, t))
         batch = []
         for f, u, w, t_f in zip(fresh, a, b, t):
             total = f + acc[u] + acc[w]
@@ -367,25 +355,17 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
         heap = entries(*mm.edges.T.tolist())
         heapq.heapify(heap)
         kept, pushed = len(heap), 0
-        accepted_sq_sum = 0.0
-        accepted = 0
         while heap:
             total, a, b, va, vb, fresh, t = heapq.heappop(heap)
             # an edge change bumps both end versions, so a current pop is live
             if version[a] != va or version[b] != vb:
                 continue
-            # an entry above the bound was never queued in the default mode
-            if (params.average_error
-                    and (accepted_sq_sum + total) / (accepted + 1) > bound_sq):
-                break
-            if params.preserve_topology and _violates_topology(faces, edges, a, b):
+            if _violates_topology(faces, edges, a, b):
                 # Leave versions alone: the edge re-enters the queue if a later
                 # collapse changes one of its ends and may pass the check then.
                 continue
             spheres[a] = (1.0 - t) * spheres[a] + t * spheres[b]
             acc[a] = acc[a] + acc[b] + fresh
-            accepted_sq_sum += total
-            accepted += 1
             if trace is not None:
                 trace.append(((a, b), total, t))
             again = entries(*_collapse(faces, edges, count, version, a, b))
@@ -402,8 +382,5 @@ def simplify(mm: MedialMesh, params: SimplifyParams | None = None, trace=None) -
     faces = np.array(list(set().union(*faces)), dtype=np.intp).reshape(-1, 3)
     edges = np.array(list(set().union(*edges)), dtype=np.intp).reshape(-1, 2)
     used = np.union1d(faces, edges)
-    if not len(used):
-        # Fully collapsed (only possible without topology preservation).
-        used = np.argmax(spheres[:, 3], keepdims=True)
     return MedialMesh.build(spheres[used], np.searchsorted(used, edges),
                             np.searchsorted(used, faces))

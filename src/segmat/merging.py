@@ -12,6 +12,7 @@ under tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +43,8 @@ def radius_histogram(g: MatGraph, region: Region,
         lo, hi = float(radii.min()), float(radii.max())
     else:
         lo, hi = radius_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"radius_range must be finite, got {radius_range!r}")
     vals = radii[g.region_index(region)]
     if not len(vals):
         raise ValueError(f"region {region.id} has no nodes")

@@ -19,7 +19,7 @@ from .growing import GrowingParams, Region, grow, region_labels
 from .mat_graph import MatGraph, build_graph
 from .mat_simplify import SimplifyParams, simplify
 from .merging import merge_matching
-from .mesh_io import EmptyInput, MedialMesh, SurfaceMesh
+from .mesh_io import EmptyInput, MedialMesh, SurfaceMesh, whole_numbers
 from .structure import (
     Joint,
     StructuralComponent,
@@ -129,7 +129,7 @@ def boundary_length(mesh: SurfaceMesh, labels) -> float:
     per crossing pair.
     """
     mesh.validate()
-    labels = np.asarray(labels)
+    labels = whole_numbers(labels)
     if labels.shape != (len(mesh.faces),):
         raise ValueError(f"{len(mesh.faces)} faces need as many labels, got "
                          f"labels of shape {labels.shape}")

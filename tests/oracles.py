@@ -1042,7 +1042,7 @@ def simplify(mm, params=None, trace=None):
                       dtype=np.intp).reshape(-1, 2)
         a, b = ab[:, 0], ab[:, 1]
         fresh, t = state.score(a, b)
-        total = fresh if params.average_error else fresh + state.acc[a] + state.acc[b]
+        total = fresh + state.acc[a] + state.acc[b]
         return list(zip(total.tolist(), a.tolist(), b.tolist(),
                         state.version[a].tolist(), state.version[b].tolist(),
                         fresh.tolist(), t.tolist()))
@@ -1050,23 +1050,16 @@ def simplify(mm, params=None, trace=None):
     heap = scored(state.vertex_faces.keys() | state.vertex_edges.keys())
     heapq.heapify(heap)
 
-    accepted_sq_sum = 0.0
-    accepted = 0
     while heap:
         total, a, b, va, vb, fresh, t = heapq.heappop(heap)
         if state.version[a] != va or state.version[b] != vb:
             continue
-        if params.average_error:
-            if (accepted_sq_sum + total) / (accepted + 1) > bound_sq:
-                break
-        elif total > bound_sq:
+        if total > bound_sq:
             break
-        if params.preserve_topology and violates_topology(state, a, b):
+        if violates_topology(state, a, b):
             continue
         touched = apply_collapse(state, a, b, t)
         state.acc[a] += fresh
-        accepted_sq_sum += total
-        accepted += 1
         if trace is not None:
             trace.append(((a, b), total, t))
         for entry in scored(touched):
@@ -1077,8 +1070,6 @@ def simplify(mm, params=None, trace=None):
     edges = np.array(list(set().union(*state.vertex_edges.values())),
                      dtype=np.intp).reshape(-1, 2)
     used = np.union1d(faces, edges)
-    if not len(used):
-        used = np.argmax(state.spheres[:, 3], keepdims=True)
     return MedialMesh.build(state.spheres[used], np.searchsorted(used, edges),
                             np.searchsorted(used, faces))
 

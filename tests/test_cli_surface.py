@@ -4,6 +4,8 @@ default is derived shows up here, whatever the code that derives it."""
 
 import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,7 @@ OPTION_STRINGS = {
                 "--max-iterations", "--merge-tau", "--target-error",
                 "--no-swallowing", "--no-merging", "--no-graphcut"],
     "simplify": ["-h", "--help", "--mat", "--out", "--report", "--config",
-                 "--target-error", "--no-preserve-topology",
-                 "--average-error"],
+                 "--target-error"],
     "eval": ["-h", "--help", "--pred", "--gt", "--mesh", "--report", "--out",
              "--config"],
     "abstract": ["-h", "--help", "--mesh", "--labels", "--out", "--config",
@@ -36,10 +37,9 @@ OPTION_STRINGS = {
               "--k"],
 }
 
-CONFIG_KEYS = ["alpha", "average_error", "delta0", "eta", "graphcut", "k",
-               "lambda", "max_iterations", "merge_tau", "merging", "omega",
-               "preserve_topology", "resolution", "samples", "seed",
-               "swallowing", "target_error"]
+CONFIG_KEYS = ["alpha", "delta0", "eta", "graphcut", "k", "lambda",
+               "max_iterations", "merge_tau", "merging", "omega",
+               "resolution", "samples", "seed", "swallowing", "target_error"]
 
 # command -> (the arguments it requires, each parameter's default)
 DEFAULTS = {
@@ -48,9 +48,7 @@ DEFAULTS = {
         "omega": 0.3, "max_iterations": 10, "merge_tau": 0.15,
         "target_error": 0.03, "swallowing": True, "merging": True,
         "graphcut": True}),
-    "simplify": (["--mat", "m", "--out", "o"], {
-        "target_error": 0.03, "preserve_topology": True,
-        "average_error": False}),
+    "simplify": (["--mat", "m", "--out", "o"], {"target_error": 0.03}),
     "abstract": (["--mesh", "m", "--labels", "l", "--out", "o"], {
         "resolution": 64, "samples": 10000, "seed": 0}),
     "cloud": (["--skeleton", "s", "--out", "o"], {
@@ -69,12 +67,24 @@ def test_every_subcommand_lists_its_option_strings():
         assert strings == OPTION_STRINGS[command], command
 
 
+def test_the_readme_names_exactly_the_parsers_options():
+    """Every --option the README names is one a subcommand takes, and every
+    one a subcommand takes is named there.  --no- alone is the prose stem
+    of --no-<key>, and --no-build-isolation is pip's."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
+    named -= {"--help", "--no-", "--no-build-isolation"}
+    taken = {s for strings in OPTION_STRINGS.values() for s in strings
+             if s.startswith("--")} - {"--help"}
+    assert named == taken
+
+
 def test_config_accepts_exactly_the_parameter_keys(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{key} = 1\n" for key in CONFIG_KEYS))
     assert sorted(load_config(str(path))) == CONFIG_KEYS
     for near_miss in ("lam", "no_swallowing", "max-iterations",
-                      "no_preserve_topology", "config", "jobs"):
+                      "average_error", "preserve_topology", "config", "jobs"):
         path.write_text(f"{near_miss} = 1\n")
         with pytest.raises(cli.InputError, match="unknown parameter"):
             load_config(str(path))
@@ -92,19 +102,32 @@ def test_each_parameter_defaults_to_its_literal_value(command):
         assert type(resolved[key]["value"]) is type(value), key
 
 
-def test_simplify_toggles_are_reported_from_the_cli(tmp_path):
+def chain_mat(tmp_path) -> str:
     spheres = [(float(i), 0.0, 0.0, 1.0) for i in range(8)]
     mat = str(tmp_path / "chain.ma")
     save_medial_mesh(MedialMesh.build(
         spheres, [(i, i + 1) for i in range(7)], []), mat)
+    return mat
+
+
+def test_simplify_target_error_is_reported_from_the_cli(tmp_path):
     report = tmp_path / "simplify.json"
-    assert main(["simplify", "--mat", mat, "--out", str(tmp_path / "out.ma"),
-                 "--report", str(report), "--average-error",
-                 "--no-preserve-topology"]) == 0
-    params = json.loads(report.read_text())["parameters"]
-    assert params["average_error"] == {"value": True, "source": "cli"}
-    assert params["preserve_topology"] == {"value": False, "source": "cli"}
-    assert params["target_error"] == {"value": 0.03, "source": "default"}
+    assert main(["simplify", "--mat", chain_mat(tmp_path),
+                 "--out", str(tmp_path / "out.ma"), "--report", str(report),
+                 "--target-error", "0.05"]) == 0
+    assert json.loads(report.read_text())["parameters"] == {
+        "target_error": {"value": 0.05, "source": "cli"}}
+
+
+@pytest.mark.parametrize("key", ["average_error", "preserve_topology"])
+def test_a_config_that_sets_a_removed_simplify_key_exits_2(tmp_path, capsys, key):
+    config = tmp_path / "old.cfg"
+    config.write_text(f"{key} = true\n")
+    out = tmp_path / "out.ma"
+    assert main(["simplify", "--mat", chain_mat(tmp_path), "--out", str(out),
+                 "--config", str(config)]) == 2
+    assert f"unknown parameter {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_abstract_seed_is_reported_from_the_cli(tmp_path):

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from segmat.extensions import SkeletonCloud, abstraction_error, assign_cloud, mobb
-from segmat.growing import GrowingParams, Region, cost_terms, grow, region_labels, swallow
+from segmat.growing import (
+    GrowingParams,
+    Region,
+    adjusted_threshold,
+    cost_terms,
+    grow,
+    region_labels,
+    swallow,
+)
 from segmat.mat_graph import build_graph
 from segmat.mat_simplify import SimplifyParams, collapse_cost, simplify
 from segmat.merging import merge_matching, radius_histogram
@@ -64,6 +72,7 @@ def test_entry_point_rejects_a_nan_vertex(entry):
 LABEL_READERS = {
     "Segmentation.build": lambda mesh, labels, tmp: Segmentation.build(
         mesh, labels),
+    "boundary_length": lambda mesh, labels, tmp: boundary_length(mesh, labels),
     "labeling_energy": lambda mesh, labels, tmp: labeling_energy(
         mesh, labels, COSTS, 0.5),
     "save_labels": lambda mesh, labels, tmp: save_labels(
@@ -91,6 +100,13 @@ def test_labeling_energy_rejects_a_bad_omega(omega):
     with pytest.raises(ValueError, match="^omega must (be a finite number|"
                                          "not be negative), got "):
         labeling_energy(tetra(), LABELS, COSTS, omega)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+def test_adjusted_threshold_names_a_rho_not_above_0(rho):
+    with pytest.raises(ValueError, match="^rho must (be above 0|not be negative"
+                                         "|be a number), got "):
+        adjusted_threshold(0.015, rho)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -128,6 +144,11 @@ BAD_ARGUMENTS = {
     "grow lam None": lambda tmp: grow(chain_graph(), [], GrowingParams(lam=None)),
     "grow eta 1j": lambda tmp: grow(chain_graph(), [], GrowingParams(eta=1j)),
     "cost_terms alpha 1j": lambda tmp: cost_terms(chain_graph(), 1j),
+    "adjusted_threshold rho 0": lambda tmp: adjusted_threshold(0.015, 0.0),
+    "adjusted_threshold rho nan": lambda tmp: adjusted_threshold(0.015, float("nan")),
+    "adjusted_threshold rho -1": lambda tmp: adjusted_threshold(0.015, -1.0),
+    "adjusted_threshold delta0 -1": lambda tmp: adjusted_threshold(-1.0, 100.0),
+    "adjusted_threshold delta0 nan": lambda tmp: adjusted_threshold(float("nan"), 100.0),
     "merge_matching tau None": lambda tmp: merge_matching(
         chain_graph(), [Region(0, [0], 0, 0), Region(1, [1], 1, 0)], None),
     "merge_matching tau '0.1'": lambda tmp: merge_matching(
@@ -146,6 +167,8 @@ BAD_ARGUMENTS = {
         chain_graph(), [Region(0, [None], 0, 0)]),
     "radius_histogram node None": lambda tmp: radius_histogram(
         chain_graph(), Region(0, [0, None], 0, 0)),
+    "radius_histogram range nan": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0], 0, 0), (float("nan"), float("nan"))),
     "data_table node None": lambda tmp: data_table(
         tetra(), chain_graph(), [Region(0, [None], 0, 0)]),
     "swallow node None": lambda tmp: swallow(
@@ -156,6 +179,7 @@ BAD_ARGUMENTS = {
     "sphere_arrays node None": lambda tmp: chain_graph().sphere_arrays([0, None]),
     "Segmentation.build None": lambda tmp: Segmentation.build(tetra(), [None] * 4),
     "Segmentation.build 1+0j": lambda tmp: Segmentation.build(tetra(), [1 + 0j] * 4),
+    "boundary_length None": lambda tmp: boundary_length(tetra(), [None] * 4),
     "save_labels 2**70": lambda tmp: save_labels(
         tetra(), tmp / "out.labels.txt", [0, 2**70, 1, 1]),
     "save_colored_mesh 1j": lambda tmp: save_colored_mesh(

@@ -260,15 +260,6 @@ def test_simplify_is_deterministic():
     assert np.array_equal(out1.faces, out2.faces)
 
 
-def test_average_error_mode_simplifies_at_least_as_much():
-    mm = strip(n=20)
-    per = simplify(mm, SimplifyParams(target_error=0.02))
-    avg = simplify(mm, SimplifyParams(target_error=0.02, average_error=True))
-    n_per = len(per.faces) + len(per.edges)
-    n_avg = len(avg.faces) + len(avg.edges)
-    assert n_avg <= n_per
-
-
 def counted_pairs(pairs):
     """Edges (2i, 2i + 1), one per (n_a, n_b, sphere_a, sphere_b) in pairs,
     whose endpoints carry n_a and n_b standalone edges."""
@@ -368,17 +359,13 @@ def oracle_fixtures():
             jittered(two_chains(), 6), jittered(paired_chain(), 8)]
 
 
-# At target_error 0.2 every fixture collapses; without topology
-# preservation the two chains shrink to one bare sphere.  At 0.005 most
-# scored edges cost more than the bound, and only the paired chain
-# collapses.
+# At target_error 0.2 every fixture collapses.  At 0.005 most scored
+# edges cost more than the bound, and only the paired chain collapses.
 @pytest.mark.parametrize("params", [
     SimplifyParams(),
     SimplifyParams(target_error=0.2),
-    SimplifyParams(target_error=0.2, preserve_topology=False),
-    SimplifyParams(target_error=0.2, average_error=True),
     SimplifyParams(target_error=0.005),
-], ids=["default", "coarse", "no-topology", "average-error", "tight"])
+], ids=["default", "coarse", "tight"])
 def test_simplify_equals_stacked_cost_simplify(monkeypatch, params):
     fixtures = oracle_fixtures()
     got = []

@@ -12,7 +12,8 @@ overflow; and a whole ``simplify`` run must not change when the
 reference scores its edges, nor when ``oracles.simplify`` re-scores every
 edge at every touched vertex after each collapse, never sheds stale
 entries and queues every scored edge, those above the error bound
-included.
+included.  Whatever the bound, a run keeps the number of connected
+components of its input.
 """
 
 import heapq
@@ -24,6 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from test_simplify import (
     counted_pairs,
     jittered,
@@ -160,8 +163,6 @@ def complexes(draw):
 GATE_PARAMS = [
     SimplifyParams(),
     SimplifyParams(target_error=0.2),
-    SimplifyParams(target_error=0.2, preserve_topology=False),
-    SimplifyParams(target_error=0.2, average_error=True),
     SimplifyParams(target_error=0.005),
 ]
 
@@ -210,6 +211,24 @@ def simplified_as_the_oracle(mm, params) -> list:
 def test_simplify_equals_the_rescore_every_touched_vertex_loop(mm):
     for params in GATE_PARAMS:
         simplified_as_the_oracle(mm, params)
+
+
+def component_count(mm) -> int:
+    """Connected components of the spheres that an element uses; every
+    face side is an edge of mm, so the edges join them all."""
+    n = len(mm.spheres)
+    a, b = mm.edges.T
+    joined = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, component = connected_components(joined, directed=False)
+    return len(np.unique(component[np.unique(mm.edges)]))
+
+
+@given(complexes())
+def test_simplify_keeps_the_number_of_connected_components(mm):
+    components = component_count(mm)
+    for target_error in (0.005, 0.03, 0.2, 1.0, 10.0):
+        out = simplify(mm, SimplifyParams(target_error=target_error))
+        assert component_count(out) == components, target_error
 
 
 def test_a_plate_whose_queue_is_rebuilt_simplifies_as_the_oracle():
@@ -262,9 +281,9 @@ def queued_entries(mm, params) -> list:
     (lambda: jittered(plate(n=30), 9), 0.03),
 ], ids=["paired-chain", "strip", "plate"])
 def test_the_default_queue_holds_no_entry_above_the_bound(shape, target_error):
-    """Without average_error an entry above the bound could only stop the
-    loop, so none is queued; the collapses stay the oracle's, whose queue
-    keeps every entry."""
+    """An entry above the bound could only stop the loop, so none is
+    queued; the collapses stay the oracle's, whose queue keeps every
+    entry."""
     mm = shape()
     params = SimplifyParams(target_error=target_error)
     bound_sq = (target_error * mm.diagonal()) ** 2
@@ -290,18 +309,6 @@ def test_fans_whose_weighted_samples_overflow_simplify_as_the_oracle(k, rim):
         for params in GATE_PARAMS:
             collapsed += len(simplified_as_the_oracle(mm, params))
     assert collapsed > 0
-
-
-def test_a_face_that_covers_a_segment_drops_it_as_the_oracle():
-    """Without topology preservation, collapsing (0, 1) turns the face
-    (1, 2, 3) into (0, 2, 3), which covers the segment (0, 2): the segment
-    goes, so 0 and 2 each count one element fewer in the later costs."""
-    mm = MedialMesh.build([(0.0, 0.0, 0.0, 1.0), (0.05, 0.0, 0.0, 1.0),
-                           (0.6, 0.3, 0.0, 1.0), (0.6, -0.3, 0.0, 1.0)],
-                          [(0, 1), (0, 2)], [(1, 2, 3)])
-    params = SimplifyParams(target_error=0.2, preserve_topology=False)
-    trace = simplified_as_the_oracle(mm, params)
-    assert trace[0][0] == (0, 1) and len(trace) > 1
 
 
 def closed_fan(k, seed):
