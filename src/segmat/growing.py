@@ -70,11 +70,14 @@ def cost_terms(g: MatGraph, alpha: float = 0.05):
 def adjusted_threshold(delta0: float, rho: float) -> float:
     """Growing threshold scaled up for thin components; never below delta0.
 
-    delta0 must be finite and not negative, rho (the thinness) above 0."""
+    delta0 must be finite and not negative, rho (the thinness) above 0.  A
+    delta0 of 0 gives 0.0 at any rho, also where log(rho) is inf."""
     weight(delta0, "delta0")
     weight(rho, "rho", inf=True)
     if not rho > 0.0:
         raise ValueError(f"rho must be above 0, got {rho!r}")
+    if delta0 == 0:
+        return 0.0
     x = math.log(rho)
     return delta0 * (x if x >= SIGMA_KNEE else 1.0)
 
@@ -88,10 +91,11 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     holds on entry are used, so absorbed nodes do not extend the reach of
     the test; they are appended in candidate order.
 
-    Both tests need d <= |r| + max(R), so one k-d tree ball query per
-    candidate sphere at that radius, plus a margin far above float rounding,
-    finds every pair either test accepts.  The tests then run on those pairs
-    only, with the arithmetic of a full scan, so the result equals it.
+    Both tests need d <= R + |r| <= R + max|r|, so one ball query per
+    region sphere at that radius, plus a margin far above float rounding,
+    against a k-d tree of the candidates' spheres finds every pair either
+    test accepts.  The tests then run on those pairs only, with the
+    arithmetic of a full scan, so the result equals it.
     ValueError names a candidate that is not a node of g, or a region
     without nodes.
     """
@@ -106,15 +110,15 @@ def swallow(g: MatGraph, region: Region, unclaimed) -> Region:
     owner = np.repeat(np.arange(len(candidates)), sizes)
     c = g.mm.centers()[picked.indices]
     r = g.mm.radii()[picked.indices]
-    r_max = float(radii.max())
+    r_max = float(np.abs(r).max())
     margin = 1e-9 * (float(np.abs(c).max()) + float(np.abs(centers).max())
-                     + abs(r_max) + float(np.abs(r).max()))
-    rows, items = ball_pairs(cKDTree(centers), c, np.abs(r) + r_max + margin)
-    d = np.linalg.norm(c[rows] - centers[items], axis=1)
+                     + float(np.abs(radii).max()) + r_max)
+    held, near = ball_pairs(cKDTree(c), centers, radii + r_max + margin)
+    d = np.linalg.norm(c[near] - centers[held], axis=1)
     intersects = np.zeros(len(candidates), dtype=bool)
-    intersects[owner[rows[d < r[rows] + radii[items]]]] = True
+    intersects[owner[near[d < r[near] + radii[held]]]] = True
     inside = np.zeros(len(c), dtype=bool)
-    inside[rows[d + r[rows] <= radii[items]]] = True
+    inside[near[d + r[near] <= radii[held]]] = True
     enclosed = np.bincount(owner, weights=inside,
                            minlength=len(candidates)) == sizes
     region.nodes.extend(candidates[intersects | enclosed].tolist())

@@ -13,6 +13,7 @@ under tau.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,16 +36,16 @@ def radius_histogram(g: MatGraph, region: Region,
                      ) -> RadiusHistogram:
     """Normalized node-radius histogram over the shape's global range.
 
-    ValueError for a region with no nodes or with a node that
+    radius_range is a (lo, hi) pair of finite real numbers with lo <= hi;
+    lo == hi puts every node in the first bin.  ValueError for another
+    range, a region with no nodes or a node that
     :meth:`MatGraph.region_index` rejects.
     """
     radii = g.mean_radii
     if radius_range is None:
         lo, hi = float(radii.min()), float(radii.max())
     else:
-        lo, hi = radius_range
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"radius_range must be finite, got {radius_range!r}")
+        lo, hi = _radius_range(radius_range)
     vals = radii[g.region_index(region)]
     if not len(vals):
         raise ValueError(f"region {region.id} has no nodes")
@@ -56,6 +57,28 @@ def radius_histogram(g: MatGraph, region: Region,
         np.add.at(bins, np.clip(idx, 0, BIN_COUNT - 1), 1.0)
         bins /= bins.sum()
     return RadiusHistogram(bins, (lo, hi))
+
+
+def _radius_range(radius_range) -> tuple[float, float]:
+    """radius_range read as a (lo, hi) pair of finite floats, lo <= hi."""
+    try:
+        lo, hi = radius_range
+    except (TypeError, ValueError):
+        raise ValueError(f"radius_range must be a (lo, hi) pair, got "
+                         f"{radius_range!r}") from None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+        raise ValueError(f"radius_range must hold real numbers, got "
+                         f"{radius_range!r}")
+    try:
+        lo, hi = float(lo), float(hi)
+    except OverflowError:  # an int beyond the float range
+        lo = hi = math.inf
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"radius_range must be finite, got {radius_range!r}")
+    if hi < lo:
+        raise ValueError(f"radius_range must not end below its start, got "
+                         f"{radius_range!r}")
+    return lo, hi
 
 
 def emd_1d(h1: RadiusHistogram, h2: RadiusHistogram) -> float:

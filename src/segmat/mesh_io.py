@@ -112,7 +112,10 @@ class SurfaceMesh:
 
     def face_centroids(self) -> np.ndarray:
         if "centroids" not in self._cache:
-            self._cache["centroids"] = self.vertices[self.faces].mean(axis=1)
+            # mean(axis=1)'s sum and division, without its +0.0 start, which
+            # only turns a sum of three -0.0 into +0.0
+            v, f = self.vertices, self.faces
+            self._cache["centroids"] = (v[f[:, 0]] + v[f[:, 1]] + v[f[:, 2]]) / 3
         return self._cache["centroids"]
 
     def face_areas(self) -> np.ndarray:

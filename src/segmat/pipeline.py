@@ -133,6 +133,8 @@ def boundary_length(mesh: SurfaceMesh, labels) -> float:
     if labels.shape != (len(mesh.faces),):
         raise ValueError(f"{len(mesh.faces)} faces need as many labels, got "
                          f"labels of shape {labels.shape}")
+    if (labels == labels[:1]).all():
+        return 0.0  # one label: no pair crosses
     pairs, shared = mesh.dual_edges()
     if len(pairs) == 0:
         return 0.0

@@ -19,6 +19,21 @@ capacities.  A move whose capacities overflow raises ValueError rather
 than cutting a graph that no longer scales to integers, and so does a
 labeling whose energy overflows, in its summed data cost or in omega
 times its boundary.
+
+Boundary data is built only when it can matter, and each shortcut gives
+what the full computation gives.  A labeling with one label has no
+adjacent pair whose labels differ, so its energy is its summed data cost
+(omega times an empty boundary sum adds 0.0, which leaves the float as it
+is).  A move whose alpha already labels every face is the identity: no
+pair gets an arc, every folded unary is the face's own cost minus itself,
+exactly 0.0, so the cut keeps every face and the move returns None.  So
+optimize_labels skips that move, and builds the dual graph, the boundary
+costs and the move state at the first move that can change a face; on a
+table whose argmin has one label and one column, it builds none of them.
+
+The cost table is column-major: data_table fills one region's row of a
+(regions, faces) array at a time and hands back its transpose, so each
+move copies its alpha column from contiguous memory.
 """
 
 from __future__ import annotations
@@ -142,12 +157,17 @@ def _boundary_costs(mesh: SurfaceMesh) -> np.ndarray:
     return np.minimum(exterior_dihedrals(mesh) / np.pi, 1.0)
 
 
-def _energy(labels, costs, pairs, boundary, omega) -> float:
+def _data_energy(labels, costs) -> float:
     with np.errstate(over="ignore"):
         total = float(costs[np.arange(len(labels)), labels].sum())
     if not math.isfinite(total):
         # an inf energy would make every move compare as no better
         raise ValueError("labeling energy overflows: the costs are too large")
+    return total
+
+
+def _energy(labels, costs, pairs, boundary, omega) -> float:
+    total = _data_energy(labels, costs)
     if len(pairs):
         differ = labels[pairs[:, 0]] != labels[pairs[:, 1]]
         total += float(omega) * float(boundary[differ].sum())
@@ -276,13 +296,24 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
         raise ValueError("cost table does not match the face count")
     _check_costs_finite(costs)
     labels = np.argmin(costs, axis=1)
-    pairs, _ = mesh.dual_edges()
-    boundary = _boundary_costs(mesh)
-    energy = _energy(labels, costs, pairs, boundary, p.omega)
-    moves = _ExpansionMoves(costs, pairs, p.omega * boundary, labels)
+    pairs = boundary = moves = None
+    if (labels == labels[:1]).all():
+        energy = _data_energy(labels, costs)  # one label: no boundary
+    else:
+        pairs, _ = mesh.dual_edges()
+        boundary = _boundary_costs(mesh)
+        energy = _energy(labels, costs, pairs, boundary, p.omega)
     for _ in range(iterations):
         improved = False
         for alpha in range(num_segments):
+            if (labels == alpha).all():
+                continue  # the identity move
+            if moves is None:
+                if pairs is None:
+                    pairs, _ = mesh.dual_edges()
+                    boundary = _boundary_costs(mesh)
+                moves = _ExpansionMoves(costs, pairs, p.omega * boundary,
+                                        labels)
             candidate = moves.move(alpha)
             if candidate is None:
                 continue
@@ -300,7 +331,8 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
 
 
 def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
-    """Per-face, per-region data costs as a (faces, regions) array.
+    """Per-face, per-region data costs as an F-contiguous (faces, regions)
+    array.
 
     A face's gap to a region is min over its spheres of |p - c| - r.  A tree
     over the region's sphere centers prunes the search: only spheres whose
@@ -314,14 +346,14 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
     diagonal = mesh.diagonal()
     if diagonal <= 0.0:
         diagonal = 1.0
-    columns = []
-    for region in regions:
+    table = np.empty((len(regions), len(centroids)))
+    for row, region in zip(table, regions):
         centers, radii = graph.sphere_arrays(graph.region_index(region))
         if centers.shape[0] == 0:
             raise ValueError(f"region {region.id} has no spheres")
         best = _sphere_gaps(centroids, centers, radii)
-        columns.append(np.maximum(0.0, best) / diagonal)
-    return np.stack(columns, axis=1)
+        np.divide(np.maximum(0.0, best), diagonal, out=row)
+    return table.T
 
 
 def transfer_labels(mesh: SurfaceMesh, graph, regions, params=None, trace=None):

@@ -789,8 +789,9 @@ def expansion_move(labels, alpha, costs, pairs, boundary_weights):
     return updated
 
 
-def optimize_labels(mesh, costs, omega, max_iterations=10):
-    """transfer.optimize_labels with every move built by expansion_move."""
+def optimize_labels(mesh, costs, omega, max_iterations=10, trace=None):
+    """transfer.optimize_labels with every move built by expansion_move,
+    the boundary built up front and every move tried."""
     labels = np.argmin(costs, axis=1)
     pairs, _ = mesh.dual_edges()
     boundary = _boundary_costs(mesh)
@@ -807,6 +808,8 @@ def optimize_labels(mesh, costs, omega, max_iterations=10):
             if candidate_energy < energy:
                 labels, energy = candidate, candidate_energy
                 improved = True
+                if trace is not None:
+                    trace.append((alpha, energy))
         if not improved:
             break
     return labels

@@ -109,6 +109,22 @@ def test_adjusted_threshold_names_a_rho_not_above_0(rho):
         adjusted_threshold(0.015, rho)
 
 
+@pytest.mark.parametrize("radius_range,message", [
+    (("a", "b"), "must hold real numbers"),
+    ((0.5, 0.1), "must not end below its start"),
+    ((0.1, 0.2, 0.3), "must be a (lo, hi) pair"),
+])
+def test_radius_histogram_names_a_bad_radius_range(radius_range, message):
+    with pytest.raises(ValueError, match=re.escape(f"radius_range {message}")):
+        radius_histogram(chain_graph(), Region(0, [0, 1], 0, 0), radius_range)
+
+
+def test_a_radius_range_of_one_point_gives_one_bin():
+    h = radius_histogram(chain_graph(), Region(0, [0, 1], 0, 0), (0.1, 0.1))
+    assert h.bins[0] == 1.0 and h.bins.sum() == 1.0
+    assert h.radius_range == (0.1, 0.1)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_labeling_energy_rejects_non_finite_costs(value):
     costs = COSTS.copy()
@@ -169,6 +185,16 @@ BAD_ARGUMENTS = {
         chain_graph(), Region(0, [0, None], 0, 0)),
     "radius_histogram range nan": lambda tmp: radius_histogram(
         chain_graph(), Region(0, [0], 0, 0), (float("nan"), float("nan"))),
+    "radius_histogram range ('a', 'b')": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0], 0, 0), ("a", "b")),
+    "radius_histogram range (0.5, 0.1)": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0], 0, 0), (0.5, 0.1)),
+    "radius_histogram range (None, 1)": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0], 0, 0), (None, 1.0)),
+    "radius_histogram range 0.5": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0], 0, 0), 0.5),
+    "radius_histogram range (0, 2**1100)": lambda tmp: radius_histogram(
+        chain_graph(), Region(0, [0], 0, 0), (0, 2**1100)),
     "data_table node None": lambda tmp: data_table(
         tetra(), chain_graph(), [Region(0, [None], 0, 0)]),
     "swallow node None": lambda tmp: swallow(

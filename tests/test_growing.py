@@ -161,6 +161,12 @@ def test_adjusted_threshold():
     assert adjusted_threshold(d0, 1.0) == d0
 
 
+@pytest.mark.parametrize("rho", [1.0, math.exp(4.0), 1e308, math.inf])
+def test_a_zero_delta0_is_a_zero_threshold_at_any_rho(rho):
+    # log(inf) is inf, and 0 * inf would be NaN
+    assert adjusted_threshold(0.0, rho) == 0.0
+
+
 def test_uniform_slab_strip_grows_one_region():
     pts, faces = [], []
     for i in range(10):

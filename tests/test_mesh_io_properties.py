@@ -63,6 +63,41 @@ def medial_meshes(draw):
 
 # every double: signed zeros, subnormals, infinities and NaNs
 any_float = st.floats(width=64)
+# finite doubles, with subnormals and sums past the float maximum common
+extreme_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                     1.7e308, -1.7e308]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99),
+              st.sampled_from([-320, -310, 299, 300, 307])),
+)
+
+
+@st.composite
+def extreme_meshes(draw):
+    n = draw(st.integers(3, 8))
+    vertices = draw(st.lists(st.tuples(*[extreme_floats] * 3),
+                             min_size=n, max_size=n))
+    return SurfaceMesh(np.array(vertices), np.array(draw(triangles(n)),
+                                                    dtype=int))
+
+
+@settings(max_examples=300)
+@given(mesh=extreme_meshes())
+@example(mesh=SurfaceMesh(np.array([(1e300, 5e-324, 1.7e308),
+                                    (1e300, -5e-324, 1.7e308),
+                                    (-1e300, 5e-324, 1e300),
+                                    (-0.0, -0.0, 0.0)]),
+                          np.array([(0, 1, 2), (2, 1, 0), (3, 3, 3)])))
+def test_face_centroids_equal_the_corner_mean(mesh):
+    # mean(axis=1) sums the corners in order after a +0.0 start, so where
+    # all three are -0.0 it gives +0.0 and face_centroids -0.0, which
+    # compare equal; equal values other than zero have the same bits
+    with np.errstate(over="ignore"):
+        want = mesh.vertices[mesh.faces].mean(axis=1)
+        got = mesh.face_centroids()
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 SQUARE = [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0)]
 
 

@@ -8,7 +8,7 @@ that both equal the dense scans of tests/oracles.py exactly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -124,8 +124,9 @@ def test_data_table_matches_the_full_scan(mat, seed, faces):
     owner = rng.integers(0, 3, size=len(graph))
     regions = [Region(k, np.flatnonzero(owner == k).tolist(), 0, 0)
                for k in range(3) if (owner == k).any()]
-    assert np.array_equal(data_table(mesh, graph, regions),
-                          oracles.data_table(mesh, graph, regions))
+    table = data_table(mesh, graph, regions)
+    assert table.flags.f_contiguous
+    assert np.array_equal(table, oracles.data_table(mesh, graph, regions))
 
 
 def chain(radii, spacing=1.0):
@@ -303,8 +304,17 @@ def swallow_both(graph, nodes, candidates):
     return fast.nodes, dense.nodes
 
 
+# Node 0 is the region; node 1 touches it, and the 39 nodes of a chain 100
+# units away are candidates that no region sphere reaches.
+FAR = build_graph(MedialMesh.build(
+    [(0, 0, 0, 1.0), (0.5, 0, 0, 1.0), (1.9, 0, 0, 0.5), (2.5, 0, 0, 0.5)]
+    + [(100.0 + i, 0.5 * (i % 3), 0, 0.5) for i in range(40)],
+    [(0, 1), (2, 3)] + [(4 + i, 5 + i) for i in range(39)], []))
+
+
 @settings(max_examples=200)
 @given(swallow_cases())
+@example((FAR, [0], list(range(40, 0, -1))))
 def test_swallow_equals_the_dense_test(case):
     graph, nodes, candidates = case
     fast, dense = swallow_both(graph, nodes, candidates)

@@ -16,6 +16,7 @@ from segmat import transfer
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
 from segmat.mesh_io import MedialMesh, SurfaceMesh
+from segmat.pipeline import boundary_length
 from segmat.transfer import (
     NoSegments,
     TransferParams,
@@ -654,8 +655,9 @@ def terrain(heights, cols):
 
 
 @st.composite
-def labelings(draw, twice=False, omegas=(0.0, 0.3, 1.0)):
-    """(mesh, costs, omega, labels) on a small terrain.
+def labelings(draw, twice=False, omegas=(0.0, 0.3, 1.0), columns=4):
+    """(mesh, costs, omega, labels) on a small terrain, with 1 to columns
+    cost columns.
 
     Heights, costs and omega come from small pools as well as ranges, so
     coplanar faces, tied costs and tied boundary weights are common.  With
@@ -671,7 +673,7 @@ def labelings(draw, twice=False, omegas=(0.0, 0.3, 1.0)):
         last = len(mesh.faces) - 1
         mesh = with_face_twice(mesh, draw(st.integers(0, last)),
                                draw(st.integers(0, last + 1)))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, columns))
     num_faces = len(mesh.faces)
     cost = st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 2.0))
     costs = np.array(draw(st.lists(st.lists(cost, min_size=k, max_size=k),
@@ -797,6 +799,114 @@ def test_expansion_gate_runs_cover_parallel_pairs_and_empty_moves():
     assert run_moves(*GATE_RUNS[1]) == (3, 4, 2)
 
 
+# --- boundary data on demand ------------------------------------------------
+#
+# optimize_labels builds the dual graph, the boundary costs and the move
+# state only at the first move that can change a face, and skips a move
+# whose alpha labels every face.  The oracle builds everything up front and
+# tries every move; labels, accepted moves and errors must be the same.
+
+
+@st.composite
+def optimizations(draw):
+    """(mesh, costs, omega) with 1 to 5 cost columns, C- or F-ordered.
+
+    Half the tables get a column 0.25 below every other cost of its face,
+    so their argmin has one label.  omega 1e308 makes moves overflow.
+    """
+    mesh, costs, omega, _ = draw(labelings(
+        twice=True, omegas=(0.0, 0.3, 1.0, 1e300, 1e308), columns=5))
+    if draw(st.booleans()):
+        costs[:, draw(st.integers(0, costs.shape[1] - 1))] = (
+            costs.min(axis=1) - 0.25)
+    if draw(st.booleans()):
+        costs = np.asfortranarray(costs)
+    return mesh, costs, omega
+
+
+def optimization(solve, *args):
+    """(labels, accepted moves) of one call, or ValueError if it raises.
+
+    Only the kind of error is compared: the oracle checks no capacity of
+    its own, so an overflow reaches its cut and raises there.
+    """
+    trace = []
+    try:
+        return solve(*args, trace=trace).tolist(), trace
+    except ValueError:
+        return ValueError
+
+
+ONE_LABEL = np.tile([0.5, 0.25, 1.0], (8, 1))
+
+
+@settings(max_examples=200)
+@given(case=optimizations())
+@example(case=(octahedron(), np.zeros((8, 1)), 0.3))
+@example(case=(octahedron(), ONE_LABEL, 1e308))
+@example(case=(octahedron(), np.asfortranarray(ONE_LABEL), 0.3))
+@example(case=(octahedron(), np.random.default_rng(13).uniform(size=(8, 5)),
+               0.5))
+def test_optimize_labels_equals_the_up_front_build(case):
+    mesh, costs, omega = case
+    got = optimization(optimize_labels, mesh, costs,
+                       TransferParams(omega=omega))
+    with np.errstate(over="ignore"):
+        want = optimization(oracles.optimize_labels, mesh, costs, omega)
+    assert got == want
+
+
+def count_boundary_work(monkeypatch):
+    """Calls of exterior_dihedrals, SurfaceMesh.dual_edges and the cut."""
+    calls = dict.fromkeys(["exterior_dihedrals", "dual_edges", "cuts"], 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(transfer, "exterior_dihedrals", counting(
+        "exterior_dihedrals", transfer.exterior_dihedrals))
+    monkeypatch.setattr(SurfaceMesh, "dual_edges", counting(
+        "dual_edges", SurfaceMesh.dual_edges))
+    monkeypatch.setattr(transfer, "_min_cut_side", counting(
+        "cuts", transfer._min_cut_side))
+    return calls
+
+
+@pytest.mark.parametrize("costs,iterations,dihedrals,dual_edges,cuts", [
+    # one column: every move is the identity
+    (np.random.default_rng(2).uniform(size=(8, 1)), 10, 0, 0, 0),
+    # one label and no move
+    (ONE_LABEL, 0, 0, 0, 0),
+    # one label: the moves of labels 0 and 2 are cut, label 1 is skipped
+    (ONE_LABEL, 10, 1, 2, 2),
+    # two labels: the boundary is built before the first move
+    (np.vstack([ONE_LABEL[:4], ONE_LABEL[4:, [1, 0, 2]]]), 0, 1, 2, 0),
+])
+def test_boundary_data_is_built_only_for_a_move_that_can_change_a_face(
+        monkeypatch, costs, iterations, dihedrals, dual_edges, cuts):
+    calls = count_boundary_work(monkeypatch)
+    labels = optimize_labels(octahedron(), costs,
+                             TransferParams(max_iterations=iterations))
+    assert np.array_equal(labels, np.argmin(costs, axis=1))
+    assert calls == {"exterior_dihedrals": dihedrals,
+                     "dual_edges": dual_edges, "cuts": cuts}
+
+
+@pytest.mark.parametrize("labels,dual_edges", [
+    ([3] * 8, 0),
+    ([0] * 4 + [1] * 4, 1),
+])
+def test_boundary_length_reads_the_dual_graph_only_for_two_labels(
+        monkeypatch, labels, dual_edges):
+    calls = count_boundary_work(monkeypatch)
+    length = boundary_length(octahedron(), labels)
+    assert calls["dual_edges"] == dual_edges
+    assert (length > 0.0) == (dual_edges > 0)
+
+
 # --- transfer from regions --------------------------------------------------
 
 
@@ -850,6 +960,7 @@ def test_data_table_matches_scalar_term():
     mesh, g, regions = two_plates_setup()
     table = data_table(mesh, g, regions)
     assert table.shape == (4, 2)
+    assert table.flags.f_contiguous
     diag = mesh.diagonal()
     for f in range(4):
         for k, region in enumerate(regions):
