@@ -70,8 +70,6 @@ _OPTIONS = {
     "samples": (int, 10000),
     "seed": (int, 0),
     "swallowing": (bool, True),
-    "merging": (bool, True),
-    "graphcut": (bool, True),
 }
 
 
@@ -118,11 +116,10 @@ def resolve_params(args: argparse.Namespace, keys) -> dict[str, dict]:
         given, source = getattr(args, key, None), "default"
         if given is not None:
             value, source = given, "cli"
-        elif key in config and typ is bool:
-            value, source = _bool_from_text(config[key]), "config"
         elif key in config:
+            read = _bool_from_text if typ is bool else typ
             try:
-                value, source = typ(config[key]), "config"
+                value, source = read(config[key]), "config"
             except ValueError as exc:
                 raise InputError(f"config {key}: {exc}") from exc
         if not math.isfinite(value):
@@ -165,8 +162,6 @@ def _pipeline_config(values: dict) -> PipelineConfig:
                                 max_iterations=values["max_iterations"]),
         merge_tau=values["merge_tau"],
         swallowing=values["swallowing"],
-        merging=values["merging"],
-        graphcut=values["graphcut"],
     )
 
 
@@ -460,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="concurrent shapes in batch mode")
     _add_param_options(seg, ("alpha", "lambda", "delta0", "eta", "omega",
                              "max_iterations", "merge_tau", "target_error",
-                             "swallowing", "merging", "graphcut"))
+                             "swallowing"))
     seg.set_defaults(func=cmd_segment)
 
     simp = sub.add_parser("simplify", help="simplify a medial mesh")

@@ -153,8 +153,11 @@ def grow(g: MatGraph, comps: list[StructuralComponent],
     pipelines pass a cost of their own while keeping the growth, swallowing
     and leftover rules.
     swallowing=False disables spike absorption, leaving unstable branches
-    to fend for themselves (they usually surface as extra regions).
+    to fend for themselves (they usually surface as extra regions); it must
+    be a bool, so that the string "false" is not read as true.
     """
+    if not isinstance(swallowing, (bool, np.bool_)):
+        raise ValueError(f"swallowing must be True or False, got {swallowing!r}")
     p = p or GrowingParams()
     for name in ("alpha", "lam", "delta0", "eta"):
         weight(getattr(p, name), name)

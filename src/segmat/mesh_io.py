@@ -78,22 +78,19 @@ _RUN_END = {kind: re.compile(f"\n(?!{kind} )") for kind in _MA_ROWS}
 
 @dataclass
 class SurfaceMesh:
-    """Triangle mesh with optional per-face segment labels."""
+    """Triangle mesh: (n, 3) vertex coordinates and (F, 3) face indices."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    labels: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 3)
-        if self.labels is not None:
-            self.labels = whole_numbers(self.labels).reshape(-1)
 
     def validate(self) -> None:
-        """Array checks run once and are cached, as the derived arrays are;
-        the label count is checked on every call."""
+        """Array checks, run once and cached, as the derived arrays are."""
         if "valid" not in self._cache:
             if not np.isfinite(self.vertices).all():
                 raise ParseError("non-finite vertex coordinate")
@@ -106,9 +103,6 @@ class SurfaceMesh:
             if (self.faces == np.roll(self.faces, 1, axis=1)).any():
                 raise ParseError("face with repeated vertices")
             self._cache["valid"] = True
-        if self.labels is not None and len(self.labels) != len(self.faces):
-            raise LengthMismatch(
-                f"{len(self.labels)} labels for {len(self.faces)} faces")
 
     def face_centroids(self) -> np.ndarray:
         if "centroids" not in self._cache:
@@ -683,11 +677,9 @@ def weight(value, name: str, inf: bool = False) -> None:
         raise ValueError(f"{name} must not be negative, got {value}")
 
 
-def save_labels(mesh: SurfaceMesh, path, labels=None) -> None:
+def save_labels(mesh: SurfaceMesh, path, labels) -> None:
     """Write per-face labels, one integer per line (LF endings)."""
-    lab = mesh.labels if labels is None else whole_numbers(labels).reshape(-1)
-    if lab is None:
-        raise LengthMismatch("mesh has no labels to save")
+    lab = whole_numbers(labels).reshape(-1)
     if len(lab) != len(mesh.faces):
         raise LengthMismatch(f"{len(lab)} labels for {len(mesh.faces)} faces")
     save_point_labels(path, lab)

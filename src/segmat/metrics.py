@@ -37,15 +37,8 @@ class Segmentation:
         if np.any(areas <= 0.0):
             raise ValueError("mesh has zero-area faces")
         pairs, shared = mesh.dual_edges()
-        if len(pairs):
-            cut = shared[labels[pairs[:, 0]] != labels[pairs[:, 1]]]
-        else:
-            cut = np.zeros((0, 2), dtype=int)
-        if len(cut):
-            cut = np.unique(cut, axis=0)
-            midpoints = mesh.vertices[cut].mean(axis=1)
-        else:
-            midpoints = np.zeros((0, 3))
+        cut = np.unique(shared[labels[pairs[:, 0]] != labels[pairs[:, 1]]], axis=0)
+        midpoints = mesh.vertices[cut].mean(axis=1)
         centroid = mesh.vertices.mean(axis=0)
         normalizer = float(np.linalg.norm(mesh.vertices - centroid, axis=1).mean())
         return cls(labels, areas, midpoints, normalizer)

@@ -4,14 +4,16 @@ Stages: simplify the medial mesh into a structured one (skipped when the
 caller already has one), build the primitive graph, split it into structural
 components at the joints, grow regions, merge parts of matching thickness,
 and transfer the region labels to the surface faces with an expansion-move
-graph cut.  The three stage toggles (swallowing, merging, graph cut) expose
-the standard ablation axes.
+graph cut.  The standard ablations are each one parameter value:
+swallowing=False keeps the spikes, merge_tau=0 merges nothing (the EMD is
+never below 0) and transfer.max_iterations=0 gives every face its cheapest
+region.  Each is listed in PipelineResult.skipped.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,15 +34,13 @@ from .transfer import TransferParams, transfer_labels
 
 @dataclass
 class PipelineConfig:
-    """Every pipeline knob in one place, stage toggles included."""
+    """Every pipeline knob in one place."""
 
     simplify: SimplifyParams = field(default_factory=SimplifyParams)
     growing: GrowingParams = field(default_factory=GrowingParams)
     transfer: TransferParams = field(default_factory=TransferParams)
     merge_tau: float = 0.15
     swallowing: bool = True
-    merging: bool = True
-    graphcut: bool = True
 
 
 @dataclass
@@ -96,19 +96,16 @@ def run_pipeline(mesh: SurfaceMesh, mat: MedialMesh,
                                          swallowing=cfg.swallowing))
     if not cfg.swallowing:
         skipped.append("swallowing")
-    if cfg.merging:
+    # == 0 lets a NaN or negative tau reach merge_matching's check
+    if cfg.merge_tau == 0:
+        skipped.append("merging")
+    else:
         regions = timed("merge",
                         lambda: merge_matching(graph, regions, cfg.merge_tau))
-    else:
-        skipped.append("merging")
-    # With the graph cut disabled every face simply takes its cheapest
-    # region, which max_iterations = 0 yields without a separate code path.
-    params = cfg.transfer if cfg.graphcut else replace(cfg.transfer,
-                                                       max_iterations=0)
-    if not cfg.graphcut:
+    if cfg.transfer.max_iterations == 0:
         skipped.append("graphcut")
     labels = timed("transfer",
-                   lambda: transfer_labels(mesh, graph, regions, params))
+                   lambda: transfer_labels(mesh, graph, regions, cfg.transfer))
     return PipelineResult(
         labels=labels,
         node_labels=region_labels(graph, regions),
@@ -136,10 +133,6 @@ def boundary_length(mesh: SurfaceMesh, labels) -> float:
     if (labels == labels[:1]).all():
         return 0.0  # one label: no pair crosses
     pairs, shared = mesh.dual_edges()
-    if len(pairs) == 0:
-        return 0.0
     crossing = labels[pairs[:, 0]] != labels[pairs[:, 1]]
-    if not crossing.any():
-        return 0.0
     seg = mesh.vertices[shared[crossing, 0]] - mesh.vertices[shared[crossing, 1]]
     return float(np.linalg.norm(seg, axis=1).sum())

@@ -127,8 +127,6 @@ def exterior_dihedrals(mesh: SurfaceMesh) -> np.ndarray:
     convex ridges.  Assumes consistently wound faces.
     """
     pairs, shared = mesh.dual_edges()
-    if len(pairs) == 0:
-        return np.zeros(0)
     normals = mesh.face_normals()
     n_f = normals[pairs[:, 0]]
     n_g = normals[pairs[:, 1]]

@@ -513,11 +513,11 @@ def test_08_disabling_each_stage_degrades_its_own_target():
     assert len(no_swallow.regions) > len(full.regions)
 
     no_merge = run_pipeline(mesh, mat, structured=mat,
-                            config=PipelineConfig(merging=False))
+                            config=PipelineConfig(merge_tau=0.0))
     assert len(no_merge.regions) > len(full.regions)
 
-    no_cut = run_pipeline(mesh, mat, structured=mat,
-                          config=PipelineConfig(graphcut=False))
+    no_cut = run_pipeline(mesh, mat, structured=mat, config=PipelineConfig(
+        transfer=TransferParams(max_iterations=0)))
     full_boundary = boundary_length(mesh, full.labels)
     raw_boundary = boundary_length(mesh, no_cut.labels)
     assert full_boundary > 0.0

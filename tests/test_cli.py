@@ -132,7 +132,7 @@ def test_segment_writes_labels_ply_and_report(tmp_path):
     assert report["skipped"] == ["simplify"]
     assert set(report["parameters"]) == {
         "alpha", "lambda", "delta0", "eta", "omega", "max_iterations",
-        "merge_tau", "target_error", "swallowing", "merging", "graphcut"}
+        "merge_tau", "target_error", "swallowing"}
     for entry in report["parameters"].values():
         assert entry["source"] in ("cli", "config", "default")
 
@@ -167,7 +167,8 @@ def test_segment_ablation_flags_recorded_as_skipped(tmp_path):
     out = str(tmp_path / "ablate")
     assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
                  "--structured", mat_path, "--out", out,
-                 "--no-swallowing", "--no-merging", "--no-graphcut"]) == 0
+                 "--no-swallowing", "--merge-tau", "0",
+                 "--max-iterations", "0"]) == 0
     report = read_report(out)
     assert {"swallowing", "merging", "graphcut"} <= set(report["skipped"])
     assert report["parameters"]["swallowing"] == {"value": False,
@@ -233,6 +234,55 @@ def test_config_malformed_line_exits_2(tmp_path):
     assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
                  "--out", str(tmp_path / "x"),
                  "--config", str(config)]) == 2
+
+
+BOOLEAN_SPELLINGS = {"1": True, "true": True, "Yes": True, "ON": True,
+                     "0": False, "false": False, "NO": False, "Off": False}
+
+
+@pytest.mark.parametrize("text", list(BOOLEAN_SPELLINGS))
+@pytest.mark.parametrize("given_as", ["--config", "SEGMAT_CONFIG"])
+def test_config_reads_every_boolean_spelling(tmp_path, monkeypatch, text,
+                                             given_as):
+    mesh_path, mat_path = bent_l_assets(tmp_path)
+    config = tmp_path / "bool.cfg"
+    config.write_text(f"swallowing = {text}\n")
+    argv = ["segment", "--mesh", mesh_path, "--mat", mat_path,
+            "--structured", mat_path]
+    flag = [] if BOOLEAN_SPELLINGS[text] else ["--no-swallowing"]
+    assert main(argv + ["--out", str(tmp_path / "flag")] + flag) == 0
+    if given_as == "--config":
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("SEGMAT_CONFIG", str(config))
+    assert main(argv + ["--out", str(tmp_path / "config")]) == 0
+    assert read_report(tmp_path / "config")["parameters"]["swallowing"] == {
+        "value": BOOLEAN_SPELLINGS[text], "source": "config"}
+    for suffix in (".labels.txt", ".ply"):
+        assert ((tmp_path / f"config{suffix}").read_bytes()
+                == (tmp_path / f"flag{suffix}").read_bytes())
+
+
+def test_config_boolean_that_is_no_boolean_names_its_key(tmp_path, capsys):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    config = tmp_path / "bad.cfg"
+    config.write_text("swallowing = maybe\n")
+    assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                 "--out", str(tmp_path / "x"), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config swallowing: not a boolean: 'maybe'\n")
+    assert not any(name.startswith("x") for name in os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("key", ["merging", "graphcut"])
+def test_config_that_sets_a_removed_stage_switch_exits_2(tmp_path, capsys, key):
+    mesh_path, mat_path = strip_assets(tmp_path)
+    config = tmp_path / "old.cfg"
+    config.write_text(f"{key} = false\n")
+    assert main(["segment", "--mesh", mesh_path, "--mat", mat_path,
+                 "--out", str(tmp_path / "x"), "--config", str(config)]) == 2
+    assert f"unknown parameter {key!r}" in capsys.readouterr().err
+    assert not any(name.startswith("x") for name in os.listdir(tmp_path))
 
 
 def test_batch_mode_runs_every_shape(tmp_path, capsys):
@@ -429,6 +479,60 @@ def test_cloud_malformed_xyz_exits_2(tmp_path):
     skeleton.write_text("0 0 zero\n")
     assert main(["cloud", "--skeleton", str(skeleton),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+def bad_invocation(tmp_path, case):
+    """argv for one input error that the CLI reports before any output."""
+    mesh_path, mat_path = strip_assets(tmp_path)
+    listing = tmp_path / "shapes.txt"
+    pred = str(tmp_path / "pred.txt")
+    write_labels(pred, [0] * len(load_surface(mesh_path).faces))
+    skeleton = tmp_path / "skel.xyz"
+    skeleton.write_text("0 0 0 1\n6 0 0 1\n")
+    out = str(tmp_path / "x")
+    if case == "jobs 0":
+        listing.write_text(f"{mesh_path} {mat_path} {out}\n")
+        return ["segment", "--batch", str(listing), "--jobs", "0"]
+    if case == "malformed batch line":
+        listing.write_text(f"{mesh_path} {mat_path}\n")
+        return ["segment", "--batch", str(listing)]
+    if case == "empty batch":
+        listing.write_text("# no shapes\n\n")
+        return ["segment", "--batch", str(listing)]
+    if case == "missing config":
+        return ["segment", "--mesh", mesh_path, "--mat", mat_path,
+                "--out", out, "--config", str(tmp_path / "nope.cfg")]
+    if case == "eval without gt":
+        return ["eval", "--pred", pred, "--mesh", mesh_path]
+    if case == "empty gt directory":
+        (tmp_path / "truth").mkdir()
+        return ["eval", "--pred", pred, "--gt", str(tmp_path / "truth"),
+                "--mesh", mesh_path]
+    assert case == "assign-cloud without cloud"
+    return ["cloud", "--skeleton", str(skeleton), "--out", out,
+            "--assign-cloud"]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("jobs 0", "--jobs must be at least 1"),
+    ("malformed batch line", "shapes.txt:1: expected 'mesh mat out [structured]'"),
+    ("empty batch", "shapes.txt: no shapes listed"),
+    ("missing config", "config file not found: "),
+    ("eval without gt", "missing required option --gt"),
+    ("empty gt directory", "ground-truth directory is empty: "),
+    ("assign-cloud without cloud", "--assign-cloud requires --cloud"),
+])
+def test_input_error_exits_2_with_one_error_line(tmp_path, capsys, case,
+                                                 message):
+    argv = bad_invocation(tmp_path, case)
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -25,7 +25,7 @@ OPTION_STRINGS = {
                 "--emit-structured-mat", "--batch", "--jobs", "--config",
                 "--alpha", "--lambda", "--delta0", "--eta", "--omega",
                 "--max-iterations", "--merge-tau", "--target-error",
-                "--no-swallowing", "--no-merging", "--no-graphcut"],
+                "--no-swallowing"],
     "simplify": ["-h", "--help", "--mat", "--out", "--report", "--config",
                  "--target-error"],
     "eval": ["-h", "--help", "--pred", "--gt", "--mesh", "--report", "--out",
@@ -37,17 +37,16 @@ OPTION_STRINGS = {
               "--k"],
 }
 
-CONFIG_KEYS = ["alpha", "delta0", "eta", "graphcut", "k", "lambda",
-               "max_iterations", "merge_tau", "merging", "omega",
-               "resolution", "samples", "seed", "swallowing", "target_error"]
+CONFIG_KEYS = ["alpha", "delta0", "eta", "k", "lambda", "max_iterations",
+               "merge_tau", "omega", "resolution", "samples", "seed",
+               "swallowing", "target_error"]
 
 # command -> (the arguments it requires, each parameter's default)
 DEFAULTS = {
     "segment": ([], {
         "alpha": 0.05, "lambda": 1.5, "delta0": 0.015, "eta": 0.002,
         "omega": 0.3, "max_iterations": 10, "merge_tau": 0.15,
-        "target_error": 0.03, "swallowing": True, "merging": True,
-        "graphcut": True}),
+        "target_error": 0.03, "swallowing": True}),
     "simplify": (["--mat", "m", "--out", "o"], {"target_error": 0.03}),
     "abstract": (["--mesh", "m", "--labels", "l", "--out", "o"], {
         "resolution": 64, "samples": 10000, "seed": 0}),
@@ -84,7 +83,8 @@ def test_config_accepts_exactly_the_parameter_keys(tmp_path):
     path.write_text("".join(f"{key} = 1\n" for key in CONFIG_KEYS))
     assert sorted(load_config(str(path))) == CONFIG_KEYS
     for near_miss in ("lam", "no_swallowing", "max-iterations",
-                      "average_error", "preserve_topology", "config", "jobs"):
+                      "average_error", "preserve_topology", "merging",
+                      "graphcut", "config", "jobs"):
         path.write_text(f"{near_miss} = 1\n")
         with pytest.raises(cli.InputError, match="unknown parameter"):
             load_config(str(path))

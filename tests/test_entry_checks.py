@@ -21,14 +21,18 @@ from segmat.mat_graph import build_graph
 from segmat.mat_simplify import SimplifyParams, collapse_cost, simplify
 from segmat.merging import merge_matching, radius_histogram
 from segmat.mesh_io import (
+    EmptyInput,
+    LengthMismatch,
     MedialMesh,
+    ParseError,
     SurfaceMesh,
     save_colored_mesh,
     save_labels,
     save_point_labels,
 )
 from segmat.metrics import Segmentation
-from segmat.pipeline import boundary_length
+from segmat.pipeline import PipelineConfig, boundary_length, run_pipeline
+from segmat.structure import assign_base_nodes
 from segmat.transfer import TransferParams, data_table, labeling_energy, optimize_labels
 
 TETRA_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
@@ -159,6 +163,15 @@ BAD_ARGUMENTS = {
     "grow alpha 'x'": lambda tmp: grow(chain_graph(), [], GrowingParams(alpha="x")),
     "grow lam None": lambda tmp: grow(chain_graph(), [], GrowingParams(lam=None)),
     "grow eta 1j": lambda tmp: grow(chain_graph(), [], GrowingParams(eta=1j)),
+    "grow swallowing 'false'": lambda tmp: grow(chain_graph(), [], swallowing="false"),
+    "grow swallowing 0": lambda tmp: grow(chain_graph(), [], swallowing=0),
+    "grow swallowing None": lambda tmp: grow(chain_graph(), [], swallowing=None),
+    "run_pipeline swallowing 'false'": lambda tmp: run_pipeline(
+        tetra(), None, chain_mat(), PipelineConfig(swallowing="false")),
+    "run_pipeline merge_tau nan": lambda tmp: run_pipeline(
+        tetra(), None, chain_mat(), PipelineConfig(merge_tau=float("nan"))),
+    "run_pipeline merge_tau -1": lambda tmp: run_pipeline(
+        tetra(), None, chain_mat(), PipelineConfig(merge_tau=-1.0)),
     "cost_terms alpha 1j": lambda tmp: cost_terms(chain_graph(), 1j),
     "adjusted_threshold rho 0": lambda tmp: adjusted_threshold(0.015, 0.0),
     "adjusted_threshold rho nan": lambda tmp: adjusted_threshold(0.015, float("nan")),
@@ -210,10 +223,6 @@ BAD_ARGUMENTS = {
         tetra(), tmp / "out.labels.txt", [0, 2**70, 1, 1]),
     "save_colored_mesh 1j": lambda tmp: save_colored_mesh(
         tetra(), [0, 0, 1, 1j], tmp / "out.ply"),
-    "SurfaceMesh labels 1.9": lambda tmp: SurfaceMesh(
-        TETRA_VERTICES, TETRA_FACES, labels=[1.9, 0, 1, 1]),
-    "SurfaceMesh labels None": lambda tmp: SurfaceMesh(
-        TETRA_VERTICES, TETRA_FACES, labels=[None] * 4),
     "save_point_labels 1.9": lambda tmp: save_point_labels(
         tmp / "out.txt", [1.9, -0.5]),
     "save_point_labels None": lambda tmp: save_point_labels(tmp / "out.txt", [None]),
@@ -231,6 +240,50 @@ def test_a_bad_argument_raises_only_value_error(tmp_path, row):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             BAD_ARGUMENTS[row](tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+# One row per typed error: its class and message.  Each row writes nothing.
+TYPED_ERRORS = {
+    "grow swallowing 'false'": (ValueError, "swallowing must be True or False, got 'false'",
+                                lambda tmp: grow(chain_graph(), [], swallowing="false")),
+    "optimize_labels 1-D costs": (ValueError, "costs must be a (faces, segments) table",
+                                  lambda tmp: optimize_labels(tetra(), COSTS[:, 0])),
+    "optimize_labels face count": (ValueError, "cost table does not match the face count",
+                                   lambda tmp: optimize_labels(tetra(), COSTS[:3])),
+    "data_table region without nodes": (ValueError, "region 0 has no spheres",
+                                        lambda tmp: data_table(
+                                            tetra(), chain_graph(), [Region(0, [], 0, 0)])),
+    "assign_base_nodes no components": (ValueError, "no components to assign nodes to",
+                                        lambda tmp: assign_base_nodes(chain_graph(), [])),
+    "SurfaceMesh.validate face index": (ParseError, "face index out of range",
+                                        lambda tmp: SurfaceMesh(
+                                            TETRA_VERTICES, [(0, 1, 4)]).validate()),
+    "save_colored_mesh label count": (LengthMismatch, "3 labels for 4 faces",
+                                      lambda tmp: save_colored_mesh(
+                                          tetra(), LABELS[:3], tmp / "out.ply")),
+    "Segmentation.build no faces": (ValueError, "segmentation needs at least one face",
+                                    lambda tmp: Segmentation.build(
+                                        SurfaceMesh(TETRA_VERTICES, []), [])),
+    "SkeletonCloud.build no points": (EmptyInput, "no skeleton points",
+                                      lambda tmp: SkeletonCloud.build([], [])),
+    "SkeletonCloud.build radius count": (ValueError, "one radius per point required",
+                                         lambda tmp: SkeletonCloud.build(
+                                             TETRA_VERTICES, [0.1] * 3)),
+    "SkeletonCloud.from_cloud empty cloud": (EmptyInput,
+                                             "no cloud points to measure radii against",
+                                             lambda tmp: SkeletonCloud.from_cloud(
+                                                 TETRA_VERTICES, [])),
+}
+
+
+@pytest.mark.parametrize("row", list(TYPED_ERRORS))
+def test_a_typed_error_names_its_cause(tmp_path, row):
+    kind, message, call = TYPED_ERRORS[row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            call(tmp_path)
     assert not list(tmp_path.iterdir())
 
 

@@ -116,7 +116,7 @@ def test_validate_rejects_each_repeated_pair(face):
         mesh.validate()
 
 
-def test_validate_checks_the_arrays_once_and_the_labels_always(tmp_path):
+def test_validate_checks_the_arrays_once(tmp_path):
     path = tmp_path / "square.off"
     save_surface(square_mesh(), path)
     mesh = load_surface(path)
@@ -124,9 +124,6 @@ def test_validate_checks_the_arrays_once_and_the_labels_always(tmp_path):
     # run again, as the derived arrays are not computed again
     mesh.vertices[0, 0] = np.nan
     mesh.validate()
-    mesh.labels = np.array([1])
-    with pytest.raises(LengthMismatch, match="1 labels for 2 faces"):
-        mesh.validate()
     with pytest.raises(ParseError, match="non-finite vertex coordinate"):
         SurfaceMesh(mesh.vertices, mesh.faces).validate()
 

@@ -1,17 +1,21 @@
 """End-to-end pipeline tests on synthetic medial meshes and grid surfaces."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from segmat.mesh_io import MedialMesh, SurfaceMesh
+from segmat.metrics import Segmentation
 from segmat.pipeline import (
     PipelineConfig,
     boundary_length,
     run_pipeline,
 )
-from segmat.transfer import data_table
+from segmat.transfer import TransferParams, data_table, exterior_dihedrals
+
+NO_GRAPHCUT = PipelineConfig(transfer=TransferParams(max_iterations=0))
 
 
 def grid_mesh(x0, x1, y0, y1, step=1.0):
@@ -111,7 +115,7 @@ def test_disabling_merging_strictly_increases_region_count():
     mesh, mat = l_mesh(), bent_l_mat()
     full = run_pipeline(mesh, None, structured=mat)
     split = run_pipeline(mesh, None, structured=mat,
-                         config=PipelineConfig(merging=False))
+                         config=PipelineConfig(merge_tau=0.0))
     assert "merging" in split.skipped
     assert len(split.regions) > len(full.regions)
 
@@ -119,8 +123,7 @@ def test_disabling_merging_strictly_increases_region_count():
 def test_disabling_graphcut_strictly_increases_boundary_length():
     mesh, mat = l_mesh(), bent_l_mat()
     full = run_pipeline(mesh, None, structured=mat)
-    rough = run_pipeline(mesh, None, structured=mat,
-                         config=PipelineConfig(graphcut=False))
+    rough = run_pipeline(mesh, None, structured=mat, config=NO_GRAPHCUT)
     assert "graphcut" in rough.skipped
     smooth_len = boundary_length(mesh, full.labels)
     rough_len = boundary_length(mesh, rough.labels)
@@ -129,8 +132,7 @@ def test_disabling_graphcut_strictly_increases_boundary_length():
 
 def test_graphcut_off_equals_cheapest_region_per_face():
     mesh, mat = l_mesh(), bent_l_mat()
-    res = run_pipeline(mesh, None, structured=mat,
-                       config=PipelineConfig(graphcut=False))
+    res = run_pipeline(mesh, None, structured=mat, config=NO_GRAPHCUT)
     costs = data_table(mesh, res.graph, res.regions)
     ids = np.array([r.id for r in res.regions])
     assert np.array_equal(res.labels, ids[np.argmin(costs, axis=1)])
@@ -181,12 +183,13 @@ def test_timings_cover_every_stage_that_ran():
                                 "transfer"}
     assert all(t >= 0.0 for t in res.timings.values())
     bare = run_pipeline(l_mesh(), None, structured=bent_l_mat(),
-                        config=PipelineConfig(merging=False))
+                        config=PipelineConfig(merge_tau=0.0))
     assert "merge" not in bare.timings
 
 
 def test_skipped_stages_are_reported_together():
-    cfg = PipelineConfig(swallowing=False, merging=False, graphcut=False)
+    cfg = PipelineConfig(swallowing=False, merge_tau=0.0,
+                         transfer=TransferParams(max_iterations=0))
     res = run_pipeline(l_mesh(), None, structured=bent_l_mat(), config=cfg)
     assert set(res.skipped) == {"simplify", "swallowing", "merging",
                                 "graphcut"}
@@ -209,6 +212,31 @@ def test_boundary_length_empty_mesh_edge_cases():
                                    [0.0, 1.0, 0.0]]),
                          np.array([[0, 1, 2]]))
     assert boundary_length(lonely, [0]) == 0.0
+
+
+TWO_APART = SurfaceMesh(  # two triangles that share no edge: no dual edge
+    [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+     (5.0, 0.0, 0.0), (6.0, 0.0, 0.0), (5.0, 1.0, 0.0)],
+    [(0, 1, 2), (3, 4, 5)])
+TWO_QUADS_APART = SurfaceMesh(  # dual edges, each within one quad
+    np.vstack([grid_mesh(0.0, 1.0, 0.0, 1.0).vertices,
+               grid_mesh(5.0, 6.0, 0.0, 1.0).vertices]),
+    [(0, 1, 3), (0, 3, 2), (4, 5, 7), (4, 7, 6)])
+
+
+@pytest.mark.parametrize("mesh,labels", [(TWO_APART, [0, 1]),
+                                         (TWO_QUADS_APART, [0, 0, 1, 1])])
+def test_two_labels_that_never_meet_have_an_empty_boundary(mesh, labels):
+    pairs, _ = mesh.dual_edges()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        length = boundary_length(mesh, labels)
+        dihedrals = exterior_dihedrals(mesh)
+        seg = Segmentation.build(mesh, labels)
+    assert type(length) is float and length == 0.0
+    assert dihedrals.dtype == np.float64 and dihedrals.shape == (len(pairs),)
+    assert seg.boundary_midpoints.dtype == np.float64
+    assert seg.boundary_midpoints.shape == (0, 3)
 
 
 @pytest.mark.parametrize("count", [7, 1])

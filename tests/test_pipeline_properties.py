@@ -2,9 +2,11 @@
 
 Every drawn MAT sits inside one fixed closed surface.  Radii include 0 and
 centers lie on a coarse grid, so zero-radius components, coincident
-spheres and element-free inputs all come up.  A run must either return
-one in-range label per face, the same on a second call, or raise a
-subclass of ValueError.
+spheres and element-free inputs all come up.  Each run also draws the
+ablations: merge_tau 0 or 0.15, max_iterations 0 or 10, swallowing on or
+off.  A run must either return one in-range label per face, the same on a
+second call, with exactly the ablations it was given in skipped, or raise
+a subclass of ValueError.
 """
 
 import math
@@ -14,7 +16,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from segmat.mesh_io import MedialMesh, SurfaceMesh
-from segmat.pipeline import run_pipeline
+from segmat.pipeline import PipelineConfig, run_pipeline
+from segmat.transfer import TransferParams
 
 
 def uv_sphere(radius=8.0, stacks=6, sectors=10):
@@ -65,10 +68,17 @@ def small_mats(draw):
     return MedialMesh.build(spheres, edges, faces)
 
 
-def outcome(mat, structured):
+configs = st.builds(
+    lambda tau, iterations, swallowing: PipelineConfig(
+        transfer=TransferParams(max_iterations=iterations), merge_tau=tau,
+        swallowing=swallowing),
+    st.sampled_from([0.0, 0.15]), st.sampled_from([0, 10]), st.booleans())
+
+
+def outcome(mat, structured, config):
     """PipelineResult of one run, or the type of the error it raised."""
     try:
-        return run_pipeline(SURFACE, mat, mat if structured else None)
+        return run_pipeline(SURFACE, mat, mat if structured else None, config)
     except ValueError as exc:
         return type(exc)
 
@@ -78,14 +88,14 @@ def two_spheres(radius, offset, edges):
                              (offset, 0.0, 0.0, radius)], edges, [])
 
 
-@given(small_mats(), st.booleans())
-@example(two_spheres(0.0, 1.0, [(0, 1)]), True)   # every radius is 0
-@example(two_spheres(0.0, 1.0, [(0, 1)]), False)
-@example(two_spheres(1.0, 0.0, [(0, 1)]), True)   # coincident spheres
-@example(two_spheres(1.0, 1.0, []), False)        # no elements
-def test_run_pipeline_labels_or_typed_error(mat, structured):
-    first = outcome(mat, structured)
-    second = outcome(mat, structured)
+@given(small_mats(), st.booleans(), configs)
+@example(two_spheres(0.0, 1.0, [(0, 1)]), True, PipelineConfig())  # every radius is 0
+@example(two_spheres(0.0, 1.0, [(0, 1)]), False, PipelineConfig())
+@example(two_spheres(1.0, 0.0, [(0, 1)]), True, PipelineConfig())  # coincident spheres
+@example(two_spheres(1.0, 1.0, []), False, PipelineConfig())       # no elements
+def test_run_pipeline_labels_or_typed_error(mat, structured, config):
+    first = outcome(mat, structured, config)
+    second = outcome(mat, structured, config)
     if isinstance(first, type):
         assert issubclass(first, ValueError) and first is not ValueError
         assert second is first
@@ -94,3 +104,7 @@ def test_run_pipeline_labels_or_typed_error(mat, structured):
     assert labels.shape == (len(SURFACE.faces),)
     assert labels.min() >= 0 and labels.max() < len(first.regions)
     assert np.array_equal(labels, second.labels)
+    assert ("swallowing" in first.skipped) == (not config.swallowing)
+    assert ("merging" in first.skipped) == (config.merge_tau == 0)
+    assert ("graphcut" in first.skipped) == (config.transfer.max_iterations == 0)
+    assert ("simplify" in first.skipped) == structured
