@@ -34,11 +34,28 @@ table whose argmin has one label and one column, it builds none of them.
 The cost table is column-major: data_table fills one region's row of a
 (regions, faces) array at a time and hands back its transpose, so each
 move copies its alpha column from contiguous memory.
+
+One region needs no table.  Its table has one column, so the argmin
+labels every face 0 and every move is the identity: transfer_labels
+gives every face the region's id.  The table still matters for its
+errors: a distance, a cost or the summed energy that overflows raises
+ValueError.  So the shortcut is taken only when a bound rules that out.
+A face centroid's coordinates are at most s_v = max |vertex coordinate|
+(and their sum 3 s_v is finite), so with s = s_v + max |center
+coordinate| + max |radius| every distance is at most 2s, every entry at
+most 2s / diagonal and the energy at most faces * 2s / diagonal.  With
+s <= 1e150 no squared distance overflows, and with faces * 2s <= 1e300 *
+diagonal neither does the energy.  An input the bound does not clear
+(a NaN fails every comparison) takes the full path, with its errors.
+The checks run in the full path's order: the region ids, the mesh, the
+region's node ids, a region with no spheres, then omega and
+max_iterations.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,9 +192,32 @@ def _energy(labels, costs, pairs, boundary, omega) -> float:
     return total
 
 
+def _real_costs(costs) -> np.ndarray:
+    """costs as a float array.  A complex or other non-real entry raises a
+    ValueError that names costs, rather than losing its imaginary part."""
+    arr = np.asarray(costs)
+    if arr.dtype.kind == "O":
+        real = all(isinstance(x, (numbers.Real, np.bool_)) for x in arr.flat)
+    else:
+        real = arr.dtype.kind in "biuf"
+    if not real:
+        raise ValueError(f"costs must be real numbers, got {arr.dtype} entries")
+    try:
+        return arr.astype(float, copy=False)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("costs must be finite") from None
+
+
 def _check_costs_finite(costs) -> None:
     if not np.isfinite(costs).all():
         raise ValueError("costs must be finite")
+
+
+def _checked_params(params) -> tuple[TransferParams, int]:
+    """params (the defaults for None) and its max_iterations, checked."""
+    p = params if params is not None else TransferParams()
+    weight(p.omega, "omega")
+    return p, integer(p.max_iterations, "max_iterations", least=0)
 
 
 def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
@@ -185,7 +225,7 @@ def labeling_energy(mesh: SurfaceMesh, labels, costs, omega) -> float:
     mesh.validate()
     weight(omega, "omega")
     labels = whole_numbers(labels)
-    costs = np.asarray(costs, dtype=float)
+    costs = _real_costs(costs)
     faces = len(mesh.faces)
     if costs.ndim != 2 or len(costs) != faces or labels.shape != (faces,):
         raise ValueError(f"{faces} faces need {faces} labels and a ({faces}, k)"
@@ -278,13 +318,13 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
     each label in ascending order proposes a keep-or-switch move solved as a
     minimum cut; a move is kept only when the recomputed energy drops, so
     the energy is non-increasing move by move.  Stops after a full cycle
-    without improvement or after max_iterations cycles.
+    without improvement or after max_iterations cycles.  A label whose last
+    move was tried with no move accepted since is skipped: its move would
+    cut the same graph from the same labels and be rejected again.
     """
     mesh.validate()
-    p = params if params is not None else TransferParams()
-    weight(p.omega, "omega")
-    iterations = integer(p.max_iterations, "max_iterations", least=0)
-    costs = np.asarray(costs, dtype=float)
+    p, iterations = _checked_params(params)
+    costs = _real_costs(costs)
     if costs.ndim != 2:
         raise ValueError("costs must be a (faces, segments) table")
     num_faces, num_segments = costs.shape
@@ -301,11 +341,14 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
         pairs, _ = mesh.dual_edges()
         boundary = _boundary_costs(mesh)
         energy = _energy(labels, costs, pairs, boundary, p.omega)
+    accepted = 0
+    tried = {}  # label -> moves accepted before its last move
     for _ in range(iterations):
         improved = False
         for alpha in range(num_segments):
-            if (labels == alpha).all():
-                continue  # the identity move
+            if (labels == alpha).all() or tried.get(alpha) == accepted:
+                continue  # the identity move, or one already rejected
+            tried[alpha] = accepted
             if moves is None:
                 if pairs is None:
                     pairs, _ = mesh.dual_edges()
@@ -319,6 +362,7 @@ def optimize_labels(mesh: SurfaceMesh, costs, params=None, trace=None) -> np.nda
                                        p.omega)
             if candidate_energy < energy:
                 labels, energy = candidate, candidate_energy
+                accepted += 1
                 moves.relabel(labels)
                 improved = True
                 if trace is not None:
@@ -346,17 +390,43 @@ def data_table(mesh: SurfaceMesh, graph, regions) -> np.ndarray:
         diagonal = 1.0
     table = np.empty((len(regions), len(centroids)))
     for row, region in zip(table, regions):
-        centers, radii = graph.sphere_arrays(graph.region_index(region))
-        if centers.shape[0] == 0:
-            raise ValueError(f"region {region.id} has no spheres")
-        best = _sphere_gaps(centroids, centers, radii)
+        best = _sphere_gaps(centroids, *_region_spheres(graph, region))
         np.divide(np.maximum(0.0, best), diagonal, out=row)
     return table.T
 
 
+def _region_spheres(graph, region) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, radii) of the region's spheres; ValueError names a region
+    with a bad node id or with no spheres."""
+    centers, radii = graph.sphere_arrays(graph.region_index(region))
+    if centers.shape[0] == 0:
+        raise ValueError(f"region {region.id} has no spheres")
+    return centers, radii
+
+
+def _table_fits(mesh: SurfaceMesh, centers, radii) -> bool:
+    """True when no distance, cost or energy sum of a one-region table can
+    overflow (the bound in the module docstring)."""
+    size = (float(np.abs(mesh.vertices).max(initial=0.0))
+            + float(np.abs(centers).max()) + float(np.abs(radii).max()))
+    diagonal = mesh.diagonal()
+    if diagonal <= 0.0:
+        diagonal = 1.0
+    return size <= 1e150 and len(mesh.faces) * 2.0 * size <= 1e300 * diagonal
+
+
 def transfer_labels(mesh: SurfaceMesh, graph, regions, params=None, trace=None):
-    """Label every surface face with the id of its best interior region."""
+    """Label every surface face with the id of its best interior region.
+
+    One region labels every face with its id without a cost table, when
+    _table_fits rules out the table's overflow errors.
+    """
+    ids = whole_numbers([region.id for region in regions], "region id")
+    if len(regions) == 1:
+        mesh.validate()
+        if _table_fits(mesh, *_region_spheres(graph, regions[0])):
+            _checked_params(params)
+            return np.full(len(mesh.faces), ids[0])
     table = data_table(mesh, graph, regions)
     indices = optimize_labels(mesh, table, params, trace)
-    ids = np.array([region.id for region in regions], dtype=int)
     return ids[indices]

@@ -17,7 +17,10 @@ that the node x sphere incidence and ``mat_graph.linked_groups``
 replaced, the minimum cut
 solved from the source side that the sink-side solve replaced, the
 expansion move that built every array afresh on each move, which the
-per-labeling move arrays replaced, the
+per-labeling move arrays replaced, the optimization that tries every
+move, which the skip of a move already rejected on the same labeling
+replaced, the transfer that builds a cost table for one region too, which
+the one-region shortcut replaced, the
 per-line file readers and writers that the bulk ones replaced, the
 region merge loop that walked every labeled node's adjacency row and kept
 parallel node, meta and histogram dicts, which the pair table and one
@@ -76,6 +79,7 @@ from segmat.structure import (
     JointKind,
     StructuralComponent,
 )
+from segmat import transfer
 from segmat.transfer import _SCALE_BITS, _boundary_costs, _energy, _min_cut_side
 
 
@@ -813,6 +817,15 @@ def optimize_labels(mesh, costs, omega, max_iterations=10, trace=None):
         if not improved:
             break
     return labels
+
+
+def transfer_labels(mesh, graph, regions, params=None, trace=None):
+    """transfer.transfer_labels with a cost table for every region count,
+    one region included."""
+    table = transfer.data_table(mesh, graph, regions)
+    indices = transfer.optimize_labels(mesh, table, params, trace)
+    ids = np.array([region.id for region in regions], dtype=int)
+    return ids[indices]
 
 
 def dual_edges(mesh):

@@ -33,13 +33,21 @@ from segmat.mesh_io import (
 from segmat.metrics import Segmentation
 from segmat.pipeline import PipelineConfig, boundary_length, run_pipeline
 from segmat.structure import assign_base_nodes
-from segmat.transfer import TransferParams, data_table, labeling_energy, optimize_labels
+from segmat.transfer import (
+    TransferParams,
+    data_table,
+    labeling_energy,
+    optimize_labels,
+    transfer_labels,
+)
 
 TETRA_VERTICES = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                            [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 TETRA_FACES = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
 LABELS = [0, 0, 1, 1]
 COSTS = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+# a 1+5j and a 1-9j entry, whose real parts alone once gave labels [0 1 0 1]
+COMPLEX_COSTS = COSTS + np.array([[0, 5j], [0, 0], [0, -9j], [0, 0]])
 
 
 def tetra(nan_vertex=False):
@@ -210,6 +218,18 @@ BAD_ARGUMENTS = {
         chain_graph(), Region(0, [0], 0, 0), (0, 2**1100)),
     "data_table node None": lambda tmp: data_table(
         tetra(), chain_graph(), [Region(0, [None], 0, 0)]),
+    "transfer_labels region id 1.5": lambda tmp: transfer_labels(
+        tetra(), chain_graph(), [Region(1.5, [0, 1], 0, 0)]),
+    "transfer_labels region id None": lambda tmp: transfer_labels(
+        tetra(), chain_graph(), [Region(None, [0, 1], 0, 0)]),
+    "transfer_labels region id 2**70": lambda tmp: transfer_labels(
+        tetra(), chain_graph(), [Region(2**70, [0, 1], 0, 0)]),
+    "transfer_labels second region id 1.5": lambda tmp: transfer_labels(
+        tetra(), chain_graph(), [Region(0, [0], 0, 0), Region(1.5, [1], 0, 0)]),
+    "optimize_labels costs 1+5j": lambda tmp: optimize_labels(
+        tetra(), COMPLEX_COSTS),
+    "labeling_energy costs 1+5j": lambda tmp: labeling_energy(
+        tetra(), LABELS, COMPLEX_COSTS, 0.5),
     "swallow node None": lambda tmp: swallow(
         chain_graph(), Region(0, [0], 0, 0), [None]),
     "node_index 2**70": lambda tmp: chain_graph().node_index([0, 2**70]),
@@ -251,6 +271,22 @@ TYPED_ERRORS = {
                                   lambda tmp: optimize_labels(tetra(), COSTS[:, 0])),
     "optimize_labels face count": (ValueError, "cost table does not match the face count",
                                    lambda tmp: optimize_labels(tetra(), COSTS[:3])),
+    "transfer_labels region id 1.5": (ValueError, "region id 1.5 is not a whole number",
+                                      lambda tmp: transfer_labels(
+                                          tetra(), chain_graph(),
+                                          [Region(1.5, [0, 1], 0, 0)])),
+    "transfer_labels region id None before a bad node": (
+        ValueError, "region id None is not a whole number",
+        lambda tmp: transfer_labels(tetra(), chain_graph(), [
+            Region(0, [0], 0, 0), Region(None, [7], 0, 0)])),
+    "optimize_labels complex costs": (ValueError,
+                                      "costs must be real numbers, got complex128 entries",
+                                      lambda tmp: optimize_labels(tetra(), COMPLEX_COSTS)),
+    "labeling_energy object costs": (ValueError,
+                                     "costs must be real numbers, got object entries",
+                                     lambda tmp: labeling_energy(
+                                         tetra(), LABELS,
+                                         COMPLEX_COSTS.astype(object), 0.5)),
     "data_table region without nodes": (ValueError, "region 0 has no spheres",
                                         lambda tmp: data_table(
                                             tetra(), chain_graph(), [Region(0, [], 0, 0)])),
@@ -299,3 +335,19 @@ def test_whole_numbers_in_an_object_array_are_node_ids():
 def test_an_edge_of_whole_floats_is_read_as_vertex_indices():
     mm = chain_mat()
     assert collapse_cost(mm, (0.0, 1.0)) == collapse_cost(mm, (0, 1))
+
+
+def test_whole_region_ids_of_any_type_label_the_faces():
+    regions = [Region(np.int64(3), [0], 0, 0), Region(5.0, [1], 0, 0)]
+    for count in (1, 2):
+        labels = transfer_labels(tetra(), chain_graph(), regions[:count])
+        assert labels.dtype == np.int64
+        assert set(labels.tolist()) <= {3, 5}
+
+
+def test_real_cost_tables_of_any_type_are_read():
+    want = optimize_labels(tetra(), COSTS)
+    assert optimize_labels(tetra(), COSTS.astype(int)).tolist() == want.tolist()
+    assert optimize_labels(tetra(), COSTS.astype(object)).tolist() == want.tolist()
+    assert labeling_energy(tetra(), LABELS, COSTS.astype(bool), 0.5) == (
+        labeling_energy(tetra(), LABELS, COSTS, 0.5))

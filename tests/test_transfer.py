@@ -8,14 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from segmat import transfer
 from segmat.growing import Region
 from segmat.mat_graph import build_graph
-from segmat.mesh_io import MedialMesh, SurfaceMesh
+from segmat.mesh_io import MedialMesh, ParseError, SurfaceMesh
 from segmat.pipeline import boundary_length
 from segmat.transfer import (
     NoSegments,
@@ -895,6 +895,24 @@ def test_boundary_data_is_built_only_for_a_move_that_can_change_a_face(
                      "dual_edges": dual_edges, "cuts": cuts}
 
 
+# argmin labels faces 0-3 with 0 and faces 4-7 with 1, across four convex
+# edges; the move of 0 takes every face and the moves of 1 and 2 change none
+SKIPPED_REPEATS = np.array([[0.0, 1.0, 5.0]] * 4 + [[0.5, 0.4, 5.0]] * 4)
+
+
+def test_a_move_already_rejected_on_the_same_labeling_is_not_cut(monkeypatch):
+    mesh, params = octahedron(), TransferParams(omega=1.0)
+    want_trace = []
+    want = oracles.optimize_labels(mesh, SKIPPED_REPEATS, 1.0, trace=want_trace)
+    calls = count_boundary_work(monkeypatch)
+    trace = []
+    labels = optimize_labels(mesh, SKIPPED_REPEATS, params, trace=trace)
+    assert labels.tolist() == want.tolist() == [0] * 8
+    assert trace == want_trace and [alpha for alpha, _ in trace] == [0]
+    # cycle 1 cuts 0, 1 and 2; cycle 2 would cut 1 and 2 again
+    assert calls["cuts"] == 3
+
+
 @pytest.mark.parametrize("labels,dual_edges", [
     ([3] * 8, 0),
     ([0] * 4 + [1] * 4, 1),
@@ -967,3 +985,146 @@ def test_data_table_matches_scalar_term():
             centers, radii = g.sphere_arrays(region.nodes)
             want = data_term(mesh.face_centroids()[f], centers, radii, diag)
             assert table[f, k] == pytest.approx(want, rel=1e-12)
+
+
+# --- one region -------------------------------------------------------------
+#
+# transfer_labels gives every face a lone region's id without a cost table
+# when a bound rules out the table's overflow errors.  The oracle builds
+# and optimizes the table for one region too: the labels, or the exception
+# class and message, must be the same.
+
+
+def moved(points, scale, shift):
+    """points times scale plus shift; an overflow gives inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(points, dtype=float) * scale + shift
+
+
+def labels_or_error(solve, *args):
+    """(dtype, labels) of one call, or the class and message it raises."""
+    try:
+        labels = solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return labels.dtype, labels.tolist()
+
+
+@st.composite
+def one_region_cases(draw):
+    """(mesh, graph, region, params) for one region.
+
+    The mesh and the medial mesh are scaled by 10**-320 to 10**300 and
+    shifted on their own, so inputs lie far apart and a surface diagonal
+    can be tiny or 0.  At most one fault is drawn: a region with no nodes
+    or with a bad node id, or a bad omega or max_iterations.
+    """
+    scales = st.integers(-320, 300).map(lambda e: 10.0 ** e)
+    shifts = [0.0, 1.0, -3.0, 1e150, -1e154, 1e154, 1e300]
+    if draw(st.booleans()):
+        base = octahedron()
+    else:
+        base = terrain(draw(st.lists(st.floats(-2.0, 2.0), min_size=6,
+                                     max_size=6)), 3)
+    # a shift of 1e308 makes some centroids overflow
+    mesh = SurfaceMesh(moved(base.vertices, draw(scales),
+                             draw(st.sampled_from(shifts + [1e308]))),
+                       base.faces)
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3,
+                                   st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                         min_size=n, max_size=n))
+    spheres = np.array(rows, dtype=float)
+    spheres[:, :3] = moved(spheres[:, :3], draw(scales),
+                           draw(st.sampled_from(shifts)))
+    spheres[:, 3] = moved(spheres[:, 3], draw(scales), 0.0)
+    try:
+        graph = build_graph(MedialMesh.build(
+            spheres, [(i, i + 1) for i in range(n - 1)], []))
+    except ParseError:  # a span beyond about 1e154 squares to inf
+        assume(False)
+    nodes = draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=n - 1,
+                          unique=True))
+    params = TransferParams()
+    fault = draw(st.sampled_from(["", "", "", "spheres", "node", "omega",
+                                  "max_iterations"]))
+    if fault == "spheres":
+        nodes = []
+    elif fault == "node":
+        nodes.append(draw(st.sampled_from([-1, n - 1, 1.5, None])))
+    elif fault == "omega":
+        params.omega = draw(st.sampled_from([-1.0, math.nan, math.inf, "x"]))
+    elif fault == "max_iterations":
+        params.max_iterations = draw(st.sampled_from([-1, 2.5, None]))
+    else:
+        params = TransferParams(draw(st.sampled_from([0.0, 0.3, 1e308])),
+                                draw(st.sampled_from([0, 1, 10])))
+    region = Region(draw(st.integers(-2**63, 2**63 - 1)), nodes, 0, 0)
+    return mesh, graph, region, params
+
+
+def far_apart():
+    """The far-apart inputs of the CLI's exit-2 test: each diagonal is
+    finite, the distances between them are not."""
+    base = octahedron()
+    mesh = SurfaceMesh(moved(base.vertices, 1e153, 1e154), base.faces)
+    graph = build_graph(MedialMesh.build(
+        [(-1e154, 0, 0, 1e152), (-1.1e154, 0, 0, 1e152),
+         (-1.2e154, 0, 0, 1e152)], [(0, 1), (1, 2)], []))
+    return mesh, graph, Region(3, [0, 1], 0, 0), TransferParams()
+
+
+def tiny_diagonal(distance):
+    """A surface of diagonal 3.5e-160 at distance from its spheres: each
+    cost is about distance * 2.9e159, so 1e149 puts every cost beyond the
+    float range and 1e148 only their sum."""
+    base = octahedron()
+    mesh = SurfaceMesh(moved(base.vertices, 1e-160, 0.0), base.faces)
+    graph = build_graph(MedialMesh.build(
+        [(distance, 0, 0, 0.5), (2 * distance, 0, 0, 0.5)], [(0, 1)], []))
+    return mesh, graph, Region(3, [0], 0, 0), TransferParams()
+
+
+@given(case=one_region_cases())
+@example(case=far_apart())
+@example(case=tiny_diagonal(1e149))
+@example(case=tiny_diagonal(1e148))
+def test_one_region_transfer_equals_the_table_path(case):
+    mesh, graph, region, params = case
+    # the table path may warn on an overflow before it raises; a warning
+    # is not an error, so the calls are compared as a caller sees them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = labels_or_error(transfer_labels, mesh, graph, [region], params)
+        want = labels_or_error(oracles.transfer_labels, mesh, graph,
+                               [region], params)
+    assert got == want
+
+
+@pytest.mark.parametrize("case,error", [
+    (far_apart(), "distances between points and sphere centers overflow"),
+    (tiny_diagonal(1e149), "costs must be finite"),
+    (tiny_diagonal(1e148), "labeling energy overflows: the costs are too large"),
+])
+def test_one_region_inputs_that_overflow_take_the_table_path(case, error):
+    mesh, graph, region, params = case
+    with mock.patch.object(transfer, "data_table",
+                           wraps=transfer.data_table) as table:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(error)):
+                transfer_labels(mesh, graph, [region], params)
+    assert table.call_count == 1
+
+
+@pytest.mark.parametrize("count,calls", [(1, 0), (2, 1)])
+def test_one_region_builds_no_cost_table(count, calls):
+    mesh, g, regions = two_plates_setup()
+    with mock.patch.object(transfer, "data_table",
+                           wraps=transfer.data_table) as table, \
+            mock.patch.object(transfer, "_sphere_gaps",
+                              wraps=transfer._sphere_gaps) as gaps:
+        labels = transfer_labels(mesh, g, regions[:count])
+    assert labels.tolist() == ([0] * 4 if count == 1 else [0, 0, 5, 5])
+    assert table.call_count == calls
+    assert gaps.call_count == 2 * calls
